@@ -15,7 +15,7 @@ Components:
   dataset ingestion, sweeps, and trace/summary emission.
 """
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, WorkerError
 from .lbfgs import LbfgsMemory
 from .model import (
     LinearGaussianModel,
@@ -56,6 +56,7 @@ __all__ = [
     "Subsample",
     "TraceRecord",
     "UpdateVector",
+    "WorkerError",
     "WorkerState",
     "asgd_step",
     "combined_gradient",

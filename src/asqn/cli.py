@@ -2,7 +2,8 @@
 
     optimize --config <path> [--mode simulate|run] [--out <dir>] [--seed <u64>]
 
-Exit codes: 0 success, 1 configuration error, 2 numerical divergence.
+Exit codes: 0 success, 1 configuration error, 2 numerical divergence,
+3 a worker of a ``--mode run`` experiment failed.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, DivergenceError
-from .experiments import load_config, run_experiment, validate_config
+from .errors import ConfigError, DivergenceError, WorkerError
+from .experiments import load_config, run_experiment
 
 
 def main(argv=None) -> int:
@@ -25,14 +26,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the base seed")
     args = parser.parse_args(argv)
 
+    overrides = {}
+    if args.mode:
+        overrides["mode"] = args.mode
+    if args.seed is not None:
+        overrides["base_seed"] = args.seed
     try:
-        cfg = load_config(args.config)
-        doc = dict(cfg.doc)
-        if args.mode:
-            doc["mode"] = args.mode
-        if args.seed is not None:
-            doc["base_seed"] = args.seed
-        cfg = validate_config(doc)
+        cfg = load_config(args.config, overrides)
         summary = run_experiment(cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -40,6 +40,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 2
+    except WorkerError as exc:
+        print(f"worker failed: {exc}", file=sys.stderr)
+        return 3
     algos = ", ".join(summary["algorithms"])
     print(f"done: mode={summary['mode']} algorithms=[{algos}]")
     return 0

@@ -15,3 +15,8 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, iteration=None):
         super().__init__(message)
         self.iteration = iteration
+
+
+class WorkerError(RuntimeError):
+    """A worker of a real (threaded) run raised something other than a
+    divergence; the run was stopped and its report carries the error."""

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
-from .model import LinearGaussianModel, MatrixFactorizationModel, potential, rmse
-from .sampler import MbLbfgsMaster, SamplerConfig, sgld_step
+from .errors import ConfigError, DivergenceError, WorkerError
+from .model import LinearGaussianModel, MatrixFactorizationModel, draw_subsample, potential, rmse
+from .sampler import MbLbfgsMaster, ParameterState, SamplerConfig, sgld_step
 from .simulator import (
     SimConfig,
     SimResult,
@@ -214,6 +214,10 @@ def validate_config(doc: dict) -> ExperimentConfig:
     mode = doc.get("mode")
     if mode not in ("simulate", "run"):
         raise ConfigError(f"mode must be 'simulate' or 'run', got {mode!r}")
+    # each sweep key applies to one mode only; the other would ignore it
+    ignored = {"simulate": "workers", "run": "sigma_worker"}[mode]
+    if ignored in (doc.get("sweep") or {}):
+        raise ConfigError(f"sweep.{ignored} does not apply in {mode} mode")
     algos = doc.get("algorithms", [])
     if not algos:
         raise ConfigError("at least one algorithm required")
@@ -225,8 +229,11 @@ def validate_config(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(doc)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a JSON experiment configuration."""
+def load_config(path, overrides=None) -> ExperimentConfig:
+    """Parse and validate a JSON experiment configuration.
+
+    ``overrides`` replaces top-level keys of the file before validation,
+    so the checks see the configuration that will actually run."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -236,7 +243,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"malformed JSON in {path} at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a JSON object ({path})")
-    return validate_config(doc)
+    return validate_config({**doc, **(overrides or {})})
 
 
 def synth_linear_gaussian(seed, dim, n_records, noise_variance, correlation=0.0):
@@ -403,14 +410,10 @@ def _sim_cfg(cfg, algo, seed, sigma_override=None):
 
 def run_sgld_serial(sim_cfg: SimConfig, sampler_cfg, model, theta0=None) -> SimResult:
     """Serial SGLD baseline with simulated per-iteration timing."""
-    from .model import draw_subsample
-
     rng = np.random.default_rng(sim_cfg.seed)
     theta = np.zeros(model.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     step_time = sim_cfg.mu_worker + 2 * sim_cfg.comm_time + sim_cfg.mu_master
     trace = []
-    from .sampler import ParameterState
-
     state = ParameterState(theta=theta, u=np.zeros(model.dim), iteration=0)
     include_rmse = isinstance(model, MatrixFactorizationModel)
     trace.append(TraceRecord(0.0, 0, 0, potential(model, theta),
@@ -554,7 +557,9 @@ def _run_experiment_inner(cfg, out_dir, written):
                         sample_every=r.get("sample_every", 0) or 0,
                     )
                     if report.error:
-                        raise DivergenceError(report.error)
+                        if report.error.startswith(f"{DivergenceError.__name__}:"):
+                            raise DivergenceError(report.error)
+                        raise WorkerError(report.error)
                     name = f"{algo}_workers-{w}_rep-{k}.csv"
                     path = os.path.join(out_dir, name)
                     write_trace_csv(report.trace, path)

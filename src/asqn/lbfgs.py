@@ -8,6 +8,7 @@ of the small test utility at the bottom.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -36,6 +37,7 @@ class LbfgsMemory:
         self.epsilon = float(epsilon)
         self.rho = float(rho)
         self._pairs: deque = deque(maxlen=capacity)
+        self._gamma = 1.0
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -59,17 +61,19 @@ class LbfgsMemory:
         ys = float(y @ s)
         # s = 0 passes the printed inequality (0 >= 0) but makes 1/(y.s)
         # undefined, so it is rejected before the test.
-        if ss == 0.0 or not np.isfinite(ys) or ys < self.epsilon * ss:
+        if ss == 0.0 or not math.isfinite(ys) or ys < self.epsilon * ss:
             return False
         self._pairs.append((s.copy(), y.copy(), 1.0 / ys))
+        self._gamma = ys / float(y @ y)
         return True
 
     def gamma(self) -> float:
-        """Scaling of the initial matrix H0 = gamma * I (1.0 when empty)."""
-        if not self._pairs:
-            return 1.0
-        s, y, _ = self._pairs[-1]
-        return float(s @ y) / float(y @ y)
+        """Scaling of the initial matrix H0 = gamma * I (1.0 when empty).
+
+        gamma = s.y / y.y of the newest pair, cached when that pair is
+        admitted: the newest pair is never the one evicted, so the cache
+        cannot go stale."""
+        return self._gamma
 
     def apply(self, v) -> np.ndarray:
         """Return (H + rho*I) v via the two-loop recursion."""
@@ -80,7 +84,7 @@ class LbfgsMemory:
             a = inv_ys * float(s @ q)
             q -= a * y
             alphas.append(a)
-        r = self.gamma() * q
+        r = self._gamma * q
         for (s, y, inv_ys), a in zip(self._pairs, reversed(alphas)):
             b = inv_ys * float(y @ r)
             r += (a - b) * s

@@ -133,6 +133,9 @@ class MatrixFactorizationModel:
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.rank = int(rank)
+        # packed position of F[r, k] is r*K + k, of G[k, c] is R*K + k*S + c
+        self._k = np.arange(self.rank)
+        self._g_offsets = self.n_rows * self.rank + self._k * self.n_cols
 
     @property
     def n_records(self) -> int:
@@ -177,12 +180,16 @@ class MatrixFactorizationModel:
         r = self.rows if indices is None else self.rows[indices]
         c = self.cols if indices is None else self.cols[indices]
         y = self.values if indices is None else self.values[indices]
-        resid = np.einsum("ik,ki->i", f[r], g[:, c]) - y
-        df = np.zeros_like(f)
-        dg = np.zeros_like(g)
-        np.add.at(df, r, resid[:, None] * g[:, c].T)
-        np.add.at(dg.T, c, resid[:, None] * f[r])
-        return self.pack(df, dg)
+        fr, gc = f[r], g[:, c]
+        resid = np.einsum("ik,ki->i", fr, gc) - y
+        # One scatter straight into the packed layout.  bincount adds each
+        # element's terms in index-list order starting from 0.0, as np.add.at
+        # into zeros does, so the sums are bit-identical to that formulation.
+        flat = np.concatenate([
+            (r[:, None] * self.rank + self._k).ravel(), (self._g_offsets + c[:, None]).ravel(),
+        ])
+        terms = np.concatenate([(resid[:, None] * gc.T).ravel(), (resid[:, None] * fr).ravel()])
+        return np.bincount(flat, weights=terms, minlength=self.dim)
 
 
 def _check_theta(model, theta):
@@ -217,22 +224,30 @@ def stochastic_gradient(model, theta, indices) -> np.ndarray:
     return model.prior_gradient(theta) + scale * model.likelihood_grad_sum(theta, indices)
 
 
-def combined_gradient(model, theta, sub: Subsample) -> np.ndarray:
+def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False):
     """Weighted S/O combination of stochastic gradients.
 
     The prior gradient enters exactly once; each part's likelihood sum is
     rescaled by N_Y/N_part and the parts are weighted by N_part/N_total,
     which collapses to the plain stochastic gradient on S and O together
     and keeps the estimator unbiased.
+
+    With ``with_overlap`` the O-part likelihood sum is reused to also
+    return the stochastic gradient on O alone, as ``(combined, overlap)``;
+    the overlap gradient is bit-identical to
+    ``stochastic_gradient(model, theta, sub.o_indices)``.
     """
     theta = _check_theta(model, theta)
     if sub.n_s == 0 or sub.n_o == 0:
         raise ValueError("both subsample parts must be nonempty")
     scale = model.n_records / sub.n_total
-    lik = model.likelihood_grad_sum(theta, sub.s_indices) + model.likelihood_grad_sum(
-        theta, sub.o_indices
-    )
-    return model.prior_gradient(theta) + scale * lik
+    lik_s = model.likelihood_grad_sum(theta, sub.s_indices)
+    lik_o = model.likelihood_grad_sum(theta, sub.o_indices)
+    prior = model.prior_gradient(theta)
+    combined = prior + scale * (lik_s + lik_o)
+    if not with_overlap:
+        return combined
+    return combined, prior + (model.n_records / sub.n_o) * lik_o
 
 
 def rmse(model: MatrixFactorizationModel, theta) -> float:

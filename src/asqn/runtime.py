@@ -71,7 +71,7 @@ class SharedMasterState:
             sampled = None
             if sample_every and n % sample_every == 0:
                 sampled = self.theta.copy()
-            ok = bool(np.all(np.isfinite(self.theta)) and np.all(np.isfinite(self.u)))
+            ok = bool(np.isfinite(self.theta).all() and np.isfinite(self.u).all())
             self.version += 1
         if not ok:
             raise DivergenceError(f"non-finite iterate after update {n}", iteration=n)
@@ -111,9 +111,11 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
 
     Each worker loops snapshot -> compute_update -> exclusive apply ->
     post-send memory update.  Stops after ``max_updates`` applies or
-    ``max_wall_s`` seconds.  ``staleness_limit`` enables optional
-    back-pressure: an update whose staleness would exceed the limit is
-    discarded and recomputed from a fresh snapshot.
+    ``max_wall_s`` seconds, or when any worker raises; the first such
+    exception is reported as ``"<ExcType>: <message>"`` in ``error``.
+    ``staleness_limit`` enables optional back-pressure: an update whose
+    staleness would exceed the limit is discarded and recomputed from a
+    fresh snapshot.
     """
     if workers < 1:
         raise ConfigError(f"need at least one worker, got {workers}")
@@ -156,8 +158,10 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
                     master.stop.set()
                 if max_wall_s is not None and _time.perf_counter() - t0 > max_wall_s:
                     master.stop.set()
-        except DivergenceError as exc:
-            errors.append(str(exc))
+        except Exception as exc:
+            # the thread's boundary: any failure stops every worker and is
+            # reported, so a broken run cannot pass for a finished one
+            errors.append(f"{type(exc).__name__}: {exc}")
             master.stop.set()
 
     threads = [threading.Thread(target=worker_loop, args=(w,), daemon=True)

@@ -47,6 +47,9 @@ class SamplerConfig:
             raise ConfigError(f"friction must lie in (0, 1), got {self.friction}")
         if self.inv_temperature <= 0:
             raise ConfigError(f"inverse temperature must be positive, got {self.inv_temperature}")
+        for name in ("memory_size", "n_s", "n_o"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def noise_scale(self) -> float:
         if math.isinf(self.inv_temperature):
@@ -107,14 +110,19 @@ def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, Upd
     """One worker iteration: draw a subsample, form the combined gradient
     at the (possibly stale) snapshot, and build (d_theta, d_u).
 
+    The overlap gradient the next curvature pair needs comes out of the
+    same call, reusing its O-part likelihood sum rather than evaluating
+    it again.  The context aliases ``snapshot.theta``, which must not be
+    mutated afterwards; master states and runtime snapshots never are.
+
     Does not touch the worker's memory; call post_send_memory_update with
     the returned context afterwards, mirroring the send-then-update order
     of the protocol.
     """
     theta, u = snapshot.theta, snapshot.u
     sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
-    g = combined_gradient(model, theta, sub)
-    if not np.all(np.isfinite(g)):
+    g, overlap_grad = combined_gradient(model, theta, sub, with_overlap=True)
+    if not np.isfinite(g).all():
         raise DivergenceError(
             f"non-finite gradient at iteration {snapshot.iteration}",
             iteration=snapshot.iteration,
@@ -124,9 +132,8 @@ def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, Upd
     if scale > 0.0:
         d_u += scale * rng.standard_normal(model.dim)
     d_theta = worker.memory.apply(u)
-    overlap_grad = stochastic_gradient(model, theta, sub.o_indices)
     ctx = UpdateContext(
-        snapshot_theta=theta.copy(),
+        snapshot_theta=theta,
         subsample=sub,
         overlap_gradient=overlap_grad,
         snapshot_iteration=snapshot.iteration,
@@ -155,10 +162,11 @@ def post_send_memory_update(worker: WorkerState, ctx: UpdateContext, model) -> b
 
 
 def master_apply(state: ParameterState, upd: UpdateVector) -> ParameterState:
-    """Componentwise accumulation; returns a new state with n+1."""
+    """Componentwise accumulation; returns a new state with n+1 and fresh
+    arrays, leaving ``state`` untouched."""
     theta = state.theta + upd.d_theta
     u = state.u + upd.d_u
-    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(u))):
+    if not (np.isfinite(theta).all() and np.isfinite(u).all()):
         raise DivergenceError(
             f"non-finite iterate after update {state.iteration + 1}",
             iteration=state.iteration + 1,
@@ -184,7 +192,7 @@ def sgld_step(theta, h, beta, model, indices, rng) -> np.ndarray:
     new = theta - h * g
     if not math.isinf(beta):
         new = new + math.sqrt(2.0 * h / beta) * rng.standard_normal(len(theta))
-    if not np.all(np.isfinite(new)):
+    if not np.isfinite(new).all():
         raise DivergenceError("non-finite iterate in SGLD step")
     return new
 
@@ -194,7 +202,7 @@ def asgd_step(theta, h, model, indices) -> UpdateVector:
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     g = stochastic_gradient(model, theta, indices)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient in a-SGD step")
     return UpdateVector(d_theta=-h * g, d_u=np.zeros_like(theta))
 
@@ -237,11 +245,6 @@ class MbLbfgsMaster:
             self.prev_overlap = np.asarray(overlap_indices, dtype=np.intp)
             self.prev_overlap_grad = stochastic_gradient(model, theta, self.prev_overlap)
         new = theta - self.step * self.memory.apply(g_bar)
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise DivergenceError("non-finite iterate in mb-L-BFGS round")
         return new
-
-
-def mb_lbfgs_round(master: MbLbfgsMaster, theta, gradients, overlap_indices, model):
-    """Functional wrapper around MbLbfgsMaster.round."""
-    return master.round(theta, gradients, overlap_indices, model)

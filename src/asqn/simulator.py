@@ -18,14 +18,13 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .model import rmse as model_rmse
-from .model import MatrixFactorizationModel, draw_subsample, potential
+from .model import MatrixFactorizationModel, combined_gradient, draw_subsample, potential
 from .sampler import (
     MbLbfgsMaster,
     ParameterState,
@@ -127,6 +126,11 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     applies FIFO by arrival with the (time, worker, sequence) tie-break.
     A worker gets its fresh snapshot only in reply to its own send, so its
     staleness accrues from the other workers' applies in between.
+
+    Every receive schedules an arrive and every arrive a receive, so the
+    event heap always holds one event per worker and the loop ends only at
+    the update or time horizon.  Master states are never mutated, so a
+    reply carries the post-apply state itself rather than a copy.
     """
     if algo not in ("as-lbfgs", "a-sgd"):
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
@@ -154,7 +158,6 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     heap: list = []
     seq = 0
     master_busy_until = 0.0
-    queue: deque = deque()
 
     def push(time, worker, kind, payload):
         nonlocal seq
@@ -165,7 +168,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
         push(sim_cfg.comm_time, w, "receive", state.copy())
 
     truncated = False
-    while heap:
+    while True:
         t, w, _, kind, payload = heapq.heappop(heap)
         if t > sim_cfg.max_time:
             truncated = True
@@ -186,24 +189,17 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
                 upd = asgd_step(snapshot.theta, sampler_cfg.step, model, sub.combined)
             push(t + c + sim_cfg.comm_time, w, "arrive", (upd, snapshot.iteration))
         elif kind == "arrive":
-            queue.append((w, payload))
-            # master drains its FIFO queue immediately; service is serial.
-            start = max(t, master_busy_until)
-            while queue:
-                ww, (upd, n_read) = queue.popleft()
-                upd.staleness = state.iteration - n_read
-                state = master_apply(state, upd)
-                staleness_log.append((state.iteration, upd.staleness))
-                done = start + sim_cfg.mu_master
-                if state.iteration % sim_cfg.sample_every == 0:
-                    _record(trace, model, state, done, upd.staleness, include_rmse)
-                push(done + sim_cfg.comm_time, ww, "receive", state.copy())
-                start = done
-            master_busy_until = start
+            # the master serves arrivals one at a time, in event order
+            upd, n_read = payload
+            upd.staleness = state.iteration - n_read
+            state = master_apply(state, upd)
+            staleness_log.append((state.iteration, upd.staleness))
+            master_busy_until = max(t, master_busy_until) + sim_cfg.mu_master
+            if state.iteration % sim_cfg.sample_every == 0:
+                _record(trace, model, state, master_busy_until, upd.staleness, include_rmse)
+            push(master_busy_until + sim_cfg.comm_time, w, "receive", state)
             if state.iteration >= sim_cfg.max_updates:
                 break
-    else:
-        truncated = bool(math.isfinite(sim_cfg.max_time))
 
     if trace[-1].iteration != state.iteration:
         _record(
@@ -244,7 +240,6 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     n = 0
     truncated = False
     included_log: list = []
-    from .model import combined_gradient
 
     while n < sim_cfg.max_updates:
         if t > sim_cfg.max_time:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from asqn import ConfigError, full_gradient, potential
+from asqn import ConfigError, LinearGaussianModel, experiments, full_gradient, potential
 from asqn.cli import main as cli_main
 from asqn.experiments import (
     load_config,
@@ -101,6 +101,11 @@ class TestValidateConfig:
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             validate_config(tiny_config(mode="fly"))
+
+    @pytest.mark.parametrize("mode, key", [("simulate", "workers"), ("run", "sigma_worker")])
+    def test_sweep_key_of_the_other_mode_rejected(self, mode, key):
+        with pytest.raises(ConfigError, match=f"sweep.{key}"):
+            validate_config(tiny_config(mode=mode, sweep={key: [1, 2]}))
 
     def test_bad_algorithm(self):
         with pytest.raises(ConfigError, match="algorithm"):
@@ -326,14 +331,31 @@ class TestCli:
         assert "divergence" in capsys.readouterr().err
 
     def test_mode_and_seed_overrides(self, tmp_path):
+        # the file's sweep applies only to the overriding mode; the checks
+        # must see the configuration that runs
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(tiny_config()))
+        cfg_path.write_text(json.dumps(tiny_config(sweep={"workers": [1]})))
         out = tmp_path / "out"
         assert cli_main(["--config", str(cfg_path), "--mode", "run",
                          "--seed", "9", "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mode"] == "run"
         assert summary["base_seed"] == 9
+
+    def test_worker_failure_exit_three(self, tmp_path, capsys, monkeypatch):
+        class FailingModel(LinearGaussianModel):
+            def likelihood_grad_sum(self, theta, indices=None):
+                raise ValueError("gradient unavailable")
+
+        model, _, u_star = synth_linear_gaussian(0, 4, 30, 1.0)
+        broken = FailingModel(model.features, model.targets, 1.0)
+        monkeypatch.setattr(experiments, "build_problem", lambda cfg: (broken, u_star))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(mode="run")))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "ValueError: gradient unavailable" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partial_outputs_removed_on_failure(self, tmp_path):

@@ -133,6 +133,25 @@ class TestApply:
         assert mem.try_add(s, y)
         assert mem.gamma() == pytest.approx(0.5)  # s.y / y.y = 2/4
 
+    def test_gamma_tracks_newest_admitted_pair(self):
+        # through evictions and rejected pairs, gamma is s.y / y.y of the
+        # newest pair still held, computed exactly as from scratch
+        rng = np.random.default_rng(6)
+        mem = LbfgsMemory(6, 2, epsilon=0.1)
+        assert mem.gamma() == 1.0
+        admitted = rejected = 0
+        for _ in range(60):
+            s = rng.standard_normal(6)
+            y = s + rng.standard_normal(6)  # about a third fail the cautious test
+            if mem.try_add(s, y):
+                admitted += 1
+            else:
+                rejected += 1
+            if len(mem):
+                s_new, y_new, _ = mem.pairs[-1]
+                assert mem.gamma() == float(s_new @ y_new) / float(y_new @ y_new)
+        assert admitted > 2 and rejected > 0  # evictions and rejections both happened
+
     def test_dimension_mismatch(self):
         mem = LbfgsMemory(3, 2)
         with pytest.raises(ValueError):

@@ -190,6 +190,42 @@ class TestCombinedGradient:
         )
 
 
+def add_at_likelihood_grad_sum(model, theta, indices=None):
+    """Reference MF likelihood gradient: scatter with np.add.at into dense
+    zero buffers, then pack (the formulation the bincount scatter replaced)."""
+    f, g = model.unpack(theta)
+    r = model.rows if indices is None else model.rows[indices]
+    c = model.cols if indices is None else model.cols[indices]
+    y = model.values if indices is None else model.values[indices]
+    resid = np.einsum("ik,ki->i", f[r], g[:, c]) - y
+    df = np.zeros_like(f)
+    dg = np.zeros_like(g)
+    np.add.at(df, r, resid[:, None] * g[:, c].T)
+    np.add.at(dg.T, c, resid[:, None] * f[r])
+    return model.pack(df, dg)
+
+
+class TestMatrixFactorizationGradient:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_add_at_reference(self, seed):
+        # few rows and columns, many records: every index list below hits
+        # the same rows, columns and records many times
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols, rank, nnz = 7, 9, 3, 40
+        model = MatrixFactorizationModel(
+            rng.integers(0, n_rows, nnz), rng.integers(0, n_cols, nnz),
+            rng.standard_normal(nnz), n_rows, n_cols, rank,
+        )
+        theta = rng.standard_normal(model.dim)
+        index_lists = [None, rng.integers(0, nnz, 60), np.array([3, 3, 3, 0, 3]),
+                       np.array([5])]
+        for indices in index_lists:
+            got = model.likelihood_grad_sum(theta, indices)
+            want = add_at_likelihood_grad_sum(model, theta, indices)
+            assert got.shape == (model.dim,)
+            assert np.array_equal(got, want)
+
+
 class TestDrawSubsample:
     def test_deterministic_given_seed(self):
         a = draw_subsample(np.random.default_rng(5), 100, 4, 2)

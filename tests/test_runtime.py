@@ -28,6 +28,11 @@ def small_problem(seed=0):
     return model, cfg
 
 
+class FailingGradientModel(LinearGaussianModel):
+    def likelihood_grad_sum(self, theta, indices=None):
+        raise ValueError("gradient unavailable")
+
+
 class TestSharedMasterState:
     def test_initial_snapshot(self):
         master = SharedMasterState(np.array([1.0, 2.0]))
@@ -144,6 +149,17 @@ class TestRun:
         report = run(1, bad, model, max_updates=5000, seed=0)
         assert report.error is not None
         assert "non-finite" in report.error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("algo", ["as-lbfgs", "a-sgd"])
+    def test_worker_exception_stops_run_and_is_reported(self, workers, algo):
+        model, cfg = small_problem()
+        broken = FailingGradientModel(model.features, model.targets, 1.0)
+        threads_before = threading.active_count()
+        report = run(workers, cfg, broken, algo=algo, max_updates=1000, seed=0)
+        assert report.error == "ValueError: gradient unavailable"
+        assert report.iterations == 0
+        assert threading.active_count() == threads_before
 
     def test_asgd_mode(self):
         model, cfg = small_problem()

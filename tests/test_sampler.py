@@ -9,6 +9,7 @@ from asqn import (
     ConfigError,
     DivergenceError,
     LinearGaussianModel,
+    MatrixFactorizationModel,
     MbLbfgsMaster,
     ParameterState,
     SamplerConfig,
@@ -48,6 +49,11 @@ class TestSamplerConfig:
     def test_bad_friction(self):
         with pytest.raises(ConfigError):
             SamplerConfig(step=0.1, friction=1.0)
+
+    @pytest.mark.parametrize("field", ["n_s", "n_o", "memory_size"])
+    def test_sizes_below_one_rejected(self, field):
+        with pytest.raises(ConfigError):
+            SamplerConfig(step=0.1, friction=0.5, **{field: 0})
 
     def test_noise_scale_infinite_beta(self):
         assert SamplerConfig(step=0.1, friction=0.5).noise_scale() == 0.0
@@ -127,6 +133,26 @@ class TestComputeUpdate:
             )
             variances.append(draws.var())
         assert abs(variances[1] / variances[0] - 2.0) < 0.1
+
+    @pytest.mark.parametrize("make_model", [
+        quadratic_lg,
+        lambda: MatrixFactorizationModel([0, 1, 1, 2, 0], [1, 0, 2, 2, 1],
+                                         [1.0, -0.5, 2.0, 0.3, 1.5], 3, 3, 2),
+    ])
+    def test_overlap_gradient_bit_identical_to_stochastic_gradient(self, make_model):
+        model = make_model()
+        cfg = SamplerConfig(step=0.01, friction=0.1, inv_temperature=10.0, n_s=4, n_o=3)
+        worker = WorkerState(cfg, model.dim)
+        rng = np.random.default_rng(8)
+        state = ParameterState(rng.standard_normal(model.dim), np.zeros(model.dim))
+        for _ in range(6):
+            upd, ctx = compute_update(cfg, worker, state, model, rng)
+            assert np.array_equal(
+                ctx.overlap_gradient,
+                stochastic_gradient(model, state.theta, ctx.subsample.o_indices),
+            )
+            state = master_apply(state, upd)
+            post_send_memory_update(worker, ctx, model)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_gradient_raises(self):
@@ -246,6 +272,17 @@ class TestMasterApply:
         )
         np.testing.assert_allclose(state.u, sum(u.d_u for u in updates), atol=1e-12)
         assert state.iteration == 10
+
+    def test_input_state_left_unchanged(self):
+        # the simulator hands post-apply states to workers without copying
+        state = ParameterState(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 7)
+        theta, u = state.theta, state.u
+        new = master_apply(state, UpdateVector(np.array([0.5, 0.5]), np.array([1.0, 1.0])))
+        assert state.theta is theta and state.u is u and state.iteration == 7
+        np.testing.assert_array_equal(theta, [1.0, 2.0])
+        np.testing.assert_array_equal(u, [3.0, 4.0])
+        assert not np.shares_memory(new.theta, theta)
+        assert not np.shares_memory(new.u, u)
 
     def test_nonfinite_result_raises(self):
         state = ParameterState.zeros(1)
