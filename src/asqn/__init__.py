@@ -10,7 +10,8 @@ Components:
   (SGLD, asynchronous SGD, simplified synchronous multi-batch L-BFGS).
 - :mod:`asqn.simulator` — deterministic discrete-event simulation of
   distributed (a)synchronous optimization with virtual-time traces.
-- :mod:`asqn.runtime` — real shared-memory execution with worker threads.
+- :mod:`asqn.runtime` — real asynchronous execution with forked worker
+  processes over a shared mapping (Linux only).
 - :mod:`asqn.experiments` / :mod:`asqn.cli` — experiment configuration,
   dataset ingestion, sweeps, and trace/summary emission.
 """

@@ -18,5 +18,6 @@ class DivergenceError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A worker of a real (threaded) run raised something other than a
-    divergence; the run was stopped and its report carries the error."""
+    """A worker process of a real run failed other than by divergence: it
+    raised, died without reporting, or outlived the stop and was
+    terminated.  The run was stopped and its report carries the error."""

@@ -369,7 +369,6 @@ def build_problem(cfg: ExperimentConfig):
 
 def _sampler_cfg(cfg, algo, model):
     s = dict(cfg["sampler"])
-    n_total = s.get("n_s") or None
     if s.get("n_s") is None or s.get("n_o") is None:
         # N_Omega = N_Y/100, N_O = N_Omega/3
         n_omega = max(3, model.n_records // 100)
@@ -395,7 +394,7 @@ def _sim_cfg(cfg, algo, seed, sigma_override=None):
     return SimConfig(
         workers=s.get("workers", 1),
         mu_master=timing.get("mu_master", 0.0),
-        mu_worker=timing.get("mu_worker", s.get("mu_worker", 1.0) if "mu_worker" in s else 1.0),
+        mu_worker=timing.get("mu_worker", s.get("mu_worker", 1.0)),
         sigma_worker=s.get("sigma_worker", 0.0) if sigma_override is None else sigma_override,
         comm_time=s.get("comm_time", 0.0),
         timeout=s.get("timeout", math.inf),

@@ -8,7 +8,7 @@ parameter (the 0.5*log(2*pi*sigma^2) terms) are dropped everywhere, on
 both sides of any comparison against an optimum value.
 
 All models are immutable after construction and every function here is
-pure, so instances can be shared freely across worker threads.
+pure, so instances can be shared freely across workers.
 """
 
 from __future__ import annotations

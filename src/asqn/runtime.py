@@ -1,20 +1,28 @@
-"""Real shared-memory asynchronous execution with W worker threads.
+"""Real asynchronous execution: W forked worker processes over a shared mapping.
 
 The master node of the message-passing formulation degenerates, on shared
-memory, to a mutually exclusive apply section guarded by a lock.  Reads go
-through a seqlock-style versioned snapshot: the version counter is bumped
-before and after every apply, and a snapshot retries until it observes the
-same even version on both sides of its copy, so no reader ever sees a torn
-(theta, u, n) triple.
+memory, to a mutually exclusive apply section.  The master's ``(n, version)``
+header, ``theta`` and ``u`` live in one anonymous ``mmap`` mapping that the
+``fork`` start method shares with every worker process, and applies are
+guarded by a process-shared lock.  Reads go through a seqlock-style versioned
+snapshot: the version counter is bumped before and after every apply, and a
+snapshot retries until it observes the same even version on both sides of its
+copy, so no reader ever sees a torn ``(theta, u, n)`` triple.
+
+Linux only: anonymous shared mappings reach the workers through ``fork``.
+Forking a process that runs other threads is unsafe, so call :func:`run`
+from a process whose other threads are idle or joined.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
+import multiprocessing
+import multiprocessing.connection
 import os
-import threading
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,49 +38,85 @@ from .sampler import (
 )
 from .simulator import TraceRecord
 
+# a worker still running this long after the stop event is terminated
+_STOP_GRACE_S = 60.0
+# how often the parent looks at the stop event and the wall-clock limit
+# while it waits for worker reports
+_POLL_S = 0.05
+
 
 class SharedMasterState:
     """The master's (theta, u, n) with lock-exclusive applies and
-    seqlock-consistent snapshots."""
+    seqlock-consistent snapshots, shared with forked worker processes.
+
+    ``theta`` and ``u`` are arrays over the shared mapping; ``n`` and
+    ``version`` read its header.  ``staleness_log`` is private to each
+    process: it lists the applies made by that process.
+    """
 
     def __init__(self, theta0, u0=None):
-        self.theta = np.array(theta0, dtype=float)
-        self.u = np.zeros_like(self.theta) if u0 is None else np.array(u0, dtype=float)
-        self.n = 0
-        self.version = 0
-        self.lock = threading.Lock()
+        theta0 = np.asarray(theta0, dtype=float)
+        dim = theta0.size
+        self._map = mmap.mmap(-1, 16 + 16 * dim)
+        self._header = memoryview(self._map)[:16].cast("q")  # (n, version)
+        self.theta = np.frombuffer(self._map, dtype=float, count=dim, offset=16)
+        self.u = np.frombuffer(self._map, dtype=float, count=dim, offset=16 + 8 * dim)
+        self.theta[:] = theta0
+        if u0 is not None:
+            self.u[:] = u0
+        fork = multiprocessing.get_context("fork")
+        self.lock = fork.Lock()
+        self.stop = fork.Event()
         self.staleness_log: list = []
-        self.stop = threading.Event()
+
+    @property
+    def n(self) -> int:
+        return self._header[0]
+
+    @property
+    def version(self) -> int:
+        return self._header[1]
 
     def snapshot(self):
-        """Consistent (theta copy, u copy, n); never blocks applies."""
+        """Consistent (theta copy, u copy, n); never blocks applies.
+
+        Across processes this relies on x86-64 load ordering: loads are not
+        reordered with other loads, so a reader that sees the same even
+        version before and after its copies saw no apply in between.
+        """
+        header = self._header
         while True:
-            v1 = self.version
+            v1 = header[1]
             if v1 & 1:
                 continue
             theta = self.theta.copy()
             u = self.u.copy()
-            n = self.n
-            if self.version == v1:
+            n = header[0]
+            if header[1] == v1:
                 return theta, u, n
 
-    def apply(self, upd, n_read, sample_every=0):
+    def apply(self, upd, n_read, sample_every=0, staleness_limit=None):
         """Exclusive accumulation; returns (n, staleness, sampled theta copy
         or None).  The copy is taken inside the critical section so sampled
-        iterates are exact."""
+        iterates are exact.  With ``staleness_limit``, an update whose
+        staleness would exceed it is discarded under the lock, leaving the
+        state untouched, and ``None`` is returned."""
+        header = self._header
         with self.lock:
-            self.version += 1
+            staleness = header[0] - n_read
+            if staleness_limit is not None and staleness > staleness_limit:
+                return None
+            header[1] += 1
             self.theta += upd.d_theta
             self.u += upd.d_u
-            self.n += 1
-            n = self.n
-            staleness = n - 1 - n_read
+            n = header[0] + 1
+            header[0] = n
             self.staleness_log.append((n, staleness))
             sampled = None
             if sample_every and n % sample_every == 0:
                 sampled = self.theta.copy()
             ok = bool(np.isfinite(self.theta).all() and np.isfinite(self.u).all())
-            self.version += 1
+            header[1] += 1
         if not ok:
             raise DivergenceError(f"non-finite iterate after update {n}", iteration=n)
         return n, staleness, sampled
@@ -100,79 +144,144 @@ class RunReport:
         )
 
 
-def _thread_cap() -> int | None:
+def _worker_cap() -> int | None:
     cap = os.environ.get("ASQN_THREADS")
     return int(cap) if cap else None
 
 
+def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
+                 sample_every, max_wall_s, staleness_limit, t0):
+    """One worker process: loops snapshot -> compute_update -> exclusive
+    apply -> post-send memory update, then sends its sampled
+    ``(time, n, staleness, theta)`` rows, its staleness log and its first
+    error (or None) to the parent."""
+    sampled: list = []
+    error = None
+    rng = np.random.default_rng(seed + w)
+    ws = WorkerState(sampler_cfg, model.dim)
+    try:
+        while not master.stop.is_set():
+            theta, u, n_read = master.snapshot()
+            snap = ParameterState(theta=theta, u=u, iteration=n_read)
+            if algo == "as-lbfgs":
+                upd, ctx = compute_update(sampler_cfg, ws, snap, model, rng)
+            else:
+                sub = draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
+                upd, ctx = asgd_step(theta, sampler_cfg.step, model, sub.combined), None
+            if master.stop.is_set():
+                break
+            applied = master.apply(upd, n_read, sample_every, staleness_limit)
+            if applied is None:
+                continue  # too stale: discarded; recompute from a fresh snapshot
+            n, staleness, theta_s = applied
+            if theta_s is not None:
+                sampled.append((_time.perf_counter() - t0, n, staleness, theta_s))
+            if ctx is not None:
+                post_send_memory_update(ws, ctx, model)
+            if n >= max_updates:
+                master.stop.set()
+            if max_wall_s is not None and _time.perf_counter() - t0 > max_wall_s:
+                master.stop.set()
+    except Exception as exc:
+        # the process boundary: any failure stops every worker and is
+        # reported, so a broken run cannot pass for a finished one
+        error = f"{type(exc).__name__}: {exc}"
+        master.stop.set()
+    conn.send((sampled, master.staleness_log, error))
+    conn.close()
+
+
+def _collect(procs, conns, master, t0, max_wall_s):
+    """Wait on every worker's pipe at once; return the reports received and
+    the errors seen.  The first error, a worker that exits without
+    reporting, or the wall-clock limit sets ``stop``; a worker still running
+    ``_STOP_GRACE_S`` after ``stop`` is terminated."""
+    pending = {conn: w for w, conn in enumerate(conns)}
+    reports, errors = [], []
+    stopped_at = None
+    while pending:
+        now = _time.perf_counter()
+        if max_wall_s is not None and now - t0 > max_wall_s:
+            master.stop.set()
+        if stopped_at is None and master.stop.is_set():
+            stopped_at = now
+        if stopped_at is not None and now - stopped_at > _STOP_GRACE_S:
+            for w in pending.values():
+                procs[w].terminate()
+                procs[w].join()
+                errors.append(f"WorkerError: worker {w} still running "
+                              f"{_STOP_GRACE_S:g} s after stop; terminated")
+            break
+        for conn in multiprocessing.connection.wait(list(pending), timeout=_POLL_S):
+            w = pending.pop(conn)
+            try:
+                report = conn.recv()
+            except EOFError:  # the worker died before it could report
+                report = None
+            conn.close()
+            procs[w].join()
+            if report is None:
+                report = [], [], f"WorkerError: worker exited with code {procs[w].exitcode}"
+            sampled, log, error = report
+            reports.append((sampled, log))
+            if error is not None:
+                errors.append(error)
+                master.stop.set()
+    return reports, errors
+
+
 def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=None,
         seed=0, sample_every=0, max_wall_s=None, staleness_limit=None) -> RunReport:
-    """Run W worker threads against a shared master state.
+    """Run W forked worker processes against a shared master state.
 
     Each worker loops snapshot -> compute_update -> exclusive apply ->
     post-send memory update.  Stops after ``max_updates`` applies or
-    ``max_wall_s`` seconds, or when any worker raises; the first such
-    exception is reported as ``"<ExcType>: <message>"`` in ``error``.
+    ``max_wall_s`` seconds, or when any worker fails; the first failure is
+    reported as ``"<ExcType>: <message>"`` in ``error``, a worker that dies
+    without reporting as ``"WorkerError: worker exited with code N"``.
     ``staleness_limit`` enables optional back-pressure: an update whose
     staleness would exceed the limit is discarded and recomputed from a
-    fresh snapshot.
+    fresh snapshot, so every applied update has staleness at most the
+    limit.  No worker process outlives the call.
     """
     if workers < 1:
         raise ConfigError(f"need at least one worker, got {workers}")
     if algo not in ("as-lbfgs", "a-sgd"):
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
-    cap = _thread_cap()
+    cap = _worker_cap()
     if cap is not None:
         workers = min(workers, cap)
 
-    dim = model.dim
-    master = SharedMasterState(np.zeros(dim) if theta0 is None else theta0)
-    sampled: list = []  # (wall time, n, staleness, theta copy)
-    sampled_lock = threading.Lock()
-    errors: list = []
+    fork = multiprocessing.get_context("fork")
+    master = SharedMasterState(np.zeros(model.dim) if theta0 is None else theta0)
+    procs, conns = [], []
     t0 = _time.perf_counter()
-
-    def worker_loop(w):
-        rng = np.random.default_rng(seed + w)
-        ws = WorkerState(sampler_cfg, dim)
-        try:
-            while not master.stop.is_set():
-                theta, u, n_read = master.snapshot()
-                snap = ParameterState(theta=theta, u=u, iteration=n_read)
-                if algo == "as-lbfgs":
-                    upd, ctx = compute_update(sampler_cfg, ws, snap, model, rng)
-                else:
-                    sub = draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
-                    upd, ctx = asgd_step(theta, sampler_cfg.step, model, sub.combined), None
-                if staleness_limit is not None and master.n - n_read > staleness_limit:
-                    continue  # discard; recompute from a fresh snapshot
-                if master.stop.is_set():
-                    break
-                n, staleness, theta_s = master.apply(upd, n_read, sample_every)
-                if theta_s is not None:
-                    with sampled_lock:
-                        sampled.append((_time.perf_counter() - t0, n, staleness, theta_s))
-                if ctx is not None:
-                    post_send_memory_update(ws, ctx, model)
-                if n >= max_updates:
-                    master.stop.set()
-                if max_wall_s is not None and _time.perf_counter() - t0 > max_wall_s:
-                    master.stop.set()
-        except Exception as exc:
-            # the thread's boundary: any failure stops every worker and is
-            # reported, so a broken run cannot pass for a finished one
-            errors.append(f"{type(exc).__name__}: {exc}")
-            master.stop.set()
-
-    threads = [threading.Thread(target=worker_loop, args=(w,), daemon=True)
-               for w in range(workers)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=60.0)
-    master.stop.set()
+    try:
+        for w in range(workers):
+            recv_end, send_end = fork.Pipe(duplex=False)
+            proc = fork.Process(
+                target=_worker_main, daemon=True,
+                args=(w, send_end, master, sampler_cfg, model, algo, max_updates, seed,
+                      sample_every, max_wall_s, staleness_limit, t0))
+            conns.append(recv_end)
+            proc.start()
+            procs.append(proc)
+            send_end.close()  # the child's copy is the only writer: EOF means it exited
+        reports, errors = _collect(procs, conns, master, t0, max_wall_s)
+    finally:
+        # _collect has joined every worker unless the parent itself failed
+        master.stop.set()
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+        for conn in conns:
+            conn.close()
     wall_ms = (_time.perf_counter() - t0) * 1e3
 
+    sampled = [row for rows, _ in reports for row in rows]
+    staleness_log = sorted((entry for _, log in reports for entry in log),
+                           key=lambda entry: entry[0])
     include_rmse = isinstance(model, MatrixFactorizationModel)
     trace = [
         TraceRecord(time=t, iteration=n, staleness=l,
@@ -184,10 +293,10 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     return RunReport(
         wall_ms=wall_ms,
         iterations=master.n,
-        max_staleness=max((l for _, l in master.staleness_log), default=0),
+        max_staleness=max((l for _, l in staleness_log), default=0),
         final_potential=potential(model, final.theta),
         trace=trace,
         final_state=final,
-        staleness_log=list(master.staleness_log),
+        staleness_log=staleness_log,
         error=errors[0] if errors else None,
     )

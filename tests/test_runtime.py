@@ -1,7 +1,10 @@
-"""Tests for the threaded shared-memory execution path."""
+"""Tests for the shared-memory execution path with forked worker processes."""
 
 import json
+import multiprocessing
+import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +20,10 @@ from asqn import (
     master_apply,
     post_send_memory_update,
 )
+from asqn import runtime
 from asqn.runtime import SharedMasterState, run
+
+FORK = multiprocessing.get_context("fork")
 
 
 def small_problem(seed=0):
@@ -31,6 +37,28 @@ def small_problem(seed=0):
 class FailingGradientModel(LinearGaussianModel):
     def likelihood_grad_sum(self, theta, indices=None):
         raise ValueError("gradient unavailable")
+
+
+class HangingGradientModel(LinearGaussianModel):
+    def likelihood_grad_sum(self, theta, indices=None):
+        time.sleep(3600)
+
+
+class FirstCallExitsModel(LinearGaussianModel):
+    """The first gradient call, in whichever worker makes it, ends that
+    worker's process with exit code 7 and no report; later calls work."""
+
+    def __init__(self, model):
+        super().__init__(model.features, model.targets, 1.0)
+        self.calls = FORK.Value("i", 0)  # shared with the forked workers
+
+    def likelihood_grad_sum(self, theta, indices=None):
+        with self.calls.get_lock():
+            first = self.calls.value == 0
+            self.calls.value += 1
+        if first:
+            os._exit(7)
+        return super().likelihood_grad_sum(theta, indices)
 
 
 class TestSharedMasterState:
@@ -98,6 +126,47 @@ class TestSharedMasterState:
         assert torn == []
         assert master.n == n_writes
 
+    def test_no_torn_snapshots_across_processes(self):
+        # a forked writer process hammers apply while this process
+        # snapshots.  The seqlock reader relies on x86-64 load ordering
+        # (loads are not reordered with other loads); the writer keeps
+        # theta == u == constant-vector(n), which a torn read would break.
+        dim = 256
+        master = SharedMasterState(np.zeros(dim))
+        n_writes = 50000
+        upd = UpdateVector(np.ones(dim), np.ones(dim))
+
+        def writer():
+            for _ in range(n_writes):
+                master.apply(upd, n_read=0)
+
+        proc = FORK.Process(target=writer)
+        proc.start()
+        torn, mid_run = [], 0
+        while proc.exitcode is None and not torn:
+            theta, u, n = master.snapshot()
+            mid_run += 0 < n < n_writes
+            if not (np.all(theta == theta[0]) and np.array_equal(theta, u)
+                    and theta[0] == n):
+                torn.append(n)
+        proc.join(timeout=60)
+        assert not proc.is_alive()
+        assert proc.exitcode == 0
+        assert torn == []
+        assert mid_run >= 100  # the reads overlapped the writes
+        assert master.n == n_writes
+        assert master.version == 2 * n_writes
+
+    def test_apply_over_staleness_limit_leaves_state_untouched(self):
+        master = SharedMasterState(np.zeros(2))
+        upd = UpdateVector(np.ones(2), np.ones(2))
+        for _ in range(3):
+            master.apply(upd, n_read=0)
+        assert master.apply(upd, n_read=0, staleness_limit=2) is None
+        np.testing.assert_array_equal(master.theta, [3.0, 3.0])
+        assert (master.n, master.version) == (3, 6)
+        assert master.apply(upd, n_read=1, staleness_limit=2)[:2] == (4, 2)
+
 
 class TestRun:
     def test_single_worker_matches_serial_loop(self):
@@ -160,6 +229,47 @@ class TestRun:
         assert report.error == "ValueError: gradient unavailable"
         assert report.iterations == 0
         assert threading.active_count() == threads_before
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exiting_without_report_stops_the_others(self):
+        model, cfg = small_problem()
+        report = run(2, cfg, FirstCallExitsModel(model), max_updates=10**9, seed=0,
+                     max_wall_s=60.0)
+        assert report.error == "WorkerError: worker exited with code 7"
+        assert report.wall_ms < 30e3  # stopped by the error, not the wall clock
+        assert report.iterations == len(report.staleness_log)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_alive_after_stop_is_terminated(self, monkeypatch):
+        model, cfg = small_problem()
+        monkeypatch.setattr(runtime, "_STOP_GRACE_S", 0.3)
+        hanging = HangingGradientModel(model.features, model.targets, 1.0)
+        report = run(1, cfg, hanging, max_updates=10, seed=0, max_wall_s=0.1)
+        assert report.error == "WorkerError: worker 0 still running 0.3 s after stop; terminated"
+        assert report.iterations == 0
+        assert report.wall_ms < 30e3
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["success", "exception", "divergence", "max_wall_s"])
+    def test_no_worker_process_outlives_run(self, case):
+        model, cfg = small_problem()
+        kwargs = {"max_updates": 200, "seed": 0}
+        if case == "exception":
+            model = FailingGradientModel(model.features, model.targets, 1.0)
+        elif case == "divergence":
+            cfg = SamplerConfig(step=1e6, friction=0.99, n_s=3, n_o=2)
+            kwargs["max_updates"] = 5000
+        elif case == "max_wall_s":
+            kwargs = {"max_updates": 10**9, "seed": 0, "max_wall_s": 0.2}
+        report = run(2, cfg, model, **kwargs)
+        assert multiprocessing.active_children() == []
+        if case in ("success", "max_wall_s"):
+            assert report.error is None
+            assert report.iterations > 0
+        else:
+            assert report.error.startswith(
+                "ValueError" if case == "exception" else "DivergenceError")
 
     def test_asgd_mode(self):
         model, cfg = small_problem()
@@ -174,11 +284,19 @@ class TestRun:
         assert report.max_staleness == 0  # only one worker actually ran
 
     def test_staleness_limit_back_pressure(self):
+        # the limit is checked under the apply lock, so it holds exactly
         model, cfg = small_problem()
         report = run(4, cfg, model, max_updates=200, seed=4, staleness_limit=2)
-        # the check precedes the apply, so a few concurrent applies can still
-        # slip in between; the bound holds up to that slack
-        assert all(l <= 2 + 4 for _, l in report.staleness_log)
+        assert report.error is None
+        assert report.iterations >= 200
+        assert all(l <= 2 for _, l in report.staleness_log)
+
+    def test_zero_staleness_limit_serialises_four_workers(self):
+        model, cfg = small_problem()
+        report = run(4, cfg, model, max_updates=200, seed=4, staleness_limit=0)
+        assert report.error is None
+        assert report.iterations >= 200
+        assert report.max_staleness == 0
 
     def test_invalid_arguments(self):
         model, cfg = small_problem()
