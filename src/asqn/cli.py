@@ -3,7 +3,8 @@
     optimize --config <path> [--mode simulate|run] [--out <dir>] [--seed <u64>]
 
 Exit codes: 0 success, 1 configuration error, 2 numerical divergence,
-3 a worker of a ``--mode run`` experiment failed.
+3 a worker process failed: a worker of a ``--mode run`` experiment, or a
+process running simulate-mode points that exited without reporting.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ class DivergenceError(RuntimeError):
 
 
 class WorkerError(RuntimeError):
-    """A worker process of a real run failed other than by divergence: it
-    raised, died without reporting, or outlived the stop and was
-    terminated.  The run was stopped and its report carries the error."""
+    """A worker process failed other than by divergence.  A worker of a
+    real run raised, died without reporting, or outlived the stop and was
+    terminated, and the run's report carries the error; or a process
+    running simulate-mode sweep points died without reporting."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import multiprocessing
 import os
 from dataclasses import dataclass, field
 
@@ -408,29 +409,41 @@ def _sim_cfg(cfg, algo, seed, sigma_override=None):
 
 
 def run_sgld_serial(sim_cfg: SimConfig, sampler_cfg, model, theta0=None) -> SimResult:
-    """Serial SGLD baseline with simulated per-iteration timing."""
+    """Serial SGLD baseline with simulated per-iteration timing.
+
+    Like the other engines it logs every update and always ends its trace
+    with the final iterate."""
     rng = np.random.default_rng(sim_cfg.seed)
     theta = np.zeros(model.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     step_time = sim_cfg.mu_worker + 2 * sim_cfg.comm_time + sim_cfg.mu_master
     trace = []
+    staleness_log = []
     state = ParameterState(theta=theta, u=np.zeros(model.dim), iteration=0)
     include_rmse = isinstance(model, MatrixFactorizationModel)
-    trace.append(TraceRecord(0.0, 0, 0, potential(model, theta),
-                             rmse(model, theta) if include_rmse else None))
+
+    def record(t):
+        trace.append(TraceRecord(t, state.iteration, 0, potential(model, state.theta),
+                                 rmse(model, state.theta) if include_rmse else None))
+
+    record(0.0)
     t = 0.0
+    truncated = False
     for n in range(1, sim_cfg.max_updates + 1):
+        if t + step_time > sim_cfg.max_time:
+            truncated = True
+            break
         sub = draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
         theta = sgld_step(theta, sampler_cfg.step, sampler_cfg.inv_temperature,
                           model, sub.combined, rng)
         t += step_time
-        if t > sim_cfg.max_time:
-            break
-        if n % sim_cfg.sample_every == 0:
-            trace.append(TraceRecord(t, n, 0, potential(model, theta),
-                                     rmse(model, theta) if include_rmse else None))
         state = ParameterState(theta=theta, u=state.u, iteration=n)
-    return SimResult(trace=trace, final_state=state,
-                     staleness_log=[(r.iteration, 0) for r in trace[1:]])
+        staleness_log.append((n, 0))
+        if n % sim_cfg.sample_every == 0:
+            record(t)
+    if trace[-1].iteration != state.iteration:
+        record(t)
+    return SimResult(trace=trace, final_state=state, staleness_log=staleness_log,
+                     truncated=truncated)
 
 
 def _initial_theta(cfg, model):
@@ -469,12 +482,73 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std(ddof=0)), int(arr.size)
 
 
+def _run_points(cfg, model, points, next_point):
+    """Run points ``(algo, seed, sigma)`` by the index taken from the shared
+    counter ``next_point`` until none is left or one fails.
+
+    Returns ``({index: SimResult}, (index, exception) or None)``.  A failure
+    moves the counter past the last point, so no process starts another."""
+    results = {}
+    while True:
+        with next_point.get_lock():
+            i = next_point.value
+            next_point.value = i + 1
+        if i >= len(points):
+            return results, None
+        algo, seed, sigma = points[i]
+        try:
+            results[i] = _simulate_one(cfg, algo, model, seed, sigma=sigma)
+        except Exception as exc:  # the process boundary: raised again by the parent
+            with next_point.get_lock():
+                next_point.value = len(points)
+            return results, (i, exc)
+
+
+def _points_child(_, conn, cfg, model, points, next_point):
+    conn.send(_run_points(cfg, model, points, next_point))
+    conn.close()
+
+
+def _simulate_points(cfg, model, points):
+    """Run independent simulate-mode points on one process per usable CPU,
+    capped by ``ASQN_THREADS`` and by the number of points; returns their
+    SimResults in point order.
+
+    The parent is one of the processes and forks the others.  After a point
+    fails no new point starts, the points already started finish, and the
+    failure of the lowest-index failed point is raised, as a serial run
+    would raise it.  A child that exits without reporting raises
+    :class:`WorkerError` at once, and the other children are stopped."""
+    procs = min(len(os.sched_getaffinity(0)), len(points), rt.worker_cap() or len(points))
+    next_point = multiprocessing.get_context("fork").Value("q", 0)
+    args = (cfg, model, points, next_point)
+    with rt.fork_children(procs - 1, _points_child, args) as (children, conns):
+        reports = [_run_points(cfg, model, points, next_point)]
+        for proc, conn in zip(children, conns):
+            report, died = rt.receive_report(conn, proc)
+            if died:
+                raise WorkerError(died)
+            reports.append(report)
+    failures = [failure for _, failure in reports if failure]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    results = {i: res for done, _ in reports for i, res in done.items()}
+    return [results[i] for i in range(len(points))]
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute the configured experiment; returns the summary dict.
 
     Writes one trace CSV per (algorithm, sweep value, repetition) named
     ``{algo}_{param}-{value}_rep-{k}.csv`` plus ``summary.json``.  Partial
-    outputs are removed if the experiment fails."""
+    outputs are removed if the experiment fails.
+
+    Simulate mode runs its independent points on one forked process per
+    usable CPU, capped by the ``ASQN_THREADS`` environment variable (Linux
+    only, for the ``fork`` start method); the outputs are byte-identical
+    to a run on one process.  Run mode runs its points one after another,
+    because each times :func:`asqn.runtime.run`, which forks its own
+    workers."""
     out_dir = out_dir or cfg.get("output_dir") or "out"
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -508,12 +582,16 @@ def _run_experiment_inner(cfg, out_dir, written):
         sigmas = sweep.get("sigma_worker") or [
             (cfg.get("sim") or {}).get("sigma_worker", 0.0)
         ]
+        results = iter(_simulate_points(cfg, model, [
+            (algo, base_seed + k, sigma)
+            for algo in cfg["algorithms"] for sigma in sigmas for k in range(reps)
+        ]))
         for algo in cfg["algorithms"]:
             points = []
             for sigma in sigmas:
                 times, finals, rmses = [], [], []
                 for k in range(reps):
-                    res = _simulate_one(cfg, algo, model, base_seed + k, sigma=sigma)
+                    res = next(results)
                     name = f"{algo}_sigma-{sigma:g}_rep-{k}.csv"
                     path = os.path.join(out_dir, name)
                     write_trace_csv(res.trace, path)

@@ -2,8 +2,7 @@
 
 The memory is a FIFO of the last M (s, y) = (iterate difference, gradient
 difference) pairs.  Products H v are computed with the two-loop recursion
-in O(M d) time and space; the d x d matrix is never materialized outside
-of the small test utility at the bottom.
+in O(M d) time and space; the d x d matrix is never materialized.
 """
 
 from __future__ import annotations
@@ -92,20 +91,3 @@ class LbfgsMemory:
             r += self.rho * v
         return r
 
-
-def dense_matrix(memory: LbfgsMemory) -> np.ndarray:
-    """Materialize H + rho*I by applying the memory to basis vectors.
-
-    Test utility only; O(M d^2)."""
-    d = memory.dim
-    h = np.empty((d, d))
-    eye = np.eye(d)
-    for j in range(d):
-        h[:, j] = memory.apply(eye[j])
-    return h
-
-
-def positive_definiteness_check(memory: LbfgsMemory) -> float:
-    """Smallest eigenvalue of the symmetrized dense matrix (test utility)."""
-    h = dense_matrix(memory)
-    return float(np.linalg.eigvalsh(0.5 * (h + h.T)).min())

@@ -16,6 +16,7 @@ from a process whose other threads are idle or joined.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import mmap
 import multiprocessing
@@ -144,9 +145,58 @@ class RunReport:
         )
 
 
-def _worker_cap() -> int | None:
+def worker_cap() -> int | None:
+    """The process cap set by ``ASQN_THREADS``, or None when it is unset."""
     cap = os.environ.get("ASQN_THREADS")
-    return int(cap) if cap else None
+    if not cap:
+        return None
+    if not cap.isdigit() or int(cap) < 1:
+        raise ConfigError(f"ASQN_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
+
+
+@contextlib.contextmanager
+def fork_children(count, target, args):
+    """Fork ``count`` children, child ``i`` running ``target(i, conn, *args)``
+    with ``conn`` the only send end of its own one-way Pipe; yields the
+    processes and the receive ends, in child order.
+
+    On exit every child still alive is terminated, and every child is
+    joined, so none outlives the block.  Linux only (``fork``)."""
+    fork = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for i in range(count):
+            recv_end, send_end = fork.Pipe(duplex=False)
+            proc = fork.Process(target=target, args=(i, send_end, *args), daemon=True)
+            conns.append(recv_end)
+            proc.start()
+            procs.append(proc)
+            send_end.close()  # the child's copy is the only writer: EOF means it exited
+        yield procs, conns
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def receive_report(conn, proc):
+    """Receive the one report a child sends before it exits, then join it.
+
+    Returns ``(report, None)``, or ``(None, "WorkerError: worker exited with
+    code N")`` when the child closed its pipe without reporting."""
+    try:
+        report = conn.recv()
+    except EOFError:
+        report = None
+    conn.close()
+    proc.join()
+    if report is None:
+        return None, f"WorkerError: worker exited with code {proc.exitcode}"
+    return report, None
 
 
 def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
@@ -214,15 +264,8 @@ def _collect(procs, conns, master, t0, max_wall_s):
             break
         for conn in multiprocessing.connection.wait(list(pending), timeout=_POLL_S):
             w = pending.pop(conn)
-            try:
-                report = conn.recv()
-            except EOFError:  # the worker died before it could report
-                report = None
-            conn.close()
-            procs[w].join()
-            if report is None:
-                report = [], [], f"WorkerError: worker exited with code {procs[w].exitcode}"
-            sampled, log, error = report
+            report, died = receive_report(conn, procs[w])
+            sampled, log, error = report or ([], [], died)
             reports.append((sampled, log))
             if error is not None:
                 errors.append(error)
@@ -248,35 +291,16 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
         raise ConfigError(f"need at least one worker, got {workers}")
     if algo not in ("as-lbfgs", "a-sgd"):
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
-    cap = _worker_cap()
+    cap = worker_cap()
     if cap is not None:
         workers = min(workers, cap)
 
-    fork = multiprocessing.get_context("fork")
     master = SharedMasterState(np.zeros(model.dim) if theta0 is None else theta0)
-    procs, conns = [], []
     t0 = _time.perf_counter()
-    try:
-        for w in range(workers):
-            recv_end, send_end = fork.Pipe(duplex=False)
-            proc = fork.Process(
-                target=_worker_main, daemon=True,
-                args=(w, send_end, master, sampler_cfg, model, algo, max_updates, seed,
-                      sample_every, max_wall_s, staleness_limit, t0))
-            conns.append(recv_end)
-            proc.start()
-            procs.append(proc)
-            send_end.close()  # the child's copy is the only writer: EOF means it exited
+    args = (master, sampler_cfg, model, algo, max_updates, seed, sample_every, max_wall_s,
+            staleness_limit, t0)
+    with fork_children(workers, _worker_main, args) as (procs, conns):
         reports, errors = _collect(procs, conns, master, t0, max_wall_s)
-    finally:
-        # _collect has joined every worker unless the parent itself failed
-        master.stop.set()
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-        for conn in conns:
-            conn.close()
     wall_ms = (_time.perf_counter() - t0) * 1e3
 
     sampled = [row for rows, _ in reports for row in rows]

@@ -225,6 +225,13 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     """
     if not math.isfinite(sim_cfg.timeout):
         raise ConfigError("run_sync_mb requires a finite timeout")
+    # a compute time is exactly mu_worker when sigma_worker is 0 and positive
+    # otherwise; if none can meet the timeout, no round ever aggregates
+    if sim_cfg.mu_worker > sim_cfg.timeout and (sim_cfg.sigma_worker == 0
+                                                or sim_cfg.timeout <= 0):
+        raise ConfigError(
+            f"no worker can meet the round timeout {sim_cfg.timeout:g} "
+            f"(mu_worker {sim_cfg.mu_worker:g}, sigma_worker {sim_cfg.sigma_worker:g})")
     dim = model.dim
     theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     include_rmse = isinstance(model, MatrixFactorizationModel)

@@ -1,12 +1,23 @@
 """Tests for configuration, dataset ingestion, and the experiment driver."""
 
 import json
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
-from asqn import ConfigError, LinearGaussianModel, experiments, full_gradient, potential
+from asqn import (
+    ConfigError,
+    DivergenceError,
+    LinearGaussianModel,
+    SamplerConfig,
+    SimConfig,
+    experiments,
+    full_gradient,
+    potential,
+)
 from asqn.cli import main as cli_main
 from asqn.experiments import (
     load_config,
@@ -228,6 +239,26 @@ class TestLoadMovielens:
         np.testing.assert_array_equal(a.cols, b.cols)
 
 
+class TestRunSgldSerial:
+    def test_final_iterate_recorded_and_every_update_logged(self):
+        model, _, _ = synth_linear_gaussian(0, 4, 30, 1.0)
+        samp = SamplerConfig(step=1e-3, friction=0.1, n_s=3, n_o=2)
+        res = experiments.run_sgld_serial(SimConfig(max_updates=10, sample_every=4),
+                                          samp, model)
+        assert [r.iteration for r in res.trace] == [0, 4, 8, 10]
+        assert res.trace[-1].potential == potential(model, res.final_state.theta)
+        assert res.staleness_log == [(n, 0) for n in range(1, 11)]
+
+    def test_max_time_truncates_at_last_whole_step(self):
+        model, _, _ = synth_linear_gaussian(0, 4, 30, 1.0)
+        samp = SamplerConfig(step=1e-3, friction=0.1, n_s=3, n_o=2)
+        sim = SimConfig(mu_worker=10.0, max_updates=10, max_time=35.0, sample_every=4)
+        res = experiments.run_sgld_serial(sim, samp, model)
+        assert [(r.time, r.iteration) for r in res.trace] == [(0.0, 0), (30.0, 3)]
+        assert res.truncated and res.iterations == 3
+        assert len(res.staleness_log) == 3
+
+
 class TestRunExperiment:
     def test_simulate_writes_traces_and_summary(self, tmp_path):
         cfg = validate_config(tiny_config(
@@ -268,13 +299,23 @@ class TestRunExperiment:
             )
         assert point["reached"] == len(reached)
 
-    def test_simulate_outputs_byte_identical(self, tmp_path):
-        cfg = validate_config(tiny_config())
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_experiment(cfg, out_dir=str(out1))
-        run_experiment(cfg, out_dir=str(out2))
-        for name in os.listdir(out1):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    def test_simulate_outputs_byte_identical(self, tmp_path, monkeypatch):
+        # one point run twice, and a sweep of 4 x 2 x 2 points run on every
+        # usable CPU against the same sweep on one process
+        sweep = tiny_config(algorithms=list(experiments.ALGORITHMS),
+                            sweep={"sigma_worker": [0.0, 2.0]}, repetitions=2)
+        for i, doc in enumerate([tiny_config(), sweep]):
+            cfg = validate_config(doc)
+            out1, out2 = tmp_path / f"a{i}", tmp_path / f"b{i}"
+            monkeypatch.delenv("ASQN_THREADS", raising=False)
+            run_experiment(cfg, out_dir=str(out1))
+            assert multiprocessing.active_children() == []
+            monkeypatch.setenv("ASQN_THREADS", "1")
+            run_experiment(cfg, out_dir=str(out2))
+            assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
+            assert len(os.listdir(out1)) == (1 if i == 0 else 4 * 2 * 2) + 1
+            for name in os.listdir(out1):
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_run_mode_speedup_table(self, tmp_path):
         cfg = validate_config(tiny_config(mode="run",
@@ -302,6 +343,26 @@ class TestRunExperiment:
             assert ns == sorted(ns) and len(set(ns)) == len(ns)
             assert all(l >= 0 for l in stale)
 
+    def test_lowest_index_failure_raised(self, tmp_path, monkeypatch):
+        # the parent runs point 0, then fails at once on point 2 while a
+        # child still runs point 1, which fails later: a serial run would
+        # have failed on point 1 first
+        def simulate_one(cfg, algo, model, seed, sigma=None):
+            if sigma == 1.0:
+                time.sleep(1.0)
+            elif sigma == 0.0:
+                time.sleep(0.5)
+                return None
+            raise DivergenceError(f"point {sigma:g}", iteration=int(sigma))
+
+        monkeypatch.setattr(experiments, "_simulate_one", simulate_one)
+        monkeypatch.delenv("ASQN_THREADS", raising=False)
+        cfg = validate_config(tiny_config(sweep={"sigma_worker": [0.0, 1.0, 2.0]}))
+        with pytest.raises(DivergenceError, match="point 1") as info:
+            run_experiment(cfg, out_dir=str(tmp_path))
+        assert info.value.iteration == 1
+        assert multiprocessing.active_children() == []
+
 
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
@@ -312,11 +373,16 @@ class TestCli:
         assert (out / "summary.json").exists()
         assert "done" in capsys.readouterr().out
 
-    def test_config_error_exit_one(self, tmp_path, capsys):
+    def test_config_error_exit_one(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("not json")
         assert cli_main(["--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
+        # a process cap that would run no sweep process
+        cfg_path.write_text(json.dumps(tiny_config()))
+        monkeypatch.setenv("ASQN_THREADS", "0")
+        assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "ASQN_THREADS must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_two(self, tmp_path, capsys):
@@ -356,6 +422,54 @@ class TestCli:
         assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 3
         assert "ValueError: gradient unavailable" in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_parallel_sweep_matches_serial(self, tmp_path, capsys, monkeypatch):
+        # both a-sgd points diverge, at different updates; no point starts
+        # after the first failure, so the as-lbfgs points never run
+        doc = tiny_config(algorithms=["a-sgd", "as-lbfgs"], sweep={"sigma_worker": [0.0, 2.0]})
+        doc["baselines"]["a-sgd"]["step"] = 1e9
+        doc["sim"]["max_updates"] = 5000
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        raised = {}
+        for cap in ("1", None):
+            if cap:
+                monkeypatch.setenv("ASQN_THREADS", cap)
+            else:
+                monkeypatch.delenv("ASQN_THREADS", raising=False)
+            out = tmp_path / f"out-{cap}"
+            with pytest.raises(DivergenceError) as info:
+                run_experiment(validate_config(json.loads(cfg_path.read_text())),
+                               out_dir=str(out))
+            raised[cap] = (type(info.value), str(info.value), info.value.iteration)
+            assert os.listdir(out) == []
+            assert multiprocessing.active_children() == []
+            assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 2
+            assert f"after update {info.value.iteration}" in capsys.readouterr().err
+        assert raised["1"] == raised[None]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="sweeps fork only on 2+ CPUs")
+    def test_child_exit_without_report_exit_three(self, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        simulate_one = experiments._simulate_one
+
+        def exits_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(7)
+            time.sleep(0.2)  # leaves the child time to take a point
+            return simulate_one(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_simulate_one", exits_in_child)
+        monkeypatch.delenv("ASQN_THREADS", raising=False)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(sweep={"sigma_worker": [0.0, 2.0]},
+                                                   repetitions=2)))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "worker exited with code 7" in capsys.readouterr().err
+        assert os.listdir(out) == []
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_partial_outputs_removed_on_failure(self, tmp_path):

@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from asqn import ConfigError, LbfgsMemory
-from asqn.lbfgs import dense_matrix, positive_definiteness_check
+
+
+def dense_matrix(memory: LbfgsMemory) -> np.ndarray:
+    """Materialize H + rho*I by applying the memory to basis vectors; O(M d^2)."""
+    d = memory.dim
+    h = np.empty((d, d))
+    eye = np.eye(d)
+    for j in range(d):
+        h[:, j] = memory.apply(eye[j])
+    return h
+
+
+def positive_definiteness_check(memory: LbfgsMemory) -> float:
+    """Smallest eigenvalue of the symmetrized dense matrix."""
+    h = dense_matrix(memory)
+    return float(np.linalg.eigvalsh(0.5 * (h + h.T)).min())
 
 
 def dense_bfgs_oracle(pairs, gamma):

@@ -283,6 +283,14 @@ class TestRun:
         report = run(8, cfg, model, max_updates=50, seed=0)
         assert report.max_staleness == 0  # only one worker actually ran
 
+    @pytest.mark.parametrize("cap", ["0", "-1", "two"])
+    def test_invalid_thread_cap_rejected(self, monkeypatch, cap):
+        # a cap of 0 used to fork no worker and report 0 updates, no error
+        model, cfg = small_problem()
+        monkeypatch.setenv("ASQN_THREADS", cap)
+        with pytest.raises(ConfigError, match="ASQN_THREADS"):
+            run(2, cfg, model, max_updates=50, seed=0)
+
     def test_staleness_limit_back_pressure(self):
         # the limit is checked under the apply lock, so it holds exactly
         model, cfg = small_problem()

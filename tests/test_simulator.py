@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulator."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -221,6 +222,34 @@ class TestRunSyncMb:
         master = MbLbfgsMaster(model.dim, step=1e-3)
         with pytest.raises(ConfigError):
             run_sync_mb(SimConfig(max_updates=1), master, cfg, model)
+
+    @pytest.mark.parametrize("sigma, timeout", [(0.0, 5.0), (1.0, 0.0)])
+    def test_unmeetable_timeout_rejected(self, sigma, timeout):
+        # no compute time can meet the timeout, so no round would ever
+        # aggregate; run in a forked child so a hang fails here in seconds
+        model, cfg = small_problem()
+        master = MbLbfgsMaster(model.dim, step=1e-3)
+        sim = SimConfig(workers=2, mu_worker=10.0, sigma_worker=sigma, timeout=timeout,
+                        max_updates=10)
+        fork = multiprocessing.get_context("fork")
+        recv_end, send_end = fork.Pipe(duplex=False)
+
+        def target():
+            try:
+                run_sync_mb(sim, master, cfg, model)
+                send_end.send("returned")
+            except ConfigError as exc:
+                send_end.send(f"ConfigError: {exc}")
+
+        proc = fork.Process(target=target, daemon=True)
+        proc.start()
+        try:
+            assert recv_end.poll(20), "run_sync_mb still running after 20 s"
+            assert recv_end.recv().startswith("ConfigError: no worker can meet")
+        finally:
+            proc.terminate()
+            proc.join(10)
+        assert not proc.is_alive()
 
     def test_staleness_always_zero(self):
         model, cfg = small_problem()
