@@ -428,10 +428,12 @@ def run_sgld_serial(sim_cfg: SimConfig, sampler_cfg, model, theta0=None) -> SimR
     record(0.0)
     t = 0.0
     truncated = False
-    for n in range(1, sim_cfg.max_updates + 1):
+    n = 0
+    while n < sim_cfg.update_limit:
         if t + step_time > sim_cfg.max_time:
             truncated = True
             break
+        n += 1
         sub = draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
         theta = sgld_step(theta, sampler_cfg.step, sampler_cfg.inv_temperature,
                           model, sub.combined, rng)

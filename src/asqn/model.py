@@ -13,6 +13,7 @@ pure, so instances can be shared freely across workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,18 +24,22 @@ from .errors import ConfigError
 @dataclass(frozen=True)
 class Subsample:
     """A with-replacement data subsample split into a large part S and a
-    small overlapping part O used for consistent gradient differences."""
+    small overlapping part O used for consistent gradient differences.
+
+    The index arrays have shape ``(n,)``, or ``(k, n)`` for ``k`` subsamples
+    stacked row by row; the sizes below count indices along the last axis.
+    """
 
     s_indices: np.ndarray
     o_indices: np.ndarray
 
     @property
     def n_s(self) -> int:
-        return len(self.s_indices)
+        return self.s_indices.shape[-1]
 
     @property
     def n_o(self) -> int:
-        return len(self.o_indices)
+        return self.o_indices.shape[-1]
 
     @property
     def n_total(self) -> int:
@@ -42,17 +47,21 @@ class Subsample:
 
     @property
     def combined(self) -> np.ndarray:
-        return np.concatenate([self.s_indices, self.o_indices])
+        return np.concatenate([self.s_indices, self.o_indices], axis=-1)
 
 
 def draw_subsample(rng: np.random.Generator, n_records: int, n_s: int, n_o: int) -> Subsample:
-    """Draw S and O independently, uniformly with replacement."""
+    """Draw S and O independently, uniformly with replacement.
+
+    One draw of ``n_s + n_o`` indices is split into S and O.  Below 2**32
+    numpy takes every bounded integer from the generator's persistent 32-bit
+    stream and buffers nothing per call, so this is bit-identical to drawing
+    S and then O with two calls, and leaves the generator in the same state.
+    """
     if n_s < 1 or n_o < 1:
         raise ValueError(f"subsample parts must be nonempty, got n_s={n_s}, n_o={n_o}")
-    return Subsample(
-        s_indices=rng.integers(0, n_records, size=n_s),
-        o_indices=rng.integers(0, n_records, size=n_o),
-    )
+    drawn = rng.integers(0, n_records, size=n_s + n_o)
+    return Subsample(s_indices=drawn[:n_s], o_indices=drawn[n_s:])
 
 
 class LinearGaussianModel:
@@ -97,9 +106,16 @@ class LinearGaussianModel:
         return 0.5 * float(r @ r) / self.noise_variance
 
     def likelihood_grad_sum(self, theta, indices=None):
+        """Likelihood-gradient sum over ``indices`` (all records if None).
+
+        ``indices`` of shape ``(k, n)`` give ``(k, d)``, row ``i`` being
+        bit-identical to the call on ``indices[i]``: stacked matmul runs
+        the same BLAS gemv once per batch item.
+        """
         a = self.features if indices is None else self.features[indices]
         y = self.targets if indices is None else self.targets[indices]
-        return a.T @ (a @ theta - y) / self.noise_variance
+        r = a @ theta - y
+        return (r[..., None, :] @ a)[..., 0, :] / self.noise_variance
 
     def map_estimate(self):
         """Closed-form optimum (I + A^T A / sigma^2)^-1 A^T Y / sigma^2."""
@@ -176,20 +192,30 @@ class MatrixFactorizationModel:
         return 0.5 * float(r @ r)
 
     def likelihood_grad_sum(self, theta, indices=None):
+        """Likelihood-gradient sum over ``indices`` (all records if None).
+
+        ``indices`` of shape ``(k, n)`` give ``(k, d)``, row ``i`` being
+        bit-identical to the call on ``indices[i]``.
+        """
         f, g = self.unpack(theta)
         r = self.rows if indices is None else self.rows[indices]
         c = self.cols if indices is None else self.cols[indices]
         y = self.values if indices is None else self.values[indices]
-        fr, gc = f[r], g[:, c]
-        resid = np.einsum("ik,ki->i", fr, gc) - y
-        # One scatter straight into the packed layout.  bincount adds each
-        # element's terms in index-list order starting from 0.0, as np.add.at
-        # into zeros does, so the sums are bit-identical to that formulation.
-        flat = np.concatenate([
-            (r[:, None] * self.rank + self._k).ravel(), (self._g_offsets + c[:, None]).ravel(),
-        ])
-        terms = np.concatenate([(resid[:, None] * gc.T).ravel(), (resid[:, None] * fr).ravel()])
-        return np.bincount(flat, weights=terms, minlength=self.dim)
+        lead = r.shape[:-1]
+        fr, gc = f[r], g.T[c]
+        resid = np.einsum("...k,...k->...", fr, gc) - y
+        # One scatter straight into the packed layout, row i of a stack
+        # offset by i*dim.  bincount adds each element's terms in index-list
+        # order starting from 0.0, as np.add.at into zeros does, so the sums
+        # are bit-identical to that formulation, row by row.
+        flat = np.concatenate([r[..., None] * self.rank + self._k,
+                               self._g_offsets + c[..., None]], axis=-2)
+        terms = np.concatenate([resid[..., None] * gc, resid[..., None] * fr], axis=-2)
+        if lead:
+            flat += np.arange(0, lead[0] * self.dim, self.dim)[:, None, None]
+        sums = np.bincount(flat.ravel(), weights=terms.ravel(),
+                           minlength=math.prod(lead) * self.dim)
+        return sums.reshape(*lead, self.dim)
 
 
 def _check_theta(model, theta):
@@ -231,6 +257,10 @@ def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False):
     rescaled by N_Y/N_part and the parts are weighted by N_part/N_total,
     which collapses to the plain stochastic gradient on S and O together
     and keeps the estimator unbiased.
+
+    A stacked subsample of ``k`` rows, all evaluated at ``theta``, gives
+    ``(k, d)`` arrays whose row ``i`` is bit-identical to the call on that
+    row's subsample alone.
 
     With ``with_overlap`` the O-part likelihood sum is reused to also
     return the stochastic gradient on O alone, as ``(combined, overlap)``;

@@ -291,6 +291,12 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
         raise ConfigError(f"need at least one worker, got {workers}")
     if algo not in ("as-lbfgs", "a-sgd"):
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
+    # checked before any fork: a worker applies once before it looks at
+    # max_updates, and a negative limit would discard every update
+    if max_updates < 1:
+        raise ConfigError(f"max_updates must be at least 1, got {max_updates}")
+    if staleness_limit is not None and staleness_limit < 0:
+        raise ConfigError(f"staleness_limit must be nonnegative, got {staleness_limit}")
     cap = worker_cap()
     if cap is not None:
         workers = min(workers, cap)

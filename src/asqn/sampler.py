@@ -229,10 +229,10 @@ class MbLbfgsMaster:
         """One synchronous round.
 
         ``gradients`` are the combined gradients received in time, all
-        evaluated at ``theta``; ``overlap_indices`` is the concatenation of
-        the contributing workers' overlap sets.  Returns the new iterate;
-        with an empty gradient list the round is skipped and theta is
-        returned unchanged.
+        evaluated at ``theta``, as a list or a ``(k, d)`` array;
+        ``overlap_indices`` is the concatenation of the contributing
+        workers' overlap sets.  Returns the new iterate; with no gradients
+        the round is skipped and theta is returned unchanged.
         """
         if len(gradients) == 0:
             return theta

@@ -24,7 +24,13 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .model import rmse as model_rmse
-from .model import MatrixFactorizationModel, combined_gradient, draw_subsample, potential
+from .model import (
+    MatrixFactorizationModel,
+    Subsample,
+    combined_gradient,
+    draw_subsample,
+    potential,
+)
 from .sampler import (
     MbLbfgsMaster,
     ParameterState,
@@ -60,8 +66,21 @@ class SimConfig:
             raise ConfigError("times must be nonnegative")
         if self.sigma_worker < 0:
             raise ConfigError("sigma_worker must be nonnegative")
-        if self.max_updates < 1 and math.isinf(self.max_time):
-            raise ConfigError("horizon required: set max_updates or max_time")
+        if self.sample_every < 1:
+            raise ConfigError(f"sample_every must be at least 1, got {self.sample_every}")
+        if self.max_updates < 1:
+            if math.isinf(self.max_time):
+                raise ConfigError("horizon required: set max_updates or max_time")
+            if self.mu_worker == self.mu_master == self.comm_time == 0:
+                # virtual time would never advance, so max_time never passes
+                raise ConfigError("a time-only horizon needs a positive mu_worker, "
+                                  "mu_master or comm_time")
+
+    @property
+    def update_limit(self) -> float:
+        """The update count at which an engine stops: ``max_updates``, or no
+        limit when it is below 1 and ``max_time`` alone is the horizon."""
+        return self.max_updates if self.max_updates >= 1 else math.inf
 
 
 @dataclass
@@ -198,7 +217,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
             if state.iteration % sim_cfg.sample_every == 0:
                 _record(trace, model, state, master_busy_until, upd.staleness, include_rmse)
             push(master_busy_until + sim_cfg.comm_time, w, "receive", state)
-            if state.iteration >= sim_cfg.max_updates:
+            if state.iteration >= sim_cfg.update_limit:
                 break
 
     if trace[-1].iteration != state.iteration:
@@ -217,6 +236,8 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     Per round the master broadcasts theta (tau), each worker draws a
     compute time and a subsample, and only gradients whose compute time is
     within the round timeout are aggregated; stragglers' work is discarded.
+    All gradients of a round are taken at the same theta, so the kept
+    subsamples are stacked in worker order and evaluated in one call.
 
     With ``wait_for_stragglers`` (default) the next broadcast waits for the
     whole cohort, so round wall time is max(compute) + mu_master + 2*tau;
@@ -248,7 +269,7 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     truncated = False
     included_log: list = []
 
-    while n < sim_cfg.max_updates:
+    while n < sim_cfg.update_limit:
         if t > sim_cfg.max_time:
             truncated = True
             break
@@ -256,22 +277,23 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
             sample_compute_time(time_rngs[w], sim_cfg.mu_worker, sim_cfg.sigma_worker)
             for w in range(sim_cfg.workers)
         ]
-        grads = []
-        overlap: list = []
-        for w, c in enumerate(times):
-            sub = draw_subsample(samp_rngs[w], model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
-            if c <= sim_cfg.timeout:
-                grads.append(combined_gradient(model, state.theta, sub))
-                overlap.extend(sub.o_indices.tolist())
-        included_log.append(len(grads))
+        # every worker draws its subsample, kept or not, so each stream
+        # advances as it would on a real cluster
+        subs = [draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
+                for rng in samp_rngs]
+        kept = [sub for sub, c in zip(subs, times) if c <= sim_cfg.timeout]
+        included_log.append(len(kept))
         if sim_cfg.wait_for_stragglers:
             wait = max(times)
         else:
             wait = min(sim_cfg.timeout, max(times))
-        if not grads:
+        if not kept:
             t += 2 * sim_cfg.comm_time + wait
             continue
-        theta = mb_master.round(state.theta, grads, overlap, model)
+        stacked = Subsample(s_indices=np.stack([sub.s_indices for sub in kept]),
+                            o_indices=np.stack([sub.o_indices for sub in kept]))
+        grads = combined_gradient(model, state.theta, stacked)
+        theta = mb_master.round(state.theta, grads, stacked.o_indices.ravel(), model)
         t += 2 * sim_cfg.comm_time + wait + sim_cfg.mu_master
         n += 1
         state = ParameterState(theta=theta, u=state.u, iteration=n)

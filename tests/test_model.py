@@ -18,6 +18,7 @@ from asqn import (
     rmse,
     stochastic_gradient,
 )
+from asqn.experiments import synth_matrix_factorization
 
 
 def tiny_lg():
@@ -226,7 +227,66 @@ class TestMatrixFactorizationGradient:
             assert np.array_equal(got, want)
 
 
+class TestBatchedLikelihoodGradSum:
+    """Indices of shape (k, n) give (k, d), row i bit-identical to the
+    one-dimensional call on indices[i]."""
+
+    @pytest.mark.parametrize("make_model", [
+        lambda seed: random_lg(seed, n=30, d=7),
+        lambda seed: random_lg(seed, n=600, d=100),
+        random_mf,
+        lambda seed: synth_matrix_factorization(seed, 7, 9, 3, observed_fraction=0.6),
+    ], ids=["lg-small", "lg-paper-size", "mf-tiny", "mf-crowded"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_equal_one_dimensional_calls(self, make_model, seed):
+        model = make_model(seed)
+        rng = np.random.default_rng(seed + 10)
+        theta = rng.standard_normal(model.dim)
+        for k, n in [(1, 1), (1, 40), (2, 7), (5, 20), (10, 41)]:
+            stacked = rng.integers(0, model.n_records, size=(k, n))
+            stacked[-1, : n // 2] = stacked[-1, 0]  # repeated records within a row
+            got = model.likelihood_grad_sum(theta, stacked)
+            assert got.shape == (k, model.dim)
+            for row, indices in zip(got, stacked):
+                assert np.array_equal(row, model.likelihood_grad_sum(theta, indices))
+
+    @pytest.mark.parametrize("make_model", [lambda: random_lg(2, n=50, d=6), random_mf],
+                             ids=["lg", "mf"])
+    def test_stacked_combined_gradient_rows(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(4)
+        theta = rng.standard_normal(model.dim)
+        subs = [draw_subsample(rng, model.n_records, 5, 3) for _ in range(4)]
+        stacked = Subsample(np.stack([s.s_indices for s in subs]),
+                            np.stack([s.o_indices for s in subs]))
+        assert (stacked.n_s, stacked.n_o, stacked.n_total) == (5, 3, 8)
+        combined, overlap = combined_gradient(model, theta, stacked, with_overlap=True)
+        for i, sub in enumerate(subs):
+            want, want_overlap = combined_gradient(model, theta, sub, with_overlap=True)
+            assert np.array_equal(combined[i], want)
+            assert np.array_equal(overlap[i], want_overlap)
+
+
+def two_call_draw_subsample(rng, n_records, n_s, n_o):
+    """The former draw: S and O from two calls to the generator."""
+    return Subsample(rng.integers(0, n_records, size=n_s),
+                     rng.integers(0, n_records, size=n_o))
+
+
 class TestDrawSubsample:
+    @pytest.mark.parametrize("n_records", [1, 7, 600, 2**31 + 1])
+    def test_one_call_equals_two_call_draw(self, n_records):
+        # 2**31 + 1 makes numpy's bounded draws reject often
+        for seed in range(20):
+            one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n_s, n_o in [(40, 20), (3, 1), (1, 1), (7, 5), (4, 2)]:
+                a = draw_subsample(one, n_records, n_s, n_o)
+                b = two_call_draw_subsample(two, n_records, n_s, n_o)
+                assert np.array_equal(a.s_indices, b.s_indices)
+                assert np.array_equal(a.o_indices, b.o_indices)
+            assert one.bit_generator.state == two.bit_generator.state
+            assert np.array_equal(one.standard_normal(3), two.standard_normal(3))
+
     def test_deterministic_given_seed(self):
         a = draw_subsample(np.random.default_rng(5), 100, 4, 2)
         b = draw_subsample(np.random.default_rng(5), 100, 4, 2)

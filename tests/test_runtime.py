@@ -313,6 +313,21 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(1, cfg, model, algo="sgld")
 
+    @pytest.mark.parametrize("arguments, message", [
+        ({"max_updates": 0}, "max_updates"),
+        ({"max_updates": -5}, "max_updates"),
+        ({"staleness_limit": -1}, "staleness_limit"),
+    ])
+    def test_invalid_horizon_or_limit_rejected_before_forking(self, arguments, message):
+        # a negative limit discarded every update, so without max_wall_s the
+        # run never returned; max_updates 0 still applied one update.  The
+        # wall-clock limit here only bounds the test where the check is missing.
+        model, cfg = small_problem()
+        with pytest.raises(ConfigError, match=message):
+            run(2, cfg, model, **{"max_updates": 50, "seed": 0, "max_wall_s": 5.0,
+                                  **arguments})
+        assert multiprocessing.active_children() == []
+
     def test_summary_json_schema(self):
         model, cfg = small_problem()
         report = run(1, cfg, model, max_updates=10, seed=0)

@@ -9,15 +9,22 @@ import pytest
 from asqn import (
     ConfigError,
     LinearGaussianModel,
+    MatrixFactorizationModel,
     MbLbfgsMaster,
+    ParameterState,
     SamplerConfig,
     SimConfig,
     TraceRecord,
+    combined_gradient,
+    draw_subsample,
+    potential,
+    rmse,
     run_async,
     run_sync_mb,
     time_to_epsilon,
 )
-from asqn.simulator import sample_compute_time, write_trace_csv
+from asqn.experiments import run_sgld_serial, synth_matrix_factorization
+from asqn.simulator import SimResult, sample_compute_time, write_trace_csv
 
 
 def small_problem(seed=0):
@@ -258,6 +265,114 @@ class TestRunSyncMb:
         res = run_sync_mb(sim, master, cfg, model)
         assert all(l == 0 for _, l in res.staleness_log)
 
+    @pytest.mark.parametrize("wait", [True, False])
+    @pytest.mark.parametrize("problem", ["lg", "mf"])
+    def test_stacked_round_matches_per_worker_loop(self, problem, wait):
+        # sigma 40 around a mean of 50 with timeout 45 keeps every worker
+        # in some rounds, some in most and none in a few
+        if problem == "lg":
+            model, cfg = small_problem()
+            theta0, step = None, 1e-2
+        else:
+            model = synth_matrix_factorization(0, 12, 15, 2)
+            cfg = SamplerConfig(step=1e-3, friction=0.1, n_s=5, n_o=3)
+            theta0, step = 0.1 * np.random.default_rng(1).standard_normal(model.dim), 1e-4
+        sim = SimConfig(workers=3, mu_master=3.0, mu_worker=50.0, sigma_worker=40.0,
+                        comm_time=2.0, timeout=45.0, max_updates=60, sample_every=7,
+                        seed=4, wait_for_stragglers=wait)
+        got = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=step), cfg, model, theta0)
+        want = per_worker_run_sync_mb(sim, MbLbfgsMaster(model.dim, step=step), cfg, model,
+                                      theta0)
+        assert {0, 1, 2, 3} <= set(got.included_log)
+        assert got.included_log == want.included_log
+        assert got.trace == want.trace
+        assert got.staleness_log == want.staleness_log
+        assert np.array_equal(got.final_state.theta, want.final_state.theta)
+
+
+def per_worker_run_sync_mb(sim_cfg, mb_master, sampler_cfg, model, theta0=None):
+    """The former synchronous round: one combined_gradient call per worker
+    that met the timeout, then the mb-L-BFGS round on the list of them."""
+    theta = np.zeros(model.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    include_rmse = isinstance(model, MatrixFactorizationModel)
+    time_rngs = [np.random.default_rng((sim_cfg.seed, w, 1)) for w in range(sim_cfg.workers)]
+    samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
+    state = ParameterState(theta=theta, u=np.zeros(model.dim), iteration=0)
+
+    def record(t):
+        trace.append(TraceRecord(t, state.iteration, 0, potential(model, state.theta),
+                                 rmse(model, state.theta) if include_rmse else None))
+
+    trace, staleness_log, included_log = [], [], []
+    record(0.0)
+    t, n = 0.0, 0
+    while n < sim_cfg.max_updates:
+        times = [sample_compute_time(time_rngs[w], sim_cfg.mu_worker, sim_cfg.sigma_worker)
+                 for w in range(sim_cfg.workers)]
+        grads, overlap = [], []
+        for w, c in enumerate(times):
+            sub = draw_subsample(samp_rngs[w], model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
+            if c <= sim_cfg.timeout:
+                grads.append(combined_gradient(model, state.theta, sub))
+                overlap.extend(sub.o_indices.tolist())
+        included_log.append(len(grads))
+        if sim_cfg.wait_for_stragglers:
+            wait = max(times)
+        else:
+            wait = min(sim_cfg.timeout, max(times))
+        if not grads:
+            t += 2 * sim_cfg.comm_time + wait
+            continue
+        theta = mb_master.round(state.theta, grads, overlap, model)
+        t += 2 * sim_cfg.comm_time + wait + sim_cfg.mu_master
+        n += 1
+        state = ParameterState(theta=theta, u=state.u, iteration=n)
+        staleness_log.append((n, 0))
+        if n % sim_cfg.sample_every == 0:
+            record(t)
+    if trace[-1].iteration != state.iteration:
+        record(t)
+    return SimResult(trace=trace, final_state=state, staleness_log=staleness_log,
+                     included_log=included_log)
+
+
+class TestTimeOnlyHorizon:
+    """max_updates below 1 with a finite max_time: every engine runs until
+    max_time passes, as it does with an update limit it never reaches."""
+
+    @staticmethod
+    def same_run(a, b):
+        return (a.trace == b.trace and a.staleness_log == b.staleness_log
+                and np.array_equal(a.final_state.theta, b.final_state.theta))
+
+    def test_run_async(self):
+        model, cfg = small_problem()
+        timing = dict(workers=3, mu_worker=5.0, sigma_worker=2.0, comm_time=1.0,
+                      max_time=200.0, sample_every=5)
+        res = run_async(SimConfig(max_updates=0, **timing), cfg, model)
+        assert res.truncated and res.iterations > 50
+        assert self.same_run(res, run_async(SimConfig(max_updates=10**6, **timing),
+                                            cfg, model))
+
+    def test_run_sync_mb(self):
+        model, cfg = small_problem()
+        timing = dict(workers=3, mu_master=3.0, mu_worker=5.0, sigma_worker=2.0,
+                      comm_time=1.0, timeout=6.0, max_time=200.0, sample_every=5)
+        res = run_sync_mb(SimConfig(max_updates=0, **timing),
+                          MbLbfgsMaster(model.dim, step=1e-3), cfg, model)
+        assert res.truncated and res.iterations > 10
+        assert self.same_run(res, run_sync_mb(SimConfig(max_updates=10**6, **timing),
+                                              MbLbfgsMaster(model.dim, step=1e-3),
+                                              cfg, model))
+
+    def test_run_sgld_serial(self):
+        model, cfg = small_problem()
+        timing = dict(mu_worker=10.0, max_time=355.0, sample_every=4)
+        res = run_sgld_serial(SimConfig(max_updates=0, **timing), cfg, model)
+        assert res.truncated and res.iterations == 35
+        assert self.same_run(res, run_sgld_serial(SimConfig(max_updates=10**6, **timing),
+                                                  cfg, model))
+
 
 class TestTimeToEpsilon:
     def rec(self, t, n, u):
@@ -323,3 +438,13 @@ class TestSimConfigValidation:
     def test_missing_horizon(self):
         with pytest.raises(ConfigError):
             SimConfig(max_updates=0)
+
+    def test_time_only_horizon_needs_time_to_pass(self):
+        with pytest.raises(ConfigError, match="time-only horizon"):
+            SimConfig(max_updates=0, max_time=10.0, mu_worker=0.0)
+        SimConfig(max_updates=0, max_time=10.0, mu_worker=0.0, comm_time=1.0)
+
+    @pytest.mark.parametrize("sample_every", [0, -3])
+    def test_sample_every_below_one(self, sample_every):
+        with pytest.raises(ConfigError, match="sample_every"):
+            SimConfig(sample_every=sample_every)
