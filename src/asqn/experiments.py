@@ -156,8 +156,7 @@ _SCHEMA = {
     "baselines": {"a-sgd", "mb-lbfgs-simplified", "sgld"},
     "sim": {
         "workers", "sigma_worker", "comm_time", "timeout", "max_updates",
-        "max_time", "sample_every", "timing", "per_worker_speed",
-        "wait_for_stragglers",
+        "max_time", "sample_every", "timing", "wait_for_stragglers",
     },
     "runtime": {"workers", "max_updates", "sample_every"},
     "sweep": {"sigma_worker", "workers"},
@@ -403,7 +402,6 @@ def _sim_cfg(cfg, algo, seed, sigma_override=None):
         max_time=s.get("max_time", math.inf),
         seed=seed,
         sample_every=s.get("sample_every", 1),
-        per_worker_speed=s.get("per_worker_speed", False),
         wait_for_stragglers=s.get("wait_for_stragglers", True),
     )
 

@@ -110,11 +110,13 @@ class LinearGaussianModel:
 
         ``indices`` of shape ``(k, n)`` give ``(k, d)``, row ``i`` being
         bit-identical to the call on ``indices[i]``: stacked matmul runs
-        the same BLAS gemv once per batch item.
+        the same BLAS gemv once per batch item.  With them ``theta`` may
+        also be ``(k, d)``, row ``i`` of the result then taken at
+        ``theta[i]``.
         """
         a = self.features if indices is None else self.features[indices]
         y = self.targets if indices is None else self.targets[indices]
-        r = a @ theta - y
+        r = (a @ theta if theta.ndim == 1 else (a @ theta[:, :, None])[..., 0]) - y
         return (r[..., None, :] @ a)[..., 0, :] / self.noise_variance
 
     def map_estimate(self):
@@ -162,9 +164,12 @@ class MatrixFactorizationModel:
         return self.rank * (self.n_rows + self.n_cols)
 
     def unpack(self, theta):
+        """(F, G) views of a ``(d,)`` parameter, or ``(k, R, K)`` and
+        ``(k, K, S)`` stacks of a ``(k, d)`` one."""
         split = self.n_rows * self.rank
-        f = theta[:split].reshape(self.n_rows, self.rank)
-        g = theta[split:].reshape(self.rank, self.n_cols)
+        lead = theta.shape[:-1]
+        f = theta[..., :split].reshape(*lead, self.n_rows, self.rank)
+        g = theta[..., split:].reshape(*lead, self.rank, self.n_cols)
         return f, g
 
     def pack(self, f, g):
@@ -195,14 +200,19 @@ class MatrixFactorizationModel:
         """Likelihood-gradient sum over ``indices`` (all records if None).
 
         ``indices`` of shape ``(k, n)`` give ``(k, d)``, row ``i`` being
-        bit-identical to the call on ``indices[i]``.
+        bit-identical to the call on ``indices[i]``.  With them ``theta``
+        may also be ``(k, d)``, row ``i`` then taken at ``theta[i]``.
         """
         f, g = self.unpack(theta)
         r = self.rows if indices is None else self.rows[indices]
         c = self.cols if indices is None else self.cols[indices]
         y = self.values if indices is None else self.values[indices]
         lead = r.shape[:-1]
-        fr, gc = f[r], g.T[c]
+        if theta.ndim == 1:
+            fr, gc = f[r], g.T[c]
+        else:  # gather each row's factors from its own parameter
+            b = np.arange(len(theta))[:, None]
+            fr, gc = f[b, r], g.transpose(0, 2, 1)[b, c]
         resid = np.einsum("...k,...k->...", fr, gc) - y
         # One scatter straight into the packed layout, row i of a stack
         # offset by i*dim.  bincount adds each element's terms in index-list
@@ -218,9 +228,10 @@ class MatrixFactorizationModel:
         return sums.reshape(*lead, self.dim)
 
 
-def _check_theta(model, theta):
+def _check_theta(model, theta, lead=()):
+    """A ``(d,)`` parameter, or ``lead + (d,)``: one per stacked index row."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.dim,):
+    if theta.shape != (model.dim,) and theta.shape != (*lead, model.dim):
         raise ConfigError(f"expected parameter of shape ({model.dim},), got {theta.shape}")
     return theta
 
@@ -239,14 +250,19 @@ def full_gradient(model, theta) -> np.ndarray:
 
 def stochastic_gradient(model, theta, indices) -> np.ndarray:
     """Unbiased gradient estimate: prior term plus likelihood terms over
-    the given index list rescaled by N_Y / |indices|."""
-    theta = _check_theta(model, theta)
+    the given index list rescaled by N_Y / |indices|.
+
+    ``(k, n)`` indices give ``(k, d)``, one estimate per row, at ``theta``
+    or at row ``i`` of a ``(k, d)`` ``theta``; row ``i`` is bit-identical
+    to the call on that row alone.
+    """
     indices = np.asarray(indices, dtype=np.intp)
+    theta = _check_theta(model, theta, indices.shape[:-1])
     if indices.size == 0:
         raise ValueError("index list must be nonempty")
     if indices.min() < 0 or indices.max() >= model.n_records:
         raise ValueError("subsample index out of range")
-    scale = model.n_records / indices.size
+    scale = model.n_records / indices.shape[-1]
     return model.prior_gradient(theta) + scale * model.likelihood_grad_sum(theta, indices)
 
 
@@ -258,16 +274,16 @@ def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False):
     which collapses to the plain stochastic gradient on S and O together
     and keeps the estimator unbiased.
 
-    A stacked subsample of ``k`` rows, all evaluated at ``theta``, gives
-    ``(k, d)`` arrays whose row ``i`` is bit-identical to the call on that
-    row's subsample alone.
+    A stacked subsample of ``k`` rows, evaluated at ``theta`` or at row
+    ``i`` of a ``(k, d)`` ``theta``, gives ``(k, d)`` arrays whose row ``i``
+    is bit-identical to the call on that row alone.
 
     With ``with_overlap`` the O-part likelihood sum is reused to also
     return the stochastic gradient on O alone, as ``(combined, overlap)``;
     the overlap gradient is bit-identical to
     ``stochastic_gradient(model, theta, sub.o_indices)``.
     """
-    theta = _check_theta(model, theta)
+    theta = _check_theta(model, theta, sub.s_indices.shape[:-1])
     if sub.n_s == 0 or sub.n_o == 0:
         raise ValueError("both subsample parts must be nonempty")
     scale = model.n_records / sub.n_total

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .lbfgs import LbfgsMemory
+from .lbfgs import LbfgsMemory, apply_stacked
 from .model import Subsample, combined_gradient, draw_subsample, stochastic_gradient
 
 
@@ -119,8 +119,20 @@ def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, Upd
     the returned context afterwards, mirroring the send-then-update order
     of the protocol.
     """
-    theta, u = snapshot.theta, snapshot.u
+    sub, noise = _draw(cfg, model, rng)
+    return _update_from_draws(cfg, worker, snapshot, model, sub, noise)
+
+
+def _draw(cfg, model, rng):
+    """A worker's random draws for one update: its subsample, then its
+    noise (None at infinite inverse temperature)."""
     sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
+    noise = rng.standard_normal(model.dim) if cfg.noise_scale() > 0.0 else None
+    return sub, noise
+
+
+def _update_from_draws(cfg, worker, snapshot, model, sub, noise):
+    theta, u = snapshot.theta, snapshot.u
     g, overlap_grad = combined_gradient(model, theta, sub, with_overlap=True)
     if not np.isfinite(g).all():
         raise DivergenceError(
@@ -128,9 +140,8 @@ def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, Upd
             iteration=snapshot.iteration,
         )
     d_u = -cfg.step * worker.memory.apply(g) - cfg.friction * u
-    scale = cfg.noise_scale()
-    if scale > 0.0:
-        d_u += scale * rng.standard_normal(model.dim)
+    if noise is not None:
+        d_u += cfg.noise_scale() * noise
     d_theta = worker.memory.apply(u)
     ctx = UpdateContext(
         snapshot_theta=theta,
@@ -148,9 +159,21 @@ def post_send_memory_update(worker: WorkerState, ctx: UpdateContext, model) -> b
     current local iterate, so both gradients in a pair use the same index
     set.  Returns whether a pair was admitted.
     """
-    admitted = False
-    if worker.local_iter >= 1 and worker.cfg.use_memory:
+    g_prime = None
+    if _wants_pair(worker):
         g_prime = stochastic_gradient(model, ctx.snapshot_theta, worker.prev_overlap)
+    return _admit(worker, ctx, g_prime)
+
+
+def _wants_pair(worker: WorkerState) -> bool:
+    return worker.local_iter >= 1 and worker.cfg.use_memory
+
+
+def _admit(worker, ctx, g_prime) -> bool:
+    """The bookkeeping of post_send_memory_update, given the gradient on
+    the previous overlap set at the snapshot (None when no pair is due)."""
+    admitted = False
+    if g_prime is not None:
         s = ctx.snapshot_theta - worker.prev_theta
         y = g_prime - worker.prev_overlap_grad
         admitted = worker.memory.try_add(s, y)
@@ -159,6 +182,73 @@ def post_send_memory_update(worker: WorkerState, ctx: UpdateContext, model) -> b
     worker.prev_overlap_grad = ctx.overlap_gradient
     worker.local_iter += 1
     return admitted
+
+
+def compute_updates(cfg, workers, snapshots, model, rngs) -> list[UpdateVector]:
+    """AS-L-BFGS updates of k distinct workers, each at its own snapshot,
+    each followed by its post-send memory update.
+
+    Bit-identical to compute_update then post_send_memory_update worker by
+    worker, which a batch of one calls.  A larger batch makes each draw
+    from each worker's generator in that order (subsample, then noise),
+    then one stacked evaluation of the S, O and previous-O gradients, one
+    stacked two-loop, and the admissions worker by worker.  If that raises
+    or meets a non-finite gradient, the batch is redone one worker at a
+    time from the same draws, so the error of the first worker in order
+    is the one raised, as one by one would raise it.
+    """
+    if len(workers) == 1:
+        upd, ctx = compute_update(cfg, workers[0], snapshots[0], model, rngs[0])
+        post_send_memory_update(workers[0], ctx, model)
+        return [upd]
+    draws = [_draw(cfg, model, rng) for rng in rngs]
+    try:
+        stacked = _stacked_updates(cfg, workers, snapshots, model, draws)
+    except Exception:  # whatever it was, the replay below raises it in worker order
+        stacked = None
+    if stacked is None:
+        updates = []
+        for worker, snapshot, (sub, noise) in zip(workers, snapshots, draws):
+            upd, ctx = _update_from_draws(cfg, worker, snapshot, model, sub, noise)
+            post_send_memory_update(worker, ctx, model)
+            updates.append(upd)
+        return updates
+    updates, ctxs, g_primes = stacked
+    for worker, ctx, g_prime in zip(workers, ctxs, g_primes):
+        _admit(worker, ctx, g_prime)
+    return updates
+
+
+def _stacked_updates(cfg, workers, snapshots, model, draws):
+    """The numerics of compute_updates for k >= 2 workers, leaving every
+    worker untouched; None on a non-finite gradient."""
+    # np.array stacks equal-shape arrays like np.stack, at less call cost
+    theta = np.array([snap.theta for snap in snapshots])
+    subs = Subsample(s_indices=np.array([sub.s_indices for sub, _ in draws]),
+                     o_indices=np.array([sub.o_indices for sub, _ in draws]))
+    g, overlap_grad = combined_gradient(model, theta, subs, with_overlap=True)
+    if not np.isfinite(g).all():
+        return None
+    gu = np.empty((len(workers), 2, model.dim))
+    gu[:, 0] = g
+    gu[:, 1] = u = np.array([snap.u for snap in snapshots])
+    h = apply_stacked([worker.memory for worker in workers], gu)
+    d_u = -cfg.step * h[:, 0] - cfg.friction * u
+    if draws[0][1] is not None:
+        d_u += cfg.noise_scale() * np.array([noise for _, noise in draws])
+    d_theta = h[:, 1]
+    g_primes = [None] * len(workers)
+    due = [i for i, worker in enumerate(workers) if _wants_pair(worker)]
+    if due:
+        rows = theta if len(due) == len(workers) else theta[due]
+        prev = np.array([workers[i].prev_overlap for i in due])
+        for i, g_prime in zip(due, stochastic_gradient(model, rows, prev)):
+            g_primes[i] = g_prime
+    updates = [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(workers))]
+    ctxs = [UpdateContext(snapshot_theta=snap.theta, subsample=sub,
+                          overlap_gradient=overlap_grad[i], snapshot_iteration=snap.iteration)
+            for i, (snap, (sub, _)) in enumerate(zip(snapshots, draws))]
+    return updates, ctxs, g_primes
 
 
 def master_apply(state: ParameterState, upd: UpdateVector) -> ParameterState:
@@ -205,6 +295,31 @@ def asgd_step(theta, h, model, indices) -> UpdateVector:
     if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient in a-SGD step")
     return UpdateVector(d_theta=-h * g, d_u=np.zeros_like(theta))
+
+
+def asgd_updates(cfg, snapshots, model, rngs) -> list[UpdateVector]:
+    """a-SGD updates of k workers, each at its own snapshot and drawing its
+    subsample from its own generator.
+
+    Bit-identical to draw_subsample then asgd_step worker by worker, which
+    a batch of one calls; a larger batch evaluates its gradients in one
+    stacked call, and redoes the steps one by one from the same draws if
+    that raises or meets a non-finite gradient, so the first worker's
+    error in order is raised.
+    """
+    subs = [draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o) for rng in rngs]
+    if len(subs) > 1:
+        theta = np.array([snap.theta for snap in snapshots])
+        indices = np.array([sub.combined for sub in subs])
+        try:
+            g = stochastic_gradient(model, theta, indices)
+        except Exception:  # raised again, in worker order, by the steps below
+            g = None
+        if g is not None and np.isfinite(g).all():
+            d_theta, d_u = -cfg.step * g, np.zeros_like(theta)
+            return [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(subs))]
+    return [asgd_step(snap.theta, cfg.step, model, sub.combined)
+            for snap, sub in zip(snapshots, subs)]
 
 
 class MbLbfgsMaster:

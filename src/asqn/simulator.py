@@ -35,10 +35,9 @@ from .sampler import (
     MbLbfgsMaster,
     ParameterState,
     WorkerState,
-    asgd_step,
-    compute_update,
+    asgd_updates,
+    compute_updates,
     master_apply,
-    post_send_memory_update,
 )
 
 
@@ -56,7 +55,6 @@ class SimConfig:
     max_time: float = math.inf
     seed: int = 0
     sample_every: int = 1
-    per_worker_speed: bool = False  # draw one speed per worker instead of per iteration
     wait_for_stragglers: bool = True  # mb only; see run_sync_mb
 
     def __post_init__(self):
@@ -150,6 +148,20 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     event heap always holds one event per worker and the loop ends only at
     the update or time horizon.  Master states are never mutated, so a
     reply carries the post-apply state itself rather than a copy.
+
+    The schedule depends only on the timing generators, so a popped
+    receive draws its compute time and schedules its arrive at once, but
+    its update is computed later: the first arrive whose update is not yet
+    computed computes every such deferred receive in one stacked call
+    (:func:`~asqn.sampler.compute_updates`, :func:`~asqn.sampler.asgd_updates`).
+    Only receives already popped are computed, each worker on its own
+    generator and memory, so traces are bit-identical to computing each
+    receive at its pop, given a numpy/BLAS build whose stacked kernels
+    match the one-dimensional ones (the tests check this).  Errors keep
+    event order: a failing deferred compute raises the error of the
+    earliest receive, a failing apply first computes the receives popped
+    before it (whose error comes first), and the receives still deferred
+    at the horizon are computed before returning.
     """
     if algo not in ("as-lbfgs", "a-sgd"):
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
@@ -161,12 +173,6 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
 
     time_rngs = [np.random.default_rng((sim_cfg.seed, w, 1)) for w in range(sim_cfg.workers)]
     samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
-    speeds = None
-    if sim_cfg.per_worker_speed:
-        speeds = [
-            sample_compute_time(time_rngs[w], sim_cfg.mu_worker, sim_cfg.sigma_worker)
-            for w in range(sim_cfg.workers)
-        ]
     workers = [WorkerState(sampler_cfg, dim) for _ in range(sim_cfg.workers)]
 
     trace: list = []
@@ -177,11 +183,27 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     heap: list = []
     seq = 0
     master_busy_until = 0.0
+    deferred: list = []  # (worker, snapshot) of popped receives not yet computed, in pop order
+    ready: list = [None] * sim_cfg.workers  # computed update of each worker's pending arrive
 
     def push(time, worker, kind, payload):
         nonlocal seq
         heapq.heappush(heap, (time, worker, seq, kind, payload))
         seq += 1
+
+    def compute_deferred():
+        if not deferred:
+            return
+        batch, snapshots = zip(*deferred)
+        deferred.clear()
+        rngs = [samp_rngs[w] for w in batch]
+        if algo == "as-lbfgs":
+            updates = compute_updates(sampler_cfg, [workers[w] for w in batch], snapshots,
+                                      model, rngs)
+        else:
+            updates = asgd_updates(sampler_cfg, snapshots, model, rngs)
+        for w, upd in zip(batch, updates):
+            ready[w] = upd
 
     for w in range(sim_cfg.workers):
         push(sim_cfg.comm_time, w, "receive", state.copy())
@@ -193,32 +215,29 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
             truncated = True
             break
         if kind == "receive":
-            snapshot = payload
-            if sim_cfg.per_worker_speed:
-                c = speeds[w]
-            else:
-                c = sample_compute_time(time_rngs[w], sim_cfg.mu_worker, sim_cfg.sigma_worker)
-            if algo == "as-lbfgs":
-                upd, ctx = compute_update(sampler_cfg, workers[w], snapshot, model, samp_rngs[w])
-                post_send_memory_update(workers[w], ctx, model)
-            else:
-                sub = draw_subsample(
-                    samp_rngs[w], model.n_records, sampler_cfg.n_s, sampler_cfg.n_o
-                )
-                upd = asgd_step(snapshot.theta, sampler_cfg.step, model, sub.combined)
-            push(t + c + sim_cfg.comm_time, w, "arrive", (upd, snapshot.iteration))
+            c = sample_compute_time(time_rngs[w], sim_cfg.mu_worker, sim_cfg.sigma_worker)
+            deferred.append((w, payload))
+            push(t + c + sim_cfg.comm_time, w, "arrive", payload.iteration)
         elif kind == "arrive":
             # the master serves arrivals one at a time, in event order
-            upd, n_read = payload
-            upd.staleness = state.iteration - n_read
-            state = master_apply(state, upd)
-            staleness_log.append((state.iteration, upd.staleness))
-            master_busy_until = max(t, master_busy_until) + sim_cfg.mu_master
-            if state.iteration % sim_cfg.sample_every == 0:
-                _record(trace, model, state, master_busy_until, upd.staleness, include_rmse)
+            if ready[w] is None:
+                compute_deferred()
+            upd, ready[w] = ready[w], None
+            upd.staleness = state.iteration - payload
+            try:
+                state = master_apply(state, upd)
+                staleness_log.append((state.iteration, upd.staleness))
+                master_busy_until = max(t, master_busy_until) + sim_cfg.mu_master
+                if state.iteration % sim_cfg.sample_every == 0:
+                    _record(trace, model, state, master_busy_until, upd.staleness,
+                            include_rmse)
+            except Exception:
+                compute_deferred()  # the receives popped before this apply fail first
+                raise
             push(master_busy_until + sim_cfg.comm_time, w, "receive", state)
             if state.iteration >= sim_cfg.update_limit:
                 break
+    compute_deferred()
 
     if trace[-1].iteration != state.iteration:
         _record(
@@ -242,7 +261,8 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     With ``wait_for_stragglers`` (default) the next broadcast waits for the
     whole cohort, so round wall time is max(compute) + mu_master + 2*tau;
     otherwise the round closes at the timeout and the wall time is
-    min(timeout, max compute) + mu_master + 2*tau.
+    min(timeout, max compute) + mu_master + 2*tau.  A round that would end
+    after ``max_time`` is not applied, and the run is truncated there.
     """
     if not math.isfinite(sim_cfg.timeout):
         raise ConfigError("run_sync_mb requires a finite timeout")
@@ -270,9 +290,6 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     included_log: list = []
 
     while n < sim_cfg.update_limit:
-        if t > sim_cfg.max_time:
-            truncated = True
-            break
         times = [
             sample_compute_time(time_rngs[w], sim_cfg.mu_worker, sim_cfg.sigma_worker)
             for w in range(sim_cfg.workers)
@@ -282,19 +299,25 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
         subs = [draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
                 for rng in samp_rngs]
         kept = [sub for sub, c in zip(subs, times) if c <= sim_cfg.timeout]
-        included_log.append(len(kept))
         if sim_cfg.wait_for_stragglers:
             wait = max(times)
         else:
             wait = min(sim_cfg.timeout, max(times))
+        if kept:
+            end = t + (2 * sim_cfg.comm_time + wait + sim_cfg.mu_master)
+        else:
+            end = t + (2 * sim_cfg.comm_time + wait)
+        if end > sim_cfg.max_time:  # the round would close past the horizon
+            truncated = True
+            break
+        t = end
+        included_log.append(len(kept))
         if not kept:
-            t += 2 * sim_cfg.comm_time + wait
             continue
         stacked = Subsample(s_indices=np.stack([sub.s_indices for sub in kept]),
                             o_indices=np.stack([sub.o_indices for sub in kept]))
         grads = combined_gradient(model, state.theta, stacked)
         theta = mb_master.round(state.theta, grads, stacked.o_indices.ravel(), model)
-        t += 2 * sim_cfg.comm_time + wait + sim_cfg.mu_master
         n += 1
         state = ParameterState(theta=theta, u=state.u, iteration=n)
         staleness_log.append((n, 0))

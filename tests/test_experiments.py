@@ -109,6 +109,18 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="bogus"):
             validate_config(doc)
 
+    def test_per_worker_speed_is_not_a_key(self, tmp_path, capsys):
+        # the per-worker speed draw is gone; a config that sets it is rejected
+        doc = tiny_config()
+        doc["sim"]["per_worker_speed"] = True
+        with pytest.raises(ConfigError, match="per_worker_speed"):
+            validate_config(doc)
+        assert not hasattr(SimConfig(), "per_worker_speed")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "per_worker_speed" in capsys.readouterr().err
+
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
             validate_config(tiny_config(mode="fly"))

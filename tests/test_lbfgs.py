@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from asqn import ConfigError, LbfgsMemory
+from asqn.lbfgs import STACKED_MAX_DIM, apply_stacked
 
 
 def dense_matrix(memory: LbfgsMemory) -> np.ndarray:
@@ -205,3 +206,114 @@ class TestConstruction:
     def test_bad_rho(self):
         with pytest.raises(ConfigError):
             LbfgsMemory(2, 1, rho=-1.0)
+
+
+def deque_apply(pairs, gamma, rho, v):
+    """The two-loop as written over a list of (s, y, 1/(y.s)) copies, oldest
+    first, before the pairs moved into preallocated rows."""
+    q = np.array(v, dtype=float)
+    alphas = []
+    for s, y, inv_ys in reversed(pairs):
+        a = inv_ys * float(s @ q)
+        q -= a * y
+        alphas.append(a)
+    r = gamma * q
+    for (s, y, inv_ys), a in zip(pairs, reversed(alphas)):
+        b = inv_ys * float(y @ r)
+        r += (a - b) * s
+    if rho != 0.0:
+        r += rho * np.asarray(v, dtype=float)
+    return r
+
+
+def same_bits(a, b):
+    """Equal values and equal signs of zero (np.array_equal has -0.0 == 0.0)."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# Equality of the stacked and one-dimensional two-loops is a property of this
+# numpy/OpenBLAS build (np.vecdot and ``@`` reach the same ddot), not a
+# guarantee of numpy; the asynchronous simulator's traces rely on it.
+BUILD = "stacked two-loop differs from LbfgsMemory.apply in this numpy/OpenBLAS build"
+
+
+def mixed_memories(rng, k, dim, capacity, rho):
+    """k memories of capacity M: empty, partly filled, full and evicted."""
+    memories = []
+    for i in range(k):
+        mem = LbfgsMemory(dim, capacity, epsilon=0.5, rho=rho if i % 3 else 0.0)
+        for _ in range(i % (2 * capacity + 2)):
+            s = rng.standard_normal(dim)
+            mem.try_add(s, s + rng.standard_normal(dim))  # some fail the cautious test
+        memories.append(mem)
+    return memories
+
+
+def signed_zero_vectors(rng, shape):
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 0.15] = -0.0
+    v[rng.random(shape) < 0.15] = 0.0
+    return v
+
+
+class TestRowStorage:
+    def test_apply_equals_two_loop_over_pair_copies(self):
+        # through admissions, evictions and rejections the pairs kept in
+        # preallocated rows give the product of the list-of-copies recursion
+        rng = np.random.default_rng(11)
+        for dim, capacity, rho in [(1, 1, 0.0), (7, 3, 0.0), (100, 3, 2.0), (33, 5, 0.5)]:
+            mem = LbfgsMemory(dim, capacity, epsilon=0.5, rho=rho)
+            for _ in range(4 * capacity):
+                s = rng.standard_normal(dim)
+                mem.try_add(s, s + rng.standard_normal(dim))
+                v = signed_zero_vectors(rng, dim)
+                assert same_bits(mem.apply(v), deque_apply(mem.pairs, mem.gamma(), rho, v))
+
+    def test_pairs_are_copies_oldest_first(self):
+        rng = np.random.default_rng(0)
+        mem, added = admitted_memory(rng, 3, capacity=2, n_pairs=3)
+        pairs = mem.pairs
+        for (s, y, inv_ys), (s_added, y_added) in zip(pairs, added[-2:]):
+            assert np.array_equal(s, s_added) and np.array_equal(y, y_added)
+            assert inv_ys == 1.0 / float(y_added @ s_added)
+        pairs[0][0][:] = 0.0
+        assert not np.array_equal(mem.pairs[0][0], 0.0)
+
+
+class TestApplyStacked:
+    @pytest.mark.parametrize("dim", [1, 6, 100, STACKED_MAX_DIM + 1])
+    @pytest.mark.parametrize("rho", [0.0, 3.0])
+    def test_rows_equal_one_dimensional_apply(self, dim, rho):
+        rng = np.random.default_rng(dim)
+        for capacity in (1, 3):
+            for k in (1, 2, 5, 11):
+                memories = mixed_memories(rng, k, dim, capacity, rho)
+                vectors = signed_zero_vectors(rng, (k, 2, dim))
+                got = apply_stacked(memories, vectors)
+                assert got.shape == (k, 2, dim)
+                for mem, rows, item in zip(memories, got, vectors):
+                    for row, v in zip(rows, item):
+                        assert same_bits(row, mem.apply(v)), BUILD
+
+    def test_lacking_positions_keep_negative_zero(self):
+        # an empty memory in a batch with full ones: applying a zero pair at
+        # the positions it lacks would add +0.0 to its -0.0 entries
+        rng = np.random.default_rng(1)
+        full, _ = admitted_memory(rng, 4, 3, 5)
+        empty = LbfgsMemory(4, 3)
+        vectors = np.array([[[-0.0, 1.0, -0.0, 2.0]], [[-0.0, -0.0, 3.0, -0.0]]])
+        got = apply_stacked([full, empty], vectors)
+        assert same_bits(got[1, 0], vectors[1, 0])
+        assert same_bits(got[0, 0], full.apply(vectors[0, 0]))
+
+    def test_leaves_memories_and_vectors_alone(self):
+        rng = np.random.default_rng(2)
+        memories = mixed_memories(rng, 4, 5, 3, 1.0)
+        before = [mem.pairs for mem in memories]
+        vectors = rng.standard_normal((4, 2, 5))
+        kept = vectors.copy()
+        apply_stacked(memories, vectors)
+        assert np.array_equal(vectors, kept)
+        for mem, pairs in zip(memories, before):
+            assert all(np.array_equal(a[0], b[0]) and a[2] == b[2]
+                       for a, b in zip(mem.pairs, pairs))

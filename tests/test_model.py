@@ -267,6 +267,61 @@ class TestBatchedLikelihoodGradSum:
             assert np.array_equal(overlap[i], want_overlap)
 
 
+# Stacked and one-dimensional evaluations agree bit for bit only because this
+# numpy/OpenBLAS build runs the same kernel once per stacked item; numpy does
+# not promise it.  The asynchronous simulator's traces rely on it.
+BUILD = "stacked result differs from the one-dimensional call in this numpy/OpenBLAS build"
+
+
+class TestPerRowTheta:
+    """A (k, d) theta with (k, n) indices: row i at theta[i], bit-identical
+    to the one-dimensional call, for every stacked entry point."""
+
+    @pytest.mark.parametrize("make_model", [
+        lambda seed: random_lg(seed, n=30, d=7),
+        lambda seed: random_lg(seed, n=600, d=100),
+        random_mf,
+        lambda seed: synth_matrix_factorization(seed, 30, 40, 3),
+    ], ids=["lg-small", "lg-paper-size", "mf-tiny", "mf-sparse"])
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_likelihood_grad_sum_rows(self, make_model, n):
+        for seed in range(3):
+            model = make_model(seed)
+            rng = np.random.default_rng(seed + 20)
+            for k in range(1, 12):
+                theta = rng.standard_normal((k, model.dim))
+                theta[rng.random(theta.shape) < 0.05] = -0.0
+                stacked = rng.integers(0, model.n_records, size=(k, n))
+                got = model.likelihood_grad_sum(theta, stacked)
+                assert got.shape == (k, model.dim)
+                for row, th, indices in zip(got, theta, stacked):
+                    assert np.array_equal(row, model.likelihood_grad_sum(th, indices)), BUILD
+
+    @pytest.mark.parametrize("make_model", [lambda: random_lg(2, n=50, d=6), random_mf],
+                             ids=["lg", "mf"])
+    def test_combined_and_stochastic_gradient_rows(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(4)
+        theta = rng.standard_normal((4, model.dim))
+        subs = [draw_subsample(rng, model.n_records, 5, 3) for _ in range(4)]
+        stacked = Subsample(np.stack([s.s_indices for s in subs]),
+                            np.stack([s.o_indices for s in subs]))
+        combined, overlap = combined_gradient(model, theta, stacked, with_overlap=True)
+        plain = stochastic_gradient(model, theta, stacked.o_indices)
+        for i, sub in enumerate(subs):
+            want, want_overlap = combined_gradient(model, theta[i], sub, with_overlap=True)
+            assert np.array_equal(combined[i], want), BUILD
+            assert np.array_equal(overlap[i], want_overlap), BUILD
+            assert np.array_equal(plain[i], stochastic_gradient(model, theta[i], sub.o_indices))
+
+    def test_theta_rows_must_match_index_rows(self):
+        model = random_lg(0, n=10, d=3)
+        with pytest.raises(ConfigError):
+            stochastic_gradient(model, np.zeros((2, 3)), np.zeros((3, 4), dtype=int))
+        with pytest.raises(ConfigError):
+            stochastic_gradient(model, np.zeros((2, 3)), np.zeros(4, dtype=int))
+
+
 def two_call_draw_subsample(rng, n_records, n_s, n_o):
     """The former draw: S and O from two calls to the generator."""
     return Subsample(rng.integers(0, n_records, size=n_s),

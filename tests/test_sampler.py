@@ -27,6 +27,7 @@ from asqn import (
     sgld_step,
     stochastic_gradient,
 )
+from asqn.sampler import asgd_updates, compute_updates
 
 
 def zero_gradient_model(dim=1):
@@ -436,3 +437,131 @@ class TestDegenerateLimit:
             theta = theta + u
             u = (1 - cfg.friction) * u - cfg.step * g
             np.testing.assert_allclose(trajectory[n], theta, atol=1e-12)
+
+
+class CountingModel(LinearGaussianModel):
+    """Counts likelihood-gradient calls; raises on any row of theta that
+    holds the marker value."""
+
+    MARKER = 7.25
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = 0
+
+    def likelihood_grad_sum(self, theta, indices=None):
+        self.calls += 1
+        if np.any(theta == self.MARKER):
+            raise RuntimeError("marked parameter")
+        return super().likelihood_grad_sum(theta, indices)
+
+
+def counting_lg(seed=0, n=40, d=6):
+    rng = np.random.default_rng(seed)
+    return CountingModel(rng.standard_normal((n, d)), rng.standard_normal(n), 1.0)
+
+
+def small_mf():
+    return MatrixFactorizationModel([0, 1, 1, 2, 0, 3, 3], [1, 0, 2, 2, 1, 0, 3],
+                                    [1.0, -0.5, 2.0, 0.3, 1.5, -1.0, 0.7], 4, 4, 2)
+
+
+def same_worker(a, b):
+    same = (a.local_iter == b.local_iter and len(a.memory) == len(b.memory)
+            and a.memory.gamma() == b.memory.gamma())
+    for (s1, y1, r1), (s2, y2, r2) in zip(a.memory.pairs, b.memory.pairs):
+        same = same and np.array_equal(s1, s2) and np.array_equal(y1, y2) and r1 == r2
+    for name in ("prev_theta", "prev_overlap", "prev_overlap_grad"):
+        x, y = getattr(a, name), getattr(b, name)
+        same = same and (x is None) == (y is None) and (x is None or np.array_equal(x, y))
+    return same
+
+
+class TestBatchedUpdates:
+    """compute_updates and asgd_updates over k workers at k snapshots equal
+    the one-worker functions called worker by worker, bit for bit."""
+
+    @pytest.mark.parametrize("make_model", [counting_lg, small_mf], ids=["lg", "mf"])
+    @pytest.mark.parametrize("beta", [math.inf, 50.0])
+    def test_compute_updates_equal_worker_by_worker(self, make_model, beta):
+        model = make_model()
+        cfg = SamplerConfig(step=0.02, friction=0.1, inv_temperature=beta, n_s=5, n_o=3,
+                            epsilon=0.1, rho=0.5)
+        k = 5
+        batched = [WorkerState(cfg, model.dim) for _ in range(k)]
+        serial = [WorkerState(cfg, model.dim) for _ in range(k)]
+        rngs_b = [np.random.default_rng(w) for w in range(k)]
+        rngs_s = [np.random.default_rng(w) for w in range(k)]
+        rng = np.random.default_rng(9)
+        for step in range(12):
+            # a changing subset in a changing order, each at its own snapshot
+            who = list(rng.permutation(k)[: 1 + step % k])
+            snaps = [ParameterState(rng.standard_normal(model.dim),
+                                    rng.standard_normal(model.dim), step) for _ in who]
+            snaps[0].u[0] = -0.0
+            got = compute_updates(cfg, [batched[w] for w in who], snaps, model,
+                                  [rngs_b[w] for w in who])
+            for w, snap, upd in zip(who, snaps, got):
+                want, ctx = compute_update(cfg, serial[w], snap, model, rngs_s[w])
+                post_send_memory_update(serial[w], ctx, model)
+                assert np.array_equal(upd.d_theta, want.d_theta)
+                assert np.array_equal(upd.d_u, want.d_u)
+                assert np.array_equal(np.signbit(upd.d_theta), np.signbit(want.d_theta))
+        for a, b, ra, rb in zip(batched, serial, rngs_b, rngs_s):
+            assert same_worker(a, b)
+            assert ra.bit_generator.state == rb.bit_generator.state
+        assert sum(len(w.memory) for w in batched) > k  # pairs were admitted
+
+    def test_batch_evaluates_its_gradients_in_three_calls(self):
+        model = counting_lg()
+        cfg = SamplerConfig(step=0.02, friction=0.1, n_s=5, n_o=3)
+        workers = [WorkerState(cfg, model.dim) for _ in range(4)]
+        rngs = [np.random.default_rng(w) for w in range(4)]
+        snaps = [ParameterState.zeros(model.dim) for _ in range(4)]
+        compute_updates(cfg, workers, snaps, model, rngs)
+        assert model.calls == 2  # S and O; no pair is due yet
+        model.calls = 0
+        compute_updates(cfg, workers, snaps, model, rngs)
+        assert model.calls == 3  # and the previous O of every worker
+
+    @pytest.mark.parametrize("make_model", [counting_lg, small_mf], ids=["lg", "mf"])
+    def test_asgd_updates_equal_asgd_steps(self, make_model):
+        model = make_model()
+        cfg = SamplerConfig(step=0.02, friction=0.1, n_s=5, n_o=3)
+        rngs_b = [np.random.default_rng(w) for w in range(4)]
+        rngs_s = [np.random.default_rng(w) for w in range(4)]
+        rng = np.random.default_rng(3)
+        for k in (1, 4, 2):
+            snaps = [ParameterState(rng.standard_normal(model.dim), np.zeros(model.dim))
+                     for _ in range(k)]
+            got = asgd_updates(cfg, snaps, model, rngs_b[:k])
+            for snap, upd, r in zip(snaps, got, rngs_s[:k]):
+                sub = draw_subsample(r, model.n_records, cfg.n_s, cfg.n_o)
+                want = asgd_step(snap.theta, cfg.step, model, sub.combined)
+                assert np.array_equal(upd.d_theta, want.d_theta)
+                assert np.array_equal(upd.d_u, want.d_u)
+        assert all(a.bit_generator.state == b.bit_generator.state
+                   for a, b in zip(rngs_b, rngs_s))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("order, error", [
+        ([0, 1, 2], DivergenceError), ([0, 2, 1], RuntimeError), ([2, 1, 0], RuntimeError),
+    ])
+    def test_batch_raises_the_first_error_in_order(self, order, error):
+        # worker 1's gradient is non-finite, worker 2's raises; the batch
+        # raises whichever comes first, after the workers before it ran
+        model = counting_lg()
+        cfg = SamplerConfig(step=0.02, friction=0.1, n_s=5, n_o=3)
+        thetas = [np.zeros(model.dim), np.full(model.dim, np.inf),
+                  np.full(model.dim, CountingModel.MARKER)]
+        workers = [WorkerState(cfg, model.dim) for _ in range(3)]
+        snaps = [ParameterState(thetas[w], np.zeros(model.dim), 10 + w) for w in order]
+        with pytest.raises(error) as info:
+            compute_updates(cfg, [workers[w] for w in order], snaps, model,
+                            [np.random.default_rng(w) for w in order])
+        if error is DivergenceError:
+            assert info.value.iteration == 11
+        first = order.index(1 if error is DivergenceError else 2)
+        assert [workers[w].local_iter for w in order[:first]] == [1] * first
+        with pytest.raises(error):
+            asgd_updates(cfg, snaps, model, [np.random.default_rng(w) for w in order])

@@ -1,13 +1,16 @@
 """Tests for the discrete-event simulator."""
 
+import heapq
 import math
 import multiprocessing
+import sys
 
 import numpy as np
 import pytest
 
 from asqn import (
     ConfigError,
+    DivergenceError,
     LinearGaussianModel,
     MatrixFactorizationModel,
     MbLbfgsMaster,
@@ -15,8 +18,13 @@ from asqn import (
     SamplerConfig,
     SimConfig,
     TraceRecord,
+    WorkerState,
+    asgd_step,
     combined_gradient,
+    compute_update,
     draw_subsample,
+    master_apply,
+    post_send_memory_update,
     potential,
     rmse,
     run_async,
@@ -24,7 +32,8 @@ from asqn import (
     time_to_epsilon,
 )
 from asqn.experiments import run_sgld_serial, synth_matrix_factorization
-from asqn.simulator import SimResult, sample_compute_time, write_trace_csv
+from asqn import simulator
+from asqn.simulator import SimResult, _record, sample_compute_time, write_trace_csv
 
 
 def small_problem(seed=0):
@@ -172,6 +181,200 @@ class TestRunAsync:
             run_async(SimConfig(max_updates=1), cfg, model, algo="newton")
 
 
+def per_worker_run_async(sim_cfg, sampler_cfg, model, algo="as-lbfgs", theta0=None):
+    """The former asynchronous event loop: each receive computes its worker's
+    update at its pop, one worker at a time."""
+    dim = model.dim
+    state = ParameterState.zeros(dim)
+    if theta0 is not None:
+        state.theta = np.asarray(theta0, dtype=float).copy()
+    include_rmse = isinstance(model, MatrixFactorizationModel)
+    time_rngs = [np.random.default_rng((sim_cfg.seed, w, 1)) for w in range(sim_cfg.workers)]
+    samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
+    workers = [WorkerState(sampler_cfg, dim) for _ in range(sim_cfg.workers)]
+    trace, staleness_log = [], []
+    _record(trace, model, state, 0.0, 0, include_rmse)
+    heap, seq, master_busy_until = [], 0, 0.0
+
+    def push(time, worker, kind, payload):
+        nonlocal seq
+        heapq.heappush(heap, (time, worker, seq, kind, payload))
+        seq += 1
+
+    for w in range(sim_cfg.workers):
+        push(sim_cfg.comm_time, w, "receive", state.copy())
+    truncated = False
+    while True:
+        t, w, _, kind, payload = heapq.heappop(heap)
+        if t > sim_cfg.max_time:
+            truncated = True
+            break
+        if kind == "receive":
+            snapshot = payload
+            c = sample_compute_time(time_rngs[w], sim_cfg.mu_worker, sim_cfg.sigma_worker)
+            if algo == "as-lbfgs":
+                upd, ctx = compute_update(sampler_cfg, workers[w], snapshot, model, samp_rngs[w])
+                post_send_memory_update(workers[w], ctx, model)
+            else:
+                sub = draw_subsample(samp_rngs[w], model.n_records, sampler_cfg.n_s,
+                                     sampler_cfg.n_o)
+                upd = asgd_step(snapshot.theta, sampler_cfg.step, model, sub.combined)
+            push(t + c + sim_cfg.comm_time, w, "arrive", (upd, snapshot.iteration))
+        else:
+            upd, n_read = payload
+            upd.staleness = state.iteration - n_read
+            state = master_apply(state, upd)
+            staleness_log.append((state.iteration, upd.staleness))
+            master_busy_until = max(t, master_busy_until) + sim_cfg.mu_master
+            if state.iteration % sim_cfg.sample_every == 0:
+                _record(trace, model, state, master_busy_until, upd.staleness, include_rmse)
+            push(master_busy_until + sim_cfg.comm_time, w, "receive", state)
+            if state.iteration >= sim_cfg.update_limit:
+                break
+    if trace[-1].iteration != state.iteration:
+        _record(trace, model, state, master_busy_until,
+                staleness_log[-1][1] if staleness_log else 0, include_rmse)
+    return SimResult(trace=trace, final_state=state, staleness_log=staleness_log,
+                     truncated=truncated)
+
+
+def same_result(a, b):
+    return (a.trace == b.trace and a.staleness_log == b.staleness_log
+            and a.truncated == b.truncated
+            and np.array_equal(a.final_state.theta, b.final_state.theta)
+            and np.array_equal(np.signbit(a.final_state.theta), np.signbit(b.final_state.theta))
+            and np.array_equal(a.final_state.u, b.final_state.u)
+            and a.final_state.iteration == b.final_state.iteration)
+
+
+def problem(name):
+    """(model, sampler config, theta0) of a small LG or MF problem."""
+    if name == "lg":
+        model, cfg = small_problem()
+        return model, SamplerConfig(step=1e-2, friction=0.1, inv_temperature=1e3, n_s=3,
+                                    n_o=2, rho=0.5), None
+    model = synth_matrix_factorization(0, 12, 15, 2)
+    cfg = SamplerConfig(step=1e-3, friction=0.1, inv_temperature=1e4, n_s=5, n_o=3,
+                        epsilon=0.5)
+    return model, cfg, 0.1 * np.random.default_rng(1).standard_normal(model.dim)
+
+
+class TestDeferredComputes:
+    """run_async computes the receives it defers in stacked batches; its
+    results equal the per-worker loop's, bit for bit, errors included."""
+
+    @pytest.mark.parametrize("workers", [1, 3, 10])
+    @pytest.mark.parametrize("algo", ["as-lbfgs", "a-sgd"])
+    @pytest.mark.parametrize("name", ["lg", "mf"])
+    def test_matches_per_worker_loop(self, name, algo, workers):
+        model, cfg, theta0 = problem(name)
+        for sigma, comm, mu_master in [(0.0, 0.0, 0.0), (0.0, 10.0, 4.0),
+                                       (50.0, 0.0, 4.0), (50.0, 10.0, 0.0)]:
+            sim = SimConfig(workers=workers, mu_worker=100.0, sigma_worker=sigma,
+                            comm_time=comm, mu_master=mu_master, max_updates=120,
+                            sample_every=7, seed=5)
+            got = run_async(sim, cfg, model, algo=algo, theta0=theta0)
+            want = per_worker_run_async(sim, cfg, model, algo=algo, theta0=theta0)
+            assert same_result(got, want), (sigma, comm, mu_master)
+            assert got.iterations == 120
+
+    @pytest.mark.parametrize("max_updates", [10**6, 0])
+    @pytest.mark.parametrize("algo", ["as-lbfgs", "a-sgd"])
+    def test_matches_per_worker_loop_at_a_time_horizon(self, algo, max_updates):
+        # truncated by max_time, with an update limit never reached or none
+        model, cfg, theta0 = problem("lg")
+        sim = SimConfig(workers=4, mu_worker=100.0, sigma_worker=50.0, comm_time=10.0,
+                        mu_master=4.0, max_updates=max_updates, max_time=2345.0,
+                        sample_every=5, seed=8)
+        got = run_async(sim, cfg, model, algo=algo, theta0=theta0)
+        assert got.truncated and got.iterations > 50
+        assert same_result(got, per_worker_run_async(sim, cfg, model, algo, theta0))
+
+    @pytest.mark.parametrize("seed, update", [(7, 166), (6, 210)])
+    def test_matrix_factorization_demo_divergence(self, seed, update):
+        # the demo's admission threshold diverges on these sub-seeds of the
+        # benchmark's configuration; type, message and iteration are kept
+        model = synth_matrix_factorization(seed=0, n_rows=200, n_cols=300, rank=3,
+                                           noise_std=0.1, observed_fraction=0.1)
+        theta0 = 0.1 * np.random.default_rng(1).standard_normal(model.dim)
+        cfg = SamplerConfig(step=3e-6, friction=0.1, n_s=40, n_o=20, memory_size=3,
+                            epsilon=0.1, rho=3.0)
+        sim = SimConfig(workers=4, mu_worker=1.0, max_updates=3000, sample_every=100,
+                        seed=seed)
+        errors = []
+        for engine in (run_async, per_worker_run_async):
+            with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+                engine(sim, cfg, model, algo="as-lbfgs", theta0=theta0)
+            errors.append((type(info.value), str(info.value), info.value.iteration))
+        assert errors[0] == errors[1]
+        assert errors[0][1:] == (f"non-finite iterate after update {update}", update)
+
+    def test_deferred_gradient_error_reported_before_later_divergence(self, monkeypatch):
+        # Worker A's gradient raises at the receive that carries state i;
+        # the apply numbered j diverges.  Computing A's receive at its pop
+        # (the per-worker loop) decides which error comes first; deferring
+        # it must not let an apply popped after that receive raise first.
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=3, mu_worker=100.0, sigma_worker=50.0, comm_time=10.0,
+                        max_updates=40, seed=2)
+        states = [ParameterState.zeros(model.dim)]
+        real_apply = master_apply
+
+        def recording_apply(state, upd):
+            states.append(real_apply(state, upd))
+            return states[-1]
+
+        monkeypatch.setattr(simulator, "master_apply", recording_apply)
+        run_async(sim, cfg, model)
+        outcomes = set()
+        for i in range(5, 25):
+            for j in range(i + 1, i + 5):
+                def failing_apply(state, upd, j=j):
+                    if state.iteration + 1 == j:
+                        raise DivergenceError(f"apply {j}", iteration=j)
+                    return real_apply(state, upd)
+
+                model_i = RaisingAt(model, states[i].theta)
+                errors = []
+                for engine, module in ((run_async, simulator),
+                                       (per_worker_run_async, sys.modules[__name__])):
+                    monkeypatch.setattr(module, "master_apply", failing_apply)
+                    with pytest.raises(Exception) as info:
+                        engine(sim, cfg, model_i)
+                    errors.append((type(info.value), str(info.value)))
+                assert errors[0] == errors[1], (i, j)
+                outcomes.add(errors[0][0])
+        assert outcomes == {RuntimeError, DivergenceError}
+
+    def test_leftover_deferred_receives_computed_at_the_horizon(self):
+        # the receives popped before the update limit are computed, as the
+        # per-worker loop computed them at their pops, so their errors show
+        # (worker 0's reply to apply 4 pops before worker 1's arrive, which
+        # applies update 5 and ends the run)
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=3, mu_worker=100.0, max_updates=5, seed=1)
+        fourth = run_async(SimConfig(workers=3, mu_worker=100.0, max_updates=4, seed=1),
+                           cfg, model).final_state
+        assert run_async(sim, cfg, RaisingAt(model, np.ones(model.dim))).iterations == 5
+        for engine in (run_async, per_worker_run_async):
+            with pytest.raises(RuntimeError, match="marked"):
+                engine(sim, cfg, RaisingAt(model, fourth.theta))
+
+
+class RaisingAt(LinearGaussianModel):
+    """The given model, whose likelihood gradient raises at one parameter
+    (at any row of a stacked parameter that equals it)."""
+
+    def __init__(self, model, theta):
+        super().__init__(model.features, model.targets, model.noise_variance)
+        self.marked = np.array(theta, copy=True)
+
+    def likelihood_grad_sum(self, theta, indices=None):
+        if np.any(np.all(np.atleast_2d(theta) == self.marked, axis=-1)):
+            raise RuntimeError("marked parameter")
+        return super().likelihood_grad_sum(theta, indices)
+
+
 class TestRunSyncMb:
     def test_all_workers_included_when_fast(self):
         model, cfg = small_problem()
@@ -257,6 +460,28 @@ class TestRunSyncMb:
             proc.terminate()
             proc.join(10)
         assert not proc.is_alive()
+
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_no_round_applied_after_max_time(self, wait):
+        # sigma 60 around 50 with timeout 45: rounds of unequal length, some
+        # keeping no worker; a round that would close past max_time is not
+        # applied, whichever kind it is
+        model, cfg = small_problem()
+        timing = dict(workers=3, mu_master=3.0, mu_worker=50.0, sigma_worker=60.0,
+                      comm_time=2.0, timeout=45.0, seed=4, wait_for_stragglers=wait)
+        full = run_sync_mb(SimConfig(max_updates=40, **timing),
+                           MbLbfgsMaster(model.dim, step=1e-3), cfg, model)
+        assert not full.truncated
+        for rec in full.trace[1:-1]:
+            max_time = rec.time + 1.0  # between two applied rounds
+            res = run_sync_mb(SimConfig(max_updates=40, max_time=max_time, **timing),
+                              MbLbfgsMaster(model.dim, step=1e-3), cfg, model)
+            assert res.truncated
+            assert res.final_time <= max_time
+            assert res.trace[-1] == rec
+            assert res.iterations == rec.iteration
+            assert res.included_log == full.included_log[:len(res.included_log)]
+            assert sum(1 for n in res.included_log if n) == rec.iteration
 
     def test_staleness_always_zero(self):
         model, cfg = small_problem()
