@@ -119,6 +119,15 @@ class LinearGaussianModel:
         r = (a @ theta if theta.ndim == 1 else (a @ theta[:, :, None])[..., 0]) - y
         return (r[..., None, :] @ a)[..., 0, :] / self.noise_variance
 
+    def likelihood_grad_sums(self, theta, parts):
+        """One :meth:`likelihood_grad_sum` per index array in ``parts``.
+
+        Each sum is a BLAS product over its own part's rows, which one
+        product over the concatenated parts would not reproduce bit for
+        bit, so the parts are evaluated one call each.
+        """
+        return [self.likelihood_grad_sum(theta, indices) for indices in parts]
+
     def map_estimate(self):
         """Closed-form optimum (I + A^T A / sigma^2)^-1 A^T Y / sigma^2."""
         a, s2 = self.features, self.noise_variance
@@ -203,10 +212,21 @@ class MatrixFactorizationModel:
         bit-identical to the call on ``indices[i]``.  With them ``theta``
         may also be ``(k, d)``, row ``i`` then taken at ``theta[i]``.
         """
+        if indices is None:
+            indices = np.arange(self.n_records)
+        return self.likelihood_grad_sums(theta, [indices])[0]
+
+    def likelihood_grad_sums(self, theta, parts):
+        """One :meth:`likelihood_grad_sum` per index array in ``parts``, in
+        one gather and one scatter over the concatenated parts.
+
+        The parts share their leading shape, ``()`` or ``(k,)``, and may
+        differ in length along their last axis.  Each sum is bit-identical
+        to the call on its part alone.
+        """
         f, g = self.unpack(theta)
-        r = self.rows if indices is None else self.rows[indices]
-        c = self.cols if indices is None else self.cols[indices]
-        y = self.values if indices is None else self.values[indices]
+        idx = np.concatenate(parts, axis=-1)
+        r, c, y = self.rows[idx], self.cols[idx], self.values[idx]
         lead = r.shape[:-1]
         if theta.ndim == 1:
             fr, gc = f[r], g.T[c]
@@ -214,18 +234,22 @@ class MatrixFactorizationModel:
             b = np.arange(len(theta))[:, None]
             fr, gc = f[b, r], g.transpose(0, 2, 1)[b, c]
         resid = np.einsum("...k,...k->...", fr, gc) - y
-        # One scatter straight into the packed layout, row i of a stack
-        # offset by i*dim.  bincount adds each element's terms in index-list
-        # order starting from 0.0, as np.add.at into zeros does, so the sums
-        # are bit-identical to that formulation, row by row.
-        flat = np.concatenate([r[..., None] * self.rank + self._k,
-                               self._g_offsets + c[..., None]], axis=-2)
-        terms = np.concatenate([resid[..., None] * gc, resid[..., None] * fr], axis=-2)
+        # One scatter straight into the packed layout, each (part, row)
+        # into its own block of dim bins.  bincount adds each bin's terms in
+        # index-list order starting from 0.0, as np.add.at into zeros does,
+        # and a bin only receives the terms of one part and row, so every
+        # sum is bit-identical to that formulation on its part alone.
+        n_rows = math.prod(lead)
+        base = np.repeat(np.arange(0, len(parts) * n_rows * self.dim, n_rows * self.dim),
+                         [np.shape(indices)[-1] for indices in parts])
         if lead:
-            flat += np.arange(0, lead[0] * self.dim, self.dim)[:, None, None]
+            base = base + np.arange(0, n_rows * self.dim, self.dim)[:, None]
+        flat = np.concatenate([(r * self.rank + base)[..., None] + self._k,
+                               (c + base)[..., None] + self._g_offsets], axis=-2)
+        terms = np.concatenate([resid[..., None] * gc, resid[..., None] * fr], axis=-2)
         sums = np.bincount(flat.ravel(), weights=terms.ravel(),
-                           minlength=math.prod(lead) * self.dim)
-        return sums.reshape(*lead, self.dim)
+                           minlength=len(parts) * n_rows * self.dim)
+        return list(sums.reshape(len(parts), *lead, self.dim))
 
 
 def _check_theta(model, theta, lead=()):
@@ -266,7 +290,8 @@ def stochastic_gradient(model, theta, indices) -> np.ndarray:
     return model.prior_gradient(theta) + scale * model.likelihood_grad_sum(theta, indices)
 
 
-def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False):
+def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False,
+                      previous=None):
     """Weighted S/O combination of stochastic gradients.
 
     The prior gradient enters exactly once; each part's likelihood sum is
@@ -281,19 +306,27 @@ def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False):
     With ``with_overlap`` the O-part likelihood sum is reused to also
     return the stochastic gradient on O alone, as ``(combined, overlap)``;
     the overlap gradient is bit-identical to
-    ``stochastic_gradient(model, theta, sub.o_indices)``.
+    ``stochastic_gradient(model, theta, sub.o_indices)``.  ``previous``, an
+    index array shaped like the S and O ones, adds a third item,
+    bit-identical to ``stochastic_gradient(model, theta, previous)``.  All
+    parts are evaluated in one ``likelihood_grad_sums`` call.
     """
     theta = _check_theta(model, theta, sub.s_indices.shape[:-1])
     if sub.n_s == 0 or sub.n_o == 0:
         raise ValueError("both subsample parts must be nonempty")
+    if previous is not None and not with_overlap:
+        raise ValueError("previous needs with_overlap")
     scale = model.n_records / sub.n_total
-    lik_s = model.likelihood_grad_sum(theta, sub.s_indices)
-    lik_o = model.likelihood_grad_sum(theta, sub.o_indices)
+    parts = [sub.s_indices, sub.o_indices] + ([] if previous is None else [previous])
+    lik_s, lik_o, *lik_previous = model.likelihood_grad_sums(theta, parts)
     prior = model.prior_gradient(theta)
     combined = prior + scale * (lik_s + lik_o)
     if not with_overlap:
         return combined
-    return combined, prior + (model.n_records / sub.n_o) * lik_o
+    overlap = prior + (model.n_records / sub.n_o) * lik_o
+    if previous is None:
+        return combined, overlap
+    return combined, overlap, prior + (model.n_records / np.shape(previous)[-1]) * lik_previous[0]
 
 
 def rmse(model: MatrixFactorizationModel, theta) -> float:

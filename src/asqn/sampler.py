@@ -139,10 +139,11 @@ def _update_from_draws(cfg, worker, snapshot, model, sub, noise):
             f"non-finite gradient at iteration {snapshot.iteration}",
             iteration=snapshot.iteration,
         )
-    d_u = -cfg.step * worker.memory.apply(g) - cfg.friction * u
+    h = worker.memory.apply(np.array([g, u]))
+    d_u = -cfg.step * h[0] - cfg.friction * u
     if noise is not None:
         d_u += cfg.noise_scale() * noise
-    d_theta = worker.memory.apply(u)
+    d_theta = h[1]
     ctx = UpdateContext(
         snapshot_theta=theta,
         subsample=sub,
@@ -226,7 +227,15 @@ def _stacked_updates(cfg, workers, snapshots, model, draws):
     theta = np.array([snap.theta for snap in snapshots])
     subs = Subsample(s_indices=np.array([sub.s_indices for sub, _ in draws]),
                      o_indices=np.array([sub.o_indices for sub, _ in draws]))
-    g, overlap_grad = combined_gradient(model, theta, subs, with_overlap=True)
+    # the previous O of each worker with a pair due joins the same pass; a
+    # row with none due is evaluated on its own O and discarded
+    due = [_wants_pair(worker) for worker in workers]
+    previous = None
+    if any(due):
+        previous = np.array([worker.prev_overlap if wants else sub.o_indices
+                             for worker, wants, (sub, _) in zip(workers, due, draws)])
+    g, overlap_grad, *previous_grad = combined_gradient(model, theta, subs, with_overlap=True,
+                                                        previous=previous)
     if not np.isfinite(g).all():
         return None
     gu = np.empty((len(workers), 2, model.dim))
@@ -237,13 +246,7 @@ def _stacked_updates(cfg, workers, snapshots, model, draws):
     if draws[0][1] is not None:
         d_u += cfg.noise_scale() * np.array([noise for _, noise in draws])
     d_theta = h[:, 1]
-    g_primes = [None] * len(workers)
-    due = [i for i, worker in enumerate(workers) if _wants_pair(worker)]
-    if due:
-        rows = theta if len(due) == len(workers) else theta[due]
-        prev = np.array([workers[i].prev_overlap for i in due])
-        for i, g_prime in zip(due, stochastic_gradient(model, rows, prev)):
-            g_primes[i] = g_prime
+    g_primes = [previous_grad[0][i] if wants else None for i, wants in enumerate(due)]
     updates = [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(workers))]
     ctxs = [UpdateContext(snapshot_theta=snap.theta, subsample=sub,
                           overlap_gradient=overlap_grad[i], snapshot_iteration=snap.iteration)

@@ -146,8 +146,10 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
 
     Every receive schedules an arrive and every arrive a receive, so the
     event heap always holds one event per worker and the loop ends only at
-    the update or time horizon.  Master states are never mutated, so a
-    reply carries the post-apply state itself rather than a copy.
+    the update or time horizon.  An arrive whose apply would end after
+    ``max_time`` is not applied, and the run is truncated there.  Master
+    states are never mutated, so a reply carries the post-apply state
+    itself rather than a copy.
 
     The schedule depends only on the timing generators, so a popped
     receive draws its compute time and schedules its arrive at once, but
@@ -220,6 +222,10 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
             push(t + c + sim_cfg.comm_time, w, "arrive", payload.iteration)
         elif kind == "arrive":
             # the master serves arrivals one at a time, in event order
+            done = max(t, master_busy_until) + sim_cfg.mu_master
+            if done > sim_cfg.max_time:  # the apply would end past the horizon
+                truncated = True
+                break
             if ready[w] is None:
                 compute_deferred()
             upd, ready[w] = ready[w], None
@@ -227,7 +233,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
             try:
                 state = master_apply(state, upd)
                 staleness_log.append((state.iteration, upd.staleness))
-                master_busy_until = max(t, master_busy_until) + sim_cfg.mu_master
+                master_busy_until = done
                 if state.iteration % sim_cfg.sample_every == 0:
                     _record(trace, model, state, master_busy_until, upd.staleness,
                             include_rmse)

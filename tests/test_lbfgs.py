@@ -280,6 +280,48 @@ class TestRowStorage:
         assert not np.array_equal(mem.pairs[0][0], 0.0)
 
 
+class TestBlockApply:
+    """An (m, d) block through LbfgsMemory.apply: one recursion over the rows,
+    each row bit-identical to the one-dimensional call."""
+
+    @pytest.mark.parametrize("dim", [1, 6, 100, STACKED_MAX_DIM, STACKED_MAX_DIM + 1, 1500])
+    @pytest.mark.parametrize("rho", [0.0, 2.5])
+    def test_rows_equal_one_dimensional_apply(self, dim, rho):
+        # from empty through admissions, rejections and evictions, with
+        # signed zeros in the block
+        rng = np.random.default_rng(dim)
+        for capacity in (1, 3):
+            mem = LbfgsMemory(dim, capacity, epsilon=0.5, rho=rho)
+            admitted = rejected = 0
+            for step in range(3 * capacity + 2):
+                if step:
+                    s = rng.standard_normal(dim)
+                    y = -s if step % 3 == 2 else s + rng.standard_normal(dim)
+                    if mem.try_add(s, y):
+                        admitted += 1
+                    else:
+                        rejected += 1
+                for m in (1, 2, 5):
+                    block = signed_zero_vectors(rng, (m, dim))
+                    kept = block.copy()
+                    got = mem.apply(block)
+                    assert got.shape == (m, dim)
+                    assert same_bits(block, kept)
+                    for row, v in zip(got, block):
+                        assert same_bits(row, mem.apply(v)), BUILD
+                        assert same_bits(row, deque_apply(mem.pairs, mem.gamma(), rho, v)), BUILD
+            assert admitted > capacity and rejected > 0
+
+    def test_empty_memory_keeps_negative_zero(self):
+        block = np.array([[-0.0, 1.0, -0.0], [0.0, -0.0, -2.0]])
+        assert same_bits(LbfgsMemory(3, 2).apply(block), block)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 4), (1, 2, 3), (3, 2)])
+    def test_bad_shape(self, shape):
+        with pytest.raises(ValueError):
+            LbfgsMemory(3, 2).apply(np.ones(shape))
+
+
 class TestApplyStacked:
     @pytest.mark.parametrize("dim", [1, 6, 100, STACKED_MAX_DIM + 1])
     @pytest.mark.parametrize("rho", [0.0, 3.0])

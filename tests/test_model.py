@@ -322,6 +322,88 @@ class TestPerRowTheta:
             stochastic_gradient(model, np.zeros((2, 3)), np.zeros(4, dtype=int))
 
 
+def add_at_grad_sum(model, theta, indices):
+    """The matrix-factorization likelihood-gradient sum of one ``(d,)``
+    parameter over one index list, scattered with np.add.at into zeros."""
+    f, g = model.unpack(theta)
+    r, c = model.rows[indices], model.cols[indices]
+    resid = np.einsum("ik,ik->i", f[r], g[:, c].T) - model.values[indices]
+    grad_f, grad_g = np.zeros_like(f), np.zeros_like(g)
+    np.add.at(grad_f, r, resid[:, None] * g[:, c].T)
+    np.add.at(grad_g.T, c, resid[:, None] * f[r])
+    return model.pack(grad_f, grad_g)
+
+
+class TestLikelihoodGradSums:
+    """likelihood_grad_sums: one sum per index part, each bit-identical to
+    the one-part call, for parts of unequal length and k from 1 to 11."""
+
+    PART_LENGTHS = [(40, 20, 20), (5, 3), (1,), (7, 1, 13, 2)]
+
+    @pytest.mark.parametrize("make_model", [
+        lambda: random_lg(3, n=30, d=7),
+        lambda: random_lg(4, n=600, d=100),
+        random_mf,
+        lambda: synth_matrix_factorization(1, 30, 40, 3),
+        lambda: synth_matrix_factorization(0, 200, 300, 3),
+    ], ids=["lg-small", "lg-paper-size", "mf-tiny", "mf-sparse", "mf-benchmark-size"])
+    def test_each_sum_equals_the_one_part_call(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(model.dim)
+        for lengths in self.PART_LENGTHS:
+            for k in range(1, 12):
+                theta_rows = rng.standard_normal((k, model.dim))
+                theta_rows[rng.random(theta_rows.shape) < 0.05] = -0.0
+                stacked = [rng.integers(0, model.n_records, size=(k, n)) for n in lengths]
+                cases = [(theta_rows[0], [part[0] for part in stacked]),  # (d,), (n,)
+                         (theta_rows[0], stacked),  # (d,), (k, n)
+                         (theta_rows, stacked)]  # (k, d), (k, n)
+                for theta, parts in cases:
+                    got = model.likelihood_grad_sums(theta, parts)
+                    assert len(got) == len(parts)
+                    for sums, part in zip(got, parts):
+                        assert sums.shape == part.shape[:-1] + (model.dim,)
+                        want = model.likelihood_grad_sum(theta, part)
+                        assert np.array_equal(sums, want), BUILD
+                        assert np.array_equal(np.signbit(sums), np.signbit(want)), BUILD
+
+    @pytest.mark.parametrize("make_model", [
+        random_mf,
+        lambda: synth_matrix_factorization(1, 30, 40, 3),
+    ], ids=["mf-tiny", "mf-sparse"])
+    def test_matrix_factorization_sums_equal_add_at_reference(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(6)
+        for lengths in self.PART_LENGTHS:
+            for k in (1, 2, 5, 11):
+                theta = rng.standard_normal((k, model.dim))
+                parts = [rng.integers(0, model.n_records, size=(k, n)) for n in lengths]
+                for sums, part in zip(model.likelihood_grad_sums(theta, parts), parts):
+                    for row, th, indices in zip(sums, theta, part):
+                        want = add_at_grad_sum(model, th, indices)
+                        assert np.array_equal(row, want), BUILD
+                        assert np.array_equal(np.signbit(row), np.signbit(want)), BUILD
+
+    @pytest.mark.parametrize("make_model", [lambda: random_lg(2, n=50, d=6), random_mf],
+                             ids=["lg", "mf"])
+    def test_combined_gradient_previous_part(self, make_model):
+        model = make_model()
+        rng = np.random.default_rng(8)
+        for k in (1, 3):
+            theta = rng.standard_normal((k, model.dim))
+            sub = Subsample(rng.integers(0, model.n_records, (k, 5)),
+                            rng.integers(0, model.n_records, (k, 3)))
+            previous = rng.integers(0, model.n_records, (k, 3))
+            combined, overlap, prev = combined_gradient(model, theta, sub, with_overlap=True,
+                                                        previous=previous)
+            want, want_overlap = combined_gradient(model, theta, sub, with_overlap=True)
+            assert np.array_equal(combined, want)
+            assert np.array_equal(overlap, want_overlap)
+            assert np.array_equal(prev, stochastic_gradient(model, theta, previous))
+        with pytest.raises(ValueError):
+            combined_gradient(model, theta, sub, previous=previous)
+
+
 def two_call_draw_subsample(rng, n_records, n_s, n_o):
     """The former draw: S and O from two calls to the generator."""
     return Subsample(rng.integers(0, n_records, size=n_s),

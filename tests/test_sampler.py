@@ -27,6 +27,7 @@ from asqn import (
     sgld_step,
     stochastic_gradient,
 )
+from asqn.experiments import synth_matrix_factorization
 from asqn.sampler import asgd_updates, compute_updates
 
 
@@ -511,6 +512,43 @@ class TestBatchedUpdates:
             assert same_worker(a, b)
             assert ra.bit_generator.state == rb.bit_generator.state
         assert sum(len(w.memory) for w in batched) > k  # pairs were admitted
+
+    @pytest.mark.parametrize("make_model", [
+        counting_lg, small_mf, lambda: synth_matrix_factorization(0, 100, 120, 3),
+    ], ids=["lg", "mf", "mf-above-stacked-max-dim"])
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_batches_mixing_due_and_fresh_workers(self, make_model, use_memory):
+        # the even workers run alone first, so the first full batch holds
+        # workers with a pair due and workers with none due yet
+        model = make_model()
+        cfg = SamplerConfig(step=1e-3, friction=0.1, inv_temperature=1e3, n_s=5, n_o=3,
+                            epsilon=0.1, rho=0.5, use_memory=use_memory)
+        k = 6
+        batched = [WorkerState(cfg, model.dim) for _ in range(k)]
+        serial = [WorkerState(cfg, model.dim) for _ in range(k)]
+        rngs_b = [np.random.default_rng(w) for w in range(k)]
+        rngs_s = [np.random.default_rng(w) for w in range(k)]
+        rng = np.random.default_rng(5)
+        mixed = 0
+        for step, who in enumerate([[0], [2], [4], list(range(k)), [5, 1, 3, 0], [1, 4]]):
+            snaps = [ParameterState(0.1 * rng.standard_normal(model.dim),
+                                    rng.standard_normal(model.dim), step) for _ in who]
+            due = [batched[w].local_iter >= 1 for w in who]
+            mixed += len(who) > 1 and 0 < sum(due) < len(who)
+            got = compute_updates(cfg, [batched[w] for w in who], snaps, model,
+                                  [rngs_b[w] for w in who])
+            for w, snap, upd in zip(who, snaps, got):
+                want, ctx = compute_update(cfg, serial[w], snap, model, rngs_s[w])
+                post_send_memory_update(serial[w], ctx, model)
+                assert np.array_equal(upd.d_theta, want.d_theta)
+                assert np.array_equal(upd.d_u, want.d_u)
+                assert np.array_equal(np.signbit(upd.d_u), np.signbit(want.d_u))
+        assert mixed == 1
+        for a, b, ra, rb in zip(batched, serial, rngs_b, rngs_s):
+            assert same_worker(a, b)
+            assert ra.bit_generator.state == rb.bit_generator.state
+        admitted = sum(len(w.memory) for w in batched)
+        assert admitted > 0 if use_memory else admitted == 0
 
     def test_batch_evaluates_its_gradients_in_three_calls(self):
         model = counting_lg()

@@ -157,6 +157,25 @@ class TestRunAsync:
         assert res.truncated
         assert res.iterations < 10000
 
+    @pytest.mark.parametrize("max_updates", [0, 10**6])
+    def test_no_update_applied_after_max_time(self, max_updates):
+        # mu_master 30 queues the arrivals: an apply that starts before
+        # max_time can end after it, and is then not applied
+        model, cfg = small_problem()
+        timing = dict(workers=3, mu_worker=50.0, mu_master=30.0, comm_time=5.0)
+        res = run_async(SimConfig(max_updates=max_updates, max_time=1000.0, **timing),
+                        cfg, model)
+        assert res.truncated
+        assert res.final_time <= 1000.0
+        full = run_async(SimConfig(max_updates=60, **timing), cfg, model)
+        assert res.trace == full.trace[:len(res.trace)]
+        assert full.trace[len(res.trace)].time > 1000.0
+        for rec in full.trace[1:-1:7]:
+            res = run_async(SimConfig(max_updates=60, max_time=rec.time + 1.0, **timing),
+                            cfg, model)
+            assert res.truncated
+            assert res.trace[-1] == rec and res.iterations == rec.iteration
+
     def test_trace_invariants(self):
         model, cfg = small_problem()
         sim = SimConfig(workers=3, mu_worker=5.0, sigma_worker=2.0,
@@ -222,6 +241,9 @@ def per_worker_run_async(sim_cfg, sampler_cfg, model, algo="as-lbfgs", theta0=No
             push(t + c + sim_cfg.comm_time, w, "arrive", (upd, snapshot.iteration))
         else:
             upd, n_read = payload
+            if max(t, master_busy_until) + sim_cfg.mu_master > sim_cfg.max_time:
+                truncated = True
+                break
             upd.staleness = state.iteration - n_read
             state = master_apply(state, upd)
             staleness_log.append((state.iteration, upd.staleness))
