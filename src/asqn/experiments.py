@@ -14,17 +14,16 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, WorkerError
-from .model import LinearGaussianModel, MatrixFactorizationModel, draw_subsample, potential, rmse
-from .sampler import MbLbfgsMaster, ParameterState, SamplerConfig, sgld_step
+from .errors import ConfigError, DivergenceError, WorkerError, check_count
+from .model import LinearGaussianModel, MatrixFactorizationModel, potential
+from .sampler import MbLbfgsMaster, SamplerConfig
 from .simulator import (
     SimConfig,
     SimResult,
-    TraceRecord,
     run_async,
     run_sync_mb,
     time_to_epsilon,
@@ -200,12 +199,14 @@ def _deep_merge(base, override):
 
 
 def validate_config(doc: dict) -> ExperimentConfig:
+    """Check ``doc`` and merge it over its preset, if it names one; returns
+    a config that shares no object with ``doc``, which is left as it is."""
     _check_keys(doc, _SCHEMA, "")
+    doc = dict(doc)
     preset = doc.pop("preset", None)
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
-        doc = _deep_merge(PRESETS[preset], doc)
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
+    doc = _deep_merge(PRESETS.get(preset, {}), doc)
     for section, allowed in _SCHEMA.items():
         if isinstance(allowed, set) and section in doc:
             if not isinstance(doc[section], dict):
@@ -226,6 +227,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown algorithm {a!r}; known: {list(ALGORITHMS)}")
     if "problem" not in doc:
         raise ConfigError("missing 'problem' section")
+    check_count("repetitions", doc.get("repetitions", 1))
     return ExperimentConfig(doc)
 
 
@@ -391,7 +393,7 @@ def _sampler_cfg(cfg, algo, model):
 def _sim_cfg(cfg, algo, seed, sigma_override=None):
     s = dict(cfg.get("sim") or {})
     timing = (s.get("timing") or {}).get(algo, {})
-    return SimConfig(
+    sim = SimConfig(
         workers=s.get("workers", 1),
         mu_master=timing.get("mu_master", 0.0),
         mu_worker=timing.get("mu_worker", s.get("mu_worker", 1.0)),
@@ -404,46 +406,16 @@ def _sim_cfg(cfg, algo, seed, sigma_override=None):
         sample_every=s.get("sample_every", 1),
         wait_for_stragglers=s.get("wait_for_stragglers", True),
     )
+    if algo == "sgld":  # the SGLD baseline is serial and models no compute-time jitter
+        sim = replace(sim, workers=1, sigma_worker=0.0)
+    return sim
 
 
 def run_sgld_serial(sim_cfg: SimConfig, sampler_cfg, model, theta0=None) -> SimResult:
-    """Serial SGLD baseline with simulated per-iteration timing.
-
-    Like the other engines it logs every update and always ends its trace
-    with the final iterate."""
-    rng = np.random.default_rng(sim_cfg.seed)
-    theta = np.zeros(model.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    step_time = sim_cfg.mu_worker + 2 * sim_cfg.comm_time + sim_cfg.mu_master
-    trace = []
-    staleness_log = []
-    state = ParameterState(theta=theta, u=np.zeros(model.dim), iteration=0)
-    include_rmse = isinstance(model, MatrixFactorizationModel)
-
-    def record(t):
-        trace.append(TraceRecord(t, state.iteration, 0, potential(model, state.theta),
-                                 rmse(model, state.theta) if include_rmse else None))
-
-    record(0.0)
-    t = 0.0
-    truncated = False
-    n = 0
-    while n < sim_cfg.update_limit:
-        if t + step_time > sim_cfg.max_time:
-            truncated = True
-            break
-        n += 1
-        sub = draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
-        theta = sgld_step(theta, sampler_cfg.step, sampler_cfg.inv_temperature,
-                          model, sub.combined, rng)
-        t += step_time
-        state = ParameterState(theta=theta, u=state.u, iteration=n)
-        staleness_log.append((n, 0))
-        if n % sim_cfg.sample_every == 0:
-            record(t)
-    if trace[-1].iteration != state.iteration:
-        record(t)
-    return SimResult(trace=trace, final_state=state, staleness_log=staleness_log,
-                     truncated=truncated)
+    """Serial SGLD baseline: :func:`~asqn.simulator.run_async` with the SGLD
+    update, serial when ``sim_cfg`` has one worker and no jitter, as the
+    experiment driver gives it."""
+    return run_async(sim_cfg, sampler_cfg, model, algo="sgld", theta0=theta0)
 
 
 def _initial_theta(cfg, model):
@@ -470,8 +442,6 @@ def _simulate_one(cfg, algo, model, seed, sigma=None):
             memory_size=samp.memory_size, epsilon=samp.epsilon, rho=samp.rho,
         )
         return run_sync_mb(sim, master, samp, model, theta0=theta0)
-    if algo == "sgld":
-        return run_sgld_serial(sim, samp, model, theta0=theta0)
     return run_async(sim, samp, model, algo=algo, theta0=theta0)
 
 

@@ -27,16 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
-from .model import MatrixFactorizationModel, draw_subsample, potential
+from .errors import ConfigError, DivergenceError, check_count
+from .model import MatrixFactorizationModel, potential
 from .model import rmse as model_rmse
-from .sampler import (
-    ParameterState,
-    WorkerState,
-    asgd_step,
-    compute_update,
-    post_send_memory_update,
-)
+from .sampler import WORKER_UPDATES, ParameterState, WorkerState
 from .simulator import TraceRecord
 
 # a worker still running this long after the stop event is terminated
@@ -201,23 +195,20 @@ def receive_report(conn, proc):
 
 def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
                  sample_every, max_wall_s, staleness_limit, t0):
-    """One worker process: loops snapshot -> compute_update -> exclusive
-    apply -> post-send memory update, then sends its sampled
+    """One worker process: loops snapshot -> update (with the memory
+    update) -> exclusive apply, then sends its sampled
     ``(time, n, staleness, theta)`` rows, its staleness log and its first
     error (or None) to the parent."""
     sampled: list = []
     error = None
     rng = np.random.default_rng(seed + w)
     ws = WorkerState(sampler_cfg, model.dim)
+    worker_updates = WORKER_UPDATES[algo]
     try:
         while not master.stop.is_set():
             theta, u, n_read = master.snapshot()
             snap = ParameterState(theta=theta, u=u, iteration=n_read)
-            if algo == "as-lbfgs":
-                upd, ctx = compute_update(sampler_cfg, ws, snap, model, rng)
-            else:
-                sub = draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
-                upd, ctx = asgd_step(theta, sampler_cfg.step, model, sub.combined), None
+            upd = worker_updates(sampler_cfg, [ws], [snap], model, [rng])[0]
             if master.stop.is_set():
                 break
             applied = master.apply(upd, n_read, sample_every, staleness_limit)
@@ -226,8 +217,6 @@ def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
             n, staleness, theta_s = applied
             if theta_s is not None:
                 sampled.append((_time.perf_counter() - t0, n, staleness, theta_s))
-            if ctx is not None:
-                post_send_memory_update(ws, ctx, model)
             if n >= max_updates:
                 master.stop.set()
             if max_wall_s is not None and _time.perf_counter() - t0 > max_wall_s:
@@ -277,18 +266,21 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
         seed=0, sample_every=0, max_wall_s=None, staleness_limit=None) -> RunReport:
     """Run W forked worker processes against a shared master state.
 
-    Each worker loops snapshot -> compute_update -> exclusive apply ->
-    post-send memory update.  Stops after ``max_updates`` applies or
-    ``max_wall_s`` seconds, or when any worker fails; the first failure is
-    reported as ``"<ExcType>: <message>"`` in ``error``, a worker that dies
-    without reporting as ``"WorkerError: worker exited with code N"``.
-    ``staleness_limit`` enables optional back-pressure: an update whose
-    staleness would exceed the limit is discarded and recomputed from a
-    fresh snapshot, so every applied update has staleness at most the
-    limit.  No worker process outlives the call.
+    Each worker loops snapshot -> update -> exclusive apply, computing its
+    update through :data:`~asqn.sampler.WORKER_UPDATES` one worker at a
+    time; an as-L-BFGS worker's memory takes its post-send update there,
+    before the apply, as in the simulator.  Stops after ``max_updates``
+    applies or ``max_wall_s`` seconds, or when any worker fails; the first
+    failure is reported as ``"<ExcType>: <message>"`` in ``error``, a
+    worker that dies without reporting as ``"WorkerError: worker exited
+    with code N"``.  ``staleness_limit`` enables optional back-pressure: an
+    update whose staleness would exceed the limit is discarded and
+    recomputed from a fresh snapshot, so every applied update has
+    staleness at most the limit.  A discarded update has still advanced
+    its worker's memory, so the curvature pair it formed stays.  SGLD is
+    serial and is not run here.  No worker process outlives the call.
     """
-    if workers < 1:
-        raise ConfigError(f"need at least one worker, got {workers}")
+    check_count("workers", workers)
     if algo not in ("as-lbfgs", "a-sgd"):
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
     # checked before any fork: a worker applies once before it looks at

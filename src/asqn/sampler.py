@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_count
 from .lbfgs import LbfgsMemory, apply_stacked
 from .model import Subsample, combined_gradient, draw_subsample, stochastic_gradient
 
@@ -48,8 +48,7 @@ class SamplerConfig:
         if self.inv_temperature <= 0:
             raise ConfigError(f"inverse temperature must be positive, got {self.inv_temperature}")
         for name in ("memory_size", "n_s", "n_o"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+            check_count(name, getattr(self, name))
 
     def noise_scale(self) -> float:
         if math.isinf(self.inv_temperature):
@@ -296,7 +295,8 @@ def asgd_step(theta, h, model, indices) -> UpdateVector:
         raise ValueError(f"h must be positive, got {h}")
     g = stochastic_gradient(model, theta, indices)
     if not np.isfinite(g).all():
-        raise DivergenceError("non-finite gradient in a-SGD step")
+        # SGLD takes its steps from here too, so the message names neither
+        raise DivergenceError("non-finite gradient in a stochastic gradient step")
     return UpdateVector(d_theta=-h * g, d_u=np.zeros_like(theta))
 
 
@@ -323,6 +323,38 @@ def asgd_updates(cfg, snapshots, model, rngs) -> list[UpdateVector]:
             return [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(subs))]
     return [asgd_step(snap.theta, cfg.step, model, sub.combined)
             for snap, sub in zip(snapshots, subs)]
+
+
+def sgld_updates(cfg, snapshots, model, rngs) -> list[UpdateVector]:
+    """SGLD updates of k workers: the a-SGD update of each at its own
+    snapshot plus sqrt(2 h / beta) times a standard normal vector that the
+    worker draws from its own generator after its subsample (none at
+    beta = inf).
+
+    Applied by master_apply, this is sgld_step as an additive update,
+    theta + (-h g + xi) in place of (theta - h g) + xi, which can differ in
+    the last bit at finite beta and gives the same bits at beta = inf.
+    """
+    updates = asgd_updates(cfg, snapshots, model, rngs)
+    if not math.isinf(cfg.inv_temperature):
+        scale = math.sqrt(2.0 * cfg.step / cfg.inv_temperature)
+        for upd, rng in zip(updates, rngs):
+            upd.d_theta += scale * rng.standard_normal(model.dim)
+    return updates
+
+
+# The updates of k >= 1 distinct workers of each asynchronous algorithm,
+# each at its own snapshot and drawing from its own generator, all called as
+# (cfg, workers, snapshots, model, rngs) -> updates.  Both the simulator's
+# event loop and the runtime's worker processes compute through this table;
+# a-SGD and SGLD keep no worker state.
+WORKER_UPDATES = {
+    "as-lbfgs": compute_updates,
+    "a-sgd": lambda cfg, workers, snapshots, model, rngs: asgd_updates(
+        cfg, snapshots, model, rngs),
+    "sgld": lambda cfg, workers, snapshots, model, rngs: sgld_updates(
+        cfg, snapshots, model, rngs),
+}
 
 
 class MbLbfgsMaster:

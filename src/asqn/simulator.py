@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, check_count
 from .model import rmse as model_rmse
 from .model import (
     MatrixFactorizationModel,
@@ -31,14 +31,7 @@ from .model import (
     draw_subsample,
     potential,
 )
-from .sampler import (
-    MbLbfgsMaster,
-    ParameterState,
-    WorkerState,
-    asgd_updates,
-    compute_updates,
-    master_apply,
-)
+from .sampler import WORKER_UPDATES, MbLbfgsMaster, ParameterState, WorkerState, master_apply
 
 
 @dataclass
@@ -58,8 +51,7 @@ class SimConfig:
     wait_for_stragglers: bool = True  # mb only; see run_sync_mb
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ConfigError(f"need at least one worker, got {self.workers}")
+        check_count("workers", self.workers)
         if self.mu_master < 0 or self.mu_worker < 0 or self.comm_time < 0:
             raise ConfigError("times must be nonnegative")
         if self.sigma_worker < 0:
@@ -137,12 +129,17 @@ def _record(trace, model, state, time, staleness, include_rmse):
 
 
 def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=None) -> SimResult:
-    """Event loop for the asynchronous algorithms (as-L-BFGS and a-SGD).
+    """Event loop for the asynchronous algorithms (as-L-BFGS, a-SGD and SGLD).
 
     Each worker cycles receive -> compute -> send; the master serializes
     applies FIFO by arrival with the (time, worker, sequence) tie-break.
     A worker gets its fresh snapshot only in reply to its own send, so its
-    staleness accrues from the other workers' applies in between.
+    staleness accrues from the other workers' applies in between.  Every
+    update comes from :data:`~asqn.sampler.WORKER_UPDATES`, which also
+    advances an as-L-BFGS worker's memory before the master applies the
+    update, the order the runtime's workers follow too.  At W = 1 with
+    ``sigma_worker`` 0 and the SGLD update this is serial SGLD: update n
+    lands at n * (mu_worker + 2 * comm_time + mu_master).
 
     Every receive schedules an arrive and every arrive a receive, so the
     event heap always holds one event per worker and the loop ends only at
@@ -154,8 +151,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     The schedule depends only on the timing generators, so a popped
     receive draws its compute time and schedules its arrive at once, but
     its update is computed later: the first arrive whose update is not yet
-    computed computes every such deferred receive in one stacked call
-    (:func:`~asqn.sampler.compute_updates`, :func:`~asqn.sampler.asgd_updates`).
+    computed computes every such deferred receive in one stacked call.
     Only receives already popped are computed, each worker on its own
     generator and memory, so traces are bit-identical to computing each
     receive at its pop, given a numpy/BLAS build whose stacked kernels
@@ -165,8 +161,9 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     before it (whose error comes first), and the receives still deferred
     at the horizon are computed before returning.
     """
-    if algo not in ("as-lbfgs", "a-sgd"):
+    if algo not in WORKER_UPDATES:
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
+    worker_updates = WORKER_UPDATES[algo]
     dim = model.dim
     state = ParameterState.zeros(dim)
     if theta0 is not None:
@@ -198,12 +195,8 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
             return
         batch, snapshots = zip(*deferred)
         deferred.clear()
-        rngs = [samp_rngs[w] for w in batch]
-        if algo == "as-lbfgs":
-            updates = compute_updates(sampler_cfg, [workers[w] for w in batch], snapshots,
-                                      model, rngs)
-        else:
-            updates = asgd_updates(sampler_cfg, snapshots, model, rngs)
+        updates = worker_updates(sampler_cfg, [workers[w] for w in batch], snapshots, model,
+                                 [samp_rngs[w] for w in batch])
         for w, upd in zip(batch, updates):
             ready[w] = upd
 

@@ -145,6 +145,40 @@ class TestValidateConfig:
         again = validate_config(json.loads(cfg.to_json()))
         assert again.doc == cfg.doc
 
+    def test_input_left_alone_and_not_shared(self):
+        # validating twice gives the same config: the preset is not popped
+        # from the caller's dict
+        doc = {"preset": "linear-gaussian-paper", "sim": {"max_updates": 30}}
+        first, second = validate_config(doc), validate_config(doc)
+        assert first.doc == second.doc and first["sim"]["max_updates"] == 30
+        assert doc == {"preset": "linear-gaussian-paper", "sim": {"max_updates": 30}}
+        # a later change to the caller's dict does not reach a validated config
+        for doc in (tiny_config(), {"preset": "linear-gaussian-paper", "sim": {}}):
+            cfg = validate_config(doc)
+            before = cfg.to_json()
+            doc["sim"]["workers"] = 7
+            doc["mode"] = "run"
+            assert cfg.to_json() == before
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sim", "workers", 2.0),
+        ("sim", "workers", True),
+        ("sampler", "n_s", 4.5),
+        ("sampler", "n_o", 2.0),
+        ("sampler", "memory_size", 1.5),
+        ("runtime", "workers", 2.0),
+        (None, "repetitions", 1.5),
+    ])
+    def test_non_integer_count_is_a_config_error(self, tmp_path, capsys, section, key, value):
+        doc = tiny_config(mode="run" if section == "runtime" else "simulate")
+        (doc[section] if section else doc)[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} must be an integer" in err
+        assert "Traceback" not in err
+
 
 class TestLoadConfig:
     def test_malformed_json_reports_line(self, tmp_path):
@@ -337,6 +371,19 @@ class TestRunExperiment:
         assert [p["workers"] for p in points] == [1, 2]
         assert all("speedup_vs_w1" in p for p in points)
         assert points[0]["speedup_vs_w1"] == pytest.approx(1.0)
+
+    def test_sgld_is_serial_whatever_the_sweep(self, tmp_path):
+        # the SGLD baseline runs on one worker without jitter, so a sigma
+        # sweep over a 10-worker cluster writes the same serial trace twice
+        sim = {**tiny_config()["sim"], "workers": 10}
+        cfg = validate_config(tiny_config(algorithms=["sgld"], sim=sim,
+                                          sweep={"sigma_worker": [0.0, 50.0]}))
+        run_experiment(cfg, out_dir=str(tmp_path))
+        traces = [(tmp_path / f"sgld_sigma-{s}_rep-0.csv").read_text() for s in ("0", "50")]
+        assert traces[0] == traces[1]
+        rows = [row.split(",") for row in traces[0].splitlines()[1:]]
+        assert [(float(t), int(n), int(l)) for t, n, l, _ in rows] == [
+            (5.0 * n, n, 0) for n in range(0, 41, 5)]
 
     def test_run_mode_rejects_serial_baselines(self, tmp_path):
         cfg = validate_config(tiny_config(mode="run", algorithms=["sgld"]))

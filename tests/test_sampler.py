@@ -28,7 +28,7 @@ from asqn import (
     stochastic_gradient,
 )
 from asqn.experiments import synth_matrix_factorization
-from asqn.sampler import asgd_updates, compute_updates
+from asqn.sampler import asgd_updates, compute_updates, sgld_updates
 
 
 def zero_gradient_model(dim=1):
@@ -603,3 +603,43 @@ class TestBatchedUpdates:
         assert [workers[w].local_iter for w in order[:first]] == [1] * first
         with pytest.raises(error):
             asgd_updates(cfg, snaps, model, [np.random.default_rng(w) for w in order])
+
+
+class TestSgldUpdates:
+    """sgld_updates: a-SGD updates plus each worker's own noise."""
+
+    @pytest.mark.parametrize("make_model", [counting_lg, small_mf], ids=["lg", "mf"])
+    @pytest.mark.parametrize("beta", [math.inf, 50.0])
+    def test_batch_equals_one_worker_at_a_time_and_sgld_step(self, make_model, beta):
+        model = make_model()
+        cfg = SamplerConfig(step=0.02, friction=0.1, inv_temperature=beta, n_s=5, n_o=3)
+        k = 4
+        rngs_b, rngs_s, rngs_r = ([np.random.default_rng(w) for w in range(k)]
+                                  for _ in range(3))
+        rng = np.random.default_rng(3)
+        for who in ([0, 1, 2, 3], [2], [3, 0], [1, 3, 2]):
+            snaps = [ParameterState(rng.standard_normal(model.dim), np.zeros(model.dim))
+                     for _ in who]
+            got = sgld_updates(cfg, snaps, model, [rngs_b[w] for w in who])
+            for w, snap, upd in zip(who, snaps, got):
+                (one,) = sgld_updates(cfg, [snap], model, [rngs_s[w]])
+                assert np.array_equal(upd.d_theta, one.d_theta)
+                assert np.array_equal(upd.d_u, one.d_u) and not upd.d_u.any()
+                sub = draw_subsample(rngs_r[w], model.n_records, cfg.n_s, cfg.n_o)
+                want = sgld_step(snap.theta, cfg.step, beta, model, sub.combined, rngs_r[w])
+                np.testing.assert_allclose(snap.theta + upd.d_theta, want,
+                                           rtol=1e-12, atol=1e-12)
+        for a, b, r in zip(rngs_b, rngs_s, rngs_r):
+            assert a.bit_generator.state == b.bit_generator.state == r.bit_generator.state
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_nonfinite_gradient_raises_without_naming_a_sgd(self, k):
+        model = counting_lg()
+        cfg = SamplerConfig(step=0.02, friction=0.1, inv_temperature=50.0, n_s=5, n_o=3)
+        snaps = [ParameterState(np.full(model.dim, np.inf), np.zeros(model.dim), 4)
+                 for _ in range(k)]
+        with pytest.raises(DivergenceError) as info:
+            sgld_updates(cfg, snaps, model, [np.random.default_rng(w) for w in range(k)])
+        assert "non-finite gradient" in str(info.value)
+        assert "a-SGD" not in str(info.value)

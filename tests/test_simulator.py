@@ -4,6 +4,7 @@ import heapq
 import math
 import multiprocessing
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from asqn import (
     rmse,
     run_async,
     run_sync_mb,
+    sgld_step,
     time_to_epsilon,
 )
 from asqn.experiments import run_sgld_serial, synth_matrix_factorization
@@ -395,6 +397,76 @@ class RaisingAt(LinearGaussianModel):
         if np.any(np.all(np.atleast_2d(theta) == self.marked, axis=-1)):
             raise RuntimeError("marked parameter")
         return super().likelihood_grad_sum(theta, indices)
+
+
+def serial_sgld_reference(sim_cfg, sampler_cfg, model, theta0=None):
+    """The former serial SGLD engine: one sgld_step per update, update n at
+    time n * (mu_worker + 2 * comm_time + mu_master)."""
+    rng = np.random.default_rng(sim_cfg.seed)
+    theta = np.zeros(model.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    step_time = sim_cfg.mu_worker + 2 * sim_cfg.comm_time + sim_cfg.mu_master
+    trace, staleness_log = [], []
+    state = ParameterState(theta=theta, u=np.zeros(model.dim), iteration=0)
+    include_rmse = isinstance(model, MatrixFactorizationModel)
+    _record(trace, model, state, 0.0, 0, include_rmse)
+    t, n, truncated = 0.0, 0, False
+    while n < sim_cfg.update_limit:
+        if t + step_time > sim_cfg.max_time:
+            truncated = True
+            break
+        n += 1
+        sub = draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
+        theta = sgld_step(theta, sampler_cfg.step, sampler_cfg.inv_temperature,
+                          model, sub.combined, rng)
+        t += step_time
+        state = ParameterState(theta=theta, u=state.u, iteration=n)
+        staleness_log.append((n, 0))
+        if n % sim_cfg.sample_every == 0:
+            _record(trace, model, state, t, 0, include_rmse)
+    if trace[-1].iteration != state.iteration:
+        _record(trace, model, state, t, 0, include_rmse)
+    return SimResult(trace=trace, final_state=state, staleness_log=staleness_log,
+                     truncated=truncated)
+
+
+class TestSerialSgld:
+    """run_sgld_serial is run_async at W = 1 with the SGLD update; it gives
+    the former serial engine's run, to the last bit at beta = inf and within
+    rtol 1e-12 otherwise, because theta + (-h g + xi) replaced
+    (theta - h g) + xi."""
+
+    @pytest.mark.parametrize("horizon, iterations", [
+        (dict(max_updates=60), 60),
+        (dict(max_updates=10**6, max_time=500.0), 32),
+        (dict(max_updates=0, max_time=500.0), 32),
+    ], ids=["updates", "time", "time-only"])
+    @pytest.mark.parametrize("beta", [1e3, math.inf])
+    @pytest.mark.parametrize("name", ["lg", "mf"])
+    def test_matches_former_serial_engine(self, name, beta, horizon, iterations):
+        model, cfg, theta0 = problem(name)
+        cfg = replace(cfg, inv_temperature=beta)
+        # 15.5 per update, exact in binary
+        sim = SimConfig(mu_worker=10.0, comm_time=2.5, mu_master=0.5, sample_every=7,
+                        seed=3, **horizon)
+        got = run_sgld_serial(sim, cfg, model, theta0=theta0)
+        want = serial_sgld_reference(sim, cfg, model, theta0=theta0)
+        assert same_result(got, run_async(sim, cfg, model, algo="sgld", theta0=theta0))
+        assert got.iterations == want.iterations == iterations
+        assert got.truncated == want.truncated == (iterations == 32)
+        assert got.staleness_log == want.staleness_log
+        assert ([(r.time, r.iteration, r.staleness) for r in got.trace]
+                == [(r.time, r.iteration, r.staleness) for r in want.trace])
+        if math.isinf(beta):
+            assert same_result(got, want)
+            return
+        np.testing.assert_allclose(got.final_state.theta, want.final_state.theta,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(got.final_state.u, want.final_state.u)
+        for a, b in zip(got.trace, want.trace):
+            assert a.potential == pytest.approx(b.potential, rel=1e-12, abs=0)
+            assert (a.rmse is None) == (b.rmse is None)
+            if a.rmse is not None:
+                assert a.rmse == pytest.approx(b.rmse, rel=1e-12, abs=0)
 
 
 class TestRunSyncMb:
