@@ -27,8 +27,9 @@ class WorkerError(RuntimeError):
     running simulate-mode sweep points died without reporting."""
 
 
-def check_count(name, value):
+def check_count(name, value, minimum=1):
     """Raise :class:`ConfigError` naming ``name`` unless ``value`` is an
-    integer of at least 1; a float such as 2.0 or a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer of at least 1, got {value!r}")
+    integer of at least ``minimum``; a float such as 2.0 or a bool is not a
+    count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{name} must be an integer of at least {minimum}, got {value!r}")

@@ -396,7 +396,7 @@ def _sim_cfg(cfg, algo, seed, sigma_override=None):
     sim = SimConfig(
         workers=s.get("workers", 1),
         mu_master=timing.get("mu_master", 0.0),
-        mu_worker=timing.get("mu_worker", s.get("mu_worker", 1.0)),
+        mu_worker=timing.get("mu_worker", 1.0),
         sigma_worker=s.get("sigma_worker", 0.0) if sigma_override is None else sigma_override,
         comm_time=s.get("comm_time", 0.0),
         timeout=s.get("timeout", math.inf),
@@ -436,13 +436,26 @@ def _simulate_one(cfg, algo, model, seed, sigma=None):
     sim = _sim_cfg(cfg, algo, seed, sigma_override=sigma)
     theta0 = _initial_theta(cfg, model)
     if algo == "mb-lbfgs-simplified":
-        over = (cfg.get("baselines") or {}).get(algo, {})
-        master = MbLbfgsMaster(
-            model.dim, step=over.get("step", samp.step),
-            memory_size=samp.memory_size, epsilon=samp.epsilon, rho=samp.rho,
-        )
+        master = MbLbfgsMaster(model.dim, step=samp.step, memory_size=samp.memory_size,
+                               epsilon=samp.epsilon, rho=samp.rho)
         return run_sync_mb(sim, master, samp, model, theta0=theta0)
     return run_async(sim, samp, model, algo=algo, theta0=theta0)
+
+
+def _run_point(cfg, model, algo, seed, workers):
+    """One run-mode point: :func:`asqn.runtime.run` on ``workers`` worker
+    processes; a worker's failure is raised as its error type."""
+    r = cfg.get("runtime") or {}
+    result = rt.run(
+        workers=workers, sampler_cfg=_sampler_cfg(cfg, algo, model), model=model, algo=algo,
+        max_updates=r.get("max_updates", 1000), theta0=_initial_theta(cfg, model), seed=seed,
+        sample_every=r.get("sample_every", 0) or 0,
+    )
+    if result.error:
+        if result.error.startswith(f"{DivergenceError.__name__}:"):
+            raise DivergenceError(result.error)
+        raise WorkerError(result.error)
+    return result
 
 
 def _mean_std(values):
@@ -518,7 +531,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     only, for the ``fork`` start method); the outputs are byte-identical
     to a run on one process.  Run mode runs its points one after another,
     because each times :func:`asqn.runtime.run`, which forks its own
-    workers."""
+    workers; it rejects the serial baselines before the first point runs."""
     out_dir = out_dir or cfg.get("output_dir") or "out"
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -533,13 +546,46 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
         raise
 
 
+def _point_summary(mode, runs, u_star, eps):
+    """Summary figures of one sweep value over its repetitions."""
+    finals = _mean_std(res.final_potential for res in runs)[0]
+    if mode == "run":
+        w_mean, w_std, _ = _mean_std(res.wall_ms for res in runs)
+        return {"wall_ms_mean": w_mean, "wall_ms_std": w_std, "final_potential_mean": finals}
+    times = [time_to_epsilon(res.trace, u_star, eps) for res in runs] if u_star is not None else []
+    t_mean, t_std, t_n = _mean_std(times)
+    r_mean, r_std, _ = _mean_std(res.trace[-1].rmse for res in runs)
+    return {
+        "time_to_epsilon_mean": t_mean,
+        "time_to_epsilon_std": t_std,
+        "reached": t_n,
+        "final_potential_mean": finals,
+        "final_rmse_mean": r_mean,
+        "final_rmse_std": r_std,
+    }
+
+
 def _run_experiment_inner(cfg, out_dir, written):
-    model, u_star = build_problem(cfg)
     mode = cfg["mode"]
+    algorithms = cfg["algorithms"]
+    if mode == "run":
+        for algo in algorithms:
+            if algo in ("mb-lbfgs-simplified", "sgld"):
+                raise ConfigError(f"{algo} is not available in run mode")
+    model, u_star = build_problem(cfg)
     reps = cfg.get("repetitions", 1)
     base_seed = cfg.get("base_seed", 0)
     eps = cfg.get("epsilon_accuracy", 1e-2)
-    sweep = cfg.get("sweep") or {}
+    # the swept value, its name in trace file names, and its unswept source
+    key, label, section, default = {"simulate": ("sigma_worker", "sigma", "sim", 0.0),
+                                    "run": ("workers", "workers", "runtime", 1)}[mode]
+    values = (cfg.get("sweep") or {}).get(key) or [(cfg.get(section) or {}).get(key, default)]
+    points = [(algo, base_seed + k, value)
+              for algo in algorithms for value in values for k in range(reps)]
+    if mode == "simulate":
+        results = iter(_simulate_points(cfg, model, points))
+    else:
+        results = iter([_run_point(cfg, model, *point) for point in points])
     summary = {
         "mode": mode,
         "u_star": u_star,
@@ -548,82 +594,21 @@ def _run_experiment_inner(cfg, out_dir, written):
         "repetition_seeds": [base_seed + k for k in range(reps)],
         "algorithms": {},
     }
-    if mode == "simulate":
-        sigmas = sweep.get("sigma_worker") or [
-            (cfg.get("sim") or {}).get("sigma_worker", 0.0)
-        ]
-        results = iter(_simulate_points(cfg, model, [
-            (algo, base_seed + k, sigma)
-            for algo in cfg["algorithms"] for sigma in sigmas for k in range(reps)
-        ]))
-        for algo in cfg["algorithms"]:
-            points = []
-            for sigma in sigmas:
-                times, finals, rmses = [], [], []
-                for k in range(reps):
-                    res = next(results)
-                    name = f"{algo}_sigma-{sigma:g}_rep-{k}.csv"
-                    path = os.path.join(out_dir, name)
-                    write_trace_csv(res.trace, path)
-                    written.append(path)
-                    if u_star is not None:
-                        times.append(time_to_epsilon(res.trace, u_star, eps))
-                    finals.append(res.trace[-1].potential)
-                    if res.trace[-1].rmse is not None:
-                        rmses.append(res.trace[-1].rmse)
-                t_mean, t_std, t_n = _mean_std(times)
-                r_mean, r_std, _ = _mean_std(rmses)
-                points.append({
-                    "sigma_worker": sigma,
-                    "time_to_epsilon_mean": t_mean,
-                    "time_to_epsilon_std": t_std,
-                    "reached": t_n,
-                    "final_potential_mean": _mean_std(finals)[0],
-                    "final_rmse_mean": r_mean,
-                    "final_rmse_std": r_std,
-                })
-            summary["algorithms"][algo] = {"points": points}
-    else:
-        worker_counts = sweep.get("workers") or [
-            (cfg.get("runtime") or {}).get("workers", 1)
-        ]
-        r = cfg.get("runtime") or {}
-        for algo in cfg["algorithms"]:
-            if algo in ("mb-lbfgs-simplified", "sgld"):
-                raise ConfigError(f"{algo} is not available in run mode")
-            points = []
-            for w in worker_counts:
-                walls, finals = [], []
-                for k in range(reps):
-                    samp = _sampler_cfg(cfg, algo, model)
-                    report = rt.run(
-                        workers=w, sampler_cfg=samp, model=model, algo=algo,
-                        max_updates=r.get("max_updates", 1000),
-                        theta0=_initial_theta(cfg, model),
-                        seed=base_seed + k,
-                        sample_every=r.get("sample_every", 0) or 0,
-                    )
-                    if report.error:
-                        if report.error.startswith(f"{DivergenceError.__name__}:"):
-                            raise DivergenceError(report.error)
-                        raise WorkerError(report.error)
-                    name = f"{algo}_workers-{w}_rep-{k}.csv"
-                    path = os.path.join(out_dir, name)
-                    write_trace_csv(report.trace, path)
-                    written.append(path)
-                    walls.append(report.wall_ms)
-                    finals.append(report.final_potential)
-                points.append({
-                    "workers": w,
-                    "wall_ms_mean": _mean_std(walls)[0],
-                    "wall_ms_std": _mean_std(walls)[1],
-                    "final_potential_mean": _mean_std(finals)[0],
-                })
-            base = next((p for p in points if p["workers"] == 1), None)
-            if base:
-                for p in points:
-                    p["speedup_vs_w1"] = base["wall_ms_mean"] / p["wall_ms_mean"]
-            summary["algorithms"][algo] = {"points": points}
+    for algo in algorithms:
+        summary_points = []
+        for value in values:
+            runs = [next(results) for _ in range(reps)]
+            for k, res in enumerate(runs):
+                path = os.path.join(out_dir, f"{algo}_{label}-{value:g}_rep-{k}.csv")
+                write_trace_csv(res.trace, path)
+                written.append(path)
+            summary_points.append({key: value, **_point_summary(mode, runs, u_star, eps)})
+        # run mode: the speedup of each worker count over one worker
+        base = next((p for p in summary_points if p.get("workers") == 1), None)
+        if base:
+            for p in summary_points:
+                p["speedup_vs_w1"] = base["wall_ms_mean"] / p["wall_ms_mean"]
+        summary["algorithms"][algo] = {"points": summary_points}
     spath = os.path.join(out_dir, "summary.json")
     with open(spath, "w") as fh:
         json.dump(summary, fh, indent=2)

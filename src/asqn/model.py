@@ -184,10 +184,6 @@ class MatrixFactorizationModel:
     def pack(self, f, g):
         return np.concatenate([f.ravel(), g.ravel()])
 
-    def _check_dim(self, theta):
-        if theta.shape != (self.dim,):
-            raise ConfigError(f"expected parameter of shape ({self.dim},), got {theta.shape}")
-
     def predictions(self, theta, indices=None):
         f, g = self.unpack(theta)
         r = self.rows if indices is None else self.rows[indices]

@@ -17,21 +17,17 @@ from a process whose other threads are idle or joined.
 from __future__ import annotations
 
 import contextlib
-import json
 import mmap
 import multiprocessing
 import multiprocessing.connection
 import os
 import time as _time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, check_count
-from .model import MatrixFactorizationModel, potential
-from .model import rmse as model_rmse
 from .sampler import WORKER_UPDATES, ParameterState, WorkerState
-from .simulator import TraceRecord
+from .simulator import Recorder, SimResult
 
 # a worker still running this long after the stop event is terminated
 _STOP_GRACE_S = 60.0
@@ -115,28 +111,6 @@ class SharedMasterState:
         if not ok:
             raise DivergenceError(f"non-finite iterate after update {n}", iteration=n)
         return n, staleness, sampled
-
-
-@dataclass
-class RunReport:
-    wall_ms: float
-    iterations: int
-    max_staleness: int
-    final_potential: float
-    trace: list
-    final_state: ParameterState
-    staleness_log: list
-    error: str | None = None
-
-    def summary_json(self) -> str:
-        return json.dumps(
-            {
-                "wall_ms": self.wall_ms,
-                "iters": self.iterations,
-                "max_staleness": self.max_staleness,
-                "final_potential": self.final_potential,
-            }
-        )
 
 
 def worker_cap() -> int | None:
@@ -263,7 +237,7 @@ def _collect(procs, conns, master, t0, max_wall_s):
 
 
 def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=None,
-        seed=0, sample_every=0, max_wall_s=None, staleness_limit=None) -> RunReport:
+        seed=0, sample_every=0, max_wall_s=None, staleness_limit=None) -> SimResult:
     """Run W forked worker processes against a shared master state.
 
     Each worker loops snapshot -> update -> exclusive apply, computing its
@@ -271,22 +245,24 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     time; an as-L-BFGS worker's memory takes its post-send update there,
     before the apply, as in the simulator.  Stops after ``max_updates``
     applies or ``max_wall_s`` seconds, or when any worker fails; the first
-    failure is reported as ``"<ExcType>: <message>"`` in ``error``, a
-    worker that dies without reporting as ``"WorkerError: worker exited
-    with code N"``.  ``staleness_limit`` enables optional back-pressure: an
+    failure is reported as ``"<ExcType>: <message>"`` in the result's
+    ``error``, a worker that dies without reporting as ``"WorkerError:
+    worker exited with code N"``.  ``staleness_limit`` enables optional back-pressure: an
     update whose staleness would exceed the limit is discarded and
     recomputed from a fresh snapshot, so every applied update has
     staleness at most the limit.  A discarded update has still advanced
-    its worker's memory, so the curvature pair it formed stays.  SGLD is
-    serial and is not run here.  No worker process outlives the call.
+    its worker's memory, so the curvature pair it formed stays.  The trace
+    holds the state after every ``sample_every``-th apply (none when it is
+    0) and ``wall_ms`` the wall time of the call.  SGLD is serial and is
+    not run here.  No worker process outlives the call.
     """
     check_count("workers", workers)
     if algo not in ("as-lbfgs", "a-sgd"):
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
     # checked before any fork: a worker applies once before it looks at
     # max_updates, and a negative limit would discard every update
-    if max_updates < 1:
-        raise ConfigError(f"max_updates must be at least 1, got {max_updates}")
+    check_count("max_updates", max_updates)
+    check_count("sample_every", sample_every, minimum=0)
     if staleness_limit is not None and staleness_limit < 0:
         raise ConfigError(f"staleness_limit must be nonnegative, got {staleness_limit}")
     cap = worker_cap()
@@ -301,24 +277,11 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
         reports, errors = _collect(procs, conns, master, t0, max_wall_s)
     wall_ms = (_time.perf_counter() - t0) * 1e3
 
-    sampled = [row for rows, _ in reports for row in rows]
-    staleness_log = sorted((entry for _, log in reports for entry in log),
-                           key=lambda entry: entry[0])
-    include_rmse = isinstance(model, MatrixFactorizationModel)
-    trace = [
-        TraceRecord(time=t, iteration=n, staleness=l,
-                    potential=potential(model, th),
-                    rmse=model_rmse(model, th) if include_rmse else None)
-        for t, n, l, th in sorted(sampled, key=lambda rec: rec[1])
-    ]
+    rec = Recorder(model, sample_every)
+    sampled = sorted((row for rows, _ in reports for row in rows), key=lambda row: row[1])
+    for t, n, staleness, theta in sampled:  # a worker samples theta alone
+        rec.sample(ParameterState(theta=theta, u=None, iteration=n), t, staleness)
+    rec.staleness_log = sorted((entry for _, log in reports for entry in log),
+                               key=lambda entry: entry[0])
     final = ParameterState(theta=master.theta.copy(), u=master.u.copy(), iteration=master.n)
-    return RunReport(
-        wall_ms=wall_ms,
-        iterations=master.n,
-        max_staleness=max((l for _, l in staleness_log), default=0),
-        final_potential=potential(model, final.theta),
-        trace=trace,
-        final_state=final,
-        staleness_log=staleness_log,
-        error=errors[0] if errors else None,
-    )
+    return rec.result(final, wall_ms=wall_ms, error=errors[0] if errors else None)

@@ -52,13 +52,13 @@ class SimConfig:
 
     def __post_init__(self):
         check_count("workers", self.workers)
+        check_count("max_updates", self.max_updates, minimum=0)
+        check_count("sample_every", self.sample_every)
         if self.mu_master < 0 or self.mu_worker < 0 or self.comm_time < 0:
             raise ConfigError("times must be nonnegative")
         if self.sigma_worker < 0:
             raise ConfigError("sigma_worker must be nonnegative")
-        if self.sample_every < 1:
-            raise ConfigError(f"sample_every must be at least 1, got {self.sample_every}")
-        if self.max_updates < 1:
+        if self.max_updates == 0:
             if math.isinf(self.max_time):
                 raise ConfigError("horizon required: set max_updates or max_time")
             if self.mu_worker == self.mu_master == self.comm_time == 0:
@@ -69,8 +69,8 @@ class SimConfig:
     @property
     def update_limit(self) -> float:
         """The update count at which an engine stops: ``max_updates``, or no
-        limit when it is below 1 and ``max_time`` alone is the horizon."""
-        return self.max_updates if self.max_updates >= 1 else math.inf
+        limit when it is 0 and ``max_time`` alone is the horizon."""
+        return self.max_updates or math.inf
 
 
 @dataclass
@@ -84,11 +84,16 @@ class TraceRecord:
 
 @dataclass
 class SimResult:
+    """What every engine returns: the simulators and :func:`asqn.runtime.run`."""
+
     trace: list
     final_state: ParameterState
     staleness_log: list  # (iteration, staleness) for every applied update
     truncated: bool = False
     included_log: list = field(default_factory=list)  # workers aggregated per mb round
+    final_potential: float | None = None  # potential(model, final_state.theta)
+    wall_ms: float | None = None  # run mode only
+    error: str | None = None  # run mode only: "<ExcType>: <message>" of the first failure
 
     @property
     def iterations(self) -> int:
@@ -126,6 +131,45 @@ def _record(trace, model, state, time, staleness, include_rmse):
             rmse=model_rmse(model, state.theta) if include_rmse else None,
         )
     )
+
+
+class Recorder:
+    """Records one engine run and returns its :class:`SimResult`.
+
+    It decides whether records carry the RMSE, keeps the staleness log and
+    applies the sampling rule: :meth:`apply` logs every apply and records
+    the state every ``sample_every`` applies.  The simulators also record
+    the initial state and :meth:`close` the trace at the final one; the
+    runtime's parent records the rows its workers sampled with
+    :meth:`sample`."""
+
+    def __init__(self, model, sample_every):
+        self.model = model
+        self.sample_every = sample_every
+        self.include_rmse = isinstance(model, MatrixFactorizationModel)
+        self.trace: list = []
+        self.staleness_log: list = []
+
+    def sample(self, state, time, staleness):
+        _record(self.trace, self.model, state, time, staleness, self.include_rmse)
+
+    def apply(self, state, time, staleness):
+        """Log the apply that produced ``state``; record every
+        ``sample_every``-th."""
+        self.staleness_log.append((state.iteration, staleness))
+        if state.iteration % self.sample_every == 0:
+            self.sample(state, time, staleness)
+
+    def result(self, state, **fields) -> SimResult:
+        return SimResult(trace=self.trace, final_state=state, staleness_log=self.staleness_log,
+                         final_potential=potential(self.model, state.theta), **fields)
+
+    def close(self, state, time, **fields) -> SimResult:
+        """Record ``state`` unless the trace already ends there, with the
+        last apply's staleness; return the result."""
+        if self.trace[-1].iteration != state.iteration:
+            self.sample(state, time, self.staleness_log[-1][1] if self.staleness_log else 0)
+        return self.result(state, **fields)
 
 
 def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=None) -> SimResult:
@@ -168,15 +212,13 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     state = ParameterState.zeros(dim)
     if theta0 is not None:
         state.theta = np.asarray(theta0, dtype=float).copy()
-    include_rmse = isinstance(model, MatrixFactorizationModel)
 
     time_rngs = [np.random.default_rng((sim_cfg.seed, w, 1)) for w in range(sim_cfg.workers)]
     samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
     workers = [WorkerState(sampler_cfg, dim) for _ in range(sim_cfg.workers)]
 
-    trace: list = []
-    staleness_log: list = []
-    _record(trace, model, state, 0.0, 0, include_rmse)
+    rec = Recorder(model, sim_cfg.sample_every)
+    rec.sample(state, 0.0, 0)
 
     # heap entries: (time, worker, seq, kind, payload)
     heap: list = []
@@ -225,11 +267,8 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
             upd.staleness = state.iteration - payload
             try:
                 state = master_apply(state, upd)
-                staleness_log.append((state.iteration, upd.staleness))
                 master_busy_until = done
-                if state.iteration % sim_cfg.sample_every == 0:
-                    _record(trace, model, state, master_busy_until, upd.staleness,
-                            include_rmse)
+                rec.apply(state, master_busy_until, upd.staleness)
             except Exception:
                 compute_deferred()  # the receives popped before this apply fail first
                 raise
@@ -237,14 +276,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
             if state.iteration >= sim_cfg.update_limit:
                 break
     compute_deferred()
-
-    if trace[-1].iteration != state.iteration:
-        _record(
-            trace, model, state, master_busy_until, staleness_log[-1][1] if staleness_log else 0,
-            include_rmse,
-        )
-    return SimResult(trace=trace, final_state=state, staleness_log=staleness_log,
-                     truncated=truncated)
+    return rec.close(state, master_busy_until, truncated=truncated)
 
 
 def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model,
@@ -274,14 +306,12 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
             f"(mu_worker {sim_cfg.mu_worker:g}, sigma_worker {sim_cfg.sigma_worker:g})")
     dim = model.dim
     theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    include_rmse = isinstance(model, MatrixFactorizationModel)
     time_rngs = [np.random.default_rng((sim_cfg.seed, w, 1)) for w in range(sim_cfg.workers)]
     samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
 
-    trace: list = []
-    staleness_log: list = []
+    rec = Recorder(model, sim_cfg.sample_every)
     state = ParameterState(theta=theta, u=np.zeros(dim), iteration=0)
-    _record(trace, model, state, 0.0, 0, include_rmse)
+    rec.sample(state, 0.0, 0)
 
     t = 0.0
     n = 0
@@ -319,14 +349,8 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
         theta = mb_master.round(state.theta, grads, stacked.o_indices.ravel(), model)
         n += 1
         state = ParameterState(theta=theta, u=state.u, iteration=n)
-        staleness_log.append((n, 0))
-        if n % sim_cfg.sample_every == 0:
-            _record(trace, model, state, t, 0, include_rmse)
-
-    if trace[-1].iteration != state.iteration:
-        _record(trace, model, state, t, 0, include_rmse)
-    return SimResult(trace=trace, final_state=state, staleness_log=staleness_log,
-                     truncated=truncated, included_log=included_log)
+        rec.apply(state, t, 0)
+    return rec.close(state, t, truncated=truncated, included_log=included_log)
 
 
 def time_to_epsilon(trace, u_star: float, eps: float):

@@ -390,6 +390,39 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(cfg, out_dir=str(tmp_path))
 
+    def test_run_mode_rejects_serial_baselines_before_running(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments.rt, "run", lambda *args, **kwargs: calls.append(args))
+        cfg = validate_config(tiny_config(mode="run", algorithms=["as-lbfgs", "sgld"],
+                                          sweep={"workers": [1, 2]}))
+        with pytest.raises(ConfigError, match="sgld is not available in run mode"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        assert calls == []
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("mode, point_keys", [
+        ("simulate", {"sigma_worker", "time_to_epsilon_mean", "time_to_epsilon_std", "reached",
+                      "final_potential_mean", "final_rmse_mean", "final_rmse_std"}),
+        ("run", {"workers", "wall_ms_mean", "wall_ms_std", "final_potential_mean",
+                 "speedup_vs_w1"}),
+    ])
+    def test_summary_keys_of_each_mode(self, tmp_path, mode, point_keys):
+        sweep = {"sigma_worker": [0.0, 2.0]} if mode == "simulate" else {"workers": [1, 2]}
+        cfg = validate_config(tiny_config(mode=mode, algorithms=["as-lbfgs", "a-sgd"],
+                                          sweep=sweep))
+        summary = run_experiment(cfg, out_dir=str(tmp_path))
+        assert set(summary) == {"mode", "u_star", "epsilon", "base_seed", "repetition_seeds",
+                                "algorithms"}
+        assert list(summary["algorithms"]) == ["as-lbfgs", "a-sgd"]
+        for algo in summary["algorithms"].values():
+            assert len(algo["points"]) == 2
+            assert all(set(p) == point_keys for p in algo["points"])
+        label = "sigma" if mode == "simulate" else "workers"
+        values = ("0", "2") if mode == "simulate" else ("1", "2")
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [f"{a}_{label}-{v}_rep-0.csv" for a in ("as-lbfgs", "a-sgd") for v in values]
+            + ["summary.json"])
+
     def test_trace_rows_satisfy_invariants(self, tmp_path):
         cfg = validate_config(tiny_config(algorithms=["as-lbfgs", "sgld"]))
         run_experiment(cfg, out_dir=str(tmp_path))
@@ -442,6 +475,23 @@ class TestCli:
         monkeypatch.setenv("ASQN_THREADS", "0")
         assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         assert "ASQN_THREADS must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, section, key", [
+        ("simulate", "sim", "max_updates"),
+        ("simulate", "sim", "sample_every"),
+        ("run", "runtime", "max_updates"),
+        ("run", "runtime", "sample_every"),
+    ])
+    def test_non_integer_horizon_exit_one(self, tmp_path, capsys, mode, section, key):
+        doc = tiny_config(mode=mode)
+        doc[section][key] = 12.5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} must be an integer" in err
+        assert os.listdir(out) == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_two(self, tmp_path, capsys):

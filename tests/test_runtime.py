@@ -1,6 +1,5 @@
 """Tests for the shared-memory execution path with forked worker processes."""
 
-import json
 import multiprocessing
 import os
 import threading
@@ -19,6 +18,7 @@ from asqn import (
     compute_update,
     master_apply,
     post_send_memory_update,
+    potential,
 )
 from asqn import runtime
 from asqn.runtime import SharedMasterState, run
@@ -328,9 +328,31 @@ class TestRun:
                                   **arguments})
         assert multiprocessing.active_children() == []
 
-    def test_summary_json_schema(self):
+    @pytest.mark.parametrize("arguments, key", [
+        ({"max_updates": 7.5}, "max_updates"),
+        ({"max_updates": 8.0}, "max_updates"),
+        ({"sample_every": 2.5}, "sample_every"),
+        ({"sample_every": -1}, "sample_every"),
+    ])
+    def test_non_integer_horizon_rejected_before_forking(self, monkeypatch, arguments, key):
+        # max_updates=7.5 with sample_every=2.5 used to run 8 updates and
+        # sample only n = 5
         model, cfg = small_problem()
-        report = run(1, cfg, model, max_updates=10, seed=0)
-        doc = json.loads(report.summary_json())
-        assert set(doc) == {"wall_ms", "iters", "max_staleness", "final_potential"}
-        assert doc["iters"] == report.iterations
+        forks = []
+        monkeypatch.setattr(runtime, "fork_children", lambda *args: forks.append(args))
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            run(2, cfg, model, **{"max_updates": 50, "seed": 0, **arguments})
+        assert forks == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_result_holds_final_potential_and_sampled_states_only(self, workers):
+        # no record of the initial state and no closing record
+        model, cfg = small_problem()
+        result = run(workers, cfg, model, max_updates=37, seed=3, sample_every=10)
+        assert result.error is None
+        want = potential(model, result.final_state.theta)
+        assert np.float64(result.final_potential).tobytes() == np.float64(want).tobytes()
+        ns = [r.iteration for r in result.trace]
+        assert ns == list(range(10, result.iterations + 1, 10))
+        assert result.wall_ms > 0
+        assert run(1, cfg, model, max_updates=5, seed=3).trace == []

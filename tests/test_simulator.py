@@ -767,3 +767,37 @@ class TestSimConfigValidation:
     def test_sample_every_below_one(self, sample_every):
         with pytest.raises(ConfigError, match="sample_every"):
             SimConfig(sample_every=sample_every)
+
+    @pytest.mark.parametrize("arguments, key", [
+        ({"max_updates": 12.5}, "max_updates"),
+        ({"max_updates": 10.0}, "max_updates"),
+        ({"max_updates": -1, "max_time": 10.0, "mu_worker": 1.0}, "max_updates"),
+        ({"sample_every": 2.5}, "sample_every"),
+        ({"sample_every": True}, "sample_every"),
+    ])
+    def test_non_integer_horizon_rejected(self, arguments, key):
+        # max_updates=12.5 with sample_every=2.5 used to run 13 updates and
+        # record the trace at n = 0, 5, 10, 13
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            SimConfig(**arguments)
+
+
+class TestSharedResult:
+    """Both simulators return their final potential, and their traces run
+    from the initial state to the final one."""
+
+    @pytest.mark.parametrize("name", ["lg", "mf"])
+    @pytest.mark.parametrize("engine", ["async", "sync_mb"])
+    def test_final_potential_and_closing_record(self, name, engine):
+        model, cfg, theta0 = problem(name)
+        sim = SimConfig(workers=3, mu_worker=5.0, sigma_worker=2.0, comm_time=1.0,
+                        timeout=7.0, max_updates=23, sample_every=5, seed=2)
+        if engine == "async":
+            res = run_async(sim, cfg, model, theta0=theta0)
+        else:
+            res = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-3), cfg, model, theta0)
+        want = potential(model, res.final_state.theta)
+        assert np.float64(res.final_potential).tobytes() == np.float64(want).tobytes()
+        assert [r.iteration for r in res.trace] == [0, 5, 10, 15, 20, 23]
+        assert res.trace[-1].potential == res.final_potential
+        assert (res.wall_ms, res.error) == (None, None)
