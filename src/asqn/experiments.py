@@ -14,7 +14,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,7 +166,11 @@ _SCHEMA = {
 }
 
 
-def _check_keys(doc, allowed, path):
+def _check_object(doc, allowed, path):
+    """Raise :class:`ConfigError` naming ``path`` unless ``doc`` is an object
+    whose keys all lie in ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config root'} must be an object, got {doc!r}")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} at {path or 'top level'}")
@@ -201,7 +205,7 @@ def _deep_merge(base, override):
 def validate_config(doc: dict) -> ExperimentConfig:
     """Check ``doc`` and merge it over its preset, if it names one; returns
     a config that shares no object with ``doc``, which is left as it is."""
-    _check_keys(doc, _SCHEMA, "")
+    _check_object(doc, _SCHEMA, "")
     doc = dict(doc)
     preset = doc.pop("preset", None)
     if preset is not None and preset not in PRESETS:
@@ -209,16 +213,23 @@ def validate_config(doc: dict) -> ExperimentConfig:
     doc = _deep_merge(PRESETS.get(preset, {}), doc)
     for section, allowed in _SCHEMA.items():
         if isinstance(allowed, set) and section in doc:
-            if not isinstance(doc[section], dict):
-                raise ConfigError(f"section {section!r} must be an object")
-            _check_keys(doc[section], allowed, section)
+            _check_object(doc[section], allowed, section)
+    for algo, over in doc.get("baselines", {}).items():
+        _check_object(over, _SCHEMA["sampler"], f"baselines.{algo}")
+    timing = doc.get("sim", {}).get("timing", {})
+    _check_object(timing, ALGORITHMS, "sim.timing")
+    for algo, times in timing.items():
+        _check_object(times, ("mu_master", "mu_worker"), f"sim.timing.{algo}")
     mode = doc.get("mode")
     if mode not in ("simulate", "run"):
         raise ConfigError(f"mode must be 'simulate' or 'run', got {mode!r}")
     # each sweep key applies to one mode only; the other would ignore it
     ignored = {"simulate": "workers", "run": "sigma_worker"}[mode]
-    if ignored in (doc.get("sweep") or {}):
+    if ignored in doc.get("sweep", {}):
         raise ConfigError(f"sweep.{ignored} does not apply in {mode} mode")
+    for key, values in doc.get("sweep", {}).items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"sweep.{key} must be a non-empty list, got {values!r}")
     algos = doc.get("algorithms", [])
     if not algos:
         raise ConfigError("at least one algorithm required")
@@ -228,6 +239,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     if "problem" not in doc:
         raise ConfigError("missing 'problem' section")
     check_count("repetitions", doc.get("repetitions", 1))
+    check_count("base_seed", doc.get("base_seed", 0), minimum=0)
     return ExperimentConfig(doc)
 
 
@@ -376,39 +388,16 @@ def _sampler_cfg(cfg, algo, model):
         n_omega = max(3, model.n_records // 100)
         s["n_o"] = max(1, n_omega // 3)
         s["n_s"] = n_omega - s["n_o"]
-    over = (cfg.get("baselines") or {}).get(algo, {})
-    merged = {**s, **over}
-    return SamplerConfig(
-        step=merged["step"],
-        friction=merged.get("friction", 0.5),
-        inv_temperature=merged.get("inv_temperature", math.inf),
-        memory_size=merged.get("memory_size", 3),
-        n_s=merged["n_s"],
-        n_o=merged["n_o"],
-        epsilon=merged.get("epsilon", 1e-8),
-        rho=merged.get("rho", 0.0),
-    )
+    # SamplerConfig has no default friction
+    return SamplerConfig(**{"friction": 0.5, **s, **cfg.get("baselines", {}).get(algo, {})})
 
 
-def _sim_cfg(cfg, algo, seed, sigma_override=None):
-    s = dict(cfg.get("sim") or {})
-    timing = (s.get("timing") or {}).get(algo, {})
-    sim = SimConfig(
-        workers=s.get("workers", 1),
-        mu_master=timing.get("mu_master", 0.0),
-        mu_worker=timing.get("mu_worker", 1.0),
-        sigma_worker=s.get("sigma_worker", 0.0) if sigma_override is None else sigma_override,
-        comm_time=s.get("comm_time", 0.0),
-        timeout=s.get("timeout", math.inf),
-        max_updates=s.get("max_updates", 1000),
-        max_time=s.get("max_time", math.inf),
-        seed=seed,
-        sample_every=s.get("sample_every", 1),
-        wait_for_stragglers=s.get("wait_for_stragglers", True),
-    )
+def _sim_cfg(cfg, algo, seed, sigma):
+    s = dict(cfg.get("sim", {}))
+    s.update(s.pop("timing", {}).get(algo, {}), seed=seed, sigma_worker=sigma)
     if algo == "sgld":  # the SGLD baseline is serial and models no compute-time jitter
-        sim = replace(sim, workers=1, sigma_worker=0.0)
-    return sim
+        s.update(workers=1, sigma_worker=0.0)
+    return SimConfig(**s)
 
 
 def run_sgld_serial(sim_cfg: SimConfig, sampler_cfg, model, theta0=None) -> SimResult:
@@ -431,31 +420,31 @@ def _initial_theta(cfg, model):
     return None
 
 
-def _simulate_one(cfg, algo, model, seed, sigma=None):
+def _resolve_point(cfg, model, theta0, algo, seed, value):
+    """One point ``(algo, seed, swept value)`` as a ready call that returns
+    its SimResult.  Every configuration error of the point is raised here,
+    before any point runs.  A run-mode point calls :func:`asqn.runtime.run`
+    on ``value`` worker processes and raises a worker's failure as its
+    error type."""
     samp = _sampler_cfg(cfg, algo, model)
-    sim = _sim_cfg(cfg, algo, seed, sigma_override=sigma)
-    theta0 = _initial_theta(cfg, model)
+    if cfg["mode"] == "run":
+        kw = {**cfg.get("runtime", {}), "workers": value, "algo": algo}
+        rt.check_run(**kw)
+
+        def run_point():
+            result = rt.run(sampler_cfg=samp, model=model, theta0=theta0, seed=seed, **kw)
+            if result.error:
+                if result.error.startswith(f"{DivergenceError.__name__}:"):
+                    raise DivergenceError(result.error)
+                raise WorkerError(result.error)
+            return result
+        return run_point
+    sim = _sim_cfg(cfg, algo, seed, value)
     if algo == "mb-lbfgs-simplified":
         master = MbLbfgsMaster(model.dim, step=samp.step, memory_size=samp.memory_size,
                                epsilon=samp.epsilon, rho=samp.rho)
-        return run_sync_mb(sim, master, samp, model, theta0=theta0)
-    return run_async(sim, samp, model, algo=algo, theta0=theta0)
-
-
-def _run_point(cfg, model, algo, seed, workers):
-    """One run-mode point: :func:`asqn.runtime.run` on ``workers`` worker
-    processes; a worker's failure is raised as its error type."""
-    r = cfg.get("runtime") or {}
-    result = rt.run(
-        workers=workers, sampler_cfg=_sampler_cfg(cfg, algo, model), model=model, algo=algo,
-        max_updates=r.get("max_updates", 1000), theta0=_initial_theta(cfg, model), seed=seed,
-        sample_every=r.get("sample_every", 0) or 0,
-    )
-    if result.error:
-        if result.error.startswith(f"{DivergenceError.__name__}:"):
-            raise DivergenceError(result.error)
-        raise WorkerError(result.error)
-    return result
+        return lambda: run_sync_mb(sim, master, samp, model, theta0=theta0)
+    return lambda: run_async(sim, samp, model, algo=algo, theta0=theta0)
 
 
 def _mean_std(values):
@@ -465,48 +454,44 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std(ddof=0)), int(arr.size)
 
 
-def _run_points(cfg, model, points, next_point):
-    """Run points ``(algo, seed, sigma)`` by the index taken from the shared
-    counter ``next_point`` until none is left or one fails.
+def _take_points(calls, next_point):
+    """Run ``calls`` by the index taken from the shared counter
+    ``next_point`` until none is left or one fails.
 
     Returns ``({index: SimResult}, (index, exception) or None)``.  A failure
-    moves the counter past the last point, so no process starts another."""
+    moves the counter past the last call, so no process starts another."""
     results = {}
     while True:
         with next_point.get_lock():
             i = next_point.value
             next_point.value = i + 1
-        if i >= len(points):
+        if i >= len(calls):
             return results, None
-        algo, seed, sigma = points[i]
         try:
-            results[i] = _simulate_one(cfg, algo, model, seed, sigma=sigma)
+            results[i] = calls[i]()
         except Exception as exc:  # the process boundary: raised again by the parent
             with next_point.get_lock():
-                next_point.value = len(points)
+                next_point.value = len(calls)
             return results, (i, exc)
 
 
-def _points_child(_, conn, cfg, model, points, next_point):
-    conn.send(_run_points(cfg, model, points, next_point))
+def _points_child(_, conn, calls, next_point):
+    conn.send(_take_points(calls, next_point))
     conn.close()
 
 
-def _simulate_points(cfg, model, points):
-    """Run independent simulate-mode points on one process per usable CPU,
-    capped by ``ASQN_THREADS`` and by the number of points; returns their
-    SimResults in point order.
+def _run_points(calls, procs):
+    """Run resolved points on ``procs`` processes; returns their SimResults
+    in point order.
 
     The parent is one of the processes and forks the others.  After a point
     fails no new point starts, the points already started finish, and the
     failure of the lowest-index failed point is raised, as a serial run
     would raise it.  A child that exits without reporting raises
     :class:`WorkerError` at once, and the other children are stopped."""
-    procs = min(len(os.sched_getaffinity(0)), len(points), rt.worker_cap() or len(points))
     next_point = multiprocessing.get_context("fork").Value("q", 0)
-    args = (cfg, model, points, next_point)
-    with rt.fork_children(procs - 1, _points_child, args) as (children, conns):
-        reports = [_run_points(cfg, model, points, next_point)]
+    with rt.fork_children(procs - 1, _points_child, (calls, next_point)) as (children, conns):
+        reports = [_take_points(calls, next_point)]
         for proc, conn in zip(children, conns):
             report, died = rt.receive_report(conn, proc)
             if died:
@@ -516,7 +501,7 @@ def _simulate_points(cfg, model, points):
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     results = {i: res for done, _ in reports for i, res in done.items()}
-    return [results[i] for i in range(len(points))]
+    return [results[i] for i in range(len(calls))]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
@@ -526,12 +511,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     ``{algo}_{param}-{value}_rep-{k}.csv`` plus ``summary.json``.  Partial
     outputs are removed if the experiment fails.
 
-    Simulate mode runs its independent points on one forked process per
-    usable CPU, capped by the ``ASQN_THREADS`` environment variable (Linux
-    only, for the ``fork`` start method); the outputs are byte-identical
-    to a run on one process.  Run mode runs its points one after another,
-    because each times :func:`asqn.runtime.run`, which forks its own
-    workers; it rejects the serial baselines before the first point runs."""
+    Every point is resolved to a ready call before any point runs, so a
+    configuration error (such as a non-integer ``sim.max_updates``, or
+    ``sgld`` in run mode) is raised before any process forks.  Simulate
+    mode runs its independent points on one forked process per usable CPU,
+    capped by the ``ASQN_THREADS`` environment variable (Linux only, for
+    the ``fork`` start method); the outputs are byte-identical to a run on
+    one process.  Run mode runs its points one after another in the calling
+    process, because each times :func:`asqn.runtime.run`, which forks its
+    own workers."""
     out_dir = out_dir or cfg.get("output_dir") or "out"
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -568,24 +556,21 @@ def _point_summary(mode, runs, u_star, eps):
 def _run_experiment_inner(cfg, out_dir, written):
     mode = cfg["mode"]
     algorithms = cfg["algorithms"]
-    if mode == "run":
-        for algo in algorithms:
-            if algo in ("mb-lbfgs-simplified", "sgld"):
-                raise ConfigError(f"{algo} is not available in run mode")
     model, u_star = build_problem(cfg)
+    theta0 = _initial_theta(cfg, model)
     reps = cfg.get("repetitions", 1)
     base_seed = cfg.get("base_seed", 0)
     eps = cfg.get("epsilon_accuracy", 1e-2)
     # the swept value, its name in trace file names, and its unswept source
     key, label, section, default = {"simulate": ("sigma_worker", "sigma", "sim", 0.0),
                                     "run": ("workers", "workers", "runtime", 1)}[mode]
-    values = (cfg.get("sweep") or {}).get(key) or [(cfg.get(section) or {}).get(key, default)]
-    points = [(algo, base_seed + k, value)
-              for algo in algorithms for value in values for k in range(reps)]
-    if mode == "simulate":
-        results = iter(_simulate_points(cfg, model, points))
-    else:
-        results = iter([_run_point(cfg, model, *point) for point in points])
+    values = cfg.get("sweep", {}).get(key) or [cfg.get(section, {}).get(key, default)]
+    calls = [_resolve_point(cfg, model, theta0, algo, base_seed + k, value)
+             for algo in algorithms for value in values for k in range(reps)]
+    # a run-mode point forks and times its own workers, so it runs alone
+    procs = 1 if mode == "run" else min(len(os.sched_getaffinity(0)), len(calls),
+                                        rt.worker_cap() or len(calls))
+    results = iter(_run_points(calls, procs))
     summary = {
         "mode": mode,
         "u_star": u_star,

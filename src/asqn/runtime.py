@@ -236,6 +236,21 @@ def _collect(procs, conns, master, t0, max_wall_s):
     return reports, errors
 
 
+def check_run(workers, algo="as-lbfgs", max_updates=1000, sample_every=0,
+              staleness_limit=None):
+    """Raise :class:`ConfigError` unless :func:`run` accepts these arguments;
+    it checks them before it forks.  SGLD and mb-L-BFGS do not run here."""
+    check_count("workers", workers)
+    if algo not in ("as-lbfgs", "a-sgd"):
+        raise ConfigError(f"{algo} is not available in run mode")
+    # a worker applies once before it looks at max_updates, and a negative
+    # limit would discard every update
+    check_count("max_updates", max_updates)
+    check_count("sample_every", sample_every, minimum=0)
+    if staleness_limit is not None and staleness_limit < 0:
+        raise ConfigError(f"staleness_limit must be nonnegative, got {staleness_limit}")
+
+
 def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=None,
         seed=0, sample_every=0, max_wall_s=None, staleness_limit=None) -> SimResult:
     """Run W forked worker processes against a shared master state.
@@ -253,18 +268,10 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     staleness at most the limit.  A discarded update has still advanced
     its worker's memory, so the curvature pair it formed stays.  The trace
     holds the state after every ``sample_every``-th apply (none when it is
-    0) and ``wall_ms`` the wall time of the call.  SGLD is serial and is
-    not run here.  No worker process outlives the call.
+    0) and ``wall_ms`` the wall time of the call.  No worker process
+    outlives the call.
     """
-    check_count("workers", workers)
-    if algo not in ("as-lbfgs", "a-sgd"):
-        raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
-    # checked before any fork: a worker applies once before it looks at
-    # max_updates, and a negative limit would discard every update
-    check_count("max_updates", max_updates)
-    check_count("sample_every", sample_every, minimum=0)
-    if staleness_limit is not None and staleness_limit < 0:
-        raise ConfigError(f"staleness_limit must be nonnegative, got {staleness_limit}")
+    check_run(workers, algo, max_updates, sample_every, staleness_limit)
     cap = worker_cap()
     if cap is not None:
         workers = min(workers, cap)

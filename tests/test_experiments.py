@@ -179,6 +179,63 @@ class TestValidateConfig:
         assert err.startswith("config error:") and f"{key} must be an integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("baselines", "a-sgd", {"step": 1e-3, "stepp": 5.0},
+         r"unknown key\(s\) \['stepp'\] at baselines.a-sgd"),
+        ("baselines", "a-sgd", 5.0, "baselines.a-sgd must be an object"),
+        ("sim", "timing", {"as-lbfgs": {"mu_master": 0.0, "mu_wrker": 3.0}},
+         r"unknown key\(s\) \['mu_wrker'\] at sim.timing.as-lbfgs"),
+        ("sim", "timing", {"as-lbfgs": 3}, "sim.timing.as-lbfgs must be an object"),
+        ("sim", "timing", {"bfgs": {"mu_worker": 3.0}}, r"\['bfgs'\] at sim.timing"),
+        ("sim", "timing", [], "sim.timing must be an object"),
+        ("sweep", "sigma_worker", 5.0, "sweep.sigma_worker must be a non-empty list"),
+        ("sweep", "sigma_worker", [], "sweep.sigma_worker must be a non-empty list"),
+        (None, "base_seed", -1, "base_seed must be an integer of at least 0"),
+        (None, "base_seed", 1.5, "base_seed must be an integer of at least 0"),
+    ])
+    def test_malformed_nested_value_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                      section, key, value, message):
+        # each of these used to run with the value ignored, or to end in a
+        # traceback; none may start a process
+        forks = []
+        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        doc = tiny_config()
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        with pytest.raises(ConfigError, match=message):
+            validate_config(doc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+        assert forks == []
+
+    def test_negative_seed_option_exit_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        assert cli_main(["--config", str(cfg_path), "--seed", "-1",
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: base_seed must be an integer of at least 0")
+
+    @pytest.mark.parametrize("mode, section", [("simulate", "sim"), ("run", "runtime")])
+    def test_invalid_point_rejected_before_any_fork(self, tmp_path, monkeypatch, mode, section):
+        # the points' configs are built in the parent, so a sweep over two
+        # points forks no process before the error is raised
+        forks = []
+        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.delenv("ASQN_THREADS", raising=False)
+        sweep = {"sigma_worker": [0.0, 2.0]} if mode == "simulate" else {"workers": [1, 2]}
+        doc = tiny_config(mode=mode, sweep=sweep)
+        doc[section]["max_updates"] = 12.5
+        cfg = validate_config(doc)
+        with pytest.raises(ConfigError, match="max_updates must be an integer"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        assert forks == []
+        assert os.listdir(tmp_path) == []
+
 
 class TestLoadConfig:
     def test_malformed_json_reports_line(self, tmp_path):
@@ -439,15 +496,17 @@ class TestRunExperiment:
         # the parent runs point 0, then fails at once on point 2 while a
         # child still runs point 1, which fails later: a serial run would
         # have failed on point 1 first
-        def simulate_one(cfg, algo, model, seed, sigma=None):
-            if sigma == 1.0:
-                time.sleep(1.0)
-            elif sigma == 0.0:
-                time.sleep(0.5)
-                return None
-            raise DivergenceError(f"point {sigma:g}", iteration=int(sigma))
+        def resolve_point(cfg, model, theta0, algo, seed, sigma):
+            def call():
+                if sigma == 1.0:
+                    time.sleep(1.0)
+                elif sigma == 0.0:
+                    time.sleep(0.5)
+                    return None
+                raise DivergenceError(f"point {sigma:g}", iteration=int(sigma))
+            return call
 
-        monkeypatch.setattr(experiments, "_simulate_one", simulate_one)
+        monkeypatch.setattr(experiments, "_resolve_point", resolve_point)
         monkeypatch.delenv("ASQN_THREADS", raising=False)
         cfg = validate_config(tiny_config(sweep={"sigma_worker": [0.0, 1.0, 2.0]}))
         with pytest.raises(DivergenceError, match="point 1") as info:
@@ -561,15 +620,19 @@ class TestCli:
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="sweeps fork only on 2+ CPUs")
     def test_child_exit_without_report_exit_three(self, tmp_path, capsys, monkeypatch):
         parent = os.getpid()
-        simulate_one = experiments._simulate_one
+        resolve_point = experiments._resolve_point
 
-        def exits_in_child(*args, **kwargs):
-            if os.getpid() != parent:
-                os._exit(7)
-            time.sleep(0.2)  # leaves the child time to take a point
-            return simulate_one(*args, **kwargs)
+        def exits_in_child(*args):
+            call = resolve_point(*args)
 
-        monkeypatch.setattr(experiments, "_simulate_one", exits_in_child)
+            def checked_call():
+                if os.getpid() != parent:
+                    os._exit(7)
+                time.sleep(0.2)  # leaves the child time to take a point
+                return call()
+            return checked_call
+
+        monkeypatch.setattr(experiments, "_resolve_point", exits_in_child)
         monkeypatch.delenv("ASQN_THREADS", raising=False)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(sweep={"sigma_worker": [0.0, 2.0]},
