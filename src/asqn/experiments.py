@@ -24,6 +24,7 @@ from .sampler import MbLbfgsMaster, SamplerConfig
 from .simulator import (
     SimConfig,
     SimResult,
+    check_round_timeout,
     run_async,
     run_sync_mb,
     time_to_epsilon,
@@ -230,14 +231,22 @@ def validate_config(doc: dict) -> ExperimentConfig:
     for key, values in doc.get("sweep", {}).items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key} must be a non-empty list, got {values!r}")
+    for value in doc.get("sweep", {}).get("sigma_worker", []):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"sweep.sigma_worker values must be numbers, got {value!r}")
     algos = doc.get("algorithms", [])
     if not algos:
         raise ConfigError("at least one algorithm required")
     for a in algos:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}; known: {list(ALGORITHMS)}")
-    if "problem" not in doc:
-        raise ConfigError("missing 'problem' section")
+    for section in ("problem", "sampler"):
+        if section not in doc:
+            raise ConfigError(f"missing '{section}' section")
+    for a in algos:
+        # a baseline's own section may set the step its algorithm runs with
+        if "step" not in {**doc["sampler"], **doc.get("baselines", {}).get(a, {})}:
+            raise ConfigError(f"missing sampler.step (needed by {a})")
     check_count("repetitions", doc.get("repetitions", 1))
     check_count("base_seed", doc.get("base_seed", 0), minimum=0)
     return ExperimentConfig(doc)
@@ -441,6 +450,7 @@ def _resolve_point(cfg, model, theta0, algo, seed, value):
         return run_point
     sim = _sim_cfg(cfg, algo, seed, value)
     if algo == "mb-lbfgs-simplified":
+        check_round_timeout(sim)
         master = MbLbfgsMaster(model.dim, step=samp.step, memory_size=samp.memory_size,
                                epsilon=samp.epsilon, rho=samp.rho)
         return lambda: run_sync_mb(sim, master, samp, model, theta0=theta0)

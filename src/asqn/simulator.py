@@ -23,12 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_count
-from .model import rmse as model_rmse
 from .model import (
     MatrixFactorizationModel,
     Subsample,
     combined_gradient,
-    draw_subsample,
     potential,
 )
 from .sampler import WORKER_UPDATES, MbLbfgsMaster, ParameterState, WorkerState, master_apply
@@ -108,6 +106,13 @@ class SimResult:
         return self.trace[-1].time if self.trace else 0.0
 
 
+def _log_normal(mu: float, sigma: float):
+    """Mean and standard deviation of the normal whose exponential has mean
+    mu and standard deviation sigma."""
+    s2 = math.log(1.0 + (sigma / mu) ** 2)
+    return math.log(mu) - 0.5 * s2, math.sqrt(s2)
+
+
 def sample_compute_time(rng, mu: float, sigma: float) -> float:
     """Log-normal draw with mean mu and standard deviation sigma."""
     if mu < 0:
@@ -116,21 +121,70 @@ def sample_compute_time(rng, mu: float, sigma: float) -> float:
         return 0.0
     if sigma == 0.0:
         return float(mu)
-    s2 = math.log(1.0 + (sigma / mu) ** 2)
-    m = math.log(mu) - 0.5 * s2
-    return float(rng.lognormal(mean=m, sigma=math.sqrt(s2)))
+    m, s = _log_normal(mu, sigma)
+    return float(rng.lognormal(mean=m, sigma=s))
 
 
-def _record(trace, model, state, time, staleness, include_rmse):
-    trace.append(
-        TraceRecord(
-            time=time,
-            iteration=state.iteration,
-            staleness=staleness,
-            potential=potential(model, state.theta),
-            rmse=model_rmse(model, state.theta) if include_rmse else None,
-        )
-    )
+# A worker's draws come in blocks: at most BLOCK_ROWS rows per generator
+# call, and no more rows than keep a block within BLOCK_DRAWS draws.
+BLOCK_ROWS = 64
+BLOCK_DRAWS = 2**16
+
+
+def block_rows(row_size: int) -> int:
+    """Rows per block when each row holds ``row_size`` draws."""
+    return max(1, min(BLOCK_ROWS, BLOCK_DRAWS // row_size))
+
+
+class ComputeTimes:
+    """Every worker's compute times, drawn from the worker's own generator,
+    seeded ``(seed, worker, 1)``, in blocks of ``rows``.
+
+    numpy's log-normal draws read the generator one value at a time and
+    buffer nothing between calls, so a worker's times are, value for value
+    and in order, those of one :func:`sample_compute_time` call each; where
+    that function draws nothing (``mu_worker`` or ``sigma_worker`` 0), this
+    draws nothing either.  Only the state a generator is left in after its
+    last block differs, and the generators are private to one engine call.
+    """
+
+    def __init__(self, sim_cfg: SimConfig, rows: int = BLOCK_ROWS):
+        mu, sigma = sim_cfg.mu_worker, sim_cfg.sigma_worker
+        self.rows = rows
+        self.rngs = [np.random.default_rng((sim_cfg.seed, w, 1)) for w in range(sim_cfg.workers)]
+        self.constant = float(mu) if mu == 0.0 or sigma == 0.0 else None
+        if self.constant is None:
+            self.log_mean, self.log_sigma = _log_normal(mu, sigma)
+        self.pending: list = [[] for _ in self.rngs]  # each worker's unused times, last first
+
+    def block(self, w: int) -> np.ndarray:
+        """The next ``rows`` compute times of worker ``w``."""
+        if self.constant is not None:
+            return np.full(self.rows, self.constant)
+        return self.rngs[w].lognormal(self.log_mean, self.log_sigma, size=self.rows)
+
+    def next(self, w: int) -> float:
+        """The next compute time of worker ``w``."""
+        if self.constant is not None:
+            return self.constant
+        pending = self.pending[w]
+        if not pending:
+            pending.extend(self.block(w)[::-1].tolist())
+        return pending.pop()
+
+
+def check_round_timeout(sim_cfg: SimConfig):
+    """Raise :class:`ConfigError` unless a synchronous round can aggregate:
+    the round timeout must be finite and some worker able to meet it."""
+    if not math.isfinite(sim_cfg.timeout):
+        raise ConfigError("run_sync_mb requires a finite timeout")
+    # a compute time is exactly mu_worker when sigma_worker is 0 and positive
+    # otherwise; if none can meet the timeout, no round ever aggregates
+    if sim_cfg.mu_worker > sim_cfg.timeout and (sim_cfg.sigma_worker == 0
+                                                or sim_cfg.timeout <= 0):
+        raise ConfigError(
+            f"no worker can meet the round timeout {sim_cfg.timeout:g} "
+            f"(mu_worker {sim_cfg.mu_worker:g}, sigma_worker {sim_cfg.sigma_worker:g})")
 
 
 class Recorder:
@@ -141,7 +195,9 @@ class Recorder:
     the state every ``sample_every`` applies.  The simulators also record
     the initial state and :meth:`close` the trace at the final one; the
     runtime's parent records the rows its workers sampled with
-    :meth:`sample`."""
+    :meth:`sample`.  An MF record takes its potential and RMSE from one
+    residual over every rating, with the bits of :func:`~asqn.model.potential`
+    and :func:`~asqn.model.rmse`."""
 
     def __init__(self, model, sample_every):
         self.model = model
@@ -151,7 +207,16 @@ class Recorder:
         self.staleness_log: list = []
 
     def sample(self, state, time, staleness):
-        _record(self.trace, self.model, state, time, staleness, self.include_rmse)
+        model, theta = self.model, state.theta
+        if self.include_rmse:
+            # potential() and rmse() would each predict every rating; one
+            # residual serves both, with the same operations on it as theirs
+            r = model.predictions(theta) - model.values
+            value = model.prior_potential(theta) + 0.5 * float(r @ r)
+            error = float(np.sqrt(np.mean(r**2)))
+        else:
+            value, error = potential(model, theta), None
+        self.trace.append(TraceRecord(time, state.iteration, staleness, value, error))
 
     def apply(self, state, time, staleness):
         """Log the apply that produced ``state``; record every
@@ -192,8 +257,11 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     states are never mutated, so a reply carries the post-apply state
     itself rather than a copy.
 
+    A receive takes its worker's next compute time from
+    :class:`ComputeTimes`, which draws each worker's times in blocks; the
+    times are those of one draw per receive, so the iterates are too.
     The schedule depends only on the timing generators, so a popped
-    receive draws its compute time and schedules its arrive at once, but
+    receive takes its compute time and schedules its arrive at once, but
     its update is computed later: the first arrive whose update is not yet
     computed computes every such deferred receive in one stacked call.
     Only receives already popped are computed, each worker on its own
@@ -213,7 +281,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     if theta0 is not None:
         state.theta = np.asarray(theta0, dtype=float).copy()
 
-    time_rngs = [np.random.default_rng((sim_cfg.seed, w, 1)) for w in range(sim_cfg.workers)]
+    compute_times = ComputeTimes(sim_cfg)
     samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
     workers = [WorkerState(sampler_cfg, dim) for _ in range(sim_cfg.workers)]
 
@@ -252,7 +320,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
             truncated = True
             break
         if kind == "receive":
-            c = sample_compute_time(time_rngs[w], sim_cfg.mu_worker, sim_cfg.sigma_worker)
+            c = compute_times.next(w)
             deferred.append((w, payload))
             push(t + c + sim_cfg.comm_time, w, "arrive", payload.iteration)
         elif kind == "arrive":
@@ -279,6 +347,30 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     return rec.close(state, master_busy_until, truncated=truncated)
 
 
+def _sync_rounds(sim_cfg: SimConfig, n_records: int, n_draw: int):
+    """Yield every synchronous round's ``(wait, kept)``: how long the round
+    waits for compute, and the ``(k, n_draw)`` subsample indices of the k
+    workers that met the timeout, in worker order.
+
+    Every worker draws its compute times and indices for a block of rounds
+    in one call per generator, kept or not, so each stream advances as it
+    would on a real cluster.  A block of bounded integers equals one call
+    per round, value for value, as a block of log-normal times does."""
+    rows = block_rows(n_draw)
+    compute_times = ComputeTimes(sim_cfg, rows)
+    samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
+    while True:
+        times = np.stack([compute_times.block(w) for w in range(sim_cfg.workers)])
+        indices = np.stack([rng.integers(0, n_records, size=(rows, n_draw))
+                            for rng in samp_rngs])
+        met = times <= sim_cfg.timeout
+        waits = times.max(axis=0)
+        if not sim_cfg.wait_for_stragglers:
+            waits = np.minimum(sim_cfg.timeout, waits)
+        for j, (wait, k) in enumerate(zip(waits.tolist(), met.sum(axis=0).tolist())):
+            yield wait, indices[:, j] if k == sim_cfg.workers else indices[met[:, j], j]
+
+
 def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model,
                 theta0=None) -> SimResult:
     """Synchronous multi-batch rounds.
@@ -288,6 +380,9 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     within the round timeout are aggregated; stragglers' work is discarded.
     All gradients of a round are taken at the same theta, so the kept
     subsamples are stacked in worker order and evaluated in one call.
+    Each worker draws its compute times and subsamples for a block of
+    rounds at once (see :func:`block_rows`); the draws, and so the
+    iterates, are those of one draw per worker per round.
 
     With ``wait_for_stragglers`` (default) the next broadcast waits for the
     whole cohort, so round wall time is max(compute) + mu_master + 2*tau;
@@ -295,19 +390,11 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     min(timeout, max compute) + mu_master + 2*tau.  A round that would end
     after ``max_time`` is not applied, and the run is truncated there.
     """
-    if not math.isfinite(sim_cfg.timeout):
-        raise ConfigError("run_sync_mb requires a finite timeout")
-    # a compute time is exactly mu_worker when sigma_worker is 0 and positive
-    # otherwise; if none can meet the timeout, no round ever aggregates
-    if sim_cfg.mu_worker > sim_cfg.timeout and (sim_cfg.sigma_worker == 0
-                                                or sim_cfg.timeout <= 0):
-        raise ConfigError(
-            f"no worker can meet the round timeout {sim_cfg.timeout:g} "
-            f"(mu_worker {sim_cfg.mu_worker:g}, sigma_worker {sim_cfg.sigma_worker:g})")
+    check_round_timeout(sim_cfg)
     dim = model.dim
     theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    time_rngs = [np.random.default_rng((sim_cfg.seed, w, 1)) for w in range(sim_cfg.workers)]
-    samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
+    n_s = sampler_cfg.n_s
+    rounds = _sync_rounds(sim_cfg, model.n_records, n_s + sampler_cfg.n_o)
 
     rec = Recorder(model, sim_cfg.sample_every)
     state = ParameterState(theta=theta, u=np.zeros(dim), iteration=0)
@@ -319,20 +406,8 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     included_log: list = []
 
     while n < sim_cfg.update_limit:
-        times = [
-            sample_compute_time(time_rngs[w], sim_cfg.mu_worker, sim_cfg.sigma_worker)
-            for w in range(sim_cfg.workers)
-        ]
-        # every worker draws its subsample, kept or not, so each stream
-        # advances as it would on a real cluster
-        subs = [draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
-                for rng in samp_rngs]
-        kept = [sub for sub, c in zip(subs, times) if c <= sim_cfg.timeout]
-        if sim_cfg.wait_for_stragglers:
-            wait = max(times)
-        else:
-            wait = min(sim_cfg.timeout, max(times))
-        if kept:
+        wait, kept = next(rounds)
+        if len(kept):
             end = t + (2 * sim_cfg.comm_time + wait + sim_cfg.mu_master)
         else:
             end = t + (2 * sim_cfg.comm_time + wait)
@@ -341,10 +416,9 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
             break
         t = end
         included_log.append(len(kept))
-        if not kept:
+        if not len(kept):
             continue
-        stacked = Subsample(s_indices=np.stack([sub.s_indices for sub in kept]),
-                            o_indices=np.stack([sub.o_indices for sub in kept]))
+        stacked = Subsample(s_indices=kept[:, :n_s], o_indices=kept[:, n_s:])
         grads = combined_gradient(model, state.theta, stacked)
         theta = mb_master.round(state.theta, grads, stacked.o_indices.ravel(), model)
         n += 1

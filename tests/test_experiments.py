@@ -1,6 +1,7 @@
 """Tests for configuration, dataset ingestion, and the experiment driver."""
 
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -192,6 +193,7 @@ class TestValidateConfig:
         ("sweep", "sigma_worker", [], "sweep.sigma_worker must be a non-empty list"),
         (None, "base_seed", -1, "base_seed must be an integer of at least 0"),
         (None, "base_seed", 1.5, "base_seed must be an integer of at least 0"),
+        ("sweep", "sigma_worker", ["a"], "sweep.sigma_worker values must be numbers"),
     ])
     def test_malformed_nested_value_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                       section, key, value, message):
@@ -211,6 +213,33 @@ class TestValidateConfig:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
         assert forks == []
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("sampler", None, "missing 'sampler' section"),
+        ("sampler", "step", r"missing sampler.step \(needed by as-lbfgs\)"),
+    ], ids=["no-sampler", "no-step"])
+    def test_missing_sampler_value_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     section, key, message):
+        # these used to end in a KeyError or TypeError traceback
+        forks = []
+        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        doc = tiny_config()
+        del (doc[section] if key else doc)[key or section]
+        with pytest.raises(ConfigError, match=message):
+            validate_config(doc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+        assert forks == []
+
+    def test_baseline_step_serves_its_own_algorithm(self):
+        doc = tiny_config(algorithms=["a-sgd"])
+        del doc["sampler"]["step"]
+        assert validate_config(doc)["baselines"]["a-sgd"]["step"] == 1e-3
 
     def test_negative_seed_option_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -232,6 +261,25 @@ class TestValidateConfig:
         doc[section]["max_updates"] = 12.5
         cfg = validate_config(doc)
         with pytest.raises(ConfigError, match="max_updates must be an integer"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        assert forks == []
+        assert os.listdir(tmp_path) == []
+
+
+    @pytest.mark.parametrize("timeout, message", [
+        (1.0, "no worker can meet the round timeout 1 "),
+        (math.inf, "run_sync_mb requires a finite timeout"),
+    ], ids=["unmeetable", "infinite"])
+    def test_unusable_round_timeout_rejected_before_any_fork(self, tmp_path, monkeypatch,
+                                                            timeout, message):
+        # mb-L-BFGS at mu_worker 5 and sigma 0 can never meet a timeout of 1
+        forks = []
+        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.delenv("ASQN_THREADS", raising=False)
+        doc = tiny_config(algorithms=["as-lbfgs", "mb-lbfgs-simplified"])
+        doc["sim"]["timeout"] = timeout
+        cfg = validate_config(doc)
+        with pytest.raises(ConfigError, match=message):
             run_experiment(cfg, out_dir=str(tmp_path))
         assert forks == []
         assert os.listdir(tmp_path) == []

@@ -35,7 +35,7 @@ from asqn import (
 )
 from asqn.experiments import run_sgld_serial, synth_matrix_factorization
 from asqn import simulator
-from asqn.simulator import SimResult, _record, sample_compute_time, write_trace_csv
+from asqn.simulator import SimResult, sample_compute_time, write_trace_csv
 
 
 def small_problem(seed=0):
@@ -200,6 +200,20 @@ class TestRunAsync:
         model, cfg = small_problem()
         with pytest.raises(ConfigError):
             run_async(SimConfig(max_updates=1), cfg, model, algo="newton")
+
+
+def _record(trace, model, state, time, staleness, include_rmse):
+    """The former trace record of the simulators: one potential() call, and
+    one rmse() call when the model is MF."""
+    trace.append(
+        TraceRecord(
+            time=time,
+            iteration=state.iteration,
+            staleness=staleness,
+            potential=potential(model, state.theta),
+            rmse=rmse(model, state.theta) if include_rmse else None,
+        )
+    )
 
 
 def per_worker_run_async(sim_cfg, sampler_cfg, model, algo="as-lbfgs", theta0=None):
@@ -655,6 +669,137 @@ def per_worker_run_sync_mb(sim_cfg, mb_master, sampler_cfg, model, theta0=None):
                      included_log=included_log)
 
 
+class TestBlockDraws:
+    """Each worker draws its compute times, and in synchronous rounds its
+    subsamples, for a block of rounds in one generator call; the engines'
+    results equal the one-draw-per-round references across block ends."""
+
+    def test_block_rows_cap(self):
+        assert simulator.block_rows(6) == simulator.BLOCK_ROWS == 64
+        assert simulator.block_rows(10**4) == 6  # a paper-size MF subsample
+        assert simulator.block_rows(10**6) == 1
+        for n in (1, 6, 1023, 1025, 10**4, 2**16, 2**16 + 1, 10**6):
+            rows = simulator.block_rows(n)
+            assert 1 <= rows <= simulator.BLOCK_ROWS
+            assert rows == 1 or rows * n <= simulator.BLOCK_DRAWS
+
+    @pytest.mark.parametrize("mu, sigma", [(7.0, 3.0), (7.0, 0.0), (0.0, 3.0)])
+    def test_compute_times_equal_one_draw_each(self, mu, sigma):
+        sim = SimConfig(workers=2, mu_worker=mu, sigma_worker=sigma, seed=5)
+        times = simulator.ComputeTimes(sim, rows=16)
+        got = [times.next(w) for _ in range(50) for w in (0, 1)]
+        rngs = [np.random.default_rng((5, w, 1)) for w in (0, 1)]
+        want = [sample_compute_time(rngs[w], mu, sigma) for _ in range(50) for w in (0, 1)]
+        assert got == want
+        assert all(type(c) is float for c in got)
+        if mu == 0.0 or sigma == 0.0:  # no draw, as sample_compute_time draws none
+            fresh = np.random.default_rng((5, 0, 1)).bit_generator.state
+            assert times.rngs[0].bit_generator.state == fresh
+
+    @staticmethod
+    def _spy_sizes(monkeypatch):
+        """Record ``(kind, size, seed)`` of every integers/lognormal draw of
+        the generators made from here on."""
+        sizes = []
+        real = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                self.rng, self.seed = real(seed), seed
+
+            def integers(self, *args, size=None):
+                sizes.append(("integers", size, self.seed))
+                return self.rng.integers(*args, size=size)
+
+            def lognormal(self, *args, size=None):
+                sizes.append(("lognormal", size, self.seed))
+                return self.rng.lognormal(*args, size=size)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        monkeypatch.setattr(simulator.np.random, "default_rng", Spy)
+        return sizes
+
+    @pytest.mark.parametrize("timing", [
+        dict(mu_worker=50.0, sigma_worker=40.0, timeout=45.0),
+        dict(mu_worker=5.0, sigma_worker=0.0, timeout=10.0),
+        dict(mu_worker=0.0, sigma_worker=40.0, timeout=1.0),
+    ], ids=["sigma", "no-sigma", "no-compute"])
+    @pytest.mark.parametrize("wait", [True, False])
+    @pytest.mark.parametrize("name", ["lg", "mf"])
+    def test_sync_rounds_match_per_worker_loop(self, monkeypatch, name, wait, timing):
+        model, cfg, theta0 = problem(name)
+        sim = SimConfig(workers=3, mu_master=3.0, comm_time=2.0, max_updates=200,
+                        sample_every=7, seed=4, wait_for_stragglers=wait, **timing)
+        step = 1e-2 if name == "lg" else 1e-4
+        want = per_worker_run_sync_mb(sim, MbLbfgsMaster(model.dim, step=step), cfg, model,
+                                      theta0)
+        sizes = self._spy_sizes(monkeypatch)
+        got = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=step), cfg, model, theta0)
+        rows = simulator.block_rows(cfg.n_s + cfg.n_o)
+        assert len(got.included_log) > 3 * rows  # the run crosses at least 3 blocks
+        if timing["sigma_worker"] and timing["mu_worker"]:
+            assert {0, 1, 2, 3} <= set(got.included_log)
+            assert {size for kind, size, _ in sizes if kind == "lognormal"} == {rows}
+        else:  # constant compute times draw nothing
+            assert set(got.included_log) == {3}
+            assert all(kind == "integers" for kind, _, _ in sizes)
+        assert {size for kind, size, _ in sizes if kind == "integers"} == {
+            (rows, cfg.n_s + cfg.n_o)}
+        assert same_result(got, want)
+        assert got.included_log == want.included_log
+
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_time_only_horizon_stops_mid_block(self, wait):
+        model, cfg, theta0 = problem("lg")
+        timing = dict(workers=3, mu_master=3.0, mu_worker=50.0, sigma_worker=40.0,
+                      comm_time=2.0, timeout=45.0, seed=4, wait_for_stragglers=wait)
+        want = per_worker_run_sync_mb(SimConfig(max_updates=150, **timing),
+                                      MbLbfgsMaster(model.dim, step=1e-2), cfg, model, theta0)
+        # the next round, applied or not, takes at least 2 * comm_time > 1
+        sim = SimConfig(max_updates=0, max_time=want.final_time + 1.0, **timing)
+        got = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-2), cfg, model, theta0)
+        rows = simulator.block_rows(cfg.n_s + cfg.n_o)
+        assert got.truncated and got.iterations == 150
+        assert len(got.included_log) > 2 * rows and len(got.included_log) % rows
+        assert got.included_log == want.included_log
+        assert got.trace == want.trace
+        assert np.array_equal(got.final_state.theta, want.final_state.theta)
+
+    def test_block_cap_at_a_paper_size_subsample(self, monkeypatch):
+        # n_s + n_o = 10**4 draws per worker and round: 6-row blocks
+        model, _ = small_problem()
+        cfg = SamplerConfig(step=1e-4, friction=0.1, n_s=7500, n_o=2500)
+        sim = SimConfig(workers=2, mu_worker=5.0, sigma_worker=2.0, timeout=6.0,
+                        max_updates=15, seed=1)
+        want = per_worker_run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-4), cfg, model)
+        sizes = self._spy_sizes(monkeypatch)
+        got = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-4), cfg, model)
+        drawn = [size for kind, size, _ in sizes if kind == "integers"]
+        assert drawn and set(drawn) == {(6, 10**4)}
+        assert len(got.included_log) > 2 * 6
+        assert same_result(got, want)
+        assert got.included_log == want.included_log
+
+    @pytest.mark.parametrize("name", ["lg", "mf"])
+    def test_async_matches_per_worker_loop_across_blocks(self, monkeypatch, name):
+        # compute times do not depend on the update rule, so as-lbfgs alone
+        model, cfg, theta0 = problem(name)
+        algo = "as-lbfgs"
+        sim = SimConfig(workers=3, mu_master=0.5, mu_worker=10.0, sigma_worker=6.0,
+                        comm_time=1.0, max_updates=3 * 3 * simulator.BLOCK_ROWS + 20,
+                        sample_every=9, seed=6)
+        want = per_worker_run_async(sim, cfg, model, algo=algo, theta0=theta0)
+        sizes = self._spy_sizes(monkeypatch)
+        got = run_async(sim, cfg, model, algo=algo, theta0=theta0)
+        assert same_result(got, want)
+        # every worker drew at least 3 blocks of compute times
+        blocks = [seed for kind, size, seed in sizes if kind == "lognormal"]
+        assert {size for kind, size, _ in sizes if kind == "lognormal"} == {64}
+        assert all(blocks.count((6, w, 1)) >= 3 for w in range(3))
+
+
 class TestTimeOnlyHorizon:
     """max_updates below 1 with a finite max_time: every engine runs until
     max_time passes, as it does with an update limit it never reaches."""
@@ -780,6 +925,21 @@ class TestSimConfigValidation:
         # record the trace at n = 0, 5, 10, 13
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             SimConfig(**arguments)
+
+
+class TestRecorder:
+    def test_mf_record_takes_both_values_from_one_residual(self):
+        # the same bits as potential() and rmse(), each of which predicts
+        # every rating itself
+        model, _, theta0 = problem("mf")
+        rec = simulator.Recorder(model, sample_every=1)
+        thetas = [theta0 * k for k in (1.0, -3.0, 17.5)]
+        for k, theta in enumerate(thetas):
+            rec.sample(ParameterState(theta, np.zeros(model.dim), k), float(k), 0)
+        for r, theta in zip(rec.trace, thetas):
+            assert np.float64(r.potential).tobytes() == np.float64(
+                potential(model, theta)).tobytes()
+            assert np.float64(r.rmse).tobytes() == np.float64(rmse(model, theta)).tobytes()
 
 
 class TestSharedResult:
