@@ -39,7 +39,6 @@ from .sampler import (
     compute_update,
     master_apply,
     post_send_memory_update,
-    reparameterize,
     sgld_step,
 )
 from .simulator import SimConfig, TraceRecord, run_async, run_sync_mb, time_to_epsilon
@@ -67,7 +66,6 @@ __all__ = [
     "master_apply",
     "post_send_memory_update",
     "potential",
-    "reparameterize",
     "rmse",
     "run_async",
     "run_sync_mb",

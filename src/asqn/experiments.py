@@ -167,14 +167,23 @@ _SCHEMA = {
 }
 
 
-def _check_object(doc, allowed, path):
+# the keys of each section that must hold numbers; counts are left to check_count
+_NUMBERS = {"sampler": {"step", "friction", "inv_temperature", "epsilon", "rho"},
+            "sim": {"sigma_worker", "comm_time", "timeout", "max_time"},
+            "timing": {"mu_master", "mu_worker"}}
+
+
+def _check_object(doc, allowed, path, numbers=()):
     """Raise :class:`ConfigError` naming ``path`` unless ``doc`` is an object
-    whose keys all lie in ``allowed``."""
+    whose keys all lie in ``allowed`` and whose ``numbers`` hold numbers."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config root'} must be an object, got {doc!r}")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} at {path or 'top level'}")
+    for key in sorted(set(numbers) & set(doc)):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
+            raise ConfigError(f"{path}.{key} must be a number, got {doc[key]!r}")
 
 
 @dataclass
@@ -214,13 +223,17 @@ def validate_config(doc: dict) -> ExperimentConfig:
     doc = _deep_merge(PRESETS.get(preset, {}), doc)
     for section, allowed in _SCHEMA.items():
         if isinstance(allowed, set) and section in doc:
-            _check_object(doc[section], allowed, section)
+            _check_object(doc[section], allowed, section, _NUMBERS.get(section, ()))
     for algo, over in doc.get("baselines", {}).items():
-        _check_object(over, _SCHEMA["sampler"], f"baselines.{algo}")
-    timing = doc.get("sim", {}).get("timing", {})
+        _check_object(over, _SCHEMA["sampler"], f"baselines.{algo}", _NUMBERS["sampler"])
+    sim = doc.get("sim", {})
+    if not isinstance(sim.get("wait_for_stragglers", True), bool):
+        raise ConfigError(f"sim.wait_for_stragglers must be true or false, "
+                          f"got {sim['wait_for_stragglers']!r}")
+    timing = sim.get("timing", {})
     _check_object(timing, ALGORITHMS, "sim.timing")
     for algo, times in timing.items():
-        _check_object(times, ("mu_master", "mu_worker"), f"sim.timing.{algo}")
+        _check_object(times, _NUMBERS["timing"], f"sim.timing.{algo}", _NUMBERS["timing"])
     mode = doc.get("mode")
     if mode not in ("simulate", "run"):
         raise ConfigError(f"mode must be 'simulate' or 'run', got {mode!r}")

@@ -22,8 +22,11 @@ class LbfgsMemory:
     positive definite even on non-convex problems.  ``rho`` adds a rho*I
     shift on top of the two-loop product for numerical stabilization.
 
-    The pairs live in the rows of preallocated ``(M, d)`` arrays, so that
-    :func:`apply_stacked` can run the two-loop over many memories at once.
+    The n pairs live newest first in rows 0..n-1 of a window of M (s, y)
+    rows and M values 1/(y.s), 0 past n, so pair j of every memory of a
+    batch is row j of its window.  The window slides up a buffer of 2M - 1
+    rows, one row per admission; at the top, the M - 1 newest rows are
+    first copied to the bottom, once per M admissions.
     """
 
     def __init__(self, dim: int, capacity: int, epsilon: float = 1e-8, rho: float = 0.0):
@@ -37,12 +40,13 @@ class LbfgsMemory:
         self.capacity = int(capacity)
         self.epsilon = float(epsilon)
         self.rho = float(rho)
-        # pair storage: one row per slot, reused in place; a new pair takes
-        # a free slot, or the oldest pair's when full
-        self._s = np.zeros((self.capacity, self.dim))
-        self._y = np.zeros((self.capacity, self.dim))
-        self._rows = list(zip(self._s, self._y))  # row views, built once
-        self._pairs: list = []  # (s row, y row, 1/(y.s), slot), newest first
+        # the window is rows _start.._start+M-1; apply reads _pairs, the
+        # same rows' (s, y, 1/(y.s) as a Python float) newest first
+        self._sy = np.zeros((2 * self.capacity - 1, 2, self.dim))
+        self._inv_ys = np.zeros(2 * self.capacity - 1)
+        self._rows = [tuple(pair) for pair in self._sy]  # row views, built once
+        self._start = self.capacity - 1
+        self._pairs: list = []
         self._gamma = 1.0
 
     def __len__(self) -> int:
@@ -51,7 +55,7 @@ class LbfgsMemory:
     @property
     def pairs(self):
         """Copies of the stored (s, y, 1/(y.s)), oldest first."""
-        return [(s.copy(), y.copy(), inv_ys) for s, y, inv_ys, _ in reversed(self._pairs)]
+        return [(s.copy(), y.copy(), inv_ys) for s, y, inv_ys in reversed(self._pairs)]
 
     def _check(self, v, name):
         v = np.asarray(v, dtype=float)
@@ -70,13 +74,16 @@ class LbfgsMemory:
         # undefined, so it is rejected before the test.
         if ss == 0.0 or not math.isfinite(ys) or ys < self.epsilon * ss:
             return False
-        slot = len(self._pairs)
-        if slot == self.capacity:
-            slot = self._pairs.pop()[3]
-        s_row, y_row = self._rows[slot]
-        s_row[...] = s
-        y_row[...] = y
-        self._pairs.insert(0, (s_row, y_row, 1.0 / ys, slot))
+        start = self._start or self.capacity
+        if not self._start:  # at the top: the newest M - 1 rows go to the bottom
+            kept = self._pairs[:start - 1]
+            self._sy[start:], self._inv_ys[start:] = self._sy[:start - 1], self._inv_ys[:start - 1]
+            self._pairs = [(*self._rows[start + j], pair[2]) for j, pair in enumerate(kept)]
+        self._start = start = start - 1
+        (s_row, y_row), self._inv_ys[start] = self._rows[start], 1.0 / ys
+        s_row[...], y_row[...] = s, y
+        self._pairs.insert(0, (s_row, y_row, self._inv_ys[start].item()))
+        del self._pairs[self.capacity:]
         self._gamma = ys / float(y @ y)
         return True
 
@@ -95,19 +102,20 @@ class LbfgsMemory:
         block runs one recursion over its rows: each dot is one BLAS ddot
         per row (``np.vecdot``), and each update multiplies a row's
         coefficient into the pair (``np.multiply.outer``), so row ``i`` of
-        the result is bit-identical to the call on ``v[i]`` alone.
+        the result is bit-identical to the call on ``v[i]`` alone.  It is
+        kept apart from :func:`apply_stacked`, which is slower on one memory.
         """
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.dim,) or v.ndim > 2:
             raise ValueError(f"v must have shape ({self.dim},) or (m, {self.dim}), got {v.shape}")
         q = v.copy()
         alphas = []
-        for s, y, inv_ys, _ in self._pairs:
+        for s, y, inv_ys in self._pairs:  # newest first
             a = inv_ys * np.vecdot(s, q)
             q -= np.multiply.outer(a, y)
             alphas.append(a)
         r = self._gamma * q
-        for (s, y, inv_ys, _), a in zip(reversed(self._pairs), reversed(alphas)):
+        for (s, y, inv_ys), a in zip(reversed(self._pairs), reversed(alphas)):
             b = inv_ys * np.vecdot(y, r)
             r += np.multiply.outer(a - b, s)
         if self.rho != 0.0:
@@ -116,47 +124,42 @@ class LbfgsMemory:
 
 
 STACKED_MAX_DIM = 512
+STACKED_MIN_BATCH = 3
 
 
 def apply_stacked(memories, vectors) -> np.ndarray:
     """``(H_i + rho_i*I) v`` for each vector ``v`` in ``vectors[i]``.
 
     ``vectors`` has shape ``(k, m, d)``, and item ``i`` is applied through
-    ``memories[i]``.  Every result row is bit-identical to
-    ``memories[i].apply(v)``: each dot is one BLAS ddot per (item, vector),
-    as in the one-dimensional recursion, and the elementwise steps are the
-    same.  A memory with fewer pairs is left untouched at the positions it
-    lacks, never updated with a zero pair, which would turn a -0.0 into
-    +0.0.
+    ``memories[i]``; the memories share ``d`` and ``M``.  Every result row
+    is bit-identical to ``memories[i].apply(v)``: each dot is one BLAS ddot
+    per (item, vector), as in the one-dimensional recursion, and the
+    elementwise steps are the same.  A memory with fewer pairs is left
+    untouched at the positions it lacks, never updated with a zero pair,
+    which would turn a -0.0 into +0.0.
 
-    Stacking pays while the fixed cost of each numpy call dominates.  Above
-    ``STACKED_MAX_DIM`` each item is applied as one block through its own
-    memory (:meth:`LbfgsMemory.apply`) instead.  On a 2-core host with
-    M = 3 and m = 2, the stacked recursion took 0.6 to 0.7 times the time
-    of one block apply per memory at d = 100 and k = 4, and 0.4 times it
-    at k = 10, but 1.4 to 2.1 times it at d = 1500 (k = 2 to 10).
+    Stacking pays while the fixed cost of each numpy call dominates, so
+    the choice is by input size: a batch of fewer than
+    ``STACKED_MIN_BATCH`` memories, or one above ``STACKED_MAX_DIM``, is
+    applied as one block per memory through :meth:`LbfgsMemory.apply`
+    instead.  On a 2-core host with M = 3 and m = 2 (best of 25 runs, two
+    sessions), the stacked recursion took 1.8, 1.0, 0.75, 0.6 and 0.3 times
+    the per-memory time at d = 100 and k = 1, 2, 3, 4 and 10; 1.1 to 1.3
+    and 0.9 to 1.0 times at d = 500 and k = 2 and 3; 1.2 to 1.4 and 0.9 to
+    1.1 times at d = 1500 and k = 2 and 10.
     """
-    if memories[0].dim > STACKED_MAX_DIM:
+    if len(memories) < STACKED_MIN_BATCH or memories[0].dim > STACKED_MAX_DIM:
         return np.array([mem.apply(item) for mem, item in zip(memories, vectors)])
     q = np.array(vectors, dtype=float)
     fill = np.array([len(mem) for mem in memories])
-    most = int(fill.max())
-    if most:
-        # row of each memory's j-th newest pair in the concatenated storage;
-        # a position a memory lacks points at its first row and is masked
-        rows, inv_ys, base = [], [], 0
-        for mem in memories:
-            pad = most - len(mem)
-            rows.append([base + slot for _, _, _, slot in mem._pairs] + [base] * pad)
-            inv_ys.append([inv for _, _, inv, _ in mem._pairs] + [0.0] * pad)
-            base += mem.capacity
-        rows = np.array(rows)
-        s = np.concatenate([mem._s for mem in memories])[rows][:, :, None, :]
-        y = np.concatenate([mem._y for mem in memories])[rows][:, :, None, :]
-        inv_ys = np.array(inv_ys)[:, :, None]
+    # pair j of every memory is row j of its window; rows past its fill are masked
+    rows = [slice(mem._start, mem._start + mem.capacity) for mem in memories]
+    sy = np.array([mem._sy[at] for mem, at in zip(memories, rows)])[:, :, :, None, :]
+    s, y = sy[:, :, 0], sy[:, :, 1]
+    inv_ys = np.array([mem._inv_ys[at] for mem, at in zip(memories, rows)])[:, :, None]
     tmp = np.empty_like(q)
     alphas = []
-    for j in range(most):  # newest pair first
+    for j in range(fill.max()):  # newest pair first
         has = True if fill.min() > j else (fill > j)[:, None, None]
         a = inv_ys[:, j] * np.vecdot(s[:, j], q)
         np.multiply(a[..., None], y[:, j], out=tmp)
@@ -164,7 +167,7 @@ def apply_stacked(memories, vectors) -> np.ndarray:
         alphas.append(a)
     gamma = np.array([mem._gamma for mem in memories])
     r = np.multiply(gamma[:, None, None], q, out=q)
-    for j in reversed(range(most)):
+    for j in reversed(range(len(alphas))):
         has = True if fill.min() > j else (fill > j)[:, None, None]
         b = inv_ys[:, j] * np.vecdot(y[:, j], r)
         np.multiply((alphas[j] - b)[..., None], s[:, j], out=tmp)

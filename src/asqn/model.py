@@ -117,7 +117,8 @@ class LinearGaussianModel:
         a = self.features if indices is None else self.features[indices]
         y = self.targets if indices is None else self.targets[indices]
         r = (a @ theta if theta.ndim == 1 else (a @ theta[:, :, None])[..., 0]) - y
-        return (r[..., None, :] @ a)[..., 0, :] / self.noise_variance
+        # matmul runs a 1-D r as the row (1, n), as it runs each stacked row
+        return (r @ a if r.ndim == 1 else (r[..., None, :] @ a)[..., 0, :]) / self.noise_variance
 
     def likelihood_grad_sums(self, theta, parts):
         """One :meth:`likelihood_grad_sum` per index array in ``parts``.

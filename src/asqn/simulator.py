@@ -226,8 +226,13 @@ class Recorder:
             self.sample(state, time, staleness)
 
     def result(self, state, **fields) -> SimResult:
+        """The result ending at ``state``; its potential is the last record's
+        when that record holds ``state``, sparing a full-data pass."""
+        last = self.trace[-1] if self.trace else None
+        final = (last.potential if last and last.iteration == state.iteration
+                 else potential(self.model, state.theta))
         return SimResult(trace=self.trace, final_state=state, staleness_log=self.staleness_log,
-                         final_potential=potential(self.model, state.theta), **fields)
+                         final_potential=final, **fields)
 
     def close(self, state, time, **fields) -> SimResult:
         """Record ``state`` unless the trace already ends there, with the

@@ -169,6 +169,8 @@ class TestValidateConfig:
         ("sampler", "memory_size", 1.5),
         ("runtime", "workers", 2.0),
         (None, "repetitions", 1.5),
+        ("sampler", "memory_size", "3"),
+        ("sim", "sample_every", [5]),
     ])
     def test_non_integer_count_is_a_config_error(self, tmp_path, capsys, section, key, value):
         doc = tiny_config(mode="run" if section == "runtime" else "simulate")
@@ -194,6 +196,19 @@ class TestValidateConfig:
         (None, "base_seed", -1, "base_seed must be an integer of at least 0"),
         (None, "base_seed", 1.5, "base_seed must be an integer of at least 0"),
         ("sweep", "sigma_worker", ["a"], "sweep.sigma_worker values must be numbers"),
+        ("sim", "comm_time", "1", "sim.comm_time must be a number, got '1'"),
+        ("sim", "sigma_worker", "a", "sim.sigma_worker must be a number"),
+        ("sim", "timing", {"as-lbfgs": {"mu_master": 0.0, "mu_worker": "5"}},
+         "sim.timing.as-lbfgs.mu_worker must be a number"),
+        ("sampler", "step", "a", "sampler.step must be a number"),
+        ("sampler", "friction", "0.1", "sampler.friction must be a number"),
+        ("sim", "wait_for_stragglers", "no", "sim.wait_for_stragglers must be true or false"),
+        ("sim", "timeout", True, "sim.timeout must be a number, got True"),
+        ("sim", "max_time", None, "sim.max_time must be a number, got None"),
+        ("sampler", "rho", [0.5], r"sampler.rho must be a number, got \[0.5\]"),
+        ("baselines", "a-sgd", {"step": {"value": 1e-3}}, "baselines.a-sgd.step must be a number"),
+        ("sim", "timing", {"as-lbfgs": {"mu_master": False, "mu_worker": 5.0}},
+         "sim.timing.as-lbfgs.mu_master must be a number, got False"),
     ])
     def test_malformed_nested_value_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                       section, key, value, message):

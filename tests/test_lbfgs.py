@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from asqn import ConfigError, LbfgsMemory
-from asqn.lbfgs import STACKED_MAX_DIM, apply_stacked
+from asqn.lbfgs import STACKED_MAX_DIM, STACKED_MIN_BATCH, apply_stacked
 
 
 def dense_matrix(memory: LbfgsMemory) -> np.ndarray:
@@ -279,6 +279,23 @@ class TestRowStorage:
         pairs[0][0][:] = 0.0
         assert not np.array_equal(mem.pairs[0][0], 0.0)
 
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 5])
+    def test_window_holds_the_pairs_newest_first_then_zeros(self, capacity):
+        # across several slides of the window down the buffer, with rejections
+        rng = np.random.default_rng(capacity)
+        mem = LbfgsMemory(4, capacity, epsilon=0.5)
+        for _ in range(5 * capacity + 3):
+            s = rng.standard_normal(4)
+            mem.try_add(s, s + rng.standard_normal(4))
+            window = slice(mem._start, mem._start + capacity)
+            sy, inv_ys = mem._sy[window], mem._inv_ys[window]
+            assert sy.shape == (capacity, 2, 4) and inv_ys.shape == (capacity,)
+            newest_first = mem.pairs[::-1]
+            for j, (s_j, y_j, inv_j) in enumerate(newest_first):
+                assert np.array_equal(sy[j, 0], s_j) and np.array_equal(sy[j, 1], y_j)
+                assert inv_ys[j] == inv_j
+            assert not sy[len(mem):].any() and not inv_ys[len(mem):].any()
+
 
 class TestBlockApply:
     """An (m, d) block through LbfgsMemory.apply: one recursion over the rows,
@@ -328,7 +345,7 @@ class TestApplyStacked:
     def test_rows_equal_one_dimensional_apply(self, dim, rho):
         rng = np.random.default_rng(dim)
         for capacity in (1, 3):
-            for k in (1, 2, 5, 11):
+            for k in (1, 2, 3, 5, 11):
                 memories = mixed_memories(rng, k, dim, capacity, rho)
                 vectors = signed_zero_vectors(rng, (k, 2, dim))
                 got = apply_stacked(memories, vectors)
@@ -343,10 +360,13 @@ class TestApplyStacked:
         rng = np.random.default_rng(1)
         full, _ = admitted_memory(rng, 4, 3, 5)
         empty = LbfgsMemory(4, 3)
-        vectors = np.array([[[-0.0, 1.0, -0.0, 2.0]], [[-0.0, -0.0, 3.0, -0.0]]])
-        got = apply_stacked([full, empty], vectors)
+        vectors = np.array([[[-0.0, 1.0, -0.0, 2.0]], [[-0.0, -0.0, 3.0, -0.0]],
+                            [[1.0, -0.0, -0.0, 0.0]]])
+        assert len(vectors) >= STACKED_MIN_BATCH  # so the batch is stacked
+        got = apply_stacked([full, empty, full], vectors)
         assert same_bits(got[1, 0], vectors[1, 0])
         assert same_bits(got[0, 0], full.apply(vectors[0, 0]))
+        assert same_bits(got[2, 0], full.apply(vectors[2, 0]))
 
     def test_leaves_memories_and_vectors_alone(self):
         rng = np.random.default_rng(2)

@@ -23,12 +23,11 @@ from asqn import (
     full_gradient,
     master_apply,
     post_send_memory_update,
-    reparameterize,
     sgld_step,
     stochastic_gradient,
 )
-from asqn.experiments import synth_matrix_factorization
-from asqn.sampler import asgd_updates, compute_updates, sgld_updates
+from asqn.experiments import synth_linear_gaussian, synth_matrix_factorization
+from asqn.sampler import UpdateContext, asgd_updates, compute_updates, sgld_updates
 
 
 def zero_gradient_model(dim=1):
@@ -290,21 +289,6 @@ class TestMasterApply:
         state = ParameterState.zeros(1)
         with pytest.raises(DivergenceError):
             master_apply(state, UpdateVector(np.array([np.nan]), np.zeros(1)))
-
-
-class TestReparameterize:
-    def test_arithmetic(self):
-        assert reparameterize(0.1, 0.5) == pytest.approx((0.01, 0.05))
-
-    def test_boundary_error(self):
-        with pytest.raises(ValueError):
-            reparameterize(1.0, 1.0)
-
-    def test_round_trip(self):
-        hp, gp = reparameterize(0.3, 0.7)
-        h = math.sqrt(hp)
-        assert h == pytest.approx(0.3, abs=1e-14)
-        assert gp / h == pytest.approx(0.7, abs=1e-14)
 
 
 class TestSgld:
@@ -643,3 +627,116 @@ class TestSgldUpdates:
             sgld_updates(cfg, snaps, model, [np.random.default_rng(w) for w in range(k)])
         assert "non-finite gradient" in str(info.value)
         assert "a-SGD" not in str(info.value)
+
+
+def reference_update(cfg, worker, snapshot, model, rng):
+    """The former single-worker compute_update: one-dimensional gradients
+    at the snapshot and one two-row block apply on (g, u)."""
+    sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
+    noise = rng.standard_normal(model.dim) if cfg.noise_scale() > 0.0 else None
+    theta, u = snapshot.theta, snapshot.u
+    g, overlap_grad = combined_gradient(model, theta, sub, with_overlap=True)
+    if not np.isfinite(g).all():
+        raise DivergenceError(
+            f"non-finite gradient at iteration {snapshot.iteration}",
+            iteration=snapshot.iteration,
+        )
+    h = worker.memory.apply(np.array([g, u]))
+    d_u = -cfg.step * h[0] - cfg.friction * u
+    if noise is not None:
+        d_u += cfg.noise_scale() * noise
+    return UpdateVector(d_theta=h[1], d_u=d_u), UpdateContext(
+        snapshot_theta=theta, subsample=sub, overlap_gradient=overlap_grad,
+        snapshot_iteration=snapshot.iteration)
+
+
+def reference_post_send(worker, ctx, model):
+    """The former post-send memory update: the previous overlap set's
+    gradient at the snapshot in its own call.  Returns whether a pair was
+    admitted, and whether one was due."""
+    due = worker.local_iter >= 1 and worker.cfg.use_memory
+    admitted = False
+    if due:
+        g_prime = stochastic_gradient(model, ctx.snapshot_theta, worker.prev_overlap)
+        admitted = worker.memory.try_add(ctx.snapshot_theta - worker.prev_theta,
+                                         g_prime - worker.prev_overlap_grad)
+    worker.prev_theta = ctx.snapshot_theta
+    worker.prev_overlap = ctx.subsample.o_indices
+    worker.prev_overlap_grad = ctx.overlap_gradient
+    worker.local_iter += 1
+    return admitted, due
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestSingleWorkerReference:
+    """compute_update, and compute_updates on one worker, against the former
+    single-worker numerics, bit for bit along a whole run."""
+
+    CASES = {
+        # LG with noise on, MF at beta = inf; on LG y.s >= |s|^2 always (the
+        # prior), so only a threshold above 1 rejects pairs
+        "lg-noise": (lambda: synth_linear_gaussian(0, 12, 60, 10.0, correlation=3.0)[0],
+                     dict(step=4e-3, friction=0.1, inv_temperature=50.0, n_s=6, n_o=3,
+                          epsilon=1.2, rho=0.5)),
+        "mf-no-noise": (lambda: synth_matrix_factorization(1, 12, 15, 3),
+                        dict(step=2e-3, friction=0.1, n_s=8, n_o=4, epsilon=0.1, rho=1.0)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_runs_match_the_reference(self, case):
+        make_model, params = self.CASES[case]
+        model = make_model()
+        cfg = SamplerConfig(memory_size=3, **params)
+        theta0 = 0.1 * np.random.default_rng(3).standard_normal(model.dim)
+        start = ParameterState(theta0, np.zeros(model.dim))
+        workers = [WorkerState(cfg, model.dim) for _ in range(3)]
+        rngs = [np.random.default_rng(17) for _ in range(3)]
+        states = [start] * 3
+        admitted = rejected = 0
+        for _ in range(60):
+            want, ctx = reference_update(cfg, workers[0], states[0], model, rngs[0])
+            states[0] = master_apply(states[0], want)
+            ok, due = reference_post_send(workers[0], ctx, model)
+            admitted += ok
+            rejected += due and not ok
+            one, ctx = compute_update(cfg, workers[1], states[1], model, rngs[1])
+            states[1] = master_apply(states[1], one)
+            post_send_memory_update(workers[1], ctx, model)
+            (batch,) = compute_updates(cfg, [workers[2]], [states[2]], model, [rngs[2]])
+            states[2] = master_apply(states[2], batch)
+            for got in (one, batch):
+                assert same_bits(got.d_theta, want.d_theta)
+                assert same_bits(got.d_u, want.d_u)
+        for state in states[1:]:
+            assert same_bits(state.theta, states[0].theta) and same_bits(state.u, states[0].u)
+        for worker, rng in zip(workers[1:], rngs[1:]):
+            assert same_worker(worker, workers[0])
+            assert rng.bit_generator.state == rngs[0].bit_generator.state
+        assert admitted > 3 and rejected > 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_nonfinite_snapshot_raises_as_the_reference(self, case):
+        make_model, params = self.CASES[case]
+        model = make_model()
+        cfg = SamplerConfig(memory_size=3, **params)
+        bad = ParameterState(np.full(model.dim, np.nan), np.zeros(model.dim), iteration=41)
+        errors = []
+        for call in (
+            lambda worker, rng: reference_update(cfg, worker, bad, model, rng),
+            lambda worker, rng: compute_update(cfg, worker, bad, model, rng),
+            lambda worker, rng: compute_updates(cfg, [worker], [bad], model, [rng]),
+        ):
+            worker, rng = WorkerState(cfg, model.dim), np.random.default_rng(5)
+            state = ParameterState(np.ones(model.dim), np.zeros(model.dim))
+            for _ in range(2):  # a pair is due at the failing update
+                (upd,) = compute_updates(cfg, [worker], [state], model, [rng])
+                state = master_apply(state, upd)
+            with pytest.raises(DivergenceError) as info:
+                call(worker, rng)
+            assert worker.local_iter == 2
+            errors.append((str(info.value), info.value.iteration))
+        assert errors == [("non-finite gradient at iteration 41", 41)] * 3

@@ -961,3 +961,25 @@ class TestSharedResult:
         assert [r.iteration for r in res.trace] == [0, 5, 10, 15, 20, 23]
         assert res.trace[-1].potential == res.final_potential
         assert (res.wall_ms, res.error) == (None, None)
+
+    @pytest.mark.parametrize("engine", ["async", "sync_mb"])
+    def test_final_potential_costs_no_pass_of_its_own(self, engine, monkeypatch):
+        # each MF record predicts every rating once, and the final potential
+        # reuses the closing record instead of predicting them again
+        model, cfg, theta0 = problem("mf")
+        full_passes = []
+        predictions = model.predictions
+
+        def spy(theta, indices=None):
+            full_passes.append(indices is None)
+            return predictions(theta, indices)
+
+        monkeypatch.setattr(model, "predictions", spy)
+        sim = SimConfig(workers=3, mu_worker=5.0, sigma_worker=2.0, comm_time=1.0,
+                        timeout=7.0, max_updates=23, sample_every=5, seed=2)
+        if engine == "async":
+            res = run_async(sim, cfg, model, theta0=theta0)
+        else:
+            res = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-3), cfg, model, theta0)
+        assert res.final_potential == res.trace[-1].potential
+        assert sum(full_passes) == len(res.trace) == 6
