@@ -139,51 +139,69 @@ PRESETS = {
     },
 }
 
-_SCHEMA = {
-    "schema_version": None,
-    "preset": None,
-    "mode": None,
-    "algorithms": None,
-    "problem": {
-        "type", "seed", "dim", "n_records", "noise_variance", "correlation",
-        "rank", "path", "format", "max_ratings", "n_rows", "n_cols",
-        "noise_std", "observed_fraction",
-    },
-    "sampler": {
-        "step", "friction", "inv_temperature", "memory_size", "n_s", "n_o",
-        "epsilon", "rho",
-    },
-    "baselines": {"a-sgd", "mb-lbfgs-simplified", "sgld"},
-    "sim": {
-        "workers", "sigma_worker", "comm_time", "timeout", "max_updates",
-        "max_time", "sample_every", "timing", "wait_for_stragglers",
-    },
-    "runtime": {"workers", "max_updates", "sample_every"},
-    "sweep": {"sigma_worker", "workers"},
-    "repetitions": None,
-    "epsilon_accuracy": None,
-    "base_seed": None,
-    "output_dir": None,
+
+# The kind of every config key: float for a number (an int will do, a bool
+# will not), int for a count (left to check_count where the count is used),
+# bool, str, "| None" where null is allowed, [kind] for a non-empty list of
+# that kind, and a dict for an object that holds its keys only.
+_SAMPLER = {"step": float, "friction": float, "inv_temperature": float, "memory_size": int,
+            "n_s": int | None, "n_o": int | None, "epsilon": float, "rho": float}
+# the problem keys of each type, besides "type" and "seed"
+_PROBLEMS = {
+    "linear-gaussian": {"dim": int, "n_records": int, "noise_variance": float,
+                        "correlation": float},
+    "matrix-factorization": {"rank": int, "path": str | None, "format": str,
+                             "max_ratings": int | None, "n_rows": int, "n_cols": int,
+                             "noise_std": float, "observed_fraction": float},
 }
+_SCHEMA = {
+    "schema_version": int, "preset": str, "mode": str, "algorithms": [str],
+    "problem": {"type": str, "seed": int, **_PROBLEMS["linear-gaussian"],
+                **_PROBLEMS["matrix-factorization"]},
+    "sampler": _SAMPLER, "baselines": dict.fromkeys(ALGORITHMS[1:], _SAMPLER),
+    "sim": {"workers": int, "sigma_worker": float, "comm_time": float, "timeout": float,
+            "max_updates": int, "max_time": float, "sample_every": int,
+            "timing": dict.fromkeys(ALGORITHMS, {"mu_master": float, "mu_worker": float}),
+            "wait_for_stragglers": bool},
+    "runtime": {"workers": int, "max_updates": int, "sample_every": int},
+    "sweep": {"sigma_worker": [float], "workers": [int]},
+    "repetitions": int, "epsilon_accuracy": float, "base_seed": int, "output_dir": str,
+}
+# what a value of each checked kind must be, and what a list's values must be
+_WHAT = {float: ("a number", "numbers"), bool: ("true or false", None),
+         str: ("a string", "strings"), str | None: ("a string or null", None)}
+
+# the key each mode sweeps, its name in trace file names, and its unswept source
+_SWEEPS = {"simulate": ("sigma_worker", "sigma", "sim", 0.0),
+           "run": ("workers", "workers", "runtime", 1)}
 
 
-# the keys of each section that must hold numbers; counts are left to check_count
-_NUMBERS = {"sampler": {"step", "friction", "inv_temperature", "epsilon", "rho"},
-            "sim": {"sigma_worker", "comm_time", "timeout", "max_time"},
-            "timing": {"mu_master", "mu_worker"}}
+def _is(value, kind):
+    """Whether ``value`` has the scalar ``kind``; every count passes."""
+    if kind is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return kind not in _WHAT or isinstance(value, kind)
 
 
-def _check_object(doc, allowed, path, numbers=()):
-    """Raise :class:`ConfigError` naming ``path`` unless ``doc`` is an object
-    whose keys all lie in ``allowed`` and whose ``numbers`` hold numbers."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config root'} must be an object, got {doc!r}")
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} at {path or 'top level'}")
-    for key in sorted(set(numbers) & set(doc)):
-        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
-            raise ConfigError(f"{path}.{key} must be a number, got {doc[key]!r}")
+def _check(value, kind, path=""):
+    """Raise :class:`ConfigError` naming ``path`` unless ``value`` and
+    everything in it have ``kind``, an entry of :data:`_SCHEMA`."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config root'} must be an object, got {value!r}")
+        unknown = set(value) - set(kind)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {sorted(unknown)} at {path or 'top level'}")
+        for key, item in value.items():
+            _check(item, kind[key], f"{path}.{key}" if path else key)
+    elif isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
+        for item in value:
+            if not _is(item, kind[0]):
+                raise ConfigError(f"{path} values must be {_WHAT[kind[0]][1]}, got {item!r}")
+    elif not _is(value, kind):
+        raise ConfigError(f"{path} must be {_WHAT[kind][0]}, got {value!r}")
 
 
 @dataclass
@@ -214,54 +232,40 @@ def _deep_merge(base, override):
 
 def validate_config(doc: dict) -> ExperimentConfig:
     """Check ``doc`` and merge it over its preset, if it names one; returns
-    a config that shares no object with ``doc``, which is left as it is."""
-    _check_object(doc, _SCHEMA, "")
+    a config that shares no object with ``doc``, which is left as it is.
+    :data:`_SCHEMA` gives every key its kind; the checks after the merge
+    relate keys to one another, such as the ``problem`` keys to its type."""
+    _check(doc, _SCHEMA)  # the presets match the table, so the merged config does too
     doc = dict(doc)
     preset = doc.pop("preset", None)
     if preset is not None and preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
     doc = _deep_merge(PRESETS.get(preset, {}), doc)
-    for section, allowed in _SCHEMA.items():
-        if isinstance(allowed, set) and section in doc:
-            _check_object(doc[section], allowed, section, _NUMBERS.get(section, ()))
-    for algo, over in doc.get("baselines", {}).items():
-        _check_object(over, _SCHEMA["sampler"], f"baselines.{algo}", _NUMBERS["sampler"])
-    sim = doc.get("sim", {})
-    if not isinstance(sim.get("wait_for_stragglers", True), bool):
-        raise ConfigError(f"sim.wait_for_stragglers must be true or false, "
-                          f"got {sim['wait_for_stragglers']!r}")
-    timing = sim.get("timing", {})
-    _check_object(timing, ALGORITHMS, "sim.timing")
-    for algo, times in timing.items():
-        _check_object(times, _NUMBERS["timing"], f"sim.timing.{algo}", _NUMBERS["timing"])
     mode = doc.get("mode")
-    if mode not in ("simulate", "run"):
+    if mode not in _SWEEPS:
         raise ConfigError(f"mode must be 'simulate' or 'run', got {mode!r}")
     # each sweep key applies to one mode only; the other would ignore it
-    ignored = {"simulate": "workers", "run": "sigma_worker"}[mode]
-    if ignored in doc.get("sweep", {}):
-        raise ConfigError(f"sweep.{ignored} does not apply in {mode} mode")
-    for key, values in doc.get("sweep", {}).items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{key} must be a non-empty list, got {values!r}")
-    for value in doc.get("sweep", {}).get("sigma_worker", []):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"sweep.sigma_worker values must be numbers, got {value!r}")
-    algos = doc.get("algorithms", [])
-    if not algos:
-        raise ConfigError("at least one algorithm required")
-    for a in algos:
-        if a not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {a!r}; known: {list(ALGORITHMS)}")
-    for section in ("problem", "sampler"):
+    for other, (key, *_) in _SWEEPS.items():
+        if other != mode and key in doc.get("sweep", {}):
+            raise ConfigError(f"sweep.{key} does not apply in {mode} mode")
+    for section in ("algorithms", "problem", "sampler"):
         if section not in doc:
             raise ConfigError(f"missing '{section}' section")
-    for a in algos:
+    for a in doc["algorithms"]:
+        if a not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {a!r}; known: {list(ALGORITHMS)}")
         # a baseline's own section may set the step its algorithm runs with
         if "step" not in {**doc["sampler"], **doc.get("baselines", {}).get(a, {})}:
             raise ConfigError(f"missing sampler.step (needed by {a})")
+    ptype = doc["problem"].get("type")
+    if ptype not in _PROBLEMS:
+        raise ConfigError(f"problem.type must be one of {sorted(_PROBLEMS)}, got {ptype!r}")
+    for key in sorted(doc["problem"]):
+        if key not in ("type", "seed", *_PROBLEMS[ptype]):
+            raise ConfigError(f"problem.{key} does not apply to problem type {ptype!r}")
     check_count("repetitions", doc.get("repetitions", 1))
     check_count("base_seed", doc.get("base_seed", 0), minimum=0)
+    check_count("schema_version", doc.get("schema_version", 1))
     return ExperimentConfig(doc)
 
 
@@ -294,8 +298,8 @@ def synth_linear_gaussian(seed, dim, n_records, noise_variance, correlation=0.0)
     intended step sizes.
     Returns (model, theta_star, u_star) with the closed-form optimum.
     """
-    if dim < 1 or n_records < 1:
-        raise ConfigError("dim and n_records must be positive")
+    check_count("dim", dim)
+    check_count("n_records", n_records)
     rng = np.random.default_rng(seed)
     shared = rng.standard_normal(dim)
     shared /= np.linalg.norm(shared)
@@ -312,6 +316,8 @@ def synth_linear_gaussian(seed, dim, n_records, noise_variance, correlation=0.0)
 def synth_matrix_factorization(seed, n_rows, n_cols, rank, noise_std=0.1,
                                observed_fraction=0.1):
     """Low-rank synthetic ratings: Y = F G + noise on a random subset of cells."""
+    for name, count in (("n_rows", n_rows), ("n_cols", n_cols), ("rank", rank)):
+        check_count(name, count)
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n_rows, rank))
     g = rng.standard_normal((rank, n_cols))
@@ -333,6 +339,7 @@ def load_movielens(path, fmt="dat-double-colon", rank=5, max_ratings=None):
     """
     if fmt not in ("dat-double-colon", "csv"):
         raise ConfigError(f"unknown ratings format {fmt!r}")
+    check_count("rank", rank)
     users, items, ratings = [], [], []
     try:
         fh = open(path, encoding="utf-8", errors="replace")
@@ -373,18 +380,18 @@ def build_problem(cfg: ExperimentConfig):
 
     Returns (model, u_star) where u_star is None when no closed-form
     optimum exists (matrix factorization)."""
-    p = dict(cfg["problem"])
+    p = cfg["problem"]
     ptype = p.get("type")
+    seed = p.get("seed", 0)
+    check_count("problem.seed", seed, minimum=0)
     if ptype == "linear-gaussian":
         model, _, u_star = synth_linear_gaussian(
-            seed=p.get("seed", 0),
-            dim=p.get("dim", 100),
-            n_records=p.get("n_records", 600),
-            noise_variance=p.get("noise_variance", 10.0),
-            correlation=p.get("correlation", 0.0),
-        )
+            seed=seed, dim=p.get("dim", 100), n_records=p.get("n_records", 600),
+            noise_variance=p.get("noise_variance", 10.0), correlation=p.get("correlation", 0.0))
         return model, u_star
     if ptype == "matrix-factorization":
+        if p.get("max_ratings") is not None:
+            check_count("problem.max_ratings", p["max_ratings"])
         if p.get("path"):
             model, _ = load_movielens(
                 p["path"], fmt=p.get("format", "dat-double-colon"),
@@ -392,13 +399,9 @@ def build_problem(cfg: ExperimentConfig):
             )
         else:
             model = synth_matrix_factorization(
-                seed=p.get("seed", 0),
-                n_rows=p.get("n_rows", 200),
-                n_cols=p.get("n_cols", 300),
-                rank=p.get("rank", 3),
-                noise_std=p.get("noise_std", 0.1),
-                observed_fraction=p.get("observed_fraction", 0.1),
-            )
+                seed=seed, n_rows=p.get("n_rows", 200), n_cols=p.get("n_cols", 300),
+                rank=p.get("rank", 3), noise_std=p.get("noise_std", 0.1),
+                observed_fraction=p.get("observed_fraction", 0.1))
         return model, None
     raise ConfigError(f"unknown problem type {ptype!r}")
 
@@ -527,36 +530,6 @@ def _run_points(calls, procs):
     return [results[i] for i in range(len(calls))]
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None):
-    """Execute the configured experiment; returns the summary dict.
-
-    Writes one trace CSV per (algorithm, sweep value, repetition) named
-    ``{algo}_{param}-{value}_rep-{k}.csv`` plus ``summary.json``.  Partial
-    outputs are removed if the experiment fails.
-
-    Every point is resolved to a ready call before any point runs, so a
-    configuration error (such as a non-integer ``sim.max_updates``, or
-    ``sgld`` in run mode) is raised before any process forks.  Simulate
-    mode runs its independent points on one forked process per usable CPU,
-    capped by the ``ASQN_THREADS`` environment variable (Linux only, for
-    the ``fork`` start method); the outputs are byte-identical to a run on
-    one process.  Run mode runs its points one after another in the calling
-    process, because each times :func:`asqn.runtime.run`, which forks its
-    own workers."""
-    out_dir = out_dir or cfg.get("output_dir") or "out"
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    try:
-        return _run_experiment_inner(cfg, out_dir, written)
-    except Exception:
-        for path in written:
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-        raise
-
-
 def _point_summary(mode, runs, u_star, eps):
     """Summary figures of one sweep value over its repetitions."""
     finals = _mean_std(res.final_potential for res in runs)[0]
@@ -576,7 +549,23 @@ def _point_summary(mode, runs, u_star, eps):
     }
 
 
-def _run_experiment_inner(cfg, out_dir, written):
+def run_experiment(cfg: ExperimentConfig, out_dir=None):
+    """Execute the configured experiment; returns the summary dict.
+
+    Writes one trace CSV per (algorithm, sweep value, repetition) named
+    ``{algo}_{param}-{value}_rep-{k}.csv`` plus ``summary.json``.  Partial
+    outputs are removed if the experiment fails.
+
+    The problem is built and every point resolved to a ready call before
+    any point runs, so a configuration error (such as a non-integer
+    ``sim.max_updates``, or ``sgld`` in run mode) is raised before any
+    process forks and before ``out_dir`` is created.  Simulate
+    mode runs its independent points on one forked process per usable CPU,
+    capped by the ``ASQN_THREADS`` environment variable (Linux only, for
+    the ``fork`` start method); the outputs are byte-identical to a run on
+    one process.  Run mode runs its points one after another in the calling
+    process, because each times :func:`asqn.runtime.run`, which forks its
+    own workers."""
     mode = cfg["mode"]
     algorithms = cfg["algorithms"]
     model, u_star = build_problem(cfg)
@@ -584,41 +573,50 @@ def _run_experiment_inner(cfg, out_dir, written):
     reps = cfg.get("repetitions", 1)
     base_seed = cfg.get("base_seed", 0)
     eps = cfg.get("epsilon_accuracy", 1e-2)
-    # the swept value, its name in trace file names, and its unswept source
-    key, label, section, default = {"simulate": ("sigma_worker", "sigma", "sim", 0.0),
-                                    "run": ("workers", "workers", "runtime", 1)}[mode]
+    key, label, section, default = _SWEEPS[mode]
     values = cfg.get("sweep", {}).get(key) or [cfg.get(section, {}).get(key, default)]
     calls = [_resolve_point(cfg, model, theta0, algo, base_seed + k, value)
              for algo in algorithms for value in values for k in range(reps)]
     # a run-mode point forks and times its own workers, so it runs alone
     procs = 1 if mode == "run" else min(len(os.sched_getaffinity(0)), len(calls),
                                         rt.worker_cap() or len(calls))
-    results = iter(_run_points(calls, procs))
-    summary = {
-        "mode": mode,
-        "u_star": u_star,
-        "epsilon": eps,
-        "base_seed": base_seed,
-        "repetition_seeds": [base_seed + k for k in range(reps)],
-        "algorithms": {},
-    }
-    for algo in algorithms:
-        summary_points = []
-        for value in values:
-            runs = [next(results) for _ in range(reps)]
-            for k, res in enumerate(runs):
-                path = os.path.join(out_dir, f"{algo}_{label}-{value:g}_rep-{k}.csv")
-                write_trace_csv(res.trace, path)
-                written.append(path)
-            summary_points.append({key: value, **_point_summary(mode, runs, u_star, eps)})
-        # run mode: the speedup of each worker count over one worker
-        base = next((p for p in summary_points if p.get("workers") == 1), None)
-        if base:
-            for p in summary_points:
-                p["speedup_vs_w1"] = base["wall_ms_mean"] / p["wall_ms_mean"]
-        summary["algorithms"][algo] = {"points": summary_points}
-    spath = os.path.join(out_dir, "summary.json")
-    with open(spath, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    written.append(spath)
-    return summary
+    out_dir = out_dir or cfg.get("output_dir") or "out"
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    try:
+        results = iter(_run_points(calls, procs))
+        summary = {
+            "mode": mode,
+            "u_star": u_star,
+            "epsilon": eps,
+            "base_seed": base_seed,
+            "repetition_seeds": [base_seed + k for k in range(reps)],
+            "algorithms": {},
+        }
+        for algo in algorithms:
+            summary_points = []
+            for value in values:
+                runs = [next(results) for _ in range(reps)]
+                for k, res in enumerate(runs):
+                    path = os.path.join(out_dir, f"{algo}_{label}-{value:g}_rep-{k}.csv")
+                    write_trace_csv(res.trace, path)
+                    written.append(path)
+                summary_points.append({key: value, **_point_summary(mode, runs, u_star, eps)})
+            # run mode: the speedup of each worker count over one worker
+            base = next((p for p in summary_points if p.get("workers") == 1), None)
+            if base:
+                for p in summary_points:
+                    p["speedup_vs_w1"] = base["wall_ms_mean"] / p["wall_ms_mean"]
+            summary["algorithms"][algo] = {"points": summary_points}
+        spath = os.path.join(out_dir, "summary.json")
+        with open(spath, "w") as fh:
+            json.dump(summary, fh, indent=2)
+        written.append(spath)
+        return summary
+    except Exception:
+        for path in written:
+            try:
+                os.remove(path)
+            except OSError:
+                pass
+        raise

@@ -1,5 +1,6 @@
 """Tests for configuration, dataset ingestion, and the experiment driver."""
 
+import copy
 import json
 import math
 import multiprocessing
@@ -209,6 +210,21 @@ class TestValidateConfig:
         ("baselines", "a-sgd", {"step": {"value": 1e-3}}, "baselines.a-sgd.step must be a number"),
         ("sim", "timing", {"as-lbfgs": {"mu_master": False, "mu_worker": 5.0}},
          "sim.timing.as-lbfgs.mu_master must be a number, got False"),
+        (None, "preset", ["x"], r"preset must be a string, got \['x'\]"),
+        (None, "algorithms", 5, "algorithms must be a non-empty list, got 5"),
+        (None, "algorithms", [], "algorithms must be a non-empty list"),
+        (None, "algorithms", ["as-lbfgs", 5], "algorithms values must be strings, got 5"),
+        (None, "epsilon_accuracy", "0.01", "epsilon_accuracy must be a number, got '0.01'"),
+        (None, "mode", ["run"], "mode must be a string"),
+        (None, "output_dir", 3, "output_dir must be a string, got 3"),
+        (None, "schema_version", "1", "schema_version must be an integer"),
+        ("problem", "noise_variance", "10", "problem.noise_variance must be a number"),
+        ("problem", "type", 3, "problem.type must be a string, got 3"),
+        ("problem", "type", "quadratic", "problem.type must be one of"),
+        ("problem", "rank", 7, "problem.rank does not apply to problem type 'linear-gaussian'"),
+        ("problem", "type", "matrix-factorization",
+         "problem.correlation does not apply to problem type 'matrix-factorization'"),
+        ("problem", "path", 3, "problem.path must be a string or null, got 3"),
     ])
     def test_malformed_nested_value_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                       section, key, value, message):
@@ -228,6 +244,63 @@ class TestValidateConfig:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists()
         assert forks == []
+
+    @pytest.mark.parametrize("problem, key, value, message", [
+        ("linear-gaussian", "dim", "100", "dim must be an integer of at least 1, got '100'"),
+        ("linear-gaussian", "dim", 0, "dim must be an integer of at least 1, got 0"),
+        ("linear-gaussian", "n_records", 30.0, "n_records must be an integer"),
+        ("linear-gaussian", "seed", 1.5, "problem.seed must be an integer of at least 0"),
+        ("linear-gaussian", "seed", -1, "problem.seed must be an integer of at least 0"),
+        ("matrix-factorization", "rank", 2.0, "rank must be an integer"),
+        ("matrix-factorization", "n_rows", True, "n_rows must be an integer"),
+        ("matrix-factorization", "n_cols", "6", "n_cols must be an integer"),
+        ("matrix-factorization", "max_ratings", 1.5, "problem.max_ratings must be an integer"),
+        ("matrix-factorization", "seed", None, "problem.seed must be an integer"),
+    ])
+    def test_non_integer_problem_count_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         problem, key, value, message):
+        # a problem count is checked where the problem is built, before any
+        # point runs, any process forks or the output directory is created
+        forks = []
+        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        doc = tiny_config()
+        if problem == "matrix-factorization":
+            doc["problem"] = {"type": problem, "seed": 0, "n_rows": 5, "n_cols": 6, "rank": 2}
+        doc["problem"][key] = value
+        cfg = validate_config(doc)
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg, out_dir=str(tmp_path / "direct"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} must be an integer" in err
+        assert "Traceback" not in err
+        assert not out.exists() and not (tmp_path / "direct").exists()
+        assert forks == []
+
+    def test_problem_keys_follow_its_type(self):
+        for name, preset in experiments.PRESETS.items():
+            # a preset written out in full matches the schema table
+            assert validate_config(copy.deepcopy(preset)).doc == validate_config(
+                {"preset": name}).doc
+        with pytest.raises(ConfigError, match="problem.dim does not apply to problem type "
+                                              "'matrix-factorization'"):
+            validate_config({"preset": "ml-1m-paper", "problem": {"dim": 10}})
+        doc = tiny_config()
+        del doc["problem"]["type"]
+        with pytest.raises(ConfigError, match="problem.type must be one of .* got None"):
+            validate_config(doc)
+
+    def test_unbuildable_problem_leaves_no_output_directory(self, tmp_path):
+        # an unvalidated config reaches build_problem; its error creates nothing
+        cfg = experiments.ExperimentConfig({**validate_config(tiny_config()).doc,
+                                            "problem": {"type": "quadratic"}})
+        out = tmp_path / "new" / "out"
+        with pytest.raises(ConfigError, match="unknown problem type 'quadratic'"):
+            run_experiment(cfg, out_dir=str(out))
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("section, key, message", [
         ("sampler", None, "missing 'sampler' section"),
@@ -613,7 +686,7 @@ class TestCli:
         assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{key} must be an integer" in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_two(self, tmp_path, capsys):
