@@ -34,14 +34,46 @@ from . import runtime as rt
 
 ALGORITHMS = ("as-lbfgs", "a-sgd", "mb-lbfgs-simplified", "sgld")
 
-# Published hyperparameters for the synthetic linear Gaussian setting:
-# sampler (h', gamma', beta, M) plus the simulator timing table
-# (mu_m, mu_w per algorithm; tau = 10; N_Omega = N_Y/100, N_O = N_Omega/3).
-PRESETS = {
+
+def _deep_merge(base, override):
+    out = copy.deepcopy(base)
+    for k, v in override.items():
+        if isinstance(v, dict) and isinstance(out.get(k), dict):
+            out[k] = _deep_merge(out[k], v)
+        else:
+            out[k] = copy.deepcopy(v)
+    return out
+
+
+# The top-level defaults: a config's preset, then its own keys, are merged
+# over them, so every key here is set in a validated config.
+_DEFAULTS = {"schema_version": 1, "sweep": {}, "sim": {}, "baselines": {}, "runtime": {},
+             "repetitions": 1, "epsilon_accuracy": 1e-2, "base_seed": 0, "output_dir": "out"}
+
+# The simulated cluster of the paper's experiments, one for both settings:
+# W = 10, tau = 10 and one timing table (mu_m, mu_w per algorithm).
+_PAPER = {
+    "mode": "simulate",
+    "algorithms": ["as-lbfgs"],
+    "sim": {
+        "workers": 10,
+        "sigma_worker": 0.0,
+        "comm_time": 10.0,
+        "timing": {
+            "as-lbfgs": {"mu_master": 0.0, "mu_worker": 70.0},
+            "a-sgd": {"mu_master": 0.0, "mu_worker": 10.0},
+            "mb-lbfgs-simplified": {"mu_master": 30.0, "mu_worker": 10.0},
+            "sgld": {"mu_master": 0.0, "mu_worker": 10.0},
+        },
+    },
+    "runtime": {"workers": 4},
+}
+
+# Published hyperparameters of each setting on that cluster: the problem,
+# the sampler (h', gamma', beta, M; N_Omega = N_Y/100, N_O = N_Omega/3),
+# the baselines' own values and the horizons.
+PRESETS = {name: _deep_merge(_PAPER, own) for name, own in {
     "linear-gaussian-paper": {
-        "schema_version": 1,
-        "mode": "simulate",
-        "algorithms": ["as-lbfgs"],
         "problem": {
             "type": "linear-gaussian",
             "seed": 0,
@@ -65,31 +97,10 @@ PRESETS = {
             "mb-lbfgs-simplified": {"step": 5e-2, "memory_size": 3, "rho": 0.0},
             "sgld": {"step": 1e-3},
         },
-        "sim": {
-            "workers": 10,
-            "sigma_worker": 0.0,
-            "comm_time": 10.0,
-            "timeout": 10.0,
-            "max_updates": 40000,
-            "sample_every": 25,
-            "timing": {
-                "as-lbfgs": {"mu_master": 0.0, "mu_worker": 70.0},
-                "a-sgd": {"mu_master": 0.0, "mu_worker": 10.0},
-                "mb-lbfgs-simplified": {"mu_master": 30.0, "mu_worker": 10.0},
-                "sgld": {"mu_master": 0.0, "mu_worker": 10.0},
-            },
-        },
-        "runtime": {"workers": 4, "max_updates": 20000, "sample_every": 100},
-        "sweep": {},
-        "repetitions": 1,
-        "epsilon_accuracy": 1e-2,
-        "base_seed": 0,
-        "output_dir": "out",
+        "sim": {"timeout": 10.0, "max_updates": 40000, "sample_every": 25},
+        "runtime": {"max_updates": 20000, "sample_every": 100},
     },
     "ml-1m-paper": {
-        "schema_version": 1,
-        "mode": "simulate",
-        "algorithms": ["as-lbfgs"],
         "problem": {
             "type": "matrix-factorization",
             "seed": 0,
@@ -116,28 +127,10 @@ PRESETS = {
             "mb-lbfgs-simplified": {"step": 5e-7, "memory_size": 3, "rho": 3.0},
             "sgld": {"step": 1e-6},
         },
-        "sim": {
-            "workers": 10,
-            "sigma_worker": 0.0,
-            "comm_time": 10.0,
-            "timeout": 400.0,
-            "max_updates": 3000,
-            "sample_every": 50,
-            "timing": {
-                "as-lbfgs": {"mu_master": 0.0, "mu_worker": 70.0},
-                "a-sgd": {"mu_master": 0.0, "mu_worker": 10.0},
-                "mb-lbfgs-simplified": {"mu_master": 30.0, "mu_worker": 10.0},
-                "sgld": {"mu_master": 0.0, "mu_worker": 10.0},
-            },
-        },
-        "runtime": {"workers": 4, "max_updates": 3000, "sample_every": 50},
-        "sweep": {},
-        "repetitions": 1,
-        "epsilon_accuracy": 1e-2,
-        "base_seed": 0,
-        "output_dir": "out",
+        "sim": {"timeout": 400.0, "max_updates": 3000, "sample_every": 50},
+        "runtime": {"max_updates": 3000, "sample_every": 50},
     },
-}
+}.items()}
 
 
 # The kind of every config key: float for a number (an int will do, a bool
@@ -220,33 +213,26 @@ class ExperimentConfig:
         return json.dumps(self.doc, indent=2, sort_keys=True)
 
 
-def _deep_merge(base, override):
-    out = copy.deepcopy(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _deep_merge(out[k], v)
-        else:
-            out[k] = copy.deepcopy(v)
-    return out
-
-
 def validate_config(doc: dict) -> ExperimentConfig:
-    """Check ``doc`` and merge it over its preset, if it names one; returns
-    a config that shares no object with ``doc``, which is left as it is.
-    :data:`_SCHEMA` gives every key its kind; the checks after the merge
-    relate keys to one another, such as the ``problem`` keys to its type."""
-    _check(doc, _SCHEMA)  # the presets match the table, so the merged config does too
+    """Check ``doc`` and merge :data:`_DEFAULTS`, then its preset if it
+    names one, then ``doc`` itself; returns a config that holds every key
+    of :data:`_DEFAULTS` and shares no object with ``doc``, which is left
+    as it is.  :data:`_SCHEMA` gives every key its kind; the checks after
+    the merge relate keys to one another, such as the ``problem`` keys to
+    its type and to ``problem.path``."""
+    _check(doc, _SCHEMA)  # the defaults and presets match the table, so the merged config does too
     doc = dict(doc)
     preset = doc.pop("preset", None)
     if preset is not None and preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
-    doc = _deep_merge(PRESETS.get(preset, {}), doc)
+    own_problem = doc.get("problem", {})
+    doc = _deep_merge(_deep_merge(_DEFAULTS, PRESETS.get(preset, {})), doc)
     mode = doc.get("mode")
     if mode not in _SWEEPS:
         raise ConfigError(f"mode must be 'simulate' or 'run', got {mode!r}")
     # each sweep key applies to one mode only; the other would ignore it
     for other, (key, *_) in _SWEEPS.items():
-        if other != mode and key in doc.get("sweep", {}):
+        if other != mode and key in doc["sweep"]:
             raise ConfigError(f"sweep.{key} does not apply in {mode} mode")
     for section in ("algorithms", "problem", "sampler"):
         if section not in doc:
@@ -255,7 +241,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
         if a not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {a!r}; known: {list(ALGORITHMS)}")
         # a baseline's own section may set the step its algorithm runs with
-        if "step" not in {**doc["sampler"], **doc.get("baselines", {}).get(a, {})}:
+        if "step" not in {**doc["sampler"], **doc["baselines"].get(a, {})}:
             raise ConfigError(f"missing sampler.step (needed by {a})")
     ptype = doc["problem"].get("type")
     if ptype not in _PROBLEMS:
@@ -263,9 +249,19 @@ def validate_config(doc: dict) -> ExperimentConfig:
     for key in sorted(doc["problem"]):
         if key not in ("type", "seed", *_PROBLEMS[ptype]):
             raise ConfigError(f"problem.{key} does not apply to problem type {ptype!r}")
-    check_count("repetitions", doc.get("repetitions", 1))
-    check_count("base_seed", doc.get("base_seed", 0), minimum=0)
-    check_count("schema_version", doc.get("schema_version", 1))
+    if ptype == "matrix-factorization":
+        # the synthetic problem's keys go unused with a path, and a ratings
+        # file's without one; a config without a preset may keep the
+        # latter for a path given later, as ml-1m-paper does
+        path = doc["problem"].get("path")
+        unused = ({"n_rows", "n_cols", "noise_std", "observed_fraction"} if path
+                  else {"format", "max_ratings"} if preset else set())
+        for key in sorted(unused & set(own_problem)):
+            raise ConfigError(f"problem.{key} is unused {'with' if path else 'without'} "
+                              "a problem.path")
+    check_count("repetitions", doc["repetitions"])
+    check_count("base_seed", doc["base_seed"], minimum=0)
+    check_count("schema_version", doc["schema_version"])
     return ExperimentConfig(doc)
 
 
@@ -414,11 +410,11 @@ def _sampler_cfg(cfg, algo, model):
         s["n_o"] = max(1, n_omega // 3)
         s["n_s"] = n_omega - s["n_o"]
     # SamplerConfig has no default friction
-    return SamplerConfig(**{"friction": 0.5, **s, **cfg.get("baselines", {}).get(algo, {})})
+    return SamplerConfig(**{"friction": 0.5, **s, **cfg["baselines"].get(algo, {})})
 
 
 def _sim_cfg(cfg, algo, seed, sigma):
-    s = dict(cfg.get("sim", {}))
+    s = dict(cfg["sim"])
     s.update(s.pop("timing", {}).get(algo, {}), seed=seed, sigma_worker=sigma)
     if algo == "sgld":  # the SGLD baseline is serial and models no compute-time jitter
         s.update(workers=1, sigma_worker=0.0)
@@ -440,7 +436,7 @@ def _initial_theta(cfg, model):
     dynamics would sit on that saddle indefinitely.  The quadratic problem
     keeps the zero start (None)."""
     if isinstance(model, MatrixFactorizationModel):
-        seed = (cfg.get("problem") or {}).get("seed", 0)
+        seed = cfg["problem"].get("seed", 0)
         return 0.1 * np.random.default_rng(seed).standard_normal(model.dim)
     return None
 
@@ -453,7 +449,7 @@ def _resolve_point(cfg, model, theta0, algo, seed, value):
     error type."""
     samp = _sampler_cfg(cfg, algo, model)
     if cfg["mode"] == "run":
-        kw = {**cfg.get("runtime", {}), "workers": value, "algo": algo}
+        kw = {**cfg["runtime"], "workers": value, "algo": algo}
         rt.check_run(**kw)
 
         def run_point():
@@ -549,6 +545,11 @@ def _point_summary(mode, runs, u_star, eps):
     }
 
 
+def _trace_file(algo, label, value, rep):
+    """The trace file name of one point; ``label`` names the swept key."""
+    return f"{algo}_{label}-{value:g}_rep-{rep}.csv"
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute the configured experiment; returns the summary dict.
 
@@ -558,8 +559,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 
     The problem is built and every point resolved to a ready call before
     any point runs, so a configuration error (such as a non-integer
-    ``sim.max_updates``, or ``sgld`` in run mode) is raised before any
-    process forks and before ``out_dir`` is created.  Simulate
+    ``sim.max_updates``, ``sgld`` in run mode, or two points that would
+    write the same trace file) is raised before any process forks and
+    before ``out_dir`` is created.  Simulate
     mode runs its independent points on one forked process per usable CPU,
     capped by the ``ASQN_THREADS`` environment variable (Linux only, for
     the ``fork`` start method); the outputs are byte-identical to a run on
@@ -570,17 +572,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     algorithms = cfg["algorithms"]
     model, u_star = build_problem(cfg)
     theta0 = _initial_theta(cfg, model)
-    reps = cfg.get("repetitions", 1)
-    base_seed = cfg.get("base_seed", 0)
-    eps = cfg.get("epsilon_accuracy", 1e-2)
+    reps, base_seed, eps = cfg["repetitions"], cfg["base_seed"], cfg["epsilon_accuracy"]
     key, label, section, default = _SWEEPS[mode]
-    values = cfg.get("sweep", {}).get(key) or [cfg.get(section, {}).get(key, default)]
+    values = cfg["sweep"].get(key) or [cfg[section].get(key, default)]
     calls = [_resolve_point(cfg, model, theta0, algo, base_seed + k, value)
              for algo in algorithms for value in values for k in range(reps)]
+    # a repeated algorithm, or swept values that print the same, would
+    # write two points' traces to one file
+    first = {}
+    for algo in algorithms:
+        for value in values:
+            name = _trace_file(algo, label, value, 0)
+            if name in first:
+                raise ConfigError(f"points ({first[name]}) and ({algo}, {key} {value!r}) "
+                                  f"would both write {name}")
+            first[name] = f"{algo}, {key} {value!r}"
     # a run-mode point forks and times its own workers, so it runs alone
     procs = 1 if mode == "run" else min(len(os.sched_getaffinity(0)), len(calls),
                                         rt.worker_cap() or len(calls))
-    out_dir = out_dir or cfg.get("output_dir") or "out"
+    out_dir = out_dir or cfg["output_dir"] or _DEFAULTS["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     written = []
     try:
@@ -598,7 +608,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
             for value in values:
                 runs = [next(results) for _ in range(reps)]
                 for k, res in enumerate(runs):
-                    path = os.path.join(out_dir, f"{algo}_{label}-{value:g}_rep-{k}.csv")
+                    path = os.path.join(out_dir, _trace_file(algo, label, value, k))
                     write_trace_csv(res.trace, path)
                     written.append(path)
                 summary_points.append({key: value, **_point_summary(mode, runs, u_star, eps)})

@@ -1,11 +1,13 @@
 """Optimization problems expressed as potentials with exact and subsampled gradients.
 
 A model bundles its observed data and exposes the negative log posterior
-(the "potential") together with the pieces needed for with-replacement
-stochastic gradients: the prior gradient and likelihood-term sums over an
-arbitrary index list.  Additive constants that do not depend on the
-parameter (the 0.5*log(2*pi*sigma^2) terms) are dropped everywhere, on
-both sides of any comparison against an optimum value.
+(the "potential"; ``evaluate`` gives it with the RMSE, where the model
+has one, from one residual) together with the pieces needed for
+with-replacement stochastic gradients: the prior gradient and
+likelihood-term sums over an arbitrary index list.  Additive constants
+that do not depend on the parameter (the 0.5*log(2*pi*sigma^2) terms)
+are dropped everywhere, on both sides of any comparison against an
+optimum value.
 
 All models are immutable after construction and every function here is
 pure, so instances can be shared freely across workers.
@@ -99,11 +101,10 @@ class LinearGaussianModel:
     def prior_gradient(self, theta):
         return theta.copy()
 
-    def likelihood_potential_sum(self, theta, indices=None):
-        a = self.features if indices is None else self.features[indices]
-        y = self.targets if indices is None else self.targets[indices]
-        r = a @ theta - y
-        return 0.5 * float(r @ r) / self.noise_variance
+    def evaluate(self, theta):
+        """``(potential, None)`` at ``theta``: the model has no RMSE."""
+        r = self.features @ theta - self.targets
+        return self.prior_potential(theta) + 0.5 * float(r @ r) / self.noise_variance, None
 
     def likelihood_grad_sum(self, theta, indices=None):
         """Likelihood-gradient sum over ``indices`` (all records if None).
@@ -197,10 +198,11 @@ class MatrixFactorizationModel:
     def prior_gradient(self, theta):
         return theta.copy()
 
-    def likelihood_potential_sum(self, theta, indices=None):
-        y = self.values if indices is None else self.values[indices]
-        r = self.predictions(theta, indices) - y
-        return 0.5 * float(r @ r)
+    def evaluate(self, theta):
+        """``(potential, rmse)`` at ``theta``, both from one residual over
+        every observed entry."""
+        r = self.predictions(theta) - self.values
+        return self.prior_potential(theta) + 0.5 * float(r @ r), float(np.sqrt(np.mean(r**2)))
 
     def likelihood_grad_sum(self, theta, indices=None):
         """Likelihood-gradient sum over ``indices`` (all records if None).
@@ -259,8 +261,7 @@ def _check_theta(model, theta, lead=()):
 
 def potential(model, theta) -> float:
     """U(theta) = -(log prior + sum of log likelihoods), constants dropped."""
-    theta = _check_theta(model, theta)
-    return model.prior_potential(theta) + model.likelihood_potential_sum(theta)
+    return model.evaluate(_check_theta(model, theta))[0]
 
 
 def full_gradient(model, theta) -> np.ndarray:
@@ -328,8 +329,4 @@ def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False,
 
 def rmse(model: MatrixFactorizationModel, theta) -> float:
     """Root mean squared residual over the observed entries."""
-    theta = _check_theta(model, theta)
-    if model.n_records == 0:
-        raise ValueError("model has no observed entries")
-    resid = model.predictions(theta) - model.values
-    return float(np.sqrt(np.mean(resid**2)))
+    return model.evaluate(_check_theta(model, theta))[1]

@@ -45,7 +45,7 @@ class SharedMasterState:
     process: it lists the applies made by that process.
     """
 
-    def __init__(self, theta0, u0=None):
+    def __init__(self, theta0):
         theta0 = np.asarray(theta0, dtype=float)
         dim = theta0.size
         self._map = mmap.mmap(-1, 16 + 16 * dim)
@@ -53,8 +53,6 @@ class SharedMasterState:
         self.theta = np.frombuffer(self._map, dtype=float, count=dim, offset=16)
         self.u = np.frombuffer(self._map, dtype=float, count=dim, offset=16 + 8 * dim)
         self.theta[:] = theta0
-        if u0 is not None:
-            self.u[:] = u0
         fork = multiprocessing.get_context("fork")
         self.lock = fork.Lock()
         self.stop = fork.Event()

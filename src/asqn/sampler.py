@@ -90,7 +90,6 @@ class UpdateContext:
     snapshot_theta: np.ndarray
     subsample: Subsample
     overlap_gradient: np.ndarray
-    snapshot_iteration: int
 
 
 class WorkerState:
@@ -227,7 +226,7 @@ def _one_update(cfg, worker, snapshot, model, sub, noise, pair=True):
         cfg, model, snapshot.theta, snapshot.u, sub, previous, noise, worker.memory.apply,
         [snapshot.iteration])
     ctx = UpdateContext(snapshot_theta=snapshot.theta, subsample=sub,
-                        overlap_gradient=overlap_grad, snapshot_iteration=snapshot.iteration)
+                        overlap_gradient=overlap_grad)
     return UpdateVector(d_theta=d_theta, d_u=d_u), ctx, g_prime
 
 
@@ -250,7 +249,7 @@ def _stacked_updates(cfg, workers, snapshots, model, draws):
         lambda gu: apply_stacked(memories, gu), [snap.iteration for snap in snapshots])
     return [(UpdateVector(d_theta=d_theta[i], d_u=d_u[i]),
              UpdateContext(snapshot_theta=snap.theta, subsample=sub,
-                           overlap_gradient=overlap_grad[i], snapshot_iteration=snap.iteration),
+                           overlap_gradient=overlap_grad[i]),
              g_prime[i] if wants else None)
             for i, (snap, (sub, _), wants) in enumerate(zip(snapshots, draws, due))]
 

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_count
-from .model import (
-    MatrixFactorizationModel,
-    Subsample,
-    combined_gradient,
-    potential,
-)
+from .model import Subsample, combined_gradient
 from .sampler import WORKER_UPDATES, MbLbfgsMaster, ParameterState, WorkerState, master_apply
 
 
@@ -190,32 +185,23 @@ def check_round_timeout(sim_cfg: SimConfig):
 class Recorder:
     """Records one engine run and returns its :class:`SimResult`.
 
-    It decides whether records carry the RMSE, keeps the staleness log and
-    applies the sampling rule: :meth:`apply` logs every apply and records
-    the state every ``sample_every`` applies.  The simulators also record
-    the initial state and :meth:`close` the trace at the final one; the
-    runtime's parent records the rows its workers sampled with
-    :meth:`sample`.  An MF record takes its potential and RMSE from one
-    residual over every rating, with the bits of :func:`~asqn.model.potential`
-    and :func:`~asqn.model.rmse`."""
+    It keeps the staleness log and applies the sampling rule: :meth:`apply`
+    logs every apply and records the state every ``sample_every`` applies.
+    The simulators also record the initial state and :meth:`close` the
+    trace at the final one; the runtime's parent records the rows its
+    workers sampled with :meth:`sample`.  The model evaluates each record:
+    its ``evaluate`` gives the potential and the RMSE (None where the model
+    has none) with the bits of :func:`~asqn.model.potential` and
+    :func:`~asqn.model.rmse`."""
 
     def __init__(self, model, sample_every):
         self.model = model
         self.sample_every = sample_every
-        self.include_rmse = isinstance(model, MatrixFactorizationModel)
         self.trace: list = []
         self.staleness_log: list = []
 
     def sample(self, state, time, staleness):
-        model, theta = self.model, state.theta
-        if self.include_rmse:
-            # potential() and rmse() would each predict every rating; one
-            # residual serves both, with the same operations on it as theirs
-            r = model.predictions(theta) - model.values
-            value = model.prior_potential(theta) + 0.5 * float(r @ r)
-            error = float(np.sqrt(np.mean(r**2)))
-        else:
-            value, error = potential(model, theta), None
+        value, error = self.model.evaluate(state.theta)
         self.trace.append(TraceRecord(time, state.iteration, staleness, value, error))
 
     def apply(self, state, time, staleness):
@@ -230,7 +216,7 @@ class Recorder:
         when that record holds ``state``, sparing a full-data pass."""
         last = self.trace[-1] if self.trace else None
         final = (last.potential if last and last.iteration == state.iteration
-                 else potential(self.model, state.theta))
+                 else self.model.evaluate(state.theta)[0])
         return SimResult(trace=self.trace, final_state=state, staleness_log=self.staleness_log,
                          final_potential=final, **fields)
 

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import time
 
 import numpy as np
@@ -98,6 +99,24 @@ class TestPresets:
         assert cfg["sim"]["timing"]["as-lbfgs"]["mu_worker"] == pytest.approx(
             1000 * 6 / 600 + 60
         )
+
+    def test_config_without_preset_takes_the_old_defaults(self, tmp_path, monkeypatch):
+        # the top-level keys a config may leave out take these values, and
+        # it gives the outputs of the config that writes them out
+        bare = {key: tiny_config()[key] for key in ("mode", "algorithms", "problem", "sampler")}
+        written = {**bare, "schema_version": 1, "sweep": {}, "sim": {}, "baselines": {},
+                   "runtime": {}, "repetitions": 1, "epsilon_accuracy": 1e-2, "base_seed": 0,
+                   "output_dir": "out"}
+        assert validate_config(bare).doc == written
+        monkeypatch.chdir(tmp_path)
+        assert run_experiment(validate_config(bare)) == run_experiment(
+            validate_config(written), out_dir="written")
+        names = sorted(os.listdir(tmp_path / "out"))
+        assert names == ["as-lbfgs_sigma-0_rep-0.csv", "summary.json"]
+        assert names == sorted(os.listdir(tmp_path / "written"))
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (
+                tmp_path / "written" / name).read_bytes()
 
 
 class TestValidateConfig:
@@ -292,6 +311,45 @@ class TestValidateConfig:
         del doc["problem"]["type"]
         with pytest.raises(ConfigError, match="problem.type must be one of .* got None"):
             validate_config(doc)
+
+    @pytest.mark.parametrize("problem, message", [
+        ({"format": "csv", "max_ratings": 7}, "problem.format is unused without a problem.path"),
+        ({"max_ratings": 7}, "problem.max_ratings is unused without a problem.path"),
+        ({"path": "ratings.dat", "n_rows": 5},
+         "problem.n_rows is unused with a problem.path"),
+        ({"path": "ratings.dat", "noise_std": 0.5, "observed_fraction": 0.2},
+         "problem.noise_std is unused with a problem.path"),
+    ])
+    def test_mf_keys_that_path_leaves_unused_rejected(self, tmp_path, capsys, monkeypatch,
+                                                      problem, message):
+        # {"format": "csv", "max_ratings": 7} used to exit 0 with both ignored
+        forks = []
+        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        doc = {"preset": "ml-1m-paper", "problem": problem, "sim": {"max_updates": 20}}
+        with pytest.raises(ConfigError, match=message):
+            validate_config(doc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
+        assert forks == []
+
+    def test_mf_keys_that_path_uses_accepted(self, tmp_path):
+        # the preset's own format and max_ratings wait for a path; a path
+        # takes the caller's
+        assert validate_config({"preset": "ml-1m-paper"})["problem"]["format"] == (
+            "dat-double-colon")
+        path = tmp_path / "ratings.csv"
+        path.write_text("userId,movieId,rating,timestamp\n1,1,4,0\n1,2,3,0\n2,1,5,0\n")
+        cfg = validate_config({"preset": "ml-1m-paper", "problem": {
+            "path": str(path), "format": "csv", "max_ratings": 2}})
+        model, _ = experiments.build_problem(cfg)
+        assert model.n_records == 2
+        synthetic = {"type": "matrix-factorization", "seed": 0, "rank": 2, "n_rows": 5,
+                     "n_cols": 6, "noise_std": 0.5, "observed_fraction": 0.5}
+        assert validate_config(tiny_config(problem=synthetic))["problem"] == synthetic
 
     def test_unbuildable_problem_leaves_no_output_directory(self, tmp_path):
         # an unvalidated config reaches build_problem; its error creates nothing
@@ -687,6 +745,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{key} must be an integer" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, clash", [
+        ({"algorithms": ["as-lbfgs", "a-sgd", "as-lbfgs"]},
+         r"points \(as-lbfgs, sigma_worker 0.0\) and \(as-lbfgs, sigma_worker 0.0\) "
+         r"would both write as-lbfgs_sigma-0_rep-0.csv"),
+        ({"sweep": {"sigma_worker": [0, 0.0]}},
+         r"points \(as-lbfgs, sigma_worker 0\) and \(as-lbfgs, sigma_worker 0.0\)"),
+        ({"sweep": {"sigma_worker": [1.0000001, 1.0000002]}},
+         r"\(as-lbfgs, sigma_worker 1.0000002\) would both write as-lbfgs_sigma-1_rep-0.csv"),
+        ({"mode": "run", "sweep": {"workers": [1, 2, 1]}},
+         r"points \(as-lbfgs, workers 1\) and \(as-lbfgs, workers 1\)"),
+    ], ids=["repeated-algorithm", "zero-twice", "same-under-g", "run-mode"])
+    def test_points_sharing_a_trace_file_exit_one(self, tmp_path, capsys, monkeypatch,
+                                                  overrides, clash):
+        # each used to run every point and exit 0, one trace overwriting
+        # another's file
+        forks = []
+        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.delenv("ASQN_THREADS", raising=False)
+        doc = tiny_config(**overrides)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: points (")
+        assert re.search(clash, err)
+        assert not out.exists()
+        assert forks == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_two(self, tmp_path, capsys):

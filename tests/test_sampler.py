@@ -202,13 +202,12 @@ class TestPostSendMemoryUpdate:
         # the bookkeeping directly with full-batch contexts.
         from asqn.sampler import UpdateContext
 
-        for i, theta in enumerate(thetas):
+        for theta in thetas:
             full = np.arange(n)
             ctx = UpdateContext(
                 snapshot_theta=theta.copy(),
                 subsample=Subsample(full, full),
                 overlap_gradient=stochastic_gradient(model, theta, full),
-                snapshot_iteration=i,
             )
             post_send_memory_update(worker, ctx, model)
         assert len(worker.memory) == 1
@@ -646,8 +645,7 @@ def reference_update(cfg, worker, snapshot, model, rng):
     if noise is not None:
         d_u += cfg.noise_scale() * noise
     return UpdateVector(d_theta=h[1], d_u=d_u), UpdateContext(
-        snapshot_theta=theta, subsample=sub, overlap_gradient=overlap_grad,
-        snapshot_iteration=snapshot.iteration)
+        snapshot_theta=theta, subsample=sub, overlap_gradient=overlap_grad)
 
 
 def reference_post_send(worker, ctx, model):

@@ -941,6 +941,17 @@ class TestRecorder:
                 potential(model, theta)).tobytes()
             assert np.float64(r.rmse).tobytes() == np.float64(rmse(model, theta)).tobytes()
 
+    def test_lg_record_has_the_bits_of_potential_and_no_rmse(self):
+        model, _, _ = problem("lg")
+        rec = simulator.Recorder(model, sample_every=1)
+        thetas = [np.linspace(-1.0, 2.0, model.dim) * k for k in (0.0, 1.0, -3.0, 17.5)]
+        for k, theta in enumerate(thetas):
+            rec.sample(ParameterState(theta, np.zeros(model.dim), k), float(k), 0)
+        for r, theta in zip(rec.trace, thetas):
+            assert np.float64(r.potential).tobytes() == np.float64(
+                potential(model, theta)).tobytes()
+            assert r.rmse is None and rmse(model, theta) is None
+
 
 class TestSharedResult:
     """Both simulators return their final potential, and their traces run
