@@ -63,13 +63,17 @@ class LbfgsMemory:
             raise ValueError(f"{name} must have shape ({self.dim},), got {v.shape}")
         return v
 
-    def try_add(self, s, y) -> bool:
+    def try_add(self, s, y, products=None) -> bool:
         """Append (s, y), evicting the oldest pair if full, iff the
-        cautious condition holds.  Returns whether the pair was admitted."""
+        cautious condition holds.  Returns whether the pair was admitted.
+
+        ``products`` are s.s, y.s and y.y as Python floats when the caller
+        has formed them, as :func:`try_add_stacked` does for a batch; with
+        the bits of the one-dimensional ``@``, which the rows of a stacked
+        ``np.vecdot`` have, the result is the same bit for bit."""
         s = self._check(s, "s")
         y = self._check(y, "y")
-        ss = float(s @ s)
-        ys = float(y @ s)
+        ss, ys, yy = (float(s @ s), float(y @ s), None) if products is None else products
         # s = 0 passes the printed inequality (0 >= 0) but makes 1/(y.s)
         # undefined, so it is rejected before the test.
         if ss == 0.0 or not math.isfinite(ys) or ys < self.epsilon * ss:
@@ -84,7 +88,7 @@ class LbfgsMemory:
         s_row[...], y_row[...] = s, y
         self._pairs.insert(0, (s_row, y_row, self._inv_ys[start].item()))
         del self._pairs[self.capacity:]
-        self._gamma = ys / float(y @ y)
+        self._gamma = ys / (float(y @ y) if yy is None else yy)
         return True
 
     def gamma(self) -> float:
@@ -95,39 +99,59 @@ class LbfgsMemory:
         cannot go stale."""
         return self._gamma
 
-    def apply(self, v) -> np.ndarray:
+    def apply(self, v, out=None) -> np.ndarray:
         """Return (H + rho*I) v via the two-loop recursion.
 
         ``v`` is one ``(d,)`` vector or an ``(m, d)`` block of them.  A
         block runs one recursion over its rows: each dot is one BLAS ddot
         per row (``np.vecdot``), and each update multiplies a row's
         coefficient into the pair (``np.multiply.outer``), so row ``i`` of
-        the result is bit-identical to the call on ``v[i]`` alone.  It is
-        kept apart from :func:`apply_stacked`, which is slower on one memory.
+        the result is bit-identical to the call on ``v[i]`` alone.  The
+        result is written to ``out`` when given, which may be ``v`` itself.
+        It is kept apart from :func:`apply_stacked`, which is slower on one
+        memory.
         """
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.dim,) or v.ndim > 2:
             raise ValueError(f"v must have shape ({self.dim},) or (m, {self.dim}), got {v.shape}")
-        q = v.copy()
+        shift = self.rho * v if self.rho != 0.0 else None  # before an in-place q overwrites v
+        if out is None:
+            q = v.copy()
+        else:
+            q = out
+            if q is not v:
+                q[...] = v
+        tmp = np.empty_like(q) if self._pairs else None  # each step's update, in one buffer
         alphas = []
         for s, y, inv_ys in self._pairs:  # newest first
             a = inv_ys * np.vecdot(s, q)
-            q -= np.multiply.outer(a, y)
+            q -= np.multiply.outer(a, y, out=tmp)
             alphas.append(a)
-        r = self._gamma * q
+        r = np.multiply(q, self._gamma, out=q)
         for (s, y, inv_ys), a in zip(reversed(self._pairs), reversed(alphas)):
             b = inv_ys * np.vecdot(y, r)
-            r += np.multiply.outer(a - b, s)
-        if self.rho != 0.0:
-            r += self.rho * v
+            r += np.multiply.outer(a - b, s, out=tmp)
+        if shift is not None:
+            r += shift
         return r
+
+
+def try_add_stacked(memories, s, y) -> list:
+    """``memories[i].try_add(s[i], y[i])`` for every row ``i`` of the
+    ``(k, d)`` stacks s and y, bit for bit: s.s, y.s and y.y of all rows
+    come from one ``np.vecdot`` call each, whose rows are one BLAS ddot
+    each, as the one-dimensional ``@`` is.  Returns whether each pair was
+    admitted."""
+    ss, ys, yy = (np.vecdot(a, b).tolist() for a, b in ((s, s), (y, s), (y, y)))
+    return [mem.try_add(s_row, y_row, products)
+            for mem, s_row, y_row, *products in zip(memories, s, y, ss, ys, yy)]
 
 
 STACKED_MAX_DIM = 512
 STACKED_MIN_BATCH = 3
 
 
-def apply_stacked(memories, vectors) -> np.ndarray:
+def apply_stacked(memories, vectors, out=None) -> np.ndarray:
     """``(H_i + rho_i*I) v`` for each vector ``v`` in ``vectors[i]``.
 
     ``vectors`` has shape ``(k, m, d)``, and item ``i`` is applied through
@@ -136,7 +160,8 @@ def apply_stacked(memories, vectors) -> np.ndarray:
     per (item, vector), as in the one-dimensional recursion, and the
     elementwise steps are the same.  A memory with fewer pairs is left
     untouched at the positions it lacks, never updated with a zero pair,
-    which would turn a -0.0 into +0.0.
+    which would turn a -0.0 into +0.0.  The result is written to ``out``
+    when given, which may be ``vectors`` itself.
 
     Stacking pays while the fixed cost of each numpy call dominates, so
     the choice is by input size: a batch of fewer than
@@ -148,9 +173,19 @@ def apply_stacked(memories, vectors) -> np.ndarray:
     and 0.9 to 1.0 times at d = 500 and k = 2 and 3; 1.2 to 1.4 and 0.9 to
     1.1 times at d = 1500 and k = 2 and 10.
     """
+    vectors = np.asarray(vectors, dtype=float)
+    if out is None:
+        out = np.empty_like(vectors)
     if len(memories) < STACKED_MIN_BATCH or memories[0].dim > STACKED_MAX_DIM:
-        return np.array([mem.apply(item) for mem, item in zip(memories, vectors)])
-    q = np.array(vectors, dtype=float)
+        for i, mem in enumerate(memories):
+            row = out[i]
+            mem.apply(row if out is vectors else vectors[i], out=row)
+        return out
+    rho = np.array([mem.rho for mem in memories])
+    shift = rho[:, None, None] * vectors if rho.any() else None  # before q overwrites vectors
+    q = out
+    if q is not vectors:
+        q[...] = vectors
     fill = np.array([len(mem) for mem in memories])
     # pair j of every memory is row j of its window; rows past its fill are masked
     rows = [slice(mem._start, mem._start + mem.capacity) for mem in memories]
@@ -172,8 +207,6 @@ def apply_stacked(memories, vectors) -> np.ndarray:
         b = inv_ys[:, j] * np.vecdot(y[:, j], r)
         np.multiply((alphas[j] - b)[..., None], s[:, j], out=tmp)
         np.add(r, tmp, out=r, where=has)
-    rho = np.array([mem.rho for mem in memories])
-    if rho.any():
-        np.multiply(rho[:, None, None], vectors, out=tmp)
-        np.add(r, tmp, out=r, where=(rho != 0.0)[:, None, None])
+    if shift is not None:
+        np.add(r, shift, out=r, where=(rho != 0.0)[:, None, None])
     return r

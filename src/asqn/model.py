@@ -10,7 +10,8 @@ are dropped everywhere, on both sides of any comparison against an
 optimum value.
 
 All models are immutable after construction and every function here is
-pure, so instances can be shared freely across workers.
+pure, so instances can be shared freely across workers; the only state a
+model adds later is a cache of index offsets that depend on shapes alone.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class LinearGaussianModel:
         return 0.5 * float(theta @ theta)
 
     def prior_gradient(self, theta):
-        return theta.copy()
+        """theta itself, not a copy: every caller only reads it."""
+        return theta
 
     def evaluate(self, theta):
         """``(potential, None)`` at ``theta``: the model has no RMSE."""
@@ -136,6 +138,10 @@ class LinearGaussianModel:
         return np.linalg.solve(np.eye(self.dim) + a.T @ a / s2, a.T @ self.targets / s2)
 
 
+# offset entries a matrix-factorization model keeps over all shapes (8 MB)
+OFFSETS_CACHED = 2**20
+
+
 class MatrixFactorizationModel:
     """Probabilistic matrix factorization with unit-variance Gaussian priors.
 
@@ -163,8 +169,11 @@ class MatrixFactorizationModel:
         self.n_cols = int(n_cols)
         self.rank = int(rank)
         # packed position of F[r, k] is r*K + k, of G[k, c] is R*K + k*S + c
+        self._rc = np.stack([rows * self.rank, cols], axis=-1)
         self._k = np.arange(self.rank)
         self._g_offsets = self.n_rows * self.rank + self._k * self.n_cols
+        self._offset_cache: dict = {}  # see _offsets
+        self._offsets_cached = 0
 
     @property
     def n_records(self) -> int:
@@ -196,7 +205,8 @@ class MatrixFactorizationModel:
         return 0.5 * float(theta @ theta)
 
     def prior_gradient(self, theta):
-        return theta.copy()
+        """theta itself, not a copy: every caller only reads it."""
+        return theta
 
     def evaluate(self, theta):
         """``(potential, rmse)`` at ``theta``, both from one residual over
@@ -223,32 +233,51 @@ class MatrixFactorizationModel:
         differ in length along their last axis.  Each sum is bit-identical
         to the call on its part alone.
         """
-        f, g = self.unpack(theta)
         idx = np.concatenate(parts, axis=-1)
-        r, c, y = self.rows[idx], self.cols[idx], self.values[idx]
-        lead = r.shape[:-1]
-        if theta.ndim == 1:
-            fr, gc = f[r], g.T[c]
-        else:  # gather each row's factors from its own parameter
-            b = np.arange(len(theta))[:, None]
-            fr, gc = f[b, r], g.transpose(0, 2, 1)[b, c]
-        resid = np.einsum("...k,...k->...", fr, gc) - y
+        gather, scatter = self._offsets(tuple(np.shape(indices)[-1] for indices in parts),
+                                        idx.shape[:-1], theta.ndim)
+        # each record's F row and G column factors, side by side: (..., n, 2, K)
+        rc = self._rc[idx][..., None]
+        factors = theta.reshape(-1)[rc + gather]
+        resid = np.einsum("...k,...k->...", factors[..., 0, :], factors[..., 1, :])
+        resid -= self.values[idx]
         # One scatter straight into the packed layout, each (part, row)
-        # into its own block of dim bins.  bincount adds each bin's terms in
-        # index-list order starting from 0.0, as np.add.at into zeros does,
-        # and a bin only receives the terms of one part and row, so every
-        # sum is bit-identical to that formulation on its part alone.
-        n_rows = math.prod(lead)
-        base = np.repeat(np.arange(0, len(parts) * n_rows * self.dim, n_rows * self.dim),
-                         [np.shape(indices)[-1] for indices in parts])
-        if lead:
-            base = base + np.arange(0, n_rows * self.dim, self.dim)[:, None]
-        flat = np.concatenate([(r * self.rank + base)[..., None] + self._k,
-                               (c + base)[..., None] + self._g_offsets], axis=-2)
-        terms = np.concatenate([resid[..., None] * gc, resid[..., None] * fr], axis=-2)
-        sums = np.bincount(flat.ravel(), weights=terms.ravel(),
-                           minlength=len(parts) * n_rows * self.dim)
+        # into its own block of dim bins: F terms resid * G column, G terms
+        # resid * F row.  bincount adds each bin's terms in index-list order
+        # starting from 0.0, as np.add.at into zeros does, and a bin only
+        # receives the terms of one part and row, so every sum is
+        # bit-identical to that formulation on its part alone.
+        terms = resid[..., None, None] * factors[..., ::-1, :]
+        lead = idx.shape[:-1]
+        sums = np.bincount((rc + scatter).ravel(), weights=terms.ravel(),
+                           minlength=len(parts) * math.prod(lead) * self.dim)
         return list(sums.reshape(len(parts), *lead, self.dim))
+
+    def _offsets(self, lengths, lead, theta_ndim):
+        """The offsets that likelihood_grad_sums adds to each record's
+        ``(r K, c)``, for parts of ``lengths`` with leading shape ``lead``
+        and a parameter of ``theta_ndim`` dimensions.
+
+        ``gather`` gives the flat positions in theta of F[r, k] (r K + k)
+        and G[k, c] (R K + k S + c), row i of a stacked theta starting at
+        i d; ``scatter`` the bins, one block of d per (part, row).  They
+        depend only on the shapes, so each shape's are kept, up to
+        OFFSETS_CACHED entries over all shapes."""
+        key = (lengths, lead, theta_ndim)
+        cached = self._offset_cache.get(key)
+        if cached is not None:
+            return cached
+        n_rows = math.prod(lead)
+        factor = np.stack([self._k, self._g_offsets])  # (2, K)
+        row = np.arange(0, n_rows * self.dim, self.dim).reshape(*lead, 1, 1, 1)
+        gather = row + factor if theta_ndim > 1 else factor
+        part = np.repeat(np.arange(0, len(lengths) * n_rows * self.dim, n_rows * self.dim),
+                         lengths)
+        scatter = (part[:, None, None] + row) + factor
+        if self._offsets_cached + scatter.size <= OFFSETS_CACHED:
+            self._offset_cache[key] = gather, scatter
+            self._offsets_cached += scatter.size
+        return gather, scatter
 
 
 def _check_theta(model, theta, lead=()):
@@ -289,7 +318,7 @@ def stochastic_gradient(model, theta, indices) -> np.ndarray:
 
 
 def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False,
-                      previous=None):
+                      previous=None, out=None):
     """Weighted S/O combination of stochastic gradients.
 
     The prior gradient enters exactly once; each part's likelihood sum is
@@ -307,7 +336,9 @@ def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False,
     ``stochastic_gradient(model, theta, sub.o_indices)``.  ``previous``, an
     index array shaped like the S and O ones, adds a third item,
     bit-identical to ``stochastic_gradient(model, theta, previous)``.  All
-    parts are evaluated in one ``likelihood_grad_sums`` call.
+    parts are evaluated in one ``likelihood_grad_sums`` call, whose sums
+    are new arrays that this function scales in place.  The combined
+    gradient is written to ``out`` when given.
     """
     theta = _check_theta(model, theta, sub.s_indices.shape[:-1])
     if sub.n_s == 0 or sub.n_o == 0:
@@ -318,13 +349,19 @@ def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False,
     parts = [sub.s_indices, sub.o_indices] + ([] if previous is None else [previous])
     lik_s, lik_o, *lik_previous = model.likelihood_grad_sums(theta, parts)
     prior = model.prior_gradient(theta)
-    combined = prior + scale * (lik_s + lik_o)
+    # prior + scale * (lik_s + lik_o), and prior + c * lik for the others
+    lik_s += lik_o
+    lik_s *= scale
+    combined = np.add(prior, lik_s, out=out)
     if not with_overlap:
         return combined
-    overlap = prior + (model.n_records / sub.n_o) * lik_o
+    lik_o *= model.n_records / sub.n_o
+    overlap = np.add(prior, lik_o, out=lik_o)
     if previous is None:
         return combined, overlap
-    return combined, overlap, prior + (model.n_records / np.shape(previous)[-1]) * lik_previous[0]
+    (lik,) = lik_previous
+    lik *= model.n_records / np.shape(previous)[-1]
+    return combined, overlap, np.add(prior, lik, out=lik)
 
 
 def rmse(model: MatrixFactorizationModel, theta) -> float:

@@ -26,8 +26,8 @@ import time as _time
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, check_count
-from .sampler import WORKER_UPDATES, ParameterState, WorkerState
-from .simulator import Recorder, SimResult
+from .sampler import WORKER_UPDATES, ParameterState, WorkerState, worker_draws_noise
+from .simulator import Recorder, SimResult, WorkerDraws
 
 # a worker still running this long after the stop event is terminated
 _STOP_GRACE_S = 60.0
@@ -173,14 +173,15 @@ def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
     error (or None) to the parent."""
     sampled: list = []
     error = None
-    rng = np.random.default_rng(seed + w)
+    draws = WorkerDraws([seed + w], model.n_records, sampler_cfg.n_s, sampler_cfg.n_o,
+                        model.dim if worker_draws_noise(algo, sampler_cfg) else 0)
     ws = WorkerState(sampler_cfg, model.dim)
     worker_updates = WORKER_UPDATES[algo]
     try:
         while not master.stop.is_set():
             theta, u, n_read = master.snapshot()
             snap = ParameterState(theta=theta, u=u, iteration=n_read)
-            upd = worker_updates(sampler_cfg, [ws], [snap], model, [rng])[0]
+            upd = worker_updates(sampler_cfg, [ws], [snap], model, [draws.next(0)])[0]
             if master.stop.is_set():
                 break
             applied = master.apply(upd, n_read, sample_every, staleness_limit)
@@ -255,7 +256,9 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
 
     Each worker loops snapshot -> update -> exclusive apply, computing its
     update through :data:`~asqn.sampler.WORKER_UPDATES` one worker at a
-    time; an as-L-BFGS worker's memory takes its post-send update there,
+    time from the draws of its :class:`~asqn.simulator.WorkerDraws` (in
+    blocks when it draws no noise, as in the simulator); an as-L-BFGS
+    worker's memory takes its post-send update there,
     before the apply, as in the simulator.  Stops after ``max_updates``
     applies or ``max_wall_s`` seconds, or when any worker fails; the first
     failure is reported as ``"<ExcType>: <message>"`` in the result's

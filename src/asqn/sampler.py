@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, check_count
-from .lbfgs import LbfgsMemory, apply_stacked
+from .lbfgs import LbfgsMemory, apply_stacked, try_add_stacked
 from .model import Subsample, combined_gradient, draw_subsample, stochastic_gradient
 
 
@@ -118,17 +118,25 @@ def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, Upd
     of the protocol.  It runs the numerics of compute_updates on one
     worker, leaving the previous-overlap gradient to post_send_memory_update.
     """
-    sub, noise = _draw(cfg, model, rng)
+    sub, noise = _draw(cfg, model, rng, worker_draws_noise("as-lbfgs", cfg))
     upd, ctx, _ = _one_update(cfg, worker, snapshot, model, sub, noise, pair=False)
     return upd, ctx
 
 
-def _draw(cfg, model, rng):
+def worker_draws_noise(algo, cfg) -> bool:
+    """Whether a worker of ``algo`` draws a standard normal vector of the
+    model's dimension after each subsample: AS-L-BFGS when its noise scale
+    is positive, SGLD at finite inverse temperature, a-SGD never."""
+    if algo == "as-lbfgs":
+        return cfg.noise_scale() > 0.0
+    return algo == "sgld" and not math.isinf(cfg.inv_temperature)
+
+
+def _draw(cfg, model, rng, noisy):
     """A worker's random draws for one update: its subsample, then its
-    noise (None at infinite inverse temperature)."""
+    noise when ``noisy`` (else None)."""
     sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
-    noise = rng.standard_normal(model.dim) if cfg.noise_scale() > 0.0 else None
-    return sub, noise
+    return sub, rng.standard_normal(model.dim) if noisy else None
 
 
 def post_send_memory_update(worker: WorkerState, ctx: UpdateContext, model) -> bool:
@@ -158,11 +166,17 @@ def _admit(worker, ctx, g_prime) -> bool:
         s = ctx.snapshot_theta - worker.prev_theta
         y = g_prime - worker.prev_overlap_grad
         admitted = worker.memory.try_add(s, y)
+    _advance(worker, ctx)
+    return admitted
+
+
+def _advance(worker, ctx):
+    """Make the update's snapshot, overlap set and overlap gradient the
+    worker's previous ones."""
     worker.prev_theta = ctx.snapshot_theta
     worker.prev_overlap = ctx.subsample.o_indices
     worker.prev_overlap_grad = ctx.overlap_gradient
     worker.local_iter += 1
-    return admitted
 
 
 def compute_updates(cfg, workers, snapshots, model, rngs) -> list[UpdateVector]:
@@ -170,23 +184,38 @@ def compute_updates(cfg, workers, snapshots, model, rngs) -> list[UpdateVector]:
     snapshot, each followed by its post-send memory update.
 
     Bit-identical to compute_update then post_send_memory_update worker by
-    worker: each worker draws from its own generator (subsample, then
-    noise), :func:`_update_numerics` runs once on the batch, and the
-    admissions follow worker by worker.  A stacked batch that raises is
-    redone one worker at a time from the same draws, so the first worker's
-    error in order is raised.
+    worker, generators included: each worker draws from its own generator,
+    its subsample and then its noise, and the updates come from those
+    draws as the engines' (see :data:`WORKER_UPDATES`).  On a batch of
+    k >= 2, :func:`_update_numerics` runs once on stacks, and s, y, s.s,
+    y.s and y.y of every pair due are formed once for the batch
+    (:func:`~asqn.lbfgs.try_add_stacked`), so each worker keeps only its
+    cautious test and window store.  A stacked batch that raises is redone
+    one worker at a time from the same draws, each update followed by its
+    admission, so the first worker's error in order is raised.
     """
-    draws = [_draw(cfg, model, rng) for rng in rngs]
-    if len(workers) == 1:  # nothing to stack
-        rows = [_one_update(cfg, workers[0], snapshots[0], model, *draws[0])]
-    else:
+    noisy = worker_draws_noise("as-lbfgs", cfg)
+    return _lbfgs_updates(cfg, workers, snapshots, model,
+                          [_draw(cfg, model, rng, noisy) for rng in rngs])
+
+
+def _lbfgs_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
+    """compute_updates from each worker's drawn ``(subsample, noise)``."""
+    if len(workers) > 1:
         try:
-            rows = _stacked_updates(cfg, workers, snapshots, model, draws)
+            updates, contexts, (due, s, y) = _stacked_updates(cfg, workers, snapshots, model,
+                                                              draws)
         except Exception:  # whatever it was, the replay below raises it in worker order
-            rows = (_one_update(cfg, worker, snapshot, model, *draw)
-                    for worker, snapshot, draw in zip(workers, snapshots, draws))
+            pass
+        else:
+            if due:
+                try_add_stacked([workers[i].memory for i in due], s, y)
+            for worker, ctx in zip(workers, contexts):
+                _advance(worker, ctx)
+            return updates
     updates = []
-    for worker, (upd, ctx, g_prime) in zip(workers, rows):
+    for worker, snapshot, draw in zip(workers, snapshots, draws):
+        upd, ctx, g_prime = _one_update(cfg, worker, snapshot, model, *draw)
         _admit(worker, ctx, g_prime)
         updates.append(upd)
     return updates
@@ -197,22 +226,28 @@ def _update_numerics(cfg, model, theta, u, sub, previous, noise, apply, iteratio
 
     Takes one worker's ``(d,)`` theta, u, noise and ``(n,)`` indices, or
     stacks of k workers' with a leading axis; ``apply`` runs the two-loop
-    on the (g, u) block.  Returns d_theta, d_u and the gradients on O and
-    on ``previous`` (None without it), shaped like theta, or raises
-    DivergenceError at the first of ``iterations`` with a non-finite
-    gradient.  Each stacked row is bit-identical to the one-worker call.
-    One worker is not stacked: on linear-Gaussian d = 100, stacks of one
-    made the whole update about 10 us (12%) slower on a 2-core host.
+    in place on the ``(2, d)`` (g, u) block, or the ``(k, 2, d)`` stack of
+    them, into which the combined gradient is written directly.  Returns
+    d_theta, d_u and the gradients on O and on ``previous`` (None without
+    it), shaped like theta, or raises DivergenceError at the first of
+    ``iterations`` with a non-finite gradient.  Each stacked row is
+    bit-identical to the one-worker call.  One worker is not stacked: on
+    linear-Gaussian d = 100, stacks of one made the whole update about
+    10 us (12%) slower on a 2-core host.
     """
+    gu = np.empty((*theta.shape[:-1], 2, theta.shape[-1]))
     g, overlap_grad, *previous_grad = combined_gradient(model, theta, sub, with_overlap=True,
-                                                        previous=previous)
+                                                        previous=previous, out=gu[..., 0, :])
     if not np.isfinite(g).all():
         finite_rows = np.isfinite(g.reshape(len(iterations), -1)).all(axis=1)
         iteration = iterations[int(finite_rows.argmin())]
         raise DivergenceError(f"non-finite gradient at iteration {iteration}",
                               iteration=iteration)
-    h = apply(np.array([g, u]).swapaxes(0, -2))
-    d_u = -cfg.step * h[..., 0, :] - cfg.friction * u
+    gu[..., 1, :] = u
+    h = apply(gu)
+    # -step * H g - friction * u, in the block's first row
+    d_u = np.multiply(h[..., 0, :], -cfg.step, out=h[..., 0, :])
+    d_u -= cfg.friction * u
     if noise is not None:
         d_u += cfg.noise_scale() * noise
     return h[..., 1, :], d_u, overlap_grad, previous_grad[0] if previous_grad else None
@@ -222,36 +257,48 @@ def _one_update(cfg, worker, snapshot, model, sub, noise, pair=True):
     """One worker's (update, context, previous-overlap gradient, None
     unless a pair is due and ``pair``); leaves the worker untouched."""
     previous = worker.prev_overlap if pair and _wants_pair(worker) else None
+    memory = worker.memory
     d_theta, d_u, overlap_grad, g_prime = _update_numerics(
-        cfg, model, snapshot.theta, snapshot.u, sub, previous, noise, worker.memory.apply,
-        [snapshot.iteration])
+        cfg, model, snapshot.theta, snapshot.u, sub, previous, noise,
+        lambda gu: memory.apply(gu, out=gu), [snapshot.iteration])
     ctx = UpdateContext(snapshot_theta=snapshot.theta, subsample=sub,
                         overlap_gradient=overlap_grad)
     return UpdateVector(d_theta=d_theta, d_u=d_u), ctx, g_prime
 
 
 def _stacked_updates(cfg, workers, snapshots, model, draws):
-    """_one_update for k >= 2 workers, on stacks made with np.array."""
+    """The numerics of _one_update for k >= 2 workers, on stacks made with
+    np.array, leaving the workers untouched.  Returns the updates, the
+    contexts, and ``(due, s, y)``: the positions of the workers with a pair
+    due and the ``(len(due), d)`` stacks of their pairs' s and y."""
     subs = Subsample(s_indices=np.array([sub.s_indices for sub, _ in draws]),
                      o_indices=np.array([sub.o_indices for sub, _ in draws]))
     # the previous O of each worker with a pair due joins the same pass; a
     # row with none due is evaluated on its own O and discarded
-    due = [_wants_pair(worker) for worker in workers]
+    due = [i for i, worker in enumerate(workers) if _wants_pair(worker)]
     previous = None
-    if any(due):
-        previous = np.array([worker.prev_overlap if wants else sub.o_indices
-                             for worker, wants, (sub, _) in zip(workers, due, draws)])
+    if due:
+        previous = np.array([worker.prev_overlap if _wants_pair(worker) else sub.o_indices
+                             for worker, (sub, _) in zip(workers, draws)])
     memories = [worker.memory for worker in workers]
+    theta = np.array([snap.theta for snap in snapshots])
     d_theta, d_u, overlap_grad, g_prime = _update_numerics(
-        cfg, model, np.array([snap.theta for snap in snapshots]),
-        np.array([snap.u for snap in snapshots]), subs, previous,
+        cfg, model, theta, np.array([snap.u for snap in snapshots]), subs, previous,
         None if draws[0][1] is None else np.array([noise for _, noise in draws]),
-        lambda gu: apply_stacked(memories, gu), [snap.iteration for snap in snapshots])
-    return [(UpdateVector(d_theta=d_theta[i], d_u=d_u[i]),
-             UpdateContext(snapshot_theta=snap.theta, subsample=sub,
-                           overlap_gradient=overlap_grad[i]),
-             g_prime[i] if wants else None)
-            for i, (snap, (sub, _), wants) in enumerate(zip(snapshots, draws, due))]
+        lambda gu: apply_stacked(memories, gu, out=gu), [snap.iteration for snap in snapshots])
+    updates = [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(workers))]
+    contexts = [UpdateContext(snapshot_theta=snap.theta, subsample=sub,
+                              overlap_gradient=overlap_grad[i])
+                for i, (snap, (sub, _)) in enumerate(zip(snapshots, draws))]
+    s = y = None
+    if due:
+        if len(due) < len(workers):
+            theta, g_prime = theta[due], g_prime[due]
+        s = np.array([workers[i].prev_theta for i in due])
+        y = np.array([workers[i].prev_overlap_grad for i in due])
+        np.subtract(theta, s, out=s)
+        np.subtract(g_prime, y, out=y)
+    return updates, contexts, (due, s, y)
 
 
 def master_apply(state: ParameterState, upd: UpdateVector) -> ParameterState:
@@ -270,7 +317,7 @@ def master_apply(state: ParameterState, upd: UpdateVector) -> ParameterState:
 def sgld_step(theta, h, beta, model, indices, rng) -> np.ndarray:
     """One stochastic gradient Langevin step; beta = inf gives plain SGD."""
     if h <= 0 or beta <= 0:
-        raise ValueError(f"h and beta must be positive, got ({h}, {beta})")
+        raise ConfigError(f"h and beta must be positive, got ({h}, {beta})")
     g = stochastic_gradient(model, theta, indices)
     new = theta - h * g
     if not math.isinf(beta):
@@ -283,7 +330,7 @@ def sgld_step(theta, h, beta, model, indices, rng) -> np.ndarray:
 def asgd_step(theta, h, model, indices) -> UpdateVector:
     """Asynchronous SGD baseline: momentum-free, noise-free update vector."""
     if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+        raise ConfigError(f"h must be positive, got {h}")
     g = stochastic_gradient(model, theta, indices)
     if not np.isfinite(g).all():
         # SGLD takes its steps from here too, so the message names neither
@@ -301,7 +348,12 @@ def asgd_updates(cfg, snapshots, model, rngs) -> list[UpdateVector]:
     that raises or meets a non-finite gradient, so the first worker's
     error in order is raised.
     """
-    subs = [draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o) for rng in rngs]
+    return _asgd_updates(cfg, snapshots, model,
+                         [draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o) for rng in rngs])
+
+
+def _asgd_updates(cfg, snapshots, model, subs) -> list[UpdateVector]:
+    """asgd_updates from each worker's drawn subsample."""
     if len(subs) > 1:
         theta = np.array([snap.theta for snap in snapshots])
         indices = np.array([sub.combined for sub in subs])
@@ -326,25 +378,33 @@ def sgld_updates(cfg, snapshots, model, rngs) -> list[UpdateVector]:
     theta + (-h g + xi) in place of (theta - h g) + xi, which can differ in
     the last bit at finite beta and gives the same bits at beta = inf.
     """
-    updates = asgd_updates(cfg, snapshots, model, rngs)
+    noisy = worker_draws_noise("sgld", cfg)
+    return _sgld_updates(cfg, snapshots, model, [_draw(cfg, model, rng, noisy) for rng in rngs])
+
+
+def _sgld_updates(cfg, snapshots, model, draws) -> list[UpdateVector]:
+    """sgld_updates from each worker's drawn ``(subsample, noise)``."""
+    updates = _asgd_updates(cfg, snapshots, model, [sub for sub, _ in draws])
     if not math.isinf(cfg.inv_temperature):
         scale = math.sqrt(2.0 * cfg.step / cfg.inv_temperature)
-        for upd, rng in zip(updates, rngs):
-            upd.d_theta += scale * rng.standard_normal(model.dim)
+        for upd, (_, noise) in zip(updates, draws):
+            upd.d_theta += scale * noise
     return updates
 
 
 # The updates of k >= 1 distinct workers of each asynchronous algorithm,
-# each at its own snapshot and drawing from its own generator, all called as
-# (cfg, workers, snapshots, model, rngs) -> updates.  Both the simulator's
-# event loop and the runtime's worker processes compute through this table;
-# a-SGD and SGLD keep no worker state.
+# each at its own snapshot, all called as
+# (cfg, workers, snapshots, model, draws) -> updates, where draws[i] is
+# worker i's (subsample, noise or None) for this update, drawn from its own
+# generator as worker_draws_noise says.  Both the simulator's event loop
+# and the runtime's worker processes compute through this table; a-SGD and
+# SGLD keep no worker state.
 WORKER_UPDATES = {
-    "as-lbfgs": compute_updates,
-    "a-sgd": lambda cfg, workers, snapshots, model, rngs: asgd_updates(
-        cfg, snapshots, model, rngs),
-    "sgld": lambda cfg, workers, snapshots, model, rngs: sgld_updates(
-        cfg, snapshots, model, rngs),
+    "as-lbfgs": _lbfgs_updates,
+    "a-sgd": lambda cfg, workers, snapshots, model, draws: _asgd_updates(
+        cfg, snapshots, model, [sub for sub, _ in draws]),
+    "sgld": lambda cfg, workers, snapshots, model, draws: _sgld_updates(
+        cfg, snapshots, model, draws),
 }
 
 
@@ -377,14 +437,20 @@ class MbLbfgsMaster:
         """
         if len(gradients) == 0:
             return theta
-        g_bar = np.mean(gradients, axis=0)
-        if self.use_memory and self.prev_theta is not None:
-            g_prime = stochastic_gradient(model, theta, self.prev_overlap)
-            self.memory.try_add(theta - self.prev_theta, g_prime - self.prev_overlap_grad)
+        gradients = np.asarray(gradients)
+        g_bar = gradients.sum(axis=0) / len(gradients)  # np.mean's bits
         if self.use_memory:
+            # the previous and the new overlap gradient at theta, in one pass
+            overlap = np.asarray(overlap_indices, dtype=np.intp)
+            prior = model.prior_gradient(theta)
+            *lik_prev, lik = model.likelihood_grad_sums(
+                theta, [overlap] if self.prev_theta is None else [self.prev_overlap, overlap])
+            if lik_prev:
+                g_prime = prior + (model.n_records / len(self.prev_overlap)) * lik_prev[0]
+                self.memory.try_add(theta - self.prev_theta, g_prime - self.prev_overlap_grad)
             self.prev_theta = theta.copy()
-            self.prev_overlap = np.asarray(overlap_indices, dtype=np.intp)
-            self.prev_overlap_grad = stochastic_gradient(model, theta, self.prev_overlap)
+            self.prev_overlap = overlap
+            self.prev_overlap_grad = prior + (model.n_records / len(overlap)) * lik
         new = theta - self.step * self.memory.apply(g_bar)
         if not np.isfinite(new).all():
             raise DivergenceError("non-finite iterate in mb-L-BFGS round")

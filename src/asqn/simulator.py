@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_count
-from .model import Subsample, combined_gradient
-from .sampler import WORKER_UPDATES, MbLbfgsMaster, ParameterState, WorkerState, master_apply
+from .model import Subsample, combined_gradient, draw_subsample
+from .sampler import (WORKER_UPDATES, MbLbfgsMaster, ParameterState, WorkerState, master_apply,
+                      worker_draws_noise)
 
 
 @dataclass
@@ -168,6 +169,46 @@ class ComputeTimes:
         return pending.pop()
 
 
+class WorkerDraws:
+    """Every worker's subsamples, and its noise where its update draws any,
+    from the worker's own generator, seeded ``seeds[worker]``.
+
+    :meth:`next` gives a worker's ``(subsample, noise or None)`` for one
+    update.  A worker that draws no noise (``noise_dim`` 0) draws its
+    subsamples ``rows`` at a time, one ``integers`` call per :meth:`block`
+    of ``(rows, n_s + n_o)`` indices.  numpy reads bounded integers below
+    2**32 from the generator's 32-bit stream one value at a time and
+    buffers nothing between calls, so a block holds, value for value, the
+    subsamples of one :func:`~asqn.model.draw_subsample` call each; only
+    the state a generator is left in after its last block differs, and the
+    generators are private to one engine call.  A worker that draws noise
+    draws a subsample, then its noise, once per update, since drawing its
+    subsamples ahead would change which values each draw takes.
+    """
+
+    def __init__(self, seeds, n_records, n_s, n_o, noise_dim=0):
+        self.rngs = [np.random.default_rng(seed) for seed in seeds]
+        self.n_records, self.n_s, self.n_o, self.noise_dim = n_records, n_s, n_o, noise_dim
+        self.rows = block_rows(n_s + n_o)
+        self.pending: list = [[] for _ in self.rngs]  # each worker's unused rows, last first
+
+    def block(self, w: int) -> np.ndarray:
+        """The next ``rows`` subsamples of worker ``w``, S and O side by side."""
+        return self.rngs[w].integers(0, self.n_records, size=(self.rows, self.n_s + self.n_o))
+
+    def next(self, w: int):
+        """Worker ``w``'s subsample and noise (None without) for its next update."""
+        if self.noise_dim:
+            rng = self.rngs[w]
+            sub = draw_subsample(rng, self.n_records, self.n_s, self.n_o)
+            return sub, rng.standard_normal(self.noise_dim)
+        pending = self.pending[w]
+        if not pending:
+            pending.extend(self.block(w)[::-1])
+        row = pending.pop()
+        return Subsample(s_indices=row[:self.n_s], o_indices=row[self.n_s:]), None
+
+
 def check_round_timeout(sim_cfg: SimConfig):
     """Raise :class:`ConfigError` unless a synchronous round can aggregate:
     the round timeout must be finite and some worker able to meet it."""
@@ -258,7 +299,13 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     Only receives already popped are computed, each worker on its own
     generator and memory, so traces are bit-identical to computing each
     receive at its pop, given a numpy/BLAS build whose stacked kernels
-    match the one-dimensional ones (the tests check this).  Errors keep
+    match the one-dimensional ones (the tests check this).  Each update's
+    subsample and noise come from :class:`WorkerDraws`: a worker whose
+    update draws no noise (AS-L-BFGS and SGLD at beta = inf, a-SGD) draws
+    its subsamples in blocks, with the values of one draw per update, and
+    the others draw a subsample, then noise, once per update.  Within a
+    batch, the workers' curvature pairs are formed in stacked calls (see
+    :func:`~asqn.sampler.compute_updates`).  Errors keep
     event order: a failing deferred compute raises the error of the
     earliest receive, a failing apply first computes the receives popped
     before it (whose error comes first), and the receives still deferred
@@ -273,7 +320,9 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
         state.theta = np.asarray(theta0, dtype=float).copy()
 
     compute_times = ComputeTimes(sim_cfg)
-    samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
+    draws = WorkerDraws(range(sim_cfg.seed, sim_cfg.seed + sim_cfg.workers), model.n_records,
+                        sampler_cfg.n_s, sampler_cfg.n_o,
+                        dim if worker_draws_noise(algo, sampler_cfg) else 0)
     workers = [WorkerState(sampler_cfg, dim) for _ in range(sim_cfg.workers)]
 
     rec = Recorder(model, sim_cfg.sample_every)
@@ -297,7 +346,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
         batch, snapshots = zip(*deferred)
         deferred.clear()
         updates = worker_updates(sampler_cfg, [workers[w] for w in batch], snapshots, model,
-                                 [samp_rngs[w] for w in batch])
+                                 [draws.next(w) for w in batch])
         for w, upd in zip(batch, updates):
             ready[w] = upd
 
@@ -338,22 +387,19 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     return rec.close(state, master_busy_until, truncated=truncated)
 
 
-def _sync_rounds(sim_cfg: SimConfig, n_records: int, n_draw: int):
+def _sync_rounds(sim_cfg: SimConfig, n_records: int, n_s: int, n_o: int):
     """Yield every synchronous round's ``(wait, kept)``: how long the round
-    waits for compute, and the ``(k, n_draw)`` subsample indices of the k
-    workers that met the timeout, in worker order.
+    waits for compute, and the ``(k, n_s + n_o)`` subsample indices of the
+    k workers that met the timeout, in worker order.
 
     Every worker draws its compute times and indices for a block of rounds
-    in one call per generator, kept or not, so each stream advances as it
-    would on a real cluster.  A block of bounded integers equals one call
-    per round, value for value, as a block of log-normal times does."""
-    rows = block_rows(n_draw)
-    compute_times = ComputeTimes(sim_cfg, rows)
-    samp_rngs = [np.random.default_rng(sim_cfg.seed + w) for w in range(sim_cfg.workers)]
+    in one call per generator (:class:`ComputeTimes`, :class:`WorkerDraws`),
+    kept or not, so each stream advances as it would on a real cluster."""
+    draws = WorkerDraws(range(sim_cfg.seed, sim_cfg.seed + sim_cfg.workers), n_records, n_s, n_o)
+    compute_times = ComputeTimes(sim_cfg, draws.rows)
     while True:
         times = np.stack([compute_times.block(w) for w in range(sim_cfg.workers)])
-        indices = np.stack([rng.integers(0, n_records, size=(rows, n_draw))
-                            for rng in samp_rngs])
+        indices = np.stack([draws.block(w) for w in range(sim_cfg.workers)])
         met = times <= sim_cfg.timeout
         waits = times.max(axis=0)
         if not sim_cfg.wait_for_stragglers:
@@ -385,7 +431,7 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     dim = model.dim
     theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     n_s = sampler_cfg.n_s
-    rounds = _sync_rounds(sim_cfg, model.n_records, n_s + sampler_cfg.n_o)
+    rounds = _sync_rounds(sim_cfg, model.n_records, n_s, sampler_cfg.n_o)
 
     rec = Recorder(model, sim_cfg.sample_every)
     state = ParameterState(theta=theta, u=np.zeros(dim), iteration=0)

@@ -1,10 +1,12 @@
 """Tests for the cautious FIFO curvature memory and the two-loop recursion."""
 
+import math
+
 import numpy as np
 import pytest
 
 from asqn import ConfigError, LbfgsMemory
-from asqn.lbfgs import STACKED_MAX_DIM, STACKED_MIN_BATCH, apply_stacked
+from asqn.lbfgs import STACKED_MAX_DIM, STACKED_MIN_BATCH, apply_stacked, try_add_stacked
 
 
 def dense_matrix(memory: LbfgsMemory) -> np.ndarray:
@@ -329,6 +331,18 @@ class TestBlockApply:
                         assert same_bits(row, deque_apply(mem.pairs, mem.gamma(), rho, v)), BUILD
             assert admitted > capacity and rejected > 0
 
+    @pytest.mark.parametrize("dim", [1, 6, STACKED_MAX_DIM + 1])
+    @pytest.mark.parametrize("rho", [0.0, 3.0])
+    def test_in_place_and_into_out_equal_a_fresh_result(self, dim, rho):
+        rng = np.random.default_rng(dim + 7)
+        for mem in mixed_memories(rng, 6, dim, 3, rho):
+            for shape in ((dim,), (2, dim)):
+                v = signed_zero_vectors(rng, shape)
+                want = mem.apply(v)
+                out = np.full(shape, np.nan)
+                assert mem.apply(v, out=out) is out and same_bits(out, want)
+                assert mem.apply(v, out=v) is v and same_bits(v, want)
+
     def test_empty_memory_keeps_negative_zero(self):
         block = np.array([[-0.0, 1.0, -0.0], [0.0, -0.0, -2.0]])
         assert same_bits(LbfgsMemory(3, 2).apply(block), block)
@@ -379,3 +393,68 @@ class TestApplyStacked:
         for mem, pairs in zip(memories, before):
             assert all(np.array_equal(a[0], b[0]) and a[2] == b[2]
                        for a, b in zip(mem.pairs, pairs))
+
+    @pytest.mark.parametrize("dim", [6, STACKED_MAX_DIM + 1])
+    @pytest.mark.parametrize("k", [2, STACKED_MIN_BATCH, 5])
+    def test_in_place_and_into_out_equal_a_fresh_result(self, dim, k):
+        rng = np.random.default_rng(dim * k)
+        memories = mixed_memories(rng, k, dim, 3, 2.0)
+        vectors = signed_zero_vectors(rng, (k, 2, dim))
+        want = apply_stacked(memories, vectors)
+        out = np.full_like(vectors, np.nan)
+        assert apply_stacked(memories, vectors, out=out) is out and same_bits(out, want)
+        assert apply_stacked(memories, vectors, out=vectors) is vectors
+        assert same_bits(vectors, want)
+
+
+class TestTryAddStacked:
+    """try_add_stacked forms s.s, y.s and y.y of a batch in stacked vecdot
+    calls, and each memory admits through try_add given those products."""
+
+    def test_vecdot_rows_equal_one_dimensional_matmul(self):
+        # 700 pairs with d from 1 to 4097, some scaled far from 1
+        rng = np.random.default_rng(11)
+        dims = np.concatenate([np.arange(1, 41), [4096, 4097], rng.integers(1, 4098, 658)])
+        assert len(dims) == 700
+        for d in dims.tolist():
+            a = rng.standard_normal((3, d)) * 10.0 ** rng.integers(-150, 150, (3, 1))
+            b = rng.standard_normal((3, d))
+            for got, x, y in zip(np.vecdot(a, b).tolist(), a, b):
+                assert got == float(x @ y) or (math.isnan(got) and math.isnan(x @ y)), BUILD
+            for got, x in zip(np.vecdot(a, a).tolist(), a):
+                assert got == float(x @ x), BUILD
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_equals_try_add_memory_by_memory(self, capacity):
+        # k memories over many rounds: admitted pairs, each rejection
+        # reason, and windows that wrap several times
+        rng = np.random.default_rng(capacity)
+        d, k = 5, 6
+        stacked = [LbfgsMemory(d, capacity, epsilon=0.5, rho=0.5) for _ in range(k)]
+        single = [LbfgsMemory(d, capacity, epsilon=0.5, rho=0.5) for _ in range(k)]
+        reasons = {"admitted": 0, "s = 0": 0, "non-finite y.s": 0, "y.s < eps |s|^2": 0}
+        for step in range(40):
+            who = rng.permutation(k)[: 1 + step % k]
+            s = rng.standard_normal((len(who), d))
+            y = s + rng.standard_normal((len(who), d))
+            for row, kind in enumerate(rng.integers(0, 4, len(who))):
+                if kind == 1:
+                    s[row] = 0.0
+                elif kind == 2:
+                    s[row], y[row] = 1e200, rng.choice([1e200, np.inf, np.nan])
+            got = try_add_stacked([stacked[w] for w in who], s, y)
+            want = [single[w].try_add(si, yi) for w, si, yi in zip(who, s, y)]
+            assert got == want
+            for si, yi, ok in zip(s, y, want):
+                ss, ys = float(si @ si), float(yi @ si)
+                reasons["admitted" if ok else "s = 0" if ss == 0.0
+                        else "non-finite y.s" if not math.isfinite(ys)
+                        else "y.s < eps |s|^2"] += 1
+        assert min(reasons.values()) > 3, reasons
+        v = rng.standard_normal((2, d))
+        for a, b in zip(stacked, single):
+            assert len(a) == len(b) and a.gamma() == b.gamma()
+            for (s1, y1, r1), (s2, y2, r2) in zip(a.pairs, b.pairs):
+                assert same_bits(s1, s2) and same_bits(y1, y2) and r1 == r2
+            assert same_bits(a.apply(v), b.apply(v))

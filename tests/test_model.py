@@ -18,6 +18,7 @@ from asqn import (
     rmse,
     stochastic_gradient,
 )
+from asqn import model as model_module
 from asqn.experiments import synth_matrix_factorization
 
 
@@ -383,6 +384,35 @@ class TestLikelihoodGradSums:
                         want = add_at_grad_sum(model, th, indices)
                         assert np.array_equal(row, want), BUILD
                         assert np.array_equal(np.signbit(row), np.signbit(want)), BUILD
+
+    @pytest.mark.parametrize("lengths", [(9,), (40, 20), (7, 1, 13)])
+    def test_matrix_factorization_offsets_by_shape(self, monkeypatch, lengths):
+        # one to three parts of unequal lengths, at a (d,) parameter with
+        # (n,) or (k, n) parts and at a (k, d) one; every shape's offsets
+        # are built once and kept, and a shape past the cache's bound is
+        # still built right but not kept
+        model = synth_matrix_factorization(1, 30, 40, 3)
+        rng = np.random.default_rng(sum(lengths))
+        for bound in (model_module.OFFSETS_CACHED, 0):
+            monkeypatch.setattr(model_module, "OFFSETS_CACHED", bound)
+            fresh = synth_matrix_factorization(1, 30, 40, 3)
+            for k in (1, 2, 5):
+                theta_rows = rng.standard_normal((k, model.dim))
+                stacked = [rng.integers(0, model.n_records, size=(k, n)) for n in lengths]
+                cases = [(theta_rows[0], [part[0] for part in stacked]),
+                         (theta_rows[0], stacked), (theta_rows, stacked)]
+                for theta, parts in cases:
+                    for _ in range(2):  # built, then taken from the cache
+                        got = fresh.likelihood_grad_sums(theta, parts)
+                        for sums, part in zip(got, parts):
+                            rows = np.broadcast_to(theta, part.shape[:-1] + (model.dim,))
+                            want = [add_at_grad_sum(model, th, indices) for th, indices
+                                    in zip(rows.reshape(-1, model.dim),
+                                           part.reshape(-1, part.shape[-1]))]
+                            assert np.array_equal(sums.reshape(-1, model.dim), want), BUILD
+            assert len(fresh._offset_cache) == (7 if bound else 0)  # (d,) once, 2 per k
+            assert fresh._offsets_cached == sum(scatter.size for _, scatter
+                                                in fresh._offset_cache.values())
 
     @pytest.mark.parametrize("make_model", [lambda: random_lg(2, n=50, d=6), random_mf],
                              ids=["lg", "mf"])

@@ -1,9 +1,11 @@
 """Tests for the shared-memory execution path with forked worker processes."""
 
+import math
 import multiprocessing
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from asqn import (
     SamplerConfig,
     UpdateVector,
     WorkerState,
+    asgd_step,
     compute_update,
+    draw_subsample,
     master_apply,
     post_send_memory_update,
     potential,
@@ -184,6 +188,29 @@ class TestRun:
         np.testing.assert_array_equal(report.final_state.u, state.u)
         assert report.iterations == 30
         assert report.max_staleness == 0
+
+    @pytest.mark.parametrize("algo, beta", [("as-lbfgs", math.inf), ("a-sgd", 50.0)])
+    def test_single_worker_block_draws_match_one_draw_per_update(self, algo, beta):
+        # a noise-free worker draws its subsamples 64 at a time; across
+        # block ends its run equals the loop drawing one per update
+        model, cfg = small_problem()
+        cfg = replace(cfg, inv_temperature=beta)
+        report = run(1, cfg, model, algo=algo, max_updates=150, seed=5)
+
+        rng = np.random.default_rng(5)
+        worker = WorkerState(cfg, model.dim)
+        state = ParameterState.zeros(model.dim)
+        for _ in range(150):
+            if algo == "as-lbfgs":
+                upd, ctx = compute_update(cfg, worker, state, model, rng)
+                post_send_memory_update(worker, ctx, model)
+            else:
+                sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
+                upd = asgd_step(state.theta, cfg.step, model, sub.combined)
+            state = master_apply(state, upd)
+        assert report.error is None and report.iterations == 150
+        np.testing.assert_array_equal(report.final_state.theta, state.theta)
+        np.testing.assert_array_equal(report.final_state.u, state.u)
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_terminates_for_all_worker_counts(self, workers):

@@ -326,7 +326,20 @@ class TestSgld:
         assert abs(np.var(samples) / target - 1.0) < 0.10
 
 
+    @pytest.mark.parametrize("h, beta", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -2.0)])
+    def test_nonpositive_h_or_beta_is_a_config_error(self, h, beta):
+        model = quadratic_lg()
+        with pytest.raises(ConfigError, match="h and beta must be positive"):
+            sgld_step(np.ones(model.dim), h, beta, model, [0], np.random.default_rng(0))
+
+
 class TestAsgd:
+    @pytest.mark.parametrize("h", [0.0, -0.1])
+    def test_nonpositive_h_is_a_config_error(self, h):
+        model = quadratic_lg()
+        with pytest.raises(ConfigError, match="h must be positive"):
+            asgd_step(np.ones(model.dim), h, model, [0])
+
     def test_full_batch_is_gradient_descent(self):
         model = quadratic_lg()
         theta = np.ones(model.dim)
@@ -391,6 +404,57 @@ class TestMbLbfgs:
             g = stochastic_gradient(model, theta, idx)
             theta = master.round(theta, [g], idx, model)
         assert abs(theta[0] - 1.0) < 1e-6
+
+
+class ReferenceMbLbfgsMaster(MbLbfgsMaster):
+    """The former round: np.mean of the gradients, and the previous and the
+    new overlap gradient from two stochastic_gradient calls."""
+
+    def round(self, theta, gradients, overlap_indices, model):
+        if len(gradients) == 0:
+            return theta
+        g_bar = np.mean(gradients, axis=0)
+        if self.use_memory and self.prev_theta is not None:
+            g_prime = stochastic_gradient(model, theta, self.prev_overlap)
+            self.memory.try_add(theta - self.prev_theta, g_prime - self.prev_overlap_grad)
+        if self.use_memory:
+            self.prev_theta = theta.copy()
+            self.prev_overlap = np.asarray(overlap_indices, dtype=np.intp)
+            self.prev_overlap_grad = stochastic_gradient(model, theta, self.prev_overlap)
+        new = theta - self.step * self.memory.apply(g_bar)
+        if not np.isfinite(new).all():
+            raise DivergenceError("non-finite iterate in mb-L-BFGS round")
+        return new
+
+
+class TestMbLbfgsRound:
+    @pytest.mark.parametrize("use_memory", [True, False])
+    @pytest.mark.parametrize("make_model", [
+        lambda: synth_linear_gaussian(0, 12, 60, 10.0, correlation=3.0)[0],
+        lambda: synth_matrix_factorization(1, 12, 15, 3),
+    ], ids=["lg", "mf"])
+    def test_rounds_equal_the_former_round(self, make_model, use_memory):
+        # one overlap gradient pass and sum / k, against two stochastic
+        # gradient calls and np.mean, with 1 to 4 workers per round
+        model = make_model()
+        rng = np.random.default_rng(4)
+        got = MbLbfgsMaster(model.dim, step=2e-3, epsilon=0.1, use_memory=use_memory)
+        want = ReferenceMbLbfgsMaster(model.dim, step=2e-3, epsilon=0.1,
+                                      use_memory=use_memory)
+        theta = 0.1 * rng.standard_normal(model.dim)
+        for n in range(60):
+            k = 1 + n % 4
+            sub = Subsample(rng.integers(0, model.n_records, (k, 6)),
+                            rng.integers(0, model.n_records, (k, 3)))
+            grads = combined_gradient(model, theta, sub)
+            overlap = sub.o_indices.ravel()
+            new = got.round(theta, grads, overlap, model)
+            assert same_bits(new, want.round(theta, list(grads), overlap.tolist(), model))
+            theta = new
+        assert len(got.memory) == len(want.memory) and got.memory.gamma() == want.memory.gamma()
+        for (s1, y1, r1), (s2, y2, r2) in zip(got.memory.pairs, want.memory.pairs):
+            assert same_bits(s1, s2) and same_bits(y1, y2) and r1 == r2
+        assert len(got.memory) == (3 if use_memory else 0)
 
 
 class TestDegenerateLimit:
@@ -532,6 +596,60 @@ class TestBatchedUpdates:
             assert ra.bit_generator.state == rb.bit_generator.state
         admitted = sum(len(w.memory) for w in batched)
         assert admitted > 0 if use_memory else admitted == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("memory_size", [1, 2])
+    def test_stacked_admissions_equal_try_add_worker_by_worker(self, memory_size):
+        # batches mixing fresh workers, admitted pairs and every rejection:
+        # s = 0 (a worker's snapshot repeats), non-finite y.s (a huge
+        # snapshot after a normal one) and y.s < eps |s|^2 (eps above 1 on
+        # linear-Gaussian); small windows wrap many times
+        model = synth_linear_gaussian(0, 12, 60, 10.0, correlation=3.0)[0]
+        cfg = SamplerConfig(step=1e-3, friction=0.1, n_s=6, n_o=3, epsilon=1.2,
+                            memory_size=memory_size)
+        k = 5
+        batched = [WorkerState(cfg, model.dim) for _ in range(k)]
+        serial = [WorkerState(cfg, model.dim) for _ in range(k)]
+        rngs_b = [np.random.default_rng(w) for w in range(k)]
+        rngs_s = [np.random.default_rng(w) for w in range(k)]
+        rng = np.random.default_rng(3)
+        last = [None] * k
+        reasons = {"fresh": 0, "admitted": 0, "s = 0": 0, "non-finite y.s": 0,
+                   "y.s < eps |s|^2": 0}
+        for step in range(60):
+            # worker 4 joins at step 20, so later batches mix in a fresh worker
+            who = list(rng.permutation(k if step >= 20 else k - 1)[: 2 + step % 3])
+            snaps = []
+            for w in who:
+                kind = rng.integers(0, 4)
+                if kind == 0 and last[w] is not None:
+                    theta = last[w]
+                elif kind == 1 and last[w] is not None and np.abs(last[w]).max() < 1e100:
+                    theta = np.full(model.dim, 1e160)
+                else:
+                    theta = 0.1 * rng.standard_normal(model.dim)
+                last[w] = theta
+                snaps.append(ParameterState(theta, rng.standard_normal(model.dim), step))
+            got = compute_updates(cfg, [batched[w] for w in who], snaps, model,
+                                  [rngs_b[w] for w in who])
+            for w, snap, upd in zip(who, snaps, got):
+                want, ctx = compute_update(cfg, serial[w], snap, model, rngs_s[w])
+                worker = serial[w]
+                if worker.local_iter == 0:
+                    reasons["fresh"] += 1
+                else:
+                    s = ctx.snapshot_theta - worker.prev_theta
+                    y = (stochastic_gradient(model, ctx.snapshot_theta, worker.prev_overlap)
+                         - worker.prev_overlap_grad)
+                    ss, ys = float(s @ s), float(y @ s)
+                    reasons["s = 0" if ss == 0.0 else "non-finite y.s"
+                            if not math.isfinite(ys) else "y.s < eps |s|^2"
+                            if ys < cfg.epsilon * ss else "admitted"] += 1
+                post_send_memory_update(worker, ctx, model)
+                assert same_bits(upd.d_theta, want.d_theta) and same_bits(upd.d_u, want.d_u)
+            for w in who:
+                assert same_worker(batched[w], serial[w])
+        assert min(reasons.values()) >= 3, reasons
 
     def test_batch_evaluates_its_gradients_in_three_calls(self):
         model = counting_lg()

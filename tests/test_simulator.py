@@ -399,6 +399,30 @@ class TestDeferredComputes:
                 engine(sim, cfg, RaisingAt(model, fourth.theta))
 
 
+def noise_free_case(name):
+    """(model, sampler config, theta0, algorithm) of as-lbfgs at beta = inf
+    on MF or a-SGD at finite beta on LG, whose workers draw no noise."""
+    if name == "as-lbfgs-mf":
+        model, cfg, theta0 = problem("mf")
+        return model, replace(cfg, inv_temperature=math.inf), theta0, "as-lbfgs"
+    return (*problem("lg"), "a-sgd")
+
+
+class RaisingMf(MatrixFactorizationModel):
+    """A matrix-factorization model whose likelihood gradients raise at one
+    parameter (at any row of a stacked parameter that equals it)."""
+
+    def __init__(self, model, theta):
+        super().__init__(model.rows, model.cols, model.values, model.n_rows, model.n_cols,
+                         model.rank)
+        self.marked = np.array(theta, copy=True)
+
+    def likelihood_grad_sums(self, theta, parts):
+        if np.any(np.all(np.atleast_2d(theta) == self.marked, axis=-1)):
+            raise RuntimeError("marked parameter")
+        return super().likelihood_grad_sums(theta, parts)
+
+
 class RaisingAt(LinearGaussianModel):
     """The given model, whose likelihood gradient raises at one parameter
     (at any row of a stacked parameter that equals it)."""
@@ -698,8 +722,8 @@ class TestBlockDraws:
 
     @staticmethod
     def _spy_sizes(monkeypatch):
-        """Record ``(kind, size, seed)`` of every integers/lognormal draw of
-        the generators made from here on."""
+        """Record ``(kind, size, seed)`` of every integers, lognormal and
+        standard_normal draw of the generators made from here on."""
         sizes = []
         real = np.random.default_rng
 
@@ -714,6 +738,10 @@ class TestBlockDraws:
             def lognormal(self, *args, size=None):
                 sizes.append(("lognormal", size, self.seed))
                 return self.rng.lognormal(*args, size=size)
+
+            def standard_normal(self, size=None):
+                sizes.append(("standard_normal", size, self.seed))
+                return self.rng.standard_normal(size)
 
             def __getattr__(self, name):
                 return getattr(self.rng, name)
@@ -994,3 +1022,92 @@ class TestSharedResult:
             res = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-3), cfg, model, theta0)
         assert res.final_potential == res.trace[-1].potential
         assert sum(full_passes) == len(res.trace) == 6
+
+
+class TestBlockDrawnSubsamples:
+    """A worker that draws no noise draws its subsamples in blocks of
+    block_rows(n_s + n_o), one generator call each; run_async then equals
+    the loop that draws one subsample per update, bit for bit, and a worker
+    that draws noise still draws subsample then noise once per update."""
+
+    @pytest.mark.parametrize("name", ["as-lbfgs-mf", "a-sgd-lg"])
+    @pytest.mark.parametrize("max_updates", [3 * 2 * simulator.BLOCK_ROWS,
+                                             3 * 2 * simulator.BLOCK_ROWS + 37])
+    def test_matches_one_draw_per_update(self, monkeypatch, name, max_updates):
+        # 2 blocks per worker, and a horizon that ends mid-block
+        model, cfg, theta0, algo = noise_free_case(name)
+        sim = SimConfig(workers=3, mu_master=0.5, mu_worker=10.0, sigma_worker=6.0,
+                        comm_time=1.0, max_updates=max_updates, sample_every=9, seed=6)
+        want = per_worker_run_async(sim, cfg, model, algo=algo, theta0=theta0)
+        sizes = TestBlockDraws._spy_sizes(monkeypatch)
+        got = run_async(sim, cfg, model, algo=algo, theta0=theta0)
+        assert same_result(got, want)
+        drawn = [(size, seed) for kind, size, seed in sizes if kind == "integers"]
+        assert {size for size, _ in drawn} == {(simulator.BLOCK_ROWS, cfg.n_s + cfg.n_o)}
+        # a worker draws a block when it needs one: 2 each, or a third
+        # when the horizon runs past its second block
+        assert all(2 <= [seed for _, seed in drawn].count(6 + w) <= 3 for w in range(3))
+        assert all(kind != "standard_normal" for kind, _, _ in sizes)
+
+    @pytest.mark.parametrize("name", ["as-lbfgs-mf", "a-sgd-lg"])
+    def test_batch_that_raises_matches_one_draw_per_update(self, monkeypatch, name):
+        # a gradient raises at the receive carrying state i, or the apply
+        # numbered j diverges first; the error is the one-draw loop's
+        model, cfg, theta0, algo = noise_free_case(name)
+        sim = SimConfig(workers=3, mu_worker=100.0, sigma_worker=50.0, comm_time=10.0,
+                        max_updates=2 * simulator.BLOCK_ROWS + 40, seed=2)
+        states = [None]  # states[i]: the state after apply i
+        real_apply = master_apply
+
+        def recording_apply(state, upd):
+            states.append(real_apply(state, upd))
+            return states[-1]
+
+        monkeypatch.setattr(simulator, "master_apply", recording_apply)
+        run_async(sim, cfg, model, algo=algo, theta0=theta0)
+        outcomes = set()
+        raising = RaisingMf if isinstance(model, MatrixFactorizationModel) else RaisingAt
+        for i in (5, simulator.BLOCK_ROWS + 3, 2 * simulator.BLOCK_ROWS + 20):
+            for j in range(i + 1, i + 4):
+                def failing_apply(state, upd, j=j):
+                    if state.iteration + 1 == j:
+                        raise DivergenceError(f"apply {j}", iteration=j)
+                    return real_apply(state, upd)
+
+                model_i = raising(model, states[i].theta)
+                errors = []
+                for engine, module in ((run_async, simulator),
+                                       (per_worker_run_async, sys.modules[__name__])):
+                    monkeypatch.setattr(module, "master_apply", failing_apply)
+                    with pytest.raises(Exception) as info:
+                        engine(sim, cfg, model_i, algo=algo, theta0=theta0)
+                    errors.append((type(info.value), str(info.value)))
+                assert errors[0] == errors[1], (i, j)
+                outcomes.add(errors[0][0])
+        assert outcomes == {RuntimeError, DivergenceError}
+
+    @pytest.mark.parametrize("algo", ["as-lbfgs", "sgld"])
+    def test_noisy_workers_draw_once_per_update(self, monkeypatch, algo):
+        # SGLD against the former serial engine, within its rtol (see
+        # TestSerialSgld), at 15.5 per update exact in binary
+        model, cfg, theta0 = problem("lg")
+        workers = 3 if algo == "as-lbfgs" else 1
+        sim = SimConfig(workers=workers, mu_worker=10.0, sigma_worker=6.0 * (workers > 1),
+                        comm_time=2.5, mu_master=0.5, max_updates=150, sample_every=9, seed=6)
+        want = (per_worker_run_async(sim, cfg, model, algo, theta0) if algo == "as-lbfgs"
+                else serial_sgld_reference(sim, cfg, model, theta0))
+        sizes = TestBlockDraws._spy_sizes(monkeypatch)
+        got = run_async(sim, cfg, model, algo=algo, theta0=theta0)
+        if algo == "as-lbfgs":
+            assert same_result(got, want)
+        else:
+            np.testing.assert_allclose(got.final_state.theta, want.final_state.theta,
+                                       rtol=1e-12, atol=0)
+        drawn = [size for kind, size, _ in sizes if kind == "integers"]
+        assert set(drawn) == {cfg.n_s + cfg.n_o}
+        # the first update of each worker is drawn, at least, and no more
+        # draws than receives popped; each subsample is followed by its noise
+        assert 150 <= len(drawn) <= 150 + workers
+        draws = [(kind, seed) for kind, _, seed in sizes if kind != "lognormal"]
+        assert draws == [pair for kind, seed in draws if kind == "integers"
+                         for pair in ((kind, seed), ("standard_normal", seed))]
