@@ -403,14 +403,16 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def _sampler_cfg(cfg, algo, model):
-    s = dict(cfg["sampler"])
-    if s.get("n_s") is None or s.get("n_o") is None:
-        # N_Omega = N_Y/100, N_O = N_Omega/3
-        n_omega = max(3, model.n_records // 100)
-        s["n_o"] = max(1, n_omega // 3)
-        s["n_s"] = n_omega - s["n_o"]
     # SamplerConfig has no default friction
-    return SamplerConfig(**{"friction": 0.5, **s, **cfg["baselines"].get(algo, {})})
+    s = {"friction": 0.5, **cfg["sampler"], **cfg["baselines"].get(algo, {})}
+    # a null size takes its value from the derived pair: N_Omega = N_Y/100,
+    # N_O = N_Omega/3, N_S = N_Omega - N_O; a size that is set stays
+    n_omega = max(3, model.n_records // 100)
+    n_o = max(1, n_omega // 3)
+    for key, derived in (("n_o", n_o), ("n_s", n_omega - n_o)):
+        if s.get(key) is None:
+            s[key] = derived
+    return SamplerConfig(**s)
 
 
 def _sim_cfg(cfg, algo, seed, sigma):

@@ -105,8 +105,9 @@ class WorkerState:
 
 
 def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, UpdateContext]:
-    """One worker iteration: draw a subsample, form the combined gradient
-    at the (possibly stale) snapshot, and build (d_theta, d_u).
+    """One worker iteration: draw a subsample, then noise where the worker
+    draws any, form the combined gradient at the (possibly stale) snapshot,
+    and build (d_theta, d_u).
 
     The overlap gradient the next curvature pair needs comes out of the
     same call, reusing its O-part likelihood sum rather than evaluating
@@ -115,10 +116,11 @@ def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, Upd
 
     Does not touch the worker's memory; call post_send_memory_update with
     the returned context afterwards, mirroring the send-then-update order
-    of the protocol.  It runs the numerics of compute_updates on one
+    of the protocol.  It runs the numerics of :func:`lbfgs_updates` on one
     worker, leaving the previous-overlap gradient to post_send_memory_update.
     """
-    sub, noise = _draw(cfg, model, rng, worker_draws_noise("as-lbfgs", cfg))
+    sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
+    noise = rng.standard_normal(model.dim) if worker_draws_noise("as-lbfgs", cfg) else None
     upd, ctx, _ = _one_update(cfg, worker, snapshot, model, sub, noise, pair=False)
     return upd, ctx
 
@@ -132,21 +134,15 @@ def worker_draws_noise(algo, cfg) -> bool:
     return algo == "sgld" and not math.isinf(cfg.inv_temperature)
 
 
-def _draw(cfg, model, rng, noisy):
-    """A worker's random draws for one update: its subsample, then its
-    noise when ``noisy`` (else None)."""
-    sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
-    return sub, rng.standard_normal(model.dim) if noisy else None
-
-
 def post_send_memory_update(worker: WorkerState, ctx: UpdateContext, model) -> bool:
     """Advance the worker's local bookkeeping and try to admit a pair.
 
     The gradient difference re-evaluates the PREVIOUS overlap set at the
     current local iterate, so both gradients in a pair use the same index
     set; this function evaluates that gradient itself, in its own call,
-    so it works on any context.  compute_updates joins it to the update's
-    own gradient pass instead.  Returns whether a pair was admitted.
+    so it works on any context.  :func:`lbfgs_updates` joins it to the
+    update's own gradient pass instead.  Returns whether a pair was
+    admitted.
     """
     g_prime = None
     if _wants_pair(worker):
@@ -179,28 +175,20 @@ def _advance(worker, ctx):
     worker.local_iter += 1
 
 
-def compute_updates(cfg, workers, snapshots, model, rngs) -> list[UpdateVector]:
+def lbfgs_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
     """AS-L-BFGS updates of k >= 1 distinct workers, each at its own
-    snapshot, each followed by its post-send memory update.
+    snapshot from its ``(subsample, noise or None)`` in ``draws``, each
+    followed by its post-send memory update.
 
     Bit-identical to compute_update then post_send_memory_update worker by
-    worker, generators included: each worker draws from its own generator,
-    its subsample and then its noise, and the updates come from those
-    draws as the engines' (see :data:`WORKER_UPDATES`).  On a batch of
-    k >= 2, :func:`_update_numerics` runs once on stacks, and s, y, s.s,
-    y.s and y.y of every pair due are formed once for the batch
+    worker on the same draws.  On a batch of k >= 2,
+    :func:`_update_numerics` runs once on stacks, and s, y, s.s, y.s and
+    y.y of every pair due are formed once for the batch
     (:func:`~asqn.lbfgs.try_add_stacked`), so each worker keeps only its
     cautious test and window store.  A stacked batch that raises is redone
     one worker at a time from the same draws, each update followed by its
     admission, so the first worker's error in order is raised.
     """
-    noisy = worker_draws_noise("as-lbfgs", cfg)
-    return _lbfgs_updates(cfg, workers, snapshots, model,
-                          [_draw(cfg, model, rng, noisy) for rng in rngs])
-
-
-def _lbfgs_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
-    """compute_updates from each worker's drawn ``(subsample, noise)``."""
     if len(workers) > 1:
         try:
             updates, contexts, (due, s, y) = _stacked_updates(cfg, workers, snapshots, model,
@@ -338,53 +326,40 @@ def asgd_step(theta, h, model, indices) -> UpdateVector:
     return UpdateVector(d_theta=-h * g, d_u=np.zeros_like(theta))
 
 
-def asgd_updates(cfg, snapshots, model, rngs) -> list[UpdateVector]:
-    """a-SGD updates of k workers, each at its own snapshot and drawing its
-    subsample from its own generator.
+def asgd_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
+    """a-SGD updates of k workers, each at its own snapshot from the
+    subsample in its ``(subsample, None)`` of ``draws``; a-SGD keeps no
+    worker state, so ``workers`` goes unused.
 
-    Bit-identical to draw_subsample then asgd_step worker by worker, which
-    a batch of one calls; a larger batch evaluates its gradients in one
-    stacked call, and redoes the steps one by one from the same draws if
-    that raises or meets a non-finite gradient, so the first worker's
-    error in order is raised.
+    Bit-identical to asgd_step worker by worker, which a batch of one
+    calls; a larger batch evaluates its gradients in one stacked call, and
+    redoes the steps one by one if that raises or meets a non-finite
+    gradient, so the first worker's error in order is raised.
     """
-    return _asgd_updates(cfg, snapshots, model,
-                         [draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o) for rng in rngs])
-
-
-def _asgd_updates(cfg, snapshots, model, subs) -> list[UpdateVector]:
-    """asgd_updates from each worker's drawn subsample."""
-    if len(subs) > 1:
+    if len(draws) > 1:
         theta = np.array([snap.theta for snap in snapshots])
-        indices = np.array([sub.combined for sub in subs])
+        indices = np.array([sub.combined for sub, _ in draws])
         try:
             g = stochastic_gradient(model, theta, indices)
         except Exception:  # raised again, in worker order, by the steps below
             g = None
         if g is not None and np.isfinite(g).all():
             d_theta, d_u = -cfg.step * g, np.zeros_like(theta)
-            return [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(subs))]
+            return [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(draws))]
     return [asgd_step(snap.theta, cfg.step, model, sub.combined)
-            for snap, sub in zip(snapshots, subs)]
+            for snap, (sub, _) in zip(snapshots, draws)]
 
 
-def sgld_updates(cfg, snapshots, model, rngs) -> list[UpdateVector]:
+def sgld_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
     """SGLD updates of k workers: the a-SGD update of each at its own
-    snapshot plus sqrt(2 h / beta) times a standard normal vector that the
-    worker draws from its own generator after its subsample (none at
-    beta = inf).
+    snapshot plus sqrt(2 h / beta) times the standard normal vector of its
+    ``(subsample, noise)`` in ``draws`` (noise None at beta = inf).
 
     Applied by master_apply, this is sgld_step as an additive update,
     theta + (-h g + xi) in place of (theta - h g) + xi, which can differ in
     the last bit at finite beta and gives the same bits at beta = inf.
     """
-    noisy = worker_draws_noise("sgld", cfg)
-    return _sgld_updates(cfg, snapshots, model, [_draw(cfg, model, rng, noisy) for rng in rngs])
-
-
-def _sgld_updates(cfg, snapshots, model, draws) -> list[UpdateVector]:
-    """sgld_updates from each worker's drawn ``(subsample, noise)``."""
-    updates = _asgd_updates(cfg, snapshots, model, [sub for sub, _ in draws])
+    updates = asgd_updates(cfg, workers, snapshots, model, draws)
     if not math.isinf(cfg.inv_temperature):
         scale = math.sqrt(2.0 * cfg.step / cfg.inv_temperature)
         for upd, (_, noise) in zip(updates, draws):
@@ -397,15 +372,8 @@ def _sgld_updates(cfg, snapshots, model, draws) -> list[UpdateVector]:
 # (cfg, workers, snapshots, model, draws) -> updates, where draws[i] is
 # worker i's (subsample, noise or None) for this update, drawn from its own
 # generator as worker_draws_noise says.  Both the simulator's event loop
-# and the runtime's worker processes compute through this table; a-SGD and
-# SGLD keep no worker state.
-WORKER_UPDATES = {
-    "as-lbfgs": _lbfgs_updates,
-    "a-sgd": lambda cfg, workers, snapshots, model, draws: _asgd_updates(
-        cfg, snapshots, model, [sub for sub, _ in draws]),
-    "sgld": lambda cfg, workers, snapshots, model, draws: _sgld_updates(
-        cfg, snapshots, model, draws),
-}
+# and the runtime's worker processes compute through this table.
+WORKER_UPDATES = {"as-lbfgs": lbfgs_updates, "a-sgd": asgd_updates, "sgld": sgld_updates}
 
 
 class MbLbfgsMaster:

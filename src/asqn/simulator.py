@@ -109,18 +109,6 @@ def _log_normal(mu: float, sigma: float):
     return math.log(mu) - 0.5 * s2, math.sqrt(s2)
 
 
-def sample_compute_time(rng, mu: float, sigma: float) -> float:
-    """Log-normal draw with mean mu and standard deviation sigma."""
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    if mu == 0.0:
-        return 0.0
-    if sigma == 0.0:
-        return float(mu)
-    m, s = _log_normal(mu, sigma)
-    return float(rng.lognormal(mean=m, sigma=s))
-
-
 # A worker's draws come in blocks: at most BLOCK_ROWS rows per generator
 # call, and no more rows than keep a block within BLOCK_DRAWS draws.
 BLOCK_ROWS = 64
@@ -133,14 +121,15 @@ def block_rows(row_size: int) -> int:
 
 
 class ComputeTimes:
-    """Every worker's compute times, drawn from the worker's own generator,
-    seeded ``(seed, worker, 1)``, in blocks of ``rows``.
+    """Every worker's compute times, log-normal with mean ``mu_worker`` and
+    standard deviation ``sigma_worker``, drawn from the worker's own
+    generator, seeded ``(seed, worker, 1)``, in blocks of ``rows``.
 
     numpy's log-normal draws read the generator one value at a time and
     buffer nothing between calls, so a worker's times are, value for value
-    and in order, those of one :func:`sample_compute_time` call each; where
-    that function draws nothing (``mu_worker`` or ``sigma_worker`` 0), this
-    draws nothing either.  Only the state a generator is left in after its
+    and in order, those of one single-value ``lognormal`` call each.  Where
+    ``mu_worker`` or ``sigma_worker`` is 0 every time is ``mu_worker`` and
+    nothing is drawn.  Only the state a generator is left in after its
     last block differs, and the generators are private to one engine call.
     """
 
@@ -305,7 +294,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     its subsamples in blocks, with the values of one draw per update, and
     the others draw a subsample, then noise, once per update.  Within a
     batch, the workers' curvature pairs are formed in stacked calls (see
-    :func:`~asqn.sampler.compute_updates`).  Errors keep
+    :func:`~asqn.sampler.lbfgs_updates`).  Errors keep
     event order: a failing deferred compute raises the error of the
     earliest receive, a failing apply first computes the receives popped
     before it (whose error comes first), and the receives still deferred

@@ -431,6 +431,53 @@ class TestValidateConfig:
         assert os.listdir(tmp_path) == []
 
 
+class TestSubsampleSizes:
+    """A null sampler.n_s or n_o takes its value from the pair derived from
+    the record count, N_Omega = N_Y/100, N_O = N_Omega/3 and
+    N_S = N_Omega - N_O; a size the config sets is kept."""
+
+    @staticmethod
+    def sizes(doc, algo="as-lbfgs"):
+        cfg = validate_config(doc)
+        model, _ = experiments.build_problem(cfg)
+        samp = experiments._sampler_cfg(cfg, algo, model)
+        return samp.n_s, samp.n_o
+
+    @pytest.mark.parametrize("sampler, want", [
+        ({"n_s": None, "n_o": None}, (8, 4)),
+        ({"n_s": None, "n_o": 10}, (8, 10)),
+        ({"n_s": 7, "n_o": None}, (7, 4)),
+        ({"n_s": 7, "n_o": 10}, (7, 10)),
+    ])
+    def test_only_a_null_size_is_derived(self, sampler, want):
+        doc = tiny_config()
+        doc["problem"]["n_records"] = 1200  # N_Omega 12: N_O 4, N_S 8
+        doc["sampler"].update(sampler)
+        assert self.sizes(doc) == want
+
+    def test_small_problem_keeps_a_set_size(self):
+        # 300 ratings: N_Omega is the floor 3, so the derived pair is (2, 1)
+        doc = {"mode": "simulate", "algorithms": ["as-lbfgs"],
+               "problem": {"type": "matrix-factorization", "n_rows": 20, "n_cols": 30,
+                           "observed_fraction": 0.5},
+               "sampler": {"step": 1e-3, "n_s": None, "n_o": 10}}
+        model, _ = experiments.build_problem(validate_config(doc))
+        assert model.n_records == 300
+        assert self.sizes(doc) == (2, 10)
+
+    def test_preset_override_of_one_size(self):
+        # the preset derives both sizes (N_Y 6,000 gives (40, 20)); n_o 10 stays
+        assert self.sizes({"preset": "ml-1m-paper"}) == (40, 20)
+        assert self.sizes({"preset": "ml-1m-paper", "sampler": {"n_o": 10}}) == (40, 10)
+        assert self.sizes({"preset": "ml-1m-paper", "sampler": {"n_s": 5}}) == (5, 20)
+
+    def test_baseline_sizes_take_the_same_rule(self):
+        doc = {"preset": "linear-gaussian-paper", "algorithms": ["a-sgd"],
+               "baselines": {"a-sgd": {"n_s": None, "n_o": 1}}}
+        assert self.sizes(doc, "a-sgd") == (4, 1)  # N_Y 600: the derived N_S is 4
+        assert self.sizes(doc, "as-lbfgs") == (4, 2)  # the preset's own sizes
+
+
 class TestLoadConfig:
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"

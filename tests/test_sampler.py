@@ -27,7 +27,7 @@ from asqn import (
     stochastic_gradient,
 )
 from asqn.experiments import synth_linear_gaussian, synth_matrix_factorization
-from asqn.sampler import UpdateContext, asgd_updates, compute_updates, sgld_updates
+from asqn.sampler import WORKER_UPDATES, UpdateContext, worker_draws_noise
 
 
 def zero_gradient_model(dim=1):
@@ -525,13 +525,24 @@ def same_worker(a, b):
     return same
 
 
+def updates_from_rngs(algo, cfg, workers, snapshots, model, rngs):
+    """``WORKER_UPDATES[algo]`` on each worker's ``(subsample, noise or
+    None)`` for one update, drawn from its own generator in ``rngs``: the
+    subsample, then the noise where a worker of ``algo`` draws any."""
+    noisy = worker_draws_noise(algo, cfg)
+    draws = [(draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o),
+              rng.standard_normal(model.dim) if noisy else None) for rng in rngs]
+    return WORKER_UPDATES[algo](cfg, workers, snapshots, model, draws)
+
+
 class TestBatchedUpdates:
-    """compute_updates and asgd_updates over k workers at k snapshots equal
-    the one-worker functions called worker by worker, bit for bit."""
+    """The AS-L-BFGS and a-SGD entries of WORKER_UPDATES over k workers at
+    k snapshots equal the one-worker functions called worker by worker,
+    bit for bit."""
 
     @pytest.mark.parametrize("make_model", [counting_lg, small_mf], ids=["lg", "mf"])
     @pytest.mark.parametrize("beta", [math.inf, 50.0])
-    def test_compute_updates_equal_worker_by_worker(self, make_model, beta):
+    def test_lbfgs_updates_equal_worker_by_worker(self, make_model, beta):
         model = make_model()
         cfg = SamplerConfig(step=0.02, friction=0.1, inv_temperature=beta, n_s=5, n_o=3,
                             epsilon=0.1, rho=0.5)
@@ -547,8 +558,8 @@ class TestBatchedUpdates:
             snaps = [ParameterState(rng.standard_normal(model.dim),
                                     rng.standard_normal(model.dim), step) for _ in who]
             snaps[0].u[0] = -0.0
-            got = compute_updates(cfg, [batched[w] for w in who], snaps, model,
-                                  [rngs_b[w] for w in who])
+            got = updates_from_rngs("as-lbfgs", cfg, [batched[w] for w in who], snaps, model,
+                                    [rngs_b[w] for w in who])
             for w, snap, upd in zip(who, snaps, got):
                 want, ctx = compute_update(cfg, serial[w], snap, model, rngs_s[w])
                 post_send_memory_update(serial[w], ctx, model)
@@ -582,8 +593,8 @@ class TestBatchedUpdates:
                                     rng.standard_normal(model.dim), step) for _ in who]
             due = [batched[w].local_iter >= 1 for w in who]
             mixed += len(who) > 1 and 0 < sum(due) < len(who)
-            got = compute_updates(cfg, [batched[w] for w in who], snaps, model,
-                                  [rngs_b[w] for w in who])
+            got = updates_from_rngs("as-lbfgs", cfg, [batched[w] for w in who], snaps, model,
+                                    [rngs_b[w] for w in who])
             for w, snap, upd in zip(who, snaps, got):
                 want, ctx = compute_update(cfg, serial[w], snap, model, rngs_s[w])
                 post_send_memory_update(serial[w], ctx, model)
@@ -630,8 +641,8 @@ class TestBatchedUpdates:
                     theta = 0.1 * rng.standard_normal(model.dim)
                 last[w] = theta
                 snaps.append(ParameterState(theta, rng.standard_normal(model.dim), step))
-            got = compute_updates(cfg, [batched[w] for w in who], snaps, model,
-                                  [rngs_b[w] for w in who])
+            got = updates_from_rngs("as-lbfgs", cfg, [batched[w] for w in who], snaps, model,
+                                    [rngs_b[w] for w in who])
             for w, snap, upd in zip(who, snaps, got):
                 want, ctx = compute_update(cfg, serial[w], snap, model, rngs_s[w])
                 worker = serial[w]
@@ -657,10 +668,10 @@ class TestBatchedUpdates:
         workers = [WorkerState(cfg, model.dim) for _ in range(4)]
         rngs = [np.random.default_rng(w) for w in range(4)]
         snaps = [ParameterState.zeros(model.dim) for _ in range(4)]
-        compute_updates(cfg, workers, snaps, model, rngs)
+        updates_from_rngs("as-lbfgs", cfg, workers, snaps, model, rngs)
         assert model.calls == 2  # S and O; no pair is due yet
         model.calls = 0
-        compute_updates(cfg, workers, snaps, model, rngs)
+        updates_from_rngs("as-lbfgs", cfg, workers, snaps, model, rngs)
         assert model.calls == 3  # and the previous O of every worker
 
     @pytest.mark.parametrize("make_model", [counting_lg, small_mf], ids=["lg", "mf"])
@@ -673,7 +684,7 @@ class TestBatchedUpdates:
         for k in (1, 4, 2):
             snaps = [ParameterState(rng.standard_normal(model.dim), np.zeros(model.dim))
                      for _ in range(k)]
-            got = asgd_updates(cfg, snaps, model, rngs_b[:k])
+            got = updates_from_rngs("a-sgd", cfg, None, snaps, model, rngs_b[:k])
             for snap, upd, r in zip(snaps, got, rngs_s[:k]):
                 sub = draw_subsample(r, model.n_records, cfg.n_s, cfg.n_o)
                 want = asgd_step(snap.theta, cfg.step, model, sub.combined)
@@ -696,18 +707,20 @@ class TestBatchedUpdates:
         workers = [WorkerState(cfg, model.dim) for _ in range(3)]
         snaps = [ParameterState(thetas[w], np.zeros(model.dim), 10 + w) for w in order]
         with pytest.raises(error) as info:
-            compute_updates(cfg, [workers[w] for w in order], snaps, model,
-                            [np.random.default_rng(w) for w in order])
+            updates_from_rngs("as-lbfgs", cfg, [workers[w] for w in order], snaps, model,
+                              [np.random.default_rng(w) for w in order])
         if error is DivergenceError:
             assert info.value.iteration == 11
         first = order.index(1 if error is DivergenceError else 2)
         assert [workers[w].local_iter for w in order[:first]] == [1] * first
         with pytest.raises(error):
-            asgd_updates(cfg, snaps, model, [np.random.default_rng(w) for w in order])
+            updates_from_rngs("a-sgd", cfg, None, snaps, model,
+                              [np.random.default_rng(w) for w in order])
 
 
 class TestSgldUpdates:
-    """sgld_updates: a-SGD updates plus each worker's own noise."""
+    """The SGLD entry of WORKER_UPDATES: a-SGD updates plus each worker's
+    own noise."""
 
     @pytest.mark.parametrize("make_model", [counting_lg, small_mf], ids=["lg", "mf"])
     @pytest.mark.parametrize("beta", [math.inf, 50.0])
@@ -721,9 +734,9 @@ class TestSgldUpdates:
         for who in ([0, 1, 2, 3], [2], [3, 0], [1, 3, 2]):
             snaps = [ParameterState(rng.standard_normal(model.dim), np.zeros(model.dim))
                      for _ in who]
-            got = sgld_updates(cfg, snaps, model, [rngs_b[w] for w in who])
+            got = updates_from_rngs("sgld", cfg, None, snaps, model, [rngs_b[w] for w in who])
             for w, snap, upd in zip(who, snaps, got):
-                (one,) = sgld_updates(cfg, [snap], model, [rngs_s[w]])
+                (one,) = updates_from_rngs("sgld", cfg, None, [snap], model, [rngs_s[w]])
                 assert np.array_equal(upd.d_theta, one.d_theta)
                 assert np.array_equal(upd.d_u, one.d_u) and not upd.d_u.any()
                 sub = draw_subsample(rngs_r[w], model.n_records, cfg.n_s, cfg.n_o)
@@ -741,7 +754,8 @@ class TestSgldUpdates:
         snaps = [ParameterState(np.full(model.dim, np.inf), np.zeros(model.dim), 4)
                  for _ in range(k)]
         with pytest.raises(DivergenceError) as info:
-            sgld_updates(cfg, snaps, model, [np.random.default_rng(w) for w in range(k)])
+            updates_from_rngs("sgld", cfg, None, snaps, model,
+                              [np.random.default_rng(w) for w in range(k)])
         assert "non-finite gradient" in str(info.value)
         assert "a-SGD" not in str(info.value)
 
@@ -788,8 +802,9 @@ def same_bits(a, b):
 
 
 class TestSingleWorkerReference:
-    """compute_update, and compute_updates on one worker, against the former
-    single-worker numerics, bit for bit along a whole run."""
+    """compute_update, and the AS-L-BFGS entry of WORKER_UPDATES on one
+    worker, against the former single-worker numerics, bit for bit along a
+    whole run."""
 
     CASES = {
         # LG with noise on, MF at beta = inf; on LG y.s >= |s|^2 always (the
@@ -821,7 +836,8 @@ class TestSingleWorkerReference:
             one, ctx = compute_update(cfg, workers[1], states[1], model, rngs[1])
             states[1] = master_apply(states[1], one)
             post_send_memory_update(workers[1], ctx, model)
-            (batch,) = compute_updates(cfg, [workers[2]], [states[2]], model, [rngs[2]])
+            (batch,) = updates_from_rngs("as-lbfgs", cfg, [workers[2]], [states[2]], model,
+                                         [rngs[2]])
             states[2] = master_apply(states[2], batch)
             for got in (one, batch):
                 assert same_bits(got.d_theta, want.d_theta)
@@ -844,12 +860,12 @@ class TestSingleWorkerReference:
         for call in (
             lambda worker, rng: reference_update(cfg, worker, bad, model, rng),
             lambda worker, rng: compute_update(cfg, worker, bad, model, rng),
-            lambda worker, rng: compute_updates(cfg, [worker], [bad], model, [rng]),
+            lambda worker, rng: updates_from_rngs("as-lbfgs", cfg, [worker], [bad], model, [rng]),
         ):
             worker, rng = WorkerState(cfg, model.dim), np.random.default_rng(5)
             state = ParameterState(np.ones(model.dim), np.zeros(model.dim))
             for _ in range(2):  # a pair is due at the failing update
-                (upd,) = compute_updates(cfg, [worker], [state], model, [rng])
+                (upd,) = updates_from_rngs("as-lbfgs", cfg, [worker], [state], model, [rng])
                 state = master_apply(state, upd)
             with pytest.raises(DivergenceError) as info:
                 call(worker, rng)

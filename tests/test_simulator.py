@@ -35,7 +35,7 @@ from asqn import (
 )
 from asqn.experiments import run_sgld_serial, synth_matrix_factorization
 from asqn import simulator
-from asqn.simulator import SimResult, sample_compute_time, write_trace_csv
+from asqn.simulator import ComputeTimes, SimResult, write_trace_csv
 
 
 def small_problem(seed=0):
@@ -46,23 +46,40 @@ def small_problem(seed=0):
     return model, cfg
 
 
-class TestSampleComputeTime:
-    def test_degenerate_sigma_zero(self):
-        rng = np.random.default_rng(0)
-        assert sample_compute_time(rng, 5.0, 0.0) == 5.0
+def sample_compute_time(rng, mu, sigma):
+    """The former one-draw compute-time sampler, the reference the engines'
+    blocked compute times are checked against: a log-normal draw with mean
+    mu and standard deviation sigma, and no draw when either is 0."""
+    if mu == 0.0:
+        return 0.0
+    if sigma == 0.0:
+        return float(mu)
+    s2 = math.log(1.0 + (sigma / mu) ** 2)
+    return float(rng.lognormal(mean=math.log(mu) - 0.5 * s2, sigma=math.sqrt(s2)))
 
-    def test_zero_mean(self):
-        assert sample_compute_time(np.random.default_rng(0), 0.0, 3.0) == 0.0
 
-    def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            sample_compute_time(np.random.default_rng(0), -1.0, 1.0)
+class TestComputeTimeDistribution:
+    """ComputeTimes draws log-normal times with mean mu_worker and standard
+    deviation sigma_worker."""
+
+    @staticmethod
+    def times(mu, sigma, n, seed):
+        """n compute times of worker 0, in one block."""
+        return ComputeTimes(SimConfig(mu_worker=mu, sigma_worker=sigma, seed=seed),
+                            rows=n).block(0)
+
+    @pytest.mark.parametrize("mu, sigma", [(5.0, 0.0), (0.0, 3.0)])
+    def test_zero_mean_or_sigma_draws_nothing(self, mu, sigma):
+        times = ComputeTimes(SimConfig(mu_worker=mu, sigma_worker=sigma), rows=8)
+        assert times.block(0).tolist() == [mu] * 8
+        assert times.next(0) == mu
+        fresh = np.random.default_rng((0, 0, 1)).bit_generator.state
+        assert times.rngs[0].bit_generator.state == fresh
 
     def test_moderate_tail_mean_and_std(self):
         # mu = 10, sigma = 5: light enough tail for the moment estimates to
         # concentrate; mean and std within 1% over 2e5 draws.
-        rng = np.random.default_rng(1)
-        draws = np.array([sample_compute_time(rng, 10.0, 5.0) for _ in range(200000)])
+        draws = self.times(10.0, 5.0, 200000, seed=1)
         assert abs(draws.mean() / 10.0 - 1.0) < 0.01
         assert abs(draws.std() / 5.0 - 1.0) < 0.01
 
@@ -74,14 +91,12 @@ class TestSampleComputeTime:
         mu, sigma = 10.0, 200.0
         s2 = math.log(1 + (sigma / mu) ** 2)
         m = math.log(mu) - s2 / 2
-        rng = np.random.default_rng(2)
-        logs = np.log([sample_compute_time(rng, mu, sigma) for _ in range(300000)])
+        logs = np.log(self.times(mu, sigma, 300000, seed=2))
         assert abs(logs.mean() - m) < 0.01 * abs(m) + 0.01
         assert abs(logs.std() / math.sqrt(s2) - 1.0) < 0.01
 
     def test_nonnegative(self):
-        rng = np.random.default_rng(3)
-        assert all(sample_compute_time(rng, 1.0, 10.0) >= 0.0 for _ in range(1000))
+        assert (self.times(1.0, 10.0, 1000, seed=3) >= 0.0).all()
 
 
 class TestRunAsync:
