@@ -206,9 +206,6 @@ class ExperimentConfig:
     def __getitem__(self, key):
         return self.doc[key]
 
-    def get(self, key, default=None):
-        return self.doc.get(key, default)
-
     def to_json(self) -> str:
         return json.dumps(self.doc, indent=2, sort_keys=True)
 
@@ -243,6 +240,9 @@ def validate_config(doc: dict) -> ExperimentConfig:
         # a baseline's own section may set the step its algorithm runs with
         if "step" not in {**doc["sampler"], **doc["baselines"].get(a, {})}:
             raise ConfigError(f"missing sampler.step (needed by {a})")
+    # AS-L-BFGS has no default friction
+    if "as-lbfgs" in doc["algorithms"] and "friction" not in doc["sampler"]:
+        raise ConfigError("missing sampler.friction (needed by as-lbfgs)")
     ptype = doc["problem"].get("type")
     if ptype not in _PROBLEMS:
         raise ConfigError(f"problem.type must be one of {sorted(_PROBLEMS)}, got {ptype!r}")
@@ -403,8 +403,9 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def _sampler_cfg(cfg, algo, model):
-    # SamplerConfig has no default friction
-    s = {"friction": 0.5, **cfg["sampler"], **cfg["baselines"].get(algo, {})}
+    s = {**cfg["sampler"], **cfg["baselines"].get(algo, {})}
+    if algo != "as-lbfgs":  # SamplerConfig needs a friction, which the baselines never read
+        s.setdefault("friction", 0.5)
     # a null size takes its value from the derived pair: N_Omega = N_Y/100,
     # N_O = N_Omega/3, N_S = N_Omega - N_O; a size that is set stays
     n_omega = max(3, model.n_records // 100)

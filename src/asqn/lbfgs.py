@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 
 
 class LbfgsMemory:
@@ -21,12 +21,6 @@ class LbfgsMemory:
     zero-s pairs rejected outright), which keeps the implied matrix
     positive definite even on non-convex problems.  ``rho`` adds a rho*I
     shift on top of the two-loop product for numerical stabilization.
-
-    The n pairs live newest first in rows 0..n-1 of a window of M (s, y)
-    rows and M values 1/(y.s), 0 past n, so pair j of every memory of a
-    batch is row j of its window.  The window slides up a buffer of 2M - 1
-    rows, one row per admission; at the top, the M - 1 newest rows are
-    first copied to the bottom, once per M admissions.
     """
 
     def __init__(self, dim: int, capacity: int, epsilon: float = 1e-8, rho: float = 0.0):
@@ -36,16 +30,12 @@ class LbfgsMemory:
             raise ConfigError(f"epsilon must be positive, got {epsilon}")
         if rho < 0:
             raise ConfigError(f"rho must be nonnegative, got {rho}")
+        check_count("dim", dim, minimum=0)
         self.dim = int(dim)
         self.capacity = int(capacity)
         self.epsilon = float(epsilon)
         self.rho = float(rho)
-        # the window is rows _start.._start+M-1; apply reads _pairs, the
-        # same rows' (s, y, 1/(y.s) as a Python float) newest first
-        self._sy = np.zeros((2 * self.capacity - 1, 2, self.dim))
-        self._inv_ys = np.zeros(2 * self.capacity - 1)
-        self._rows = [tuple(pair) for pair in self._sy]  # row views, built once
-        self._start = self.capacity - 1
+        # copies of the admitted (s, y) with 1/(y.s) as a Python float, newest first
         self._pairs: list = []
         self._gamma = 1.0
 
@@ -78,15 +68,7 @@ class LbfgsMemory:
         # undefined, so it is rejected before the test.
         if ss == 0.0 or not math.isfinite(ys) or ys < self.epsilon * ss:
             return False
-        start = self._start or self.capacity
-        if not self._start:  # at the top: the newest M - 1 rows go to the bottom
-            kept = self._pairs[:start - 1]
-            self._sy[start:], self._inv_ys[start:] = self._sy[:start - 1], self._inv_ys[:start - 1]
-            self._pairs = [(*self._rows[start + j], pair[2]) for j, pair in enumerate(kept)]
-        self._start = start = start - 1
-        (s_row, y_row), self._inv_ys[start] = self._rows[start], 1.0 / ys
-        s_row[...], y_row[...] = s, y
-        self._pairs.insert(0, (s_row, y_row, self._inv_ys[start].item()))
+        self._pairs.insert(0, (s.copy(), y.copy(), 1.0 / ys))
         del self._pairs[self.capacity:]
         self._gamma = ys / (float(y @ y) if yy is None else yy)
         return True
@@ -155,8 +137,8 @@ def apply_stacked(memories, vectors, out=None) -> np.ndarray:
     """``(H_i + rho_i*I) v`` for each vector ``v`` in ``vectors[i]``.
 
     ``vectors`` has shape ``(k, m, d)``, and item ``i`` is applied through
-    ``memories[i]``; the memories share ``d`` and ``M``.  Every result row
-    is bit-identical to ``memories[i].apply(v)``: each dot is one BLAS ddot
+    ``memories[i]``; the memories share ``d``.  Every result row is
+    bit-identical to ``memories[i].apply(v)``: each dot is one BLAS ddot
     per (item, vector), as in the one-dimensional recursion, and the
     elementwise steps are the same.  A memory with fewer pairs is left
     untouched at the positions it lacks, never updated with a zero pair,
@@ -168,10 +150,10 @@ def apply_stacked(memories, vectors, out=None) -> np.ndarray:
     ``STACKED_MIN_BATCH`` memories, or one above ``STACKED_MAX_DIM``, is
     applied as one block per memory through :meth:`LbfgsMemory.apply`
     instead.  On a 2-core host with M = 3 and m = 2 (best of 25 runs, two
-    sessions), the stacked recursion took 1.8, 1.0, 0.75, 0.6 and 0.3 times
-    the per-memory time at d = 100 and k = 1, 2, 3, 4 and 10; 1.1 to 1.3
-    and 0.9 to 1.0 times at d = 500 and k = 2 and 3; 1.2 to 1.4 and 0.9 to
-    1.1 times at d = 1500 and k = 2 and 10.
+    sessions), the stacked recursion took 1.9 to 2.4, 0.8 to 1.2, 0.6 to
+    0.9, 0.7 and 0.4 times the per-memory time at d = 100 and k = 1, 2, 3,
+    4 and 10; 1.2 to 1.4 and 1.1 times at d = 500 and k = 2 and 3; 1.4 to
+    2.2 and 0.8 to 1.0 times at d = 1500 and k = 2 and 10.
     """
     vectors = np.asarray(vectors, dtype=float)
     if out is None:
@@ -187,14 +169,17 @@ def apply_stacked(memories, vectors, out=None) -> np.ndarray:
     if q is not vectors:
         q[...] = vectors
     fill = np.array([len(mem) for mem in memories])
-    # pair j of every memory is row j of its window; rows past its fill are masked
-    rows = [slice(mem._start, mem._start + mem.capacity) for mem in memories]
-    sy = np.array([mem._sy[at] for mem, at in zip(memories, rows)])[:, :, :, None, :]
+    k, n, d = len(memories), fill.max(), vectors.shape[-1]
+    # pair j of memory i, newest first, goes to [i, j]; a zero pair fills
+    # the positions past a memory's fill, which are masked
+    zero = (np.zeros(d), np.zeros(d), 0.0)
+    pairs = [pair for mem in memories for pair in mem._pairs + [zero] * (n - len(mem))]
+    sy = np.array([v for pair in pairs for v in pair[:2]]).reshape(k, n, 2, 1, d)
     s, y = sy[:, :, 0], sy[:, :, 1]
-    inv_ys = np.array([mem._inv_ys[at] for mem, at in zip(memories, rows)])[:, :, None]
+    inv_ys = np.array([pair[2] for pair in pairs]).reshape(k, n, 1)
     tmp = np.empty_like(q)
     alphas = []
-    for j in range(fill.max()):  # newest pair first
+    for j in range(n):  # newest pair first
         has = True if fill.min() > j else (fill > j)[:, None, None]
         a = inv_ys[:, j] * np.vecdot(s[:, j], q)
         np.multiply(a[..., None], y[:, j], out=tmp)

@@ -74,12 +74,10 @@ class ParameterState:
 
 @dataclass
 class UpdateVector:
-    """Additive update a worker ships to the master, tagged with the
-    staleness (applies between snapshot read and this update's apply)."""
+    """Additive update a worker ships to the master."""
 
     d_theta: np.ndarray
     d_u: np.ndarray
-    staleness: int = 0
 
 
 @dataclass
@@ -185,9 +183,10 @@ def lbfgs_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
     :func:`_update_numerics` runs once on stacks, and s, y, s.s, y.s and
     y.y of every pair due are formed once for the batch
     (:func:`~asqn.lbfgs.try_add_stacked`), so each worker keeps only its
-    cautious test and window store.  A stacked batch that raises is redone
-    one worker at a time from the same draws, each update followed by its
-    admission, so the first worker's error in order is raised.
+    cautious test and the insert of its pair.  A stacked batch that raises
+    is redone one worker at a time from the same draws, each update
+    followed by its admission, so the first worker's error in order is
+    raised.
     """
     if len(workers) > 1:
         try:

@@ -361,11 +361,11 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
             if ready[w] is None:
                 compute_deferred()
             upd, ready[w] = ready[w], None
-            upd.staleness = state.iteration - payload
+            staleness = state.iteration - payload
             try:
                 state = master_apply(state, upd)
                 master_busy_until = done
-                rec.apply(state, master_busy_until, upd.staleness)
+                rec.apply(state, master_busy_until, staleness)
             except Exception:
                 compute_deferred()  # the receives popped before this apply fail first
                 raise

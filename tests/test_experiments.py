@@ -363,7 +363,8 @@ class TestValidateConfig:
     @pytest.mark.parametrize("section, key, message", [
         ("sampler", None, "missing 'sampler' section"),
         ("sampler", "step", r"missing sampler.step \(needed by as-lbfgs\)"),
-    ], ids=["no-sampler", "no-step"])
+        ("sampler", "friction", r"missing sampler.friction \(needed by as-lbfgs\)"),
+    ], ids=["no-sampler", "no-step", "no-friction"])
     def test_missing_sampler_value_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                      section, key, message):
         # these used to end in a KeyError or TypeError traceback
@@ -386,6 +387,20 @@ class TestValidateConfig:
         doc = tiny_config(algorithms=["a-sgd"])
         del doc["sampler"]["step"]
         assert validate_config(doc)["baselines"]["a-sgd"]["step"] == 1e-3
+
+    def test_baselines_run_without_friction(self, tmp_path, monkeypatch):
+        # AS-L-BFGS alone reads friction, so the baselines' outputs do not
+        # depend on it and a config of baselines may leave it out
+        monkeypatch.setenv("ASQN_THREADS", "1")
+        doc = tiny_config(algorithms=["a-sgd", "mb-lbfgs-simplified", "sgld"])
+        run_experiment(validate_config(doc), out_dir=str(tmp_path / "with"))
+        del doc["sampler"]["friction"]
+        run_experiment(validate_config(doc), out_dir=str(tmp_path / "without"))
+        names = sorted(os.listdir(tmp_path / "with"))
+        assert len(names) == 4 and names == sorted(os.listdir(tmp_path / "without"))
+        for name in names:
+            assert (tmp_path / "with" / name).read_bytes() == (
+                tmp_path / "without" / name).read_bytes()
 
     def test_negative_seed_option_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -460,7 +475,7 @@ class TestSubsampleSizes:
         doc = {"mode": "simulate", "algorithms": ["as-lbfgs"],
                "problem": {"type": "matrix-factorization", "n_rows": 20, "n_cols": 30,
                            "observed_fraction": 0.5},
-               "sampler": {"step": 1e-3, "n_s": None, "n_o": 10}}
+               "sampler": {"step": 1e-3, "friction": 0.1, "n_s": None, "n_o": 10}}
         model, _ = experiments.build_problem(validate_config(doc))
         assert model.n_records == 300
         assert self.sizes(doc) == (2, 10)

@@ -209,10 +209,20 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             LbfgsMemory(2, 1, rho=-1.0)
 
+    @pytest.mark.parametrize("dim", [-1, 2.5, 2.0, True, "3", None])
+    def test_bad_dim(self, dim):
+        # a configuration error, not a numpy error (-1) or a truncation (2.5)
+        with pytest.raises(ConfigError, match="dim must be an integer of at least 0"):
+            LbfgsMemory(dim, 1)
+
+    def test_dim_zero_and_numpy_integer_dims(self):
+        assert LbfgsMemory(0, 1).apply(np.zeros(0)).shape == (0,)
+        assert LbfgsMemory(np.int64(3), 1).dim == 3
+
 
 def deque_apply(pairs, gamma, rho, v):
-    """The two-loop as written over a list of (s, y, 1/(y.s)) copies, oldest
-    first, before the pairs moved into preallocated rows."""
+    """The two-loop as first written: over the oldest-first copies that
+    ``pairs`` returns, one ``@`` per dot and scalar updates."""
     q = np.array(v, dtype=float)
     alphas = []
     for s, y, inv_ys in reversed(pairs):
@@ -260,8 +270,8 @@ def signed_zero_vectors(rng, shape):
 
 class TestRowStorage:
     def test_apply_equals_two_loop_over_pair_copies(self):
-        # through admissions, evictions and rejections the pairs kept in
-        # preallocated rows give the product of the list-of-copies recursion
+        # through admissions, evictions and rejections the block-capable
+        # recursion gives the product of the recursion as first written
         rng = np.random.default_rng(11)
         for dim, capacity, rho in [(1, 1, 0.0), (7, 3, 0.0), (100, 3, 2.0), (33, 5, 0.5)]:
             mem = LbfgsMemory(dim, capacity, epsilon=0.5, rho=rho)
@@ -281,22 +291,34 @@ class TestRowStorage:
         pairs[0][0][:] = 0.0
         assert not np.array_equal(mem.pairs[0][0], 0.0)
 
-    @pytest.mark.parametrize("capacity", [1, 2, 3, 5])
-    def test_window_holds_the_pairs_newest_first_then_zeros(self, capacity):
-        # across several slides of the window down the buffer, with rejections
-        rng = np.random.default_rng(capacity)
-        mem = LbfgsMemory(4, capacity, epsilon=0.5)
-        for _ in range(5 * capacity + 3):
-            s = rng.standard_normal(4)
-            mem.try_add(s, s + rng.standard_normal(4))
-            window = slice(mem._start, mem._start + capacity)
-            sy, inv_ys = mem._sy[window], mem._inv_ys[window]
-            assert sy.shape == (capacity, 2, 4) and inv_ys.shape == (capacity,)
-            newest_first = mem.pairs[::-1]
-            for j, (s_j, y_j, inv_j) in enumerate(newest_first):
-                assert np.array_equal(sy[j, 0], s_j) and np.array_equal(sy[j, 1], y_j)
-                assert inv_ys[j] == inv_j
-            assert not sy[len(mem):].any() and not inv_ys[len(mem):].any()
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_admitted_pair_does_not_alias_the_callers_arrays(self, stacked):
+        # try_add is given rows of the caller's stacks; changing them later
+        # must change neither the pairs nor any product
+        rng = np.random.default_rng(5)
+        k, dim = STACKED_MIN_BATCH + 1, 6
+        memories = [LbfgsMemory(dim, 2, rho=0.5) for _ in range(k)]
+        s = rng.standard_normal((k, dim))
+        y = s + 0.1 * rng.standard_normal((k, dim))
+        if stacked:
+            assert all(try_add_stacked(memories, s, y))
+        else:
+            assert all([mem.try_add(s_i, y_i) for mem, s_i, y_i in zip(memories, s, y)])
+        vectors = rng.standard_normal((k, 2, dim))
+
+        def seen():
+            return ([mem.pairs for mem in memories],
+                    [mem.apply(item) for mem, item in zip(memories, vectors)],
+                    apply_stacked(memories, vectors))
+
+        before = seen()
+        s[...], y[...] = 7.0, -3.0
+        after = seen()
+        for pairs, kept in zip(after[0], before[0]):
+            assert all(same_bits(a[0], b[0]) and same_bits(a[1], b[1]) and a[2] == b[2]
+                       for a, b in zip(pairs, kept))
+        for got, want in zip(after[1:], before[1:]):
+            assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 class TestBlockApply:
@@ -428,7 +450,7 @@ class TestTryAddStacked:
     @pytest.mark.parametrize("capacity", [1, 2, 3])
     def test_equals_try_add_memory_by_memory(self, capacity):
         # k memories over many rounds: admitted pairs, each rejection
-        # reason, and windows that wrap several times
+        # reason, and memories that evict several times
         rng = np.random.default_rng(capacity)
         d, k = 5, 6
         stacked = [LbfgsMemory(d, capacity, epsilon=0.5, rho=0.5) for _ in range(k)]

@@ -614,7 +614,7 @@ class TestBatchedUpdates:
         # batches mixing fresh workers, admitted pairs and every rejection:
         # s = 0 (a worker's snapshot repeats), non-finite y.s (a huge
         # snapshot after a normal one) and y.s < eps |s|^2 (eps above 1 on
-        # linear-Gaussian); small windows wrap many times
+        # linear-Gaussian); small memories evict many times
         model = synth_linear_gaussian(0, 12, 60, 10.0, correlation=3.0)[0]
         cfg = SamplerConfig(step=1e-3, friction=0.1, n_s=6, n_o=3, epsilon=1.2,
                             memory_size=memory_size)

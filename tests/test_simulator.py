@@ -275,12 +275,12 @@ def per_worker_run_async(sim_cfg, sampler_cfg, model, algo="as-lbfgs", theta0=No
             if max(t, master_busy_until) + sim_cfg.mu_master > sim_cfg.max_time:
                 truncated = True
                 break
-            upd.staleness = state.iteration - n_read
+            staleness = state.iteration - n_read
             state = master_apply(state, upd)
-            staleness_log.append((state.iteration, upd.staleness))
+            staleness_log.append((state.iteration, staleness))
             master_busy_until = max(t, master_busy_until) + sim_cfg.mu_master
             if state.iteration % sim_cfg.sample_every == 0:
-                _record(trace, model, state, master_busy_until, upd.staleness, include_rmse)
+                _record(trace, model, state, master_busy_until, staleness, include_rmse)
             push(master_busy_until + sim_cfg.comm_time, w, "receive", state)
             if state.iteration >= sim_cfg.update_limit:
                 break
