@@ -87,35 +87,40 @@ class LbfgsMemory:
         ``v`` is one ``(d,)`` vector or an ``(m, d)`` block of them.  A
         block runs one recursion over its rows: each dot is one BLAS ddot
         per row (``np.vecdot``), and each update multiplies a row's
-        coefficient into the pair (``np.multiply.outer``), so row ``i`` of
-        the result is bit-identical to the call on ``v[i]`` alone.  The
-        result is written to ``out`` when given, which may be ``v`` itself.
-        It is kept apart from :func:`apply_stacked`, which is slower on one
-        memory.
+        coefficient into the pair, so row ``i`` of the result is
+        bit-identical to the call on ``v[i]`` alone.  The result is written
+        to ``out`` when given, which may be ``v`` itself.
         """
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.dim,) or v.ndim > 2:
             raise ValueError(f"v must have shape ({self.dim},) or (m, {self.dim}), got {v.shape}")
-        shift = self.rho * v if self.rho != 0.0 else None  # before an in-place q overwrites v
-        if out is None:
-            q = v.copy()
-        else:
-            q = out
-            if q is not v:
-                q[...] = v
-        tmp = np.empty_like(q) if self._pairs else None  # each step's update, in one buffer
-        alphas = []
-        for s, y, inv_ys in self._pairs:  # newest first
-            a = inv_ys * np.vecdot(s, q)
-            q -= np.multiply.outer(a, y, out=tmp)
-            alphas.append(a)
-        r = np.multiply(q, self._gamma, out=q)
-        for (s, y, inv_ys), a in zip(reversed(self._pairs), reversed(alphas)):
-            b = inv_ys * np.vecdot(y, r)
-            r += np.multiply.outer(a - b, s, out=tmp)
+        shift = self.rho * v if self.rho != 0.0 else None  # before an in-place out overwrites v
+        r = _two_loop(self._pairs, self._gamma, v, np.empty_like(v) if out is None else out)
         if shift is not None:
             r += shift
         return r
+
+
+def _two_loop(pairs, gamma, v, out):
+    """H v, written to ``out`` (which may be ``v``), for the ``pairs``
+    (s, y, 1/(y.s)), newest first, and H0 = gamma * I.  It serves one
+    memory, with ``(d,)`` pairs and a ``(d,)`` or ``(m, d)`` v, and a stack
+    of k memories, with ``(k, 1, d)`` pairs and a ``(k, m, d)`` v, over
+    which 1/(y.s) and gamma broadcast.  Each dot is one BLAS ddot per row."""
+    q = out
+    if q is not v:
+        q[...] = v
+    tmp = np.empty_like(q) if pairs else None  # each step's update, in one buffer
+    alphas = []
+    for s, y, inv_ys in pairs:
+        a = inv_ys * np.vecdot(s, q)
+        q -= np.multiply(a[..., None], y, out=tmp)
+        alphas.append(a)
+    r = np.multiply(q, gamma, out=q)
+    for (s, y, inv_ys), a in zip(reversed(pairs), reversed(alphas)):
+        b = inv_ys * np.vecdot(y, r)
+        r += np.multiply((a - b)[..., None], s, out=tmp)
+    return r
 
 
 def try_add_stacked(memories, s, y) -> list:
@@ -136,62 +141,40 @@ STACKED_MIN_BATCH = 3
 def apply_stacked(memories, vectors, out=None) -> np.ndarray:
     """``(H_i + rho_i*I) v`` for each vector ``v`` in ``vectors[i]``.
 
-    ``vectors`` has shape ``(k, m, d)``, and item ``i`` is applied through
-    ``memories[i]``; the memories share ``d``.  Every result row is
-    bit-identical to ``memories[i].apply(v)``: each dot is one BLAS ddot
-    per (item, vector), as in the one-dimensional recursion, and the
-    elementwise steps are the same.  A memory with fewer pairs is left
-    untouched at the positions it lacks, never updated with a zero pair,
-    which would turn a -0.0 into +0.0.  The result is written to ``out``
-    when given, which may be ``vectors`` itself.
+    ``vectors`` has shape ``(k, m, d)``; item ``i`` is applied through
+    ``memories[i]``, and every result row is bit-identical to
+    ``memories[i].apply(v)``, which runs the same :func:`_two_loop`.  The
+    result is written to ``out`` when given, which may be ``vectors``.
 
-    Stacking pays while the fixed cost of each numpy call dominates, so
-    the choice is by input size: a batch of fewer than
-    ``STACKED_MIN_BATCH`` memories, or one above ``STACKED_MAX_DIM``, is
-    applied as one block per memory through :meth:`LbfgsMemory.apply`
-    instead.  On a 2-core host with M = 3 and m = 2 (best of 25 runs, two
-    sessions), the stacked recursion took 1.9 to 2.4, 0.8 to 1.2, 0.6 to
-    0.9, 0.7 and 0.4 times the per-memory time at d = 100 and k = 1, 2, 3,
-    4 and 10; 1.2 to 1.4 and 1.1 times at d = 500 and k = 2 and 3; 1.4 to
-    2.2 and 0.8 to 1.0 times at d = 1500 and k = 2 and 10.
+    Only alike memories, all holding the same number of pairs, are
+    stacked, and only while the fixed cost of each numpy call dominates:
+    at least ``STACKED_MIN_BATCH`` memories of a d at most
+    ``STACKED_MAX_DIM``.  Any other batch is applied one block per memory
+    through :meth:`LbfgsMemory.apply`.  On a 2-core host with M = 3 and
+    m = 2 (best of 25 interleaved runs, two sessions), the stacked
+    recursion took 0.90, 0.70, 0.55 and 0.33 times the per-memory time at
+    d = 100 and k = 2, 3, 4 and 10; 1.14, 0.94 to 0.95, 0.72 to 0.84 and
+    0.47 to 0.56 times at d = 500; and 1.1 to 1.5 times at d = 1500.
     """
     vectors = np.asarray(vectors, dtype=float)
     if out is None:
         out = np.empty_like(vectors)
-    if len(memories) < STACKED_MIN_BATCH or memories[0].dim > STACKED_MAX_DIM:
+    if (len(memories) < STACKED_MIN_BATCH or memories[0].dim > STACKED_MAX_DIM
+            or len({len(mem) for mem in memories}) > 1):
         for i, mem in enumerate(memories):
             row = out[i]
             mem.apply(row if out is vectors else vectors[i], out=row)
         return out
     rho = np.array([mem.rho for mem in memories])
-    shift = rho[:, None, None] * vectors if rho.any() else None  # before q overwrites vectors
-    q = out
-    if q is not vectors:
-        q[...] = vectors
-    fill = np.array([len(mem) for mem in memories])
-    k, n, d = len(memories), fill.max(), vectors.shape[-1]
-    # pair j of memory i, newest first, goes to [i, j]; a zero pair fills
-    # the positions past a memory's fill, which are masked
-    zero = (np.zeros(d), np.zeros(d), 0.0)
-    pairs = [pair for mem in memories for pair in mem._pairs + [zero] * (n - len(mem))]
+    shift = rho[:, None, None] * vectors if rho.any() else None  # before out overwrites vectors
+    k, n, d = len(memories), len(memories[0]), vectors.shape[-1]
+    # pair j of memory i, newest first, goes to [i, j]
+    pairs = [pair for mem in memories for pair in mem._pairs]
     sy = np.array([v for pair in pairs for v in pair[:2]]).reshape(k, n, 2, 1, d)
-    s, y = sy[:, :, 0], sy[:, :, 1]
     inv_ys = np.array([pair[2] for pair in pairs]).reshape(k, n, 1)
-    tmp = np.empty_like(q)
-    alphas = []
-    for j in range(n):  # newest pair first
-        has = True if fill.min() > j else (fill > j)[:, None, None]
-        a = inv_ys[:, j] * np.vecdot(s[:, j], q)
-        np.multiply(a[..., None], y[:, j], out=tmp)
-        np.subtract(q, tmp, out=q, where=has)
-        alphas.append(a)
-    gamma = np.array([mem._gamma for mem in memories])
-    r = np.multiply(gamma[:, None, None], q, out=q)
-    for j in reversed(range(len(alphas))):
-        has = True if fill.min() > j else (fill > j)[:, None, None]
-        b = inv_ys[:, j] * np.vecdot(y[:, j], r)
-        np.multiply((alphas[j] - b)[..., None], s[:, j], out=tmp)
-        np.add(r, tmp, out=r, where=has)
+    gamma = np.array([mem._gamma for mem in memories]).reshape(k, 1, 1)
+    r = _two_loop([(sy[:, j, 0], sy[:, j, 1], inv_ys[:, j]) for j in range(n)], gamma,
+                  vectors, out)
     if shift is not None:
         np.add(r, shift, out=r, where=(rho != 0.0)[:, None, None])
     return r

@@ -179,24 +179,23 @@ def lbfgs_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
     followed by its post-send memory update.
 
     Bit-identical to compute_update then post_send_memory_update worker by
-    worker on the same draws.  On a batch of k >= 2,
-    :func:`_update_numerics` runs once on stacks, and s, y, s.s, y.s and
-    y.y of every pair due are formed once for the batch
+    worker on the same draws.  On k >= 2 workers that all have a pair due,
+    or none has, :func:`_update_numerics` runs once on stacks, and s, y,
+    s.s, y.s and y.y of the pairs are formed once for the batch
     (:func:`~asqn.lbfgs.try_add_stacked`), so each worker keeps only its
-    cautious test and the insert of its pair.  A stacked batch that raises
-    is redone one worker at a time from the same draws, each update
-    followed by its admission, so the first worker's error in order is
-    raised.
+    cautious test and the insert of its pair.  Any other batch, and a
+    stacked batch that raises, is computed one worker at a time from the
+    same draws, each update followed by its admission, so the first
+    worker's error in order is raised.
     """
-    if len(workers) > 1:
+    if len(workers) > 1 and len({_wants_pair(worker) for worker in workers}) == 1:
         try:
-            updates, contexts, (due, s, y) = _stacked_updates(cfg, workers, snapshots, model,
-                                                              draws)
+            updates, contexts, pairs = _stacked_updates(cfg, workers, snapshots, model, draws)
         except Exception:  # whatever it was, the replay below raises it in worker order
             pass
         else:
-            if due:
-                try_add_stacked([workers[i].memory for i in due], s, y)
+            if pairs is not None:
+                try_add_stacked([worker.memory for worker in workers], *pairs)
             for worker, ctx in zip(workers, contexts):
                 _advance(worker, ctx)
             return updates
@@ -254,19 +253,14 @@ def _one_update(cfg, worker, snapshot, model, sub, noise, pair=True):
 
 
 def _stacked_updates(cfg, workers, snapshots, model, draws):
-    """The numerics of _one_update for k >= 2 workers, on stacks made with
-    np.array, leaving the workers untouched.  Returns the updates, the
-    contexts, and ``(due, s, y)``: the positions of the workers with a pair
-    due and the ``(len(due), d)`` stacks of their pairs' s and y."""
+    """The numerics of _one_update for k >= 2 workers that all have a pair
+    due or none has, on stacks made with np.array, leaving the workers
+    untouched.  Returns the updates, the contexts, and the ``(k, d)``
+    stacks ``(s, y)`` of the workers' pairs, or None when none is due."""
     subs = Subsample(s_indices=np.array([sub.s_indices for sub, _ in draws]),
                      o_indices=np.array([sub.o_indices for sub, _ in draws]))
-    # the previous O of each worker with a pair due joins the same pass; a
-    # row with none due is evaluated on its own O and discarded
-    due = [i for i, worker in enumerate(workers) if _wants_pair(worker)]
-    previous = None
-    if due:
-        previous = np.array([worker.prev_overlap if _wants_pair(worker) else sub.o_indices
-                             for worker, (sub, _) in zip(workers, draws)])
+    due = _wants_pair(workers[0])
+    previous = np.array([worker.prev_overlap for worker in workers]) if due else None
     memories = [worker.memory for worker in workers]
     theta = np.array([snap.theta for snap in snapshots])
     d_theta, d_u, overlap_grad, g_prime = _update_numerics(
@@ -277,15 +271,13 @@ def _stacked_updates(cfg, workers, snapshots, model, draws):
     contexts = [UpdateContext(snapshot_theta=snap.theta, subsample=sub,
                               overlap_gradient=overlap_grad[i])
                 for i, (snap, (sub, _)) in enumerate(zip(snapshots, draws))]
-    s = y = None
-    if due:
-        if len(due) < len(workers):
-            theta, g_prime = theta[due], g_prime[due]
-        s = np.array([workers[i].prev_theta for i in due])
-        y = np.array([workers[i].prev_overlap_grad for i in due])
-        np.subtract(theta, s, out=s)
-        np.subtract(g_prime, y, out=y)
-    return updates, contexts, (due, s, y)
+    if not due:
+        return updates, contexts, None
+    s = np.array([worker.prev_theta for worker in workers])
+    y = np.array([worker.prev_overlap_grad for worker in workers])
+    np.subtract(theta, s, out=s)
+    np.subtract(g_prime, y, out=y)
+    return updates, contexts, (s, y)
 
 
 def master_apply(state: ParameterState, upd: UpdateVector) -> ParameterState:

@@ -201,15 +201,20 @@ class WorkerDraws:
 def check_round_timeout(sim_cfg: SimConfig):
     """Raise :class:`ConfigError` unless a synchronous round can aggregate:
     the round timeout must be finite and some worker able to meet it."""
-    if not math.isfinite(sim_cfg.timeout):
+    mu, sigma, timeout = sim_cfg.mu_worker, sim_cfg.sigma_worker, sim_cfg.timeout
+    if not math.isfinite(timeout):
         raise ConfigError("run_sync_mb requires a finite timeout")
-    # a compute time is exactly mu_worker when sigma_worker is 0 and positive
-    # otherwise; if none can meet the timeout, no round ever aggregates
-    if sim_cfg.mu_worker > sim_cfg.timeout and (sim_cfg.sigma_worker == 0
-                                                or sim_cfg.timeout <= 0):
-        raise ConfigError(
-            f"no worker can meet the round timeout {sim_cfg.timeout:g} "
-            f"(mu_worker {sim_cfg.mu_worker:g}, sigma_worker {sim_cfg.sigma_worker:g})")
+    # a compute time is exactly mu_worker when mu_worker or sigma_worker is 0
+    # and log-normal otherwise; a timeout that a round's W workers meet less
+    # than once in 2**53 rounds is unmeetable, as no round would aggregate
+    meets = mu <= timeout
+    if mu > 0 and sigma > 0 and timeout > 0:
+        m, s = _log_normal(mu, sigma)
+        p = 0.5 * math.erfc(-(math.log(timeout) - m) / (s * math.sqrt(2.0)))
+        meets = sim_cfg.workers * p >= 2.0**-53
+    if not meets:
+        raise ConfigError(f"no worker can meet the round timeout {timeout:g} "
+                          f"(mu_worker {mu:g}, sigma_worker {sigma:g})")
 
 
 class Recorder:

@@ -261,6 +261,22 @@ def mixed_memories(rng, k, dim, capacity, rho):
     return memories
 
 
+def alike_memories(rng, k, dim, capacity, rho, admissions):
+    """k memories of capacity M that each admitted ``admissions`` pairs, so
+    all hold the same number of them; rho on two in every three."""
+    return [admitted_memory(rng, dim, capacity, admissions, rho=rho if i % 3 else 0.0)[0]
+            for i in range(k)]
+
+
+def assert_rows_equal_apply(memories, vectors):
+    """apply_stacked gives, row by row, the bits of LbfgsMemory.apply."""
+    got = apply_stacked(memories, vectors)
+    assert got.shape == vectors.shape
+    for mem, rows, item in zip(memories, got, vectors):
+        for row, v in zip(rows, item):
+            assert same_bits(row, mem.apply(v)), BUILD
+
+
 def signed_zero_vectors(rng, shape):
     v = rng.standard_normal(shape)
     v[rng.random(shape) < 0.15] = -0.0
@@ -382,17 +398,43 @@ class TestApplyStacked:
         rng = np.random.default_rng(dim)
         for capacity in (1, 3):
             for k in (1, 2, 3, 5, 11):
-                memories = mixed_memories(rng, k, dim, capacity, rho)
-                vectors = signed_zero_vectors(rng, (k, 2, dim))
-                got = apply_stacked(memories, vectors)
-                assert got.shape == (k, 2, dim)
-                for mem, rows, item in zip(memories, got, vectors):
-                    for row, v in zip(rows, item):
-                        assert same_bits(row, mem.apply(v)), BUILD
+                assert_rows_equal_apply(mixed_memories(rng, k, dim, capacity, rho),
+                                        signed_zero_vectors(rng, (k, 2, dim)))
+        if dim > STACKED_MAX_DIM:
+            return
+        # equal fills, so batches of STACKED_MIN_BATCH or more are stacked:
+        # empty, partly filled, full and evicted memories
+        for capacity in (1, 3):
+            for k in (3, 5, 11):
+                for admissions in range(capacity + 3):
+                    assert_rows_equal_apply(
+                        alike_memories(rng, k, dim, capacity, rho, admissions),
+                        signed_zero_vectors(rng, (k, 2, dim)))
+
+    def test_only_alike_memories_are_stacked(self, monkeypatch):
+        # a batch of mixed fills is applied through LbfgsMemory.apply once
+        # per memory, in order; one of equal fills never calls it
+        applied = []
+        apply = LbfgsMemory.apply
+
+        def counting(mem, *args, **kwargs):
+            applied.append(mem)
+            return apply(mem, *args, **kwargs)
+
+        monkeypatch.setattr(LbfgsMemory, "apply", counting)
+        rng = np.random.default_rng(4)
+        k, dim = STACKED_MIN_BATCH + 2, 6
+        mixed = mixed_memories(rng, k, dim, 3, 1.0)
+        assert len({len(mem) for mem in mixed}) > 1
+        apply_stacked(mixed, rng.standard_normal((k, 2, dim)))
+        assert applied == mixed
+        applied.clear()
+        apply_stacked(alike_memories(rng, k, dim, 3, 1.0, 2), rng.standard_normal((k, 2, dim)))
+        assert applied == []
 
     def test_lacking_positions_keep_negative_zero(self):
-        # an empty memory in a batch with full ones: applying a zero pair at
-        # the positions it lacks would add +0.0 to its -0.0 entries
+        # an empty memory in a batch with full ones keeps its -0.0 entries:
+        # the batch is not alike, so each memory is applied on its own
         rng = np.random.default_rng(1)
         full, _ = admitted_memory(rng, 4, 3, 5)
         empty = LbfgsMemory(4, 3)

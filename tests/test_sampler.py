@@ -26,6 +26,7 @@ from asqn import (
     sgld_step,
     stochastic_gradient,
 )
+from asqn import sampler
 from asqn.experiments import synth_linear_gaussian, synth_matrix_factorization
 from asqn.sampler import WORKER_UPDATES, UpdateContext, worker_draws_noise
 
@@ -673,6 +674,28 @@ class TestBatchedUpdates:
         model.calls = 0
         updates_from_rngs("as-lbfgs", cfg, workers, snaps, model, rngs)
         assert model.calls == 3  # and the previous O of every worker
+
+    def test_only_batches_with_all_or_no_pairs_due_are_stacked(self, monkeypatch):
+        # a batch mixing workers with a pair due and workers with none due
+        # runs one worker at a time; a batch of either kind runs as a stack
+        stacked_sizes = []
+        stacked_updates = sampler._stacked_updates
+
+        def counting(cfg, workers, *args):
+            stacked_sizes.append(len(workers))
+            return stacked_updates(cfg, workers, *args)
+
+        monkeypatch.setattr(sampler, "_stacked_updates", counting)
+        model = counting_lg()
+        cfg = SamplerConfig(step=0.02, friction=0.1, n_s=5, n_o=3)
+        workers = [WorkerState(cfg, model.dim) for _ in range(4)]
+        rngs = [np.random.default_rng(w) for w in range(4)]
+        snaps = [ParameterState.zeros(model.dim) for _ in range(4)]
+        for who, sizes in [([0, 1], [2]), ([0, 1, 2, 3], [2]), ([3, 0, 2, 1], [2, 4])]:
+            updates_from_rngs("as-lbfgs", cfg, [workers[w] for w in who],
+                              [snaps[w] for w in who], model, [rngs[w] for w in who])
+            assert stacked_sizes == sizes
+        assert all(worker.local_iter for worker in workers)
 
     @pytest.mark.parametrize("make_model", [counting_lg, small_mf], ids=["lg", "mf"])
     def test_asgd_updates_equal_asgd_steps(self, make_model):
