@@ -1,13 +1,16 @@
 """Real asynchronous execution: W forked worker processes over a shared mapping.
 
 The master node of the message-passing formulation degenerates, on shared
-memory, to a mutually exclusive apply section.  The master's ``(n, version)``
-header, ``theta`` and ``u`` live in one anonymous ``mmap`` mapping that the
-``fork`` start method shares with every worker process, and applies are
-guarded by a process-shared lock.  Reads go through a seqlock-style versioned
-snapshot: the version counter is bumped before and after every apply, and a
-snapshot retries until it observes the same even version on both sides of its
-copy, so no reader ever sees a torn ``(theta, u, n)`` triple.
+memory, to a mutually exclusive apply section.  The master's ``(n, version,
+stop)`` header and its ``theta`` and ``u``, the two rows of one ``(2, d)``
+block, live in one anonymous ``mmap`` mapping that the ``fork`` start method
+shares with every worker process, and applies are guarded by a
+process-shared lock.  Reads go through a seqlock-style versioned snapshot:
+the version counter is bumped before and after every apply, and a snapshot
+retries until it observes the same even version on both sides of its copy,
+so no reader ever sees a torn ``(theta, u, n)`` triple.  Each worker pins
+itself to one CPU of the parent's affinity set, worker ``w`` to the
+``(w mod n)``-th of its n CPUs; the parent stays unpinned.
 
 Linux only: anonymous shared mappings reach the workers through ``fork``.
 Forking a process that runs other threads is unsafe, so call :func:`run`
@@ -29,33 +32,50 @@ from .errors import ConfigError, DivergenceError, check_count
 from .sampler import WORKER_UPDATES, ParameterState, WorkerState, worker_draws_noise
 from .simulator import Recorder, SimResult, WorkerDraws
 
-# a worker still running this long after the stop event is terminated
+# a worker still running this long after the stop word is set is terminated
 _STOP_GRACE_S = 60.0
-# how often the parent looks at the stop event and the wall-clock limit
+# how often the parent looks at the stop word and the wall-clock limit
 # while it waits for worker reports
 _POLL_S = 0.05
+
+
+class _StopWord:
+    """The stop flag as the third word of the shared header, with the
+    ``is_set()``/``set()`` of an Event: a plain load and store that every
+    process sharing the mapping sees, without a semaphore."""
+
+    def __init__(self, header):
+        self._header = header
+
+    def is_set(self) -> bool:
+        return self._header[2] != 0
+
+    def set(self):
+        self._header[2] = 1
 
 
 class SharedMasterState:
     """The master's (theta, u, n) with lock-exclusive applies and
     seqlock-consistent snapshots, shared with forked worker processes.
 
-    ``theta`` and ``u`` are arrays over the shared mapping; ``n`` and
-    ``version`` read its header.  ``staleness_log`` is private to each
-    process: it lists the applies made by that process.
+    ``theta`` and ``u`` are the two rows of one ``(2, d)`` array over the
+    shared mapping; ``n`` and ``version`` read its header, and ``stop``
+    (``is_set()``/``set()``) its third word, which any process sharing the
+    mapping may set.  ``staleness_log`` is private to each process: it lists
+    the applies made by that process.
     """
 
     def __init__(self, theta0):
         theta0 = np.asarray(theta0, dtype=float)
         dim = theta0.size
-        self._map = mmap.mmap(-1, 16 + 16 * dim)
-        self._header = memoryview(self._map)[:16].cast("q")  # (n, version)
-        self.theta = np.frombuffer(self._map, dtype=float, count=dim, offset=16)
-        self.u = np.frombuffer(self._map, dtype=float, count=dim, offset=16 + 8 * dim)
+        self._map = mmap.mmap(-1, 24 + 16 * dim)
+        self._header = memoryview(self._map)[:24].cast("q")  # (n, version, stop)
+        self._state = np.frombuffer(self._map, dtype=float, count=2 * dim,
+                                    offset=24).reshape(2, dim)
+        self.theta, self.u = self._state
         self.theta[:] = theta0
-        fork = multiprocessing.get_context("fork")
-        self.lock = fork.Lock()
-        self.stop = fork.Event()
+        self.lock = multiprocessing.get_context("fork").Lock()
+        self.stop = _StopWord(self._header)
         self.staleness_log: list = []
 
     @property
@@ -78,6 +98,8 @@ class SharedMasterState:
             v1 = header[1]
             if v1 & 1:
                 continue
+            # two row copies: at small d one copy of the block plus two
+            # row views of it costs more
             theta = self.theta.copy()
             u = self.u.copy()
             n = header[0]
@@ -104,7 +126,7 @@ class SharedMasterState:
             sampled = None
             if sample_every and n % sample_every == 0:
                 sampled = self.theta.copy()
-            ok = bool(np.isfinite(self.theta).all() and np.isfinite(self.u).all())
+            ok = bool(np.isfinite(self._state).all())
             header[1] += 1
         if not ok:
             raise DivergenceError(f"non-finite iterate after update {n}", iteration=n)
@@ -167,10 +189,10 @@ def receive_report(conn, proc):
 
 def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
                  sample_every, max_wall_s, staleness_limit, t0):
-    """One worker process: loops snapshot -> update (with the memory
-    update) -> exclusive apply, then sends its sampled
-    ``(time, n, staleness, theta)`` rows, its staleness log and its first
-    error (or None) to the parent."""
+    """One worker process: pins itself to one CPU, loops snapshot ->
+    update (with the memory update) -> exclusive apply until ``stop`` is
+    set, then sends its sampled ``(time, n, staleness, theta)`` rows, its
+    staleness log and its first error (or None) to the parent."""
     sampled: list = []
     error = None
     draws = WorkerDraws([seed + w], model.n_records, sampler_cfg.n_s, sampler_cfg.n_o,
@@ -178,6 +200,8 @@ def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
     ws = WorkerState(sampler_cfg, model.dim)
     worker_updates = WORKER_UPDATES[algo]
     try:
+        cpus = sorted(os.sched_getaffinity(0))  # the parent's set, inherited through fork
+        os.sched_setaffinity(0, {cpus[w % len(cpus)]})
         while not master.stop.is_set():
             theta, u, n_read = master.snapshot()
             snap = ParameterState(theta=theta, u=u, iteration=n_read)
@@ -254,12 +278,15 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
         seed=0, sample_every=0, max_wall_s=None, staleness_limit=None) -> SimResult:
     """Run W forked worker processes against a shared master state.
 
-    Each worker loops snapshot -> update -> exclusive apply, computing its
-    update through :data:`~asqn.sampler.WORKER_UPDATES` one worker at a
-    time from the draws of its :class:`~asqn.simulator.WorkerDraws` (in
-    blocks when it draws no noise, as in the simulator); an as-L-BFGS
-    worker's memory takes its post-send update there,
-    before the apply, as in the simulator.  Stops after ``max_updates``
+    Worker ``w`` pins itself to the ``(w mod n)``-th of the n CPUs this
+    process may run on; this process itself stays unpinned.  Each worker
+    loops snapshot -> update -> exclusive apply until the master's shared
+    stop word is set, computing its update through
+    :data:`~asqn.sampler.WORKER_UPDATES` one worker at a time from the
+    draws of its :class:`~asqn.simulator.WorkerDraws` (in blocks when it
+    draws no noise, as in the simulator); an as-L-BFGS worker's memory
+    takes its post-send update there, before the apply, as in the
+    simulator.  Stops after ``max_updates``
     applies or ``max_wall_s`` seconds, or when any worker fails; the first
     failure is reported as ``"<ExcType>: <message>"`` in the result's
     ``error``, a worker that dies without reporting as ``"WorkerError:

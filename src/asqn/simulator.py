@@ -206,12 +206,13 @@ def check_round_timeout(sim_cfg: SimConfig):
         raise ConfigError("run_sync_mb requires a finite timeout")
     # a compute time is exactly mu_worker when mu_worker or sigma_worker is 0
     # and log-normal otherwise; a timeout that a round's W workers meet less
-    # than once in 2**53 rounds is unmeetable, as no round would aggregate
+    # than once in 2**20 rounds is unmeetable, as each aggregated round
+    # would cost more than about a million empty ones
     meets = mu <= timeout
     if mu > 0 and sigma > 0 and timeout > 0:
         m, s = _log_normal(mu, sigma)
         p = 0.5 * math.erfc(-(math.log(timeout) - m) / (s * math.sqrt(2.0)))
-        meets = sim_cfg.workers * p >= 2.0**-53
+        meets = sim_cfg.workers * p >= 2.0**-20
     if not meets:
         raise ConfigError(f"no worker can meet the round timeout {timeout:g} "
                           f"(mu_worker {mu:g}, sigma_worker {sigma:g})")

@@ -1,6 +1,7 @@
 """Tests for the shared-memory execution path with forked worker processes."""
 
 import math
+import mmap
 import multiprocessing
 import os
 import threading
@@ -161,6 +162,41 @@ class TestSharedMasterState:
         assert master.n == n_writes
         assert master.version == 2 * n_writes
 
+    def test_stop_word_seen_across_processes(self):
+        # a forked child's set() reaches this process, and this process's
+        # set() reaches a child forked before it; a per-process flag would
+        # leave the child's set here unseen and the child waiting to its limit
+        master = SharedMasterState(np.zeros(2))
+        proc = FORK.Process(target=master.stop.set)
+        proc.start()
+        proc.join(timeout=20)
+        assert proc.exitcode == 0
+        assert master.stop.is_set()
+
+        master = SharedMasterState(np.zeros(2))
+        ready_recv, ready_send = FORK.Pipe(duplex=False)
+
+        def waiter():
+            ready_send.send(master.stop.is_set())
+            deadline = time.perf_counter() + 20.0
+            while not master.stop.is_set():
+                if time.perf_counter() > deadline:
+                    os._exit(3)
+            os._exit(0)
+
+        proc = FORK.Process(target=waiter)
+        proc.start()
+        try:
+            assert ready_recv.poll(20) and ready_recv.recv() is False
+            master.stop.set()
+            proc.join(timeout=30)
+            assert not proc.is_alive()
+            assert proc.exitcode == 0
+        finally:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+
     def test_apply_over_staleness_limit_leaves_state_untouched(self):
         master = SharedMasterState(np.zeros(2))
         upd = UpdateVector(np.ones(2), np.ones(2))
@@ -297,6 +333,34 @@ class TestRun:
         else:
             assert report.error.startswith(
                 "ValueError" if case == "exception" else "DivergenceError")
+
+    @pytest.mark.parametrize("case", ["one", "two", "twice-cpus"])
+    def test_workers_pinned_one_per_cpu(self, monkeypatch, case):
+        # worker w holds exactly the (w mod n)-th CPU of this process's set
+        # of n, and this process keeps its own set, whether the run
+        # succeeds or fails; each forked worker inherits the recording wrapper
+        model, cfg = small_problem()
+        monkeypatch.delenv("ASQN_THREADS", raising=False)
+        before = os.sched_getaffinity(0)
+        cpus = sorted(before)
+        workers = {"one": 1, "two": 2, "twice-cpus": 2 * len(cpus)}[case]
+        buf = mmap.mmap(-1, 16 * workers)
+        held = np.frombuffer(buf, dtype=np.int64).reshape(workers, 2)  # (count, lowest)
+        worker_main = runtime._worker_main
+
+        def recording(w, conn, *args):
+            worker_main(w, conn, *args)
+            cpu_set = os.sched_getaffinity(0)
+            held[w] = len(cpu_set), min(cpu_set)
+
+        monkeypatch.setattr(runtime, "_worker_main", recording)
+        for broken in (False, True):
+            held[:] = -1
+            used = FailingGradientModel(model.features, model.targets, 1.0) if broken else model
+            report = run(workers, cfg, used, max_updates=20 * workers, seed=0)
+            assert (report.error is not None) == broken
+            assert held.tolist() == [[1, cpus[w % len(cpus)]] for w in range(workers)]
+            assert os.sched_getaffinity(0) == before
 
     def test_asgd_mode(self):
         model, cfg = small_problem()

@@ -580,11 +580,13 @@ class TestRunSyncMb:
         with pytest.raises(ConfigError):
             run_sync_mb(SimConfig(max_updates=1), master, cfg, model)
 
-    @pytest.mark.parametrize("sigma, timeout", [(0.0, 5.0), (1.0, 0.0), (1e-3, 5.0)])
+    @pytest.mark.parametrize("sigma, timeout", [(0.0, 5.0), (1.0, 0.0), (1e-3, 5.0),
+                                                (1.0, 5.0)])
     def test_unmeetable_timeout_rejected(self, sigma, timeout):
-        # no compute time can meet the timeout, or (sigma 1e-3) one meets it
-        # far less than once in 2**53 rounds, so no round would aggregate;
-        # run in a forked child so a hang fails here in seconds
+        # no compute time can meet the timeout, or one meets it less than
+        # once in 2**20 rounds (sigma 1e-3 far less; sigma 1 at p ~ 2.6e-12),
+        # so almost no round would aggregate; run in a forked child so a
+        # hang fails here in seconds
         model, cfg = small_problem()
         master = MbLbfgsMaster(model.dim, step=1e-3)
         sim = SimConfig(workers=2, mu_worker=10.0, sigma_worker=sigma, timeout=timeout,
