@@ -570,7 +570,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     the ``fork`` start method); the outputs are byte-identical to a run on
     one process.  Run mode runs its points one after another in the calling
     process, because each times :func:`asqn.runtime.run`, which forks its
-    own workers."""
+    own workers.  Its ``speedup_vs_w1`` is the W = 1 point's mean wall time
+    over each point's, for the same number of applies: a throughput ratio
+    at a fixed update count, not a speedup in time-to-epsilon."""
     mode = cfg["mode"]
     algorithms = cfg["algorithms"]
     model, u_star = build_problem(cfg)

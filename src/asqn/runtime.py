@@ -61,8 +61,7 @@ class SharedMasterState:
     ``theta`` and ``u`` are the two rows of one ``(2, d)`` array over the
     shared mapping; ``n`` and ``version`` read its header, and ``stop``
     (``is_set()``/``set()``) its third word, which any process sharing the
-    mapping may set.  ``staleness_log`` is private to each process: it lists
-    the applies made by that process.
+    mapping may set.
     """
 
     def __init__(self, theta0):
@@ -76,7 +75,6 @@ class SharedMasterState:
         self.theta[:] = theta0
         self.lock = multiprocessing.get_context("fork").Lock()
         self.stop = _StopWord(self._header)
-        self.staleness_log: list = []
 
     @property
     def n(self) -> int:
@@ -106,23 +104,26 @@ class SharedMasterState:
             if header[1] == v1:
                 return theta, u, n
 
-    def apply(self, upd, n_read, sample_every=0, staleness_limit=None):
+    def apply(self, upd, n_read, sample_every=0, staleness_limit=None, max_updates=float("inf")):
         """Exclusive accumulation; returns (n, staleness, sampled theta copy
         or None).  The copy is taken inside the critical section so sampled
-        iterates are exact.  With ``staleness_limit``, an update whose
-        staleness would exceed it is discarded under the lock, leaving the
-        state untouched, and ``None`` is returned."""
+        iterates are exact.  Under the lock, an update is refused, leaving
+        the state untouched and returning None, once ``max_updates`` are
+        applied or where its staleness would exceed ``staleness_limit``; the
+        apply that reaches ``max_updates`` sets ``stop``."""
         header = self._header
         with self.lock:
-            staleness = header[0] - n_read
-            if staleness_limit is not None and staleness > staleness_limit:
+            n = header[0]
+            staleness = n - n_read
+            if n >= max_updates or (staleness_limit is not None and staleness > staleness_limit):
                 return None
             header[1] += 1
             self.theta += upd.d_theta
             self.u += upd.d_u
-            n = header[0] + 1
+            n += 1
             header[0] = n
-            self.staleness_log.append((n, staleness))
+            if n >= max_updates:
+                self.stop.set()
             sampled = None
             if sample_every and n % sample_every == 0:
                 sampled = self.theta.copy()
@@ -192,8 +193,9 @@ def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
     """One worker process: pins itself to one CPU, loops snapshot ->
     update (with the memory update) -> exclusive apply until ``stop`` is
     set, then sends its sampled ``(time, n, staleness, theta)`` rows, its
-    staleness log and its first error (or None) to the parent."""
-    sampled: list = []
+    log of ``(n_read, n or None)`` per update that reached the apply (None:
+    not applied) and its first error (or None) to the parent."""
+    sampled, log = [], []
     error = None
     draws = WorkerDraws([seed + w], model.n_records, sampler_cfg.n_s, sampler_cfg.n_o,
                         model.dim if worker_draws_noise(algo, sampler_cfg) else 0)
@@ -208,14 +210,13 @@ def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
             upd = worker_updates(sampler_cfg, [ws], [snap], model, [draws.next(0)])[0]
             if master.stop.is_set():
                 break
-            applied = master.apply(upd, n_read, sample_every, staleness_limit)
-            if applied is None:
-                continue  # too stale: discarded; recompute from a fresh snapshot
+            applied = master.apply(upd, n_read, sample_every, staleness_limit, max_updates)
+            log.append((n_read, applied[0] if applied else None))
+            if applied is None:  # too stale, or the run is done
+                continue
             n, staleness, theta_s = applied
             if theta_s is not None:
                 sampled.append((_time.perf_counter() - t0, n, staleness, theta_s))
-            if n >= max_updates:
-                master.stop.set()
             if max_wall_s is not None and _time.perf_counter() - t0 > max_wall_s:
                 master.stop.set()
     except Exception as exc:
@@ -223,17 +224,18 @@ def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
         # reported, so a broken run cannot pass for a finished one
         error = f"{type(exc).__name__}: {exc}"
         master.stop.set()
-    conn.send((sampled, master.staleness_log, error))
+    conn.send((sampled, log, error))
     conn.close()
 
 
 def _collect(procs, conns, master, t0, max_wall_s):
-    """Wait on every worker's pipe at once; return the reports received and
-    the errors seen.  The first error, a worker that exits without
-    reporting, or the wall-clock limit sets ``stop``; a worker still running
-    ``_STOP_GRACE_S`` after ``stop`` is terminated."""
+    """Wait on every worker's pipe at once; return the sampled rows, each
+    worker's compute log (empty without a report) and the errors seen.  The
+    first error, a worker that exits without reporting, or the wall-clock
+    limit sets ``stop``; a worker still running ``_STOP_GRACE_S`` after
+    ``stop`` is terminated."""
     pending = {conn: w for w, conn in enumerate(conns)}
-    reports, errors = [], []
+    sampled, logs, errors = [], [[] for _ in conns], []
     stopped_at = None
     while pending:
         now = _time.perf_counter()
@@ -251,12 +253,12 @@ def _collect(procs, conns, master, t0, max_wall_s):
         for conn in multiprocessing.connection.wait(list(pending), timeout=_POLL_S):
             w = pending.pop(conn)
             report, died = receive_report(conn, procs[w])
-            sampled, log, error = report or ([], [], died)
-            reports.append((sampled, log))
+            rows, logs[w], error = report or ([], [], died)
+            sampled += rows
             if error is not None:
                 errors.append(error)
                 master.stop.set()
-    return reports, errors
+    return sampled, logs, errors
 
 
 def check_run(workers, algo="as-lbfgs", max_updates=1000, sample_every=0,
@@ -266,8 +268,8 @@ def check_run(workers, algo="as-lbfgs", max_updates=1000, sample_every=0,
     check_count("workers", workers)
     if algo not in ("as-lbfgs", "a-sgd"):
         raise ConfigError(f"{algo} is not available in run mode")
-    # a worker applies once before it looks at max_updates, and a negative
-    # limit would discard every update
+    # max_updates 0 would refuse every apply and a negative staleness limit
+    # discard every update, so neither run would stop
     check_count("max_updates", max_updates)
     check_count("sample_every", sample_every, minimum=0)
     if staleness_limit is not None and staleness_limit < 0:
@@ -279,25 +281,21 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     """Run W forked worker processes against a shared master state.
 
     Worker ``w`` pins itself to the ``(w mod n)``-th of the n CPUs this
-    process may run on; this process itself stays unpinned.  Each worker
-    loops snapshot -> update -> exclusive apply until the master's shared
-    stop word is set, computing its update through
-    :data:`~asqn.sampler.WORKER_UPDATES` one worker at a time from the
-    draws of its :class:`~asqn.simulator.WorkerDraws` (in blocks when it
-    draws no noise, as in the simulator); an as-L-BFGS worker's memory
-    takes its post-send update there, before the apply, as in the
-    simulator.  Stops after ``max_updates``
-    applies or ``max_wall_s`` seconds, or when any worker fails; the first
-    failure is reported as ``"<ExcType>: <message>"`` in the result's
-    ``error``, a worker that dies without reporting as ``"WorkerError:
-    worker exited with code N"``.  ``staleness_limit`` enables optional back-pressure: an
-    update whose staleness would exceed the limit is discarded and
-    recomputed from a fresh snapshot, so every applied update has
-    staleness at most the limit.  A discarded update has still advanced
-    its worker's memory, so the curvature pair it formed stays.  The trace
+    process may run on; this process stays unpinned.  Each worker loops
+    snapshot -> update -> exclusive apply until the shared stop word is
+    set, computing its update, memory update included, through
+    :data:`~asqn.sampler.WORKER_UPDATES` from the draws of its
+    :class:`~asqn.simulator.WorkerDraws`, as the simulator does.  Stops
+    after exactly ``max_updates`` applies, after ``max_wall_s`` seconds, or
+    when any worker fails; the first failure is reported as ``"<ExcType>:
+    <message>"`` in ``error``, a worker that dies without reporting as
+    ``"WorkerError: worker exited with code N"``.  With ``staleness_limit``
+    an update whose staleness would exceed it is discarded, the curvature
+    pair it formed kept, and recomputed from a fresh snapshot.  The trace
     holds the state after every ``sample_every``-th apply (none when it is
-    0) and ``wall_ms`` the wall time of the call.  No worker process
-    outlives the call.
+    0), ``wall_ms`` the wall time of the call, and ``compute_logs`` the
+    workers' logs, whose ``schedule`` :func:`~asqn.simulator.replay`
+    recomputes the run from, bit for bit.  No worker outlives the call.
     """
     check_run(workers, algo, max_updates, sample_every, staleness_limit)
     cap = worker_cap()
@@ -309,14 +307,14 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     args = (master, sampler_cfg, model, algo, max_updates, seed, sample_every, max_wall_s,
             staleness_limit, t0)
     with fork_children(workers, _worker_main, args) as (procs, conns):
-        reports, errors = _collect(procs, conns, master, t0, max_wall_s)
+        sampled, logs, errors = _collect(procs, conns, master, t0, max_wall_s)
     wall_ms = (_time.perf_counter() - t0) * 1e3
 
     rec = Recorder(model, sample_every)
-    sampled = sorted((row for rows, _ in reports for row in rows), key=lambda row: row[1])
-    for t, n, staleness, theta in sampled:  # a worker samples theta alone
-        rec.sample(ParameterState(theta=theta, u=None, iteration=n), t, staleness)
-    rec.staleness_log = sorted((entry for _, log in reports for entry in log),
-                               key=lambda entry: entry[0])
+    for t, n, staleness, theta in sorted(sampled, key=lambda row: row[1]):
+        rec.sample(ParameterState(theta=theta, u=None, iteration=n), t, staleness)  # theta only
+    rec.staleness_log = sorted((n, n - 1 - n_read) for log in logs for n_read, n in log
+                               if n is not None)
     final = ParameterState(theta=master.theta.copy(), u=master.u.copy(), iteration=master.n)
-    return rec.result(final, wall_ms=wall_ms, error=errors[0] if errors else None)
+    return rec.result(final, wall_ms=wall_ms, error=errors[0] if errors else None,
+                      compute_logs=logs)

@@ -1,16 +1,13 @@
 """Deterministic discrete-event simulator of (a)synchronous distributed
 optimization.
 
-The simulator is single-threaded: it only decides WHICH snapshot each
-worker computes on and at what virtual time each update lands at the
-master.  The parameter trajectory is therefore exactly the serial
-trajectory induced by that interleaving, and identical (cfg, seed) pairs
-produce bit-identical traces.
-
-Compute times are log-normal with the distribution's mean and standard
-deviation given directly by (mu, sigma); communication costs tau per
-message leg; the master is a serial FIFO resource charging mu_master per
-applied update.
+The simulator is single-threaded: its schedule decides which snapshot
+each worker computes on and at what virtual time each update lands at
+the master, so the trajectory is the serial one of that interleaving and
+identical (cfg, seed) pairs give bit-identical traces.  Compute times are
+log-normal with mean and standard deviation (mu, sigma); communication
+costs tau per message leg; the master is a serial FIFO resource charging
+mu_master per applied update.
 """
 
 from __future__ import annotations
@@ -88,6 +85,7 @@ class SimResult:
     final_potential: float | None = None  # potential(model, final_state.theta)
     wall_ms: float | None = None  # run mode only
     error: str | None = None  # run mode only: "<ExcType>: <message>" of the first failure
+    compute_logs: list | None = None  # run mode only: each worker's (n_read, n or None) per compute
 
     @property
     def iterations(self) -> int:
@@ -100,6 +98,20 @@ class SimResult:
     @property
     def final_time(self) -> float:
         return self.trace[-1].time if self.trace else 0.0
+
+    @property
+    def schedule(self) -> list | None:
+        """Run mode: the events for :func:`replay`, apply n followed by the
+        starts that read its state; an apply carries no time (None)."""
+        if self.compute_logs is None:
+            return None
+        slots = [[] for _ in range(2 * self.iterations + 2)]  # apply n, then its readers
+        for w, log in enumerate(self.compute_logs):
+            for n_read, n in log:
+                slots[2 * n_read + 1].append(("start", w, n_read))
+                if n is not None:
+                    slots[2 * n].append(("apply", w, None))
+        return [event for slot in slots for event in slot] + [("end", False, None)]
 
 
 def _log_normal(mu: float, sigma: float):
@@ -264,122 +276,109 @@ class Recorder:
         return self.result(state, **fields)
 
 
-def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=None) -> SimResult:
-    """Event loop for the asynchronous algorithms (as-L-BFGS, a-SGD and SGLD).
+def async_schedule(sim_cfg: SimConfig):
+    """The asynchronous protocol's events in event order, from the timing
+    generators alone: ``("start", w, n_read)`` when worker w receives the
+    state after n_read applies, ``("apply", w, time)`` when the master has
+    applied w's update at ``time``, and last ``("end", truncated, time)``,
+    with the last apply's time (0.0 without one).
 
-    Each worker cycles receive -> compute -> send; the master serializes
-    applies FIFO by arrival with the (time, worker, sequence) tie-break.
-    A worker gets its fresh snapshot only in reply to its own send, so its
-    staleness accrues from the other workers' applies in between.  Every
-    update comes from :data:`~asqn.sampler.WORKER_UPDATES`, which also
-    advances an as-L-BFGS worker's memory before the master applies the
-    update, the order the runtime's workers follow too.  At W = 1 with
-    ``sigma_worker`` 0 and the SGLD update this is serial SGLD: update n
-    lands at n * (mu_worker + 2 * comm_time + mu_master).
+    Each worker cycles receive -> compute -> send, and gets its fresh
+    snapshot only in reply to its own send; the master applies FIFO by
+    arrival, ties broken by worker.  The heap holds one event per worker,
+    so the schedule ends only at the update or time horizon; an apply that
+    would end after ``max_time`` truncates it."""
+    comm, update_limit, max_time = sim_cfg.comm_time, sim_cfg.update_limit, sim_cfg.max_time
+    compute_times = ComputeTimes(sim_cfg)
+    heap = [(comm, w, 0) for w in range(sim_cfg.workers)]  # (time, worker, n_read or None)
+    n, busy = 0, 0.0
+    while n < update_limit:
+        t, w, n_read = heapq.heappop(heap)
+        if n_read is None:  # an arrive; the master applies one at a time
+            t = max(t, busy) + sim_cfg.mu_master
+        if t > max_time:
+            break
+        if n_read is None:
+            n, busy = n + 1, t
+            yield "apply", w, t
+            heapq.heappush(heap, (t + comm, w, n))
+        else:
+            yield "start", w, n_read
+            heapq.heappush(heap, (t + compute_times.next(w) + comm, w, None))
+    yield "end", n < update_limit, busy
 
-    Every receive schedules an arrive and every arrive a receive, so the
-    event heap always holds one event per worker and the loop ends only at
-    the update or time horizon.  An arrive whose apply would end after
-    ``max_time`` is not applied, and the run is truncated there.  Master
-    states are never mutated, so a reply carries the post-apply state
-    itself rather than a copy.
 
-    A receive takes its worker's next compute time from
-    :class:`ComputeTimes`, which draws each worker's times in blocks; the
-    times are those of one draw per receive, so the iterates are too.
-    The schedule depends only on the timing generators, so a popped
-    receive takes its compute time and schedules its arrive at once, but
-    its update is computed later: the first arrive whose update is not yet
-    computed computes every such deferred receive in one stacked call.
-    Only receives already popped are computed, each worker on its own
-    generator and memory, so traces are bit-identical to computing each
-    receive at its pop, given a numpy/BLAS build whose stacked kernels
-    match the one-dimensional ones (the tests check this).  Each update's
-    subsample and noise come from :class:`WorkerDraws`: a worker whose
-    update draws no noise (AS-L-BFGS and SGLD at beta = inf, a-SGD) draws
-    its subsamples in blocks, with the values of one draw per update, and
-    the others draw a subsample, then noise, once per update.  Within a
-    batch, the workers' curvature pairs are formed in stacked calls (see
-    :func:`~asqn.sampler.lbfgs_updates`).  Errors keep
-    event order: a failing deferred compute raises the error of the
-    earliest receive, a failing apply first computes the receives popped
-    before it (whose error comes first), and the receives still deferred
-    at the horizon are computed before returning.
-    """
+def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
+           theta0=None) -> SimResult:
+    """Compute and apply, in order, the updates of ``schedule``: the events
+    of :func:`async_schedule` or a run's ``SimResult.schedule``.
+
+    Worker w draws from ``WorkerDraws`` seeded ``sim_cfg.seed + w`` and
+    computes, memory update included, through
+    :data:`~asqn.sampler.WORKER_UPDATES`.  An apply whose update is not yet
+    computed computes every start before it not yet computed, in one
+    stacked call with the bits of one worker at a time (the tests check
+    this on the numpy/BLAS build), so errors keep event order; the starts
+    left at the end are computed too.  A worker's second start before its
+    apply (an update the runtime did not apply) computes and drops the
+    first.  A start reads the state after its worker's last apply (the
+    reply to its send) or the current state (shared memory); states are
+    never mutated, so a worker holds the one it read, not a copy."""
     if algo not in WORKER_UPDATES:
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
-    worker_updates = WORKER_UPDATES[algo]
-    dim = model.dim
-    state = ParameterState.zeros(dim)
-    if theta0 is not None:
-        state.theta = np.asarray(theta0, dtype=float).copy()
-
-    compute_times = ComputeTimes(sim_cfg)
+    state = ParameterState(theta=np.zeros(model.dim) if theta0 is None else
+                           np.asarray(theta0, dtype=float).copy(), u=np.zeros(model.dim))
     draws = WorkerDraws(range(sim_cfg.seed, sim_cfg.seed + sim_cfg.workers), model.n_records,
                         sampler_cfg.n_s, sampler_cfg.n_o,
-                        dim if worker_draws_noise(algo, sampler_cfg) else 0)
-    workers = [WorkerState(sampler_cfg, dim) for _ in range(sim_cfg.workers)]
-
+                        model.dim if worker_draws_noise(algo, sampler_cfg) else 0)
+    workers = [WorkerState(sampler_cfg, model.dim) for _ in range(sim_cfg.workers)]
     rec = Recorder(model, sim_cfg.sample_every)
     rec.sample(state, 0.0, 0)
+    # each worker's last read and, until its next start, the state after its last apply
+    reads, applied = [state] * sim_cfg.workers, [None] * sim_cfg.workers
+    starts, ready = [], [None] * sim_cfg.workers  # workers started, not yet computed; updates
 
-    # heap entries: (time, worker, seq, kind, payload)
-    heap: list = []
-    seq = 0
-    master_busy_until = 0.0
-    deferred: list = []  # (worker, snapshot) of popped receives not yet computed, in pop order
-    ready: list = [None] * sim_cfg.workers  # computed update of each worker's pending arrive
+    def compute():
+        if starts:
+            updates = WORKER_UPDATES[algo](sampler_cfg, [workers[w] for w in starts],
+                                           [reads[w] for w in starts], model,
+                                           [draws.next(w) for w in starts])
+            for w, upd in zip(starts, updates):
+                ready[w] = upd
+            starts.clear()
 
-    def push(time, worker, kind, payload):
-        nonlocal seq
-        heapq.heappush(heap, (time, worker, seq, kind, payload))
-        seq += 1
-
-    def compute_deferred():
-        if not deferred:
-            return
-        batch, snapshots = zip(*deferred)
-        deferred.clear()
-        updates = worker_updates(sampler_cfg, [workers[w] for w in batch], snapshots, model,
-                                 [draws.next(w) for w in batch])
-        for w, upd in zip(batch, updates):
-            ready[w] = upd
-
-    for w in range(sim_cfg.workers):
-        push(sim_cfg.comm_time, w, "receive", state.copy())
-
-    truncated = False
-    while True:
-        t, w, _, kind, payload = heapq.heappop(heap)
-        if t > sim_cfg.max_time:
-            truncated = True
-            break
-        if kind == "receive":
-            c = compute_times.next(w)
-            deferred.append((w, payload))
-            push(t + c + sim_cfg.comm_time, w, "arrive", payload.iteration)
-        elif kind == "arrive":
-            # the master serves arrivals one at a time, in event order
-            done = max(t, master_busy_until) + sim_cfg.mu_master
-            if done > sim_cfg.max_time:  # the apply would end past the horizon
-                truncated = True
-                break
-            if ready[w] is None:
-                compute_deferred()
-            upd, ready[w] = ready[w], None
-            staleness = state.iteration - payload
+    for kind, a, b in schedule:
+        if kind == "start":
+            if a in starts:
+                compute()
+            snap = applied[a] if applied[a] and applied[a].iteration == b else state
+            if snap.iteration != b:
+                raise ValueError(f"worker {a} starts on state {b}, not its own or the current")
+            reads[a], applied[a], ready[a] = snap, None, None
+            starts.append(a)
+        elif kind == "apply":
+            if ready[a] is None:
+                compute()
+            upd, ready[a] = ready[a], None
             try:
                 state = master_apply(state, upd)
-                master_busy_until = done
-                rec.apply(state, master_busy_until, staleness)
+                rec.apply(state, b, state.iteration - 1 - reads[a].iteration)
             except Exception:
-                compute_deferred()  # the receives popped before this apply fail first
+                compute()  # the starts before this apply fail first
                 raise
-            push(master_busy_until + sim_cfg.comm_time, w, "receive", state)
-            if state.iteration >= sim_cfg.update_limit:
-                break
-    compute_deferred()
-    return rec.close(state, master_busy_until, truncated=truncated)
+            applied[a] = state
+        else:
+            truncated, time = a, b
+    compute()
+    return rec.close(state, time, truncated=truncated)
+
+
+def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=None) -> SimResult:
+    """The asynchronous algorithms (as-L-BFGS, a-SGD and SGLD) on a
+    simulated cluster: :func:`replay` of :func:`async_schedule`.  At W = 1
+    with ``sigma_worker`` 0 and the SGLD update this is serial SGLD:
+    update n lands at n * (mu_worker + 2 * comm_time + mu_master)."""
+    return replay(async_schedule(sim_cfg), sim_cfg, sampler_cfg, model, algo, theta0)
 
 
 def _sync_rounds(sim_cfg: SimConfig, n_records: int, n_s: int, n_o: int):

@@ -25,8 +25,9 @@ from asqn import (
     post_send_memory_update,
     potential,
 )
-from asqn import runtime
+from asqn import SimConfig, runtime
 from asqn.runtime import SharedMasterState, run
+from asqn.simulator import replay
 
 FORK = multiprocessing.get_context("fork")
 
@@ -85,9 +86,22 @@ class TestSharedMasterState:
 
     def test_staleness_recorded_per_apply(self):
         master = SharedMasterState(np.zeros(1))
-        master.apply(UpdateVector(np.zeros(1), np.zeros(1)), n_read=0)
-        master.apply(UpdateVector(np.zeros(1), np.zeros(1)), n_read=0)
-        assert master.staleness_log == [(1, 0), (2, 1)]
+        upd = UpdateVector(np.zeros(1), np.zeros(1))
+        assert master.apply(upd, n_read=0)[:2] == (1, 0)
+        assert master.apply(upd, n_read=0)[:2] == (2, 1)
+
+    def test_apply_refused_once_max_updates_applied(self):
+        # the apply that reaches the limit sets stop; later ones leave the
+        # state untouched
+        master = SharedMasterState(np.zeros(2))
+        upd = UpdateVector(np.ones(2), np.ones(2))
+        assert master.apply(upd, n_read=0, max_updates=2)[:2] == (1, 0)
+        assert not master.stop.is_set()
+        assert master.apply(upd, n_read=0, max_updates=2)[:2] == (2, 1)
+        assert master.stop.is_set()
+        assert master.apply(upd, n_read=2, max_updates=2) is None
+        np.testing.assert_array_equal(master.theta, [2.0, 2.0])
+        assert (master.n, master.version) == (2, 4)
 
     def test_snapshot_copies_are_independent(self):
         master = SharedMasterState(np.zeros(2))
@@ -253,7 +267,7 @@ class TestRun:
         model, cfg = small_problem()
         report = run(workers, cfg, model, max_updates=200, seed=1)
         assert report.error is None
-        assert report.iterations >= 200
+        assert report.iterations == 200
         assert report.iterations == len(report.staleness_log)
         assert report.max_staleness >= 0
 
@@ -387,14 +401,14 @@ class TestRun:
         model, cfg = small_problem()
         report = run(4, cfg, model, max_updates=200, seed=4, staleness_limit=2)
         assert report.error is None
-        assert report.iterations >= 200
+        assert report.iterations == 200
         assert all(l <= 2 for _, l in report.staleness_log)
 
     def test_zero_staleness_limit_serialises_four_workers(self):
         model, cfg = small_problem()
         report = run(4, cfg, model, max_updates=200, seed=4, staleness_limit=0)
         assert report.error is None
-        assert report.iterations >= 200
+        assert report.iterations == 200
         assert report.max_staleness == 0
 
     def test_invalid_arguments(self):
@@ -447,3 +461,28 @@ class TestRun:
         assert ns == list(range(10, result.iterations + 1, 10))
         assert result.wall_ms > 0
         assert run(1, cfg, model, max_updates=5, seed=3).trace == []
+
+
+class TestReplay:
+    """A run's schedule, replayed in one process through the simulator's
+    replay, gives the run's final state and staleness log bit for bit.
+    Each run interleaves its workers differently, so repeated runs cover
+    more schedules; limit 0 at W = 2 discards many updates, whose computes
+    the replay must still make."""
+
+    @pytest.mark.parametrize("staleness_limit", [None, 0, 2])
+    @pytest.mark.parametrize("algo", ["as-lbfgs", "a-sgd"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replay_matches_run(self, monkeypatch, workers, algo, staleness_limit):
+        monkeypatch.delenv("ASQN_THREADS", raising=False)
+        model, cfg = small_problem()
+        cfg = replace(cfg, inv_temperature=1e3)  # as-lbfgs workers draw noise too
+        report = run(workers, cfg, model, algo=algo, max_updates=300, seed=7,
+                     staleness_limit=staleness_limit)
+        assert report.error is None and report.iterations == 300
+        got = replay(report.schedule, SimConfig(workers=workers, seed=7, sample_every=300),
+                     cfg, model, algo)
+        assert got.iterations == 300
+        assert got.final_state.theta.tobytes() == report.final_state.theta.tobytes()
+        assert got.final_state.u.tobytes() == report.final_state.u.tobytes()
+        assert got.staleness_log == report.staleness_log

@@ -35,7 +35,8 @@ from asqn import (
 )
 from asqn.experiments import run_sgld_serial, synth_matrix_factorization
 from asqn import simulator
-from asqn.simulator import ComputeTimes, SimResult, write_trace_csv
+from asqn.simulator import (ComputeTimes, SimResult, async_schedule, replay,
+                            write_trace_csv)
 
 
 def small_problem(seed=0):
@@ -412,6 +413,50 @@ class TestDeferredComputes:
         for engine in (run_async, per_worker_run_async):
             with pytest.raises(RuntimeError, match="marked"):
                 engine(sim, cfg, RaisingAt(model, fourth.theta))
+
+
+class TestAsyncSchedule:
+    """The schedule depends only on the timing generators: one SimConfig
+    gives one schedule, and every algorithm on every model applies its
+    updates at the schedule's times with the schedule's staleness."""
+
+    @pytest.mark.parametrize("horizon", [{"max_updates": 150}, {"max_updates": 0,
+                                                                "max_time": 2345.0}])
+    def test_same_schedule_for_every_algorithm_and_model(self, horizon):
+        sim = SimConfig(workers=4, mu_worker=100.0, sigma_worker=50.0, comm_time=10.0,
+                        mu_master=4.0, sample_every=1, seed=3, **horizon)
+        events = list(async_schedule(sim))
+        assert events == list(async_schedule(sim))
+        reads, times, staleness_log = {}, [], []
+        for kind, a, b in events[:-1]:
+            if kind == "start":
+                reads[a] = b
+            else:
+                assert kind == "apply"
+                times.append(b)
+                staleness_log.append((len(times), len(times) - 1 - reads[a]))
+        assert events[-1] == ("end", "max_time" in horizon, times[-1])
+        for name in ("lg", "mf"):
+            model, cfg, theta0 = problem(name)
+            for algo in ("as-lbfgs", "a-sgd", "sgld"):
+                res = run_async(sim, cfg, model, algo=algo, theta0=theta0)
+                assert [r.time for r in res.trace] == [0.0, *times], (name, algo)
+                assert res.staleness_log == staleness_log, (name, algo)
+                assert [r.staleness for r in res.trace[1:]] == [l for _, l in staleness_log]
+                assert res.truncated == ("max_time" in horizon)
+
+    def test_replay_rejects_a_start_on_a_state_it_cannot_read(self):
+        # a worker reads the state after its own last apply or the current
+        # state; worker 1 starting on worker 0's apply after another apply
+        # reads neither
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=2, max_updates=2)
+        schedule = [("start", 0, 0), ("start", 1, 0), ("apply", 0, 1.0), ("start", 0, 1),
+                    ("apply", 1, 2.0), ("start", 1, 1), ("end", False, 2.0)]
+        with pytest.raises(ValueError, match="worker 1 starts on state 1"):
+            replay(schedule, sim, cfg, model)
+        schedule[5] = ("start", 1, 2)
+        assert replay(schedule, sim, cfg, model).iterations == 2
 
 
 def noise_free_case(name):
