@@ -139,6 +139,8 @@ PRESETS = {name: _deep_merge(_PAPER, own) for name, own in {
 # that kind, and a dict for an object that holds its keys only.
 _SAMPLER = {"step": float, "friction": float, "inv_temperature": float, "memory_size": int,
             "n_s": int | None, "n_o": int | None, "epsilon": float, "rho": float}
+# the ratings-file keys of a matrix-factorization problem: load_movielens keywords
+_RATINGS_FILE = {"path": "path", "format": "fmt", "max_ratings": "max_ratings"}
 # the problem keys of each type, besides "type" and "seed"
 _PROBLEMS = {
     "linear-gaussian": {"dim": int, "n_records": int, "noise_variance": float,
@@ -254,8 +256,8 @@ def validate_config(doc: dict) -> ExperimentConfig:
         # file's without one; a config without a preset may keep the
         # latter for a path given later, as ml-1m-paper does
         path = doc["problem"].get("path")
-        unused = ({"n_rows", "n_cols", "noise_std", "observed_fraction"} if path
-                  else {"format", "max_ratings"} if preset else set())
+        unused = (set(_PROBLEMS[ptype]) - set(_RATINGS_FILE) - {"rank"} if path
+                  else set(_RATINGS_FILE) - {"path"} if preset else set())
         for key in sorted(unused & set(own_problem)):
             raise ConfigError(f"problem.{key} is unused {'with' if path else 'without'} "
                               "a problem.path")
@@ -282,7 +284,8 @@ def load_config(path, overrides=None) -> ExperimentConfig:
     return validate_config({**doc, **(overrides or {})})
 
 
-def synth_linear_gaussian(seed, dim, n_records, noise_variance, correlation=0.0):
+def synth_linear_gaussian(seed=0, dim=100, n_records=600, noise_variance=10.0,
+                          correlation=0.0):
     """Generate the synthetic linear Gaussian instance.
 
     Feature rows are standard normal plus a shared direction scaled by the
@@ -309,7 +312,7 @@ def synth_linear_gaussian(seed, dim, n_records, noise_variance, correlation=0.0)
     return model, theta_star, potential(model, theta_star)
 
 
-def synth_matrix_factorization(seed, n_rows, n_cols, rank, noise_std=0.1,
+def synth_matrix_factorization(seed=0, n_rows=200, n_cols=300, rank=3, noise_std=0.1,
                                observed_fraction=0.1):
     """Low-rank synthetic ratings: Y = F G + noise on a random subset of cells."""
     for name, count in (("n_rows", n_rows), ("n_cols", n_cols), ("rank", rank)):
@@ -372,33 +375,27 @@ def load_movielens(path, fmt="dat-double-colon", rank=5, max_ratings=None):
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Instantiate the configured problem.
+    """Instantiate the configured problem, passing the section's keys to
+    its builder, whose signature holds their defaults: a ratings file
+    (rank 5) for a matrix-factorization problem with a ``path``.
 
     Returns (model, u_star) where u_star is None when no closed-form
     optimum exists (matrix factorization)."""
-    p = cfg["problem"]
-    ptype = p.get("type")
-    seed = p.get("seed", 0)
-    check_count("problem.seed", seed, minimum=0)
+    p = dict(cfg["problem"])
+    ptype = p.pop("type", None)
+    if "seed" in p:
+        check_count("problem.seed", p["seed"], minimum=0)
     if ptype == "linear-gaussian":
-        model, _, u_star = synth_linear_gaussian(
-            seed=seed, dim=p.get("dim", 100), n_records=p.get("n_records", 600),
-            noise_variance=p.get("noise_variance", 10.0), correlation=p.get("correlation", 0.0))
+        model, _, u_star = synth_linear_gaussian(**p)
         return model, u_star
     if ptype == "matrix-factorization":
-        if p.get("max_ratings") is not None:
-            check_count("problem.max_ratings", p["max_ratings"])
-        if p.get("path"):
-            model, _ = load_movielens(
-                p["path"], fmt=p.get("format", "dat-double-colon"),
-                rank=p.get("rank", 5), max_ratings=p.get("max_ratings"),
-            )
-        else:
-            model = synth_matrix_factorization(
-                seed=seed, n_rows=p.get("n_rows", 200), n_cols=p.get("n_cols", 300),
-                rank=p.get("rank", 3), noise_std=p.get("noise_std", 0.1),
-                observed_fraction=p.get("observed_fraction", 0.1))
-        return model, None
+        ratings = {arg: p.pop(key) for key, arg in _RATINGS_FILE.items() if key in p}
+        if ratings.get("max_ratings") is not None:
+            check_count("problem.max_ratings", ratings["max_ratings"])
+        if not ratings.get("path"):
+            return synth_matrix_factorization(**p), None
+        p.pop("seed", None)  # a ratings file is read, not drawn
+        return load_movielens(**ratings, **p)[0], None
     raise ConfigError(f"unknown problem type {ptype!r}")
 
 

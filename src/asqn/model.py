@@ -67,7 +67,18 @@ def draw_subsample(rng: np.random.Generator, n_records: int, n_s: int, n_o: int)
     return Subsample(s_indices=drawn[:n_s], o_indices=drawn[n_s:])
 
 
-class LinearGaussianModel:
+class UnitGaussianPrior:
+    """The N(0, I) prior that both models put on their parameter."""
+
+    def prior_potential(self, theta):
+        return 0.5 * float(theta @ theta)
+
+    def prior_gradient(self, theta):
+        """theta itself, not a copy: every caller only reads it."""
+        return theta
+
+
+class LinearGaussianModel(UnitGaussianPrior):
     """MAP estimation for theta ~ N(0, I), Y_i | theta ~ N(a_i . theta, sigma^2).
 
     Potential: 0.5*||theta||^2 + ||A theta - Y||^2 / (2 sigma^2), constants dropped.
@@ -95,13 +106,6 @@ class LinearGaussianModel:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def prior_potential(self, theta):
-        return 0.5 * float(theta @ theta)
-
-    def prior_gradient(self, theta):
-        """theta itself, not a copy: every caller only reads it."""
-        return theta
 
     def evaluate(self, theta):
         """``(potential, None)`` at ``theta``: the model has no RMSE."""
@@ -142,7 +146,7 @@ class LinearGaussianModel:
 OFFSETS_CACHED = 2**20
 
 
-class MatrixFactorizationModel:
+class MatrixFactorizationModel(UnitGaussianPrior):
     """Probabilistic matrix factorization with unit-variance Gaussian priors.
 
     Y_rs | F, G ~ N(sum_k F_rk G_ks, 1) over the observed entries only.
@@ -200,13 +204,6 @@ class MatrixFactorizationModel:
         r = self.rows if indices is None else self.rows[indices]
         c = self.cols if indices is None else self.cols[indices]
         return np.einsum("ik,ki->i", f[r], g[:, c])
-
-    def prior_potential(self, theta):
-        return 0.5 * float(theta @ theta)
-
-    def prior_gradient(self, theta):
-        """theta itself, not a copy: every caller only reads it."""
-        return theta
 
     def evaluate(self, theta):
         """``(potential, rmse)`` at ``theta``, both from one residual over

@@ -29,7 +29,7 @@ import time as _time
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, check_count
-from .sampler import WORKER_UPDATES, ParameterState, WorkerState, worker_draws_noise
+from .sampler import WORKER_UPDATES, ParameterState, WorkerState
 from .simulator import Recorder, SimResult, WorkerDraws
 
 # a worker still running this long after the stop word is set is terminated
@@ -188,17 +188,16 @@ def receive_report(conn, proc):
     return report, None
 
 
-def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
-                 sample_every, max_wall_s, staleness_limit, t0):
+def _worker_main(w, conn, master, draws, sampler_cfg, model, algo, max_updates,
+                 sample_every, staleness_limit, t0):
     """One worker process: pins itself to one CPU, loops snapshot ->
-    update (with the memory update) -> exclusive apply until ``stop`` is
-    set, then sends its sampled ``(time, n, staleness, theta)`` rows, its
-    log of ``(n_read, n or None)`` per update that reached the apply (None:
-    not applied) and its first error (or None) to the parent."""
+    update from ``draws.next(w)`` (with the memory update) -> exclusive
+    apply until ``stop`` is set, then sends its sampled ``(time, n,
+    staleness, theta)`` rows, its log of ``(n_read, n or None)`` per update
+    that reached the apply (None: not applied) and its first error (or
+    None) to the parent."""
     sampled, log = [], []
     error = None
-    draws = WorkerDraws([seed + w], model.n_records, sampler_cfg.n_s, sampler_cfg.n_o,
-                        model.dim if worker_draws_noise(algo, sampler_cfg) else 0)
     ws = WorkerState(sampler_cfg, model.dim)
     worker_updates = WORKER_UPDATES[algo]
     try:
@@ -207,7 +206,7 @@ def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
         while not master.stop.is_set():
             theta, u, n_read = master.snapshot()
             snap = ParameterState(theta=theta, u=u, iteration=n_read)
-            upd = worker_updates(sampler_cfg, [ws], [snap], model, [draws.next(0)])[0]
+            upd = worker_updates(sampler_cfg, [ws], [snap], model, [draws.next(w)])[0]
             if master.stop.is_set():
                 break
             applied = master.apply(upd, n_read, sample_every, staleness_limit, max_updates)
@@ -217,8 +216,6 @@ def _worker_main(w, conn, master, sampler_cfg, model, algo, max_updates, seed,
             n, staleness, theta_s = applied
             if theta_s is not None:
                 sampled.append((_time.perf_counter() - t0, n, staleness, theta_s))
-            if max_wall_s is not None and _time.perf_counter() - t0 > max_wall_s:
-                master.stop.set()
     except Exception as exc:
         # the process boundary: any failure stops every worker and is
         # reported, so a broken run cannot pass for a finished one
@@ -284,27 +281,29 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     process may run on; this process stays unpinned.  Each worker loops
     snapshot -> update -> exclusive apply until the shared stop word is
     set, computing its update, memory update included, through
-    :data:`~asqn.sampler.WORKER_UPDATES` from the draws of its
-    :class:`~asqn.simulator.WorkerDraws`, as the simulator does.  Stops
-    after exactly ``max_updates`` applies, after ``max_wall_s`` seconds, or
-    when any worker fails; the first failure is reported as ``"<ExcType>:
-    <message>"`` in ``error``, a worker that dies without reporting as
-    ``"WorkerError: worker exited with code N"``.  With ``staleness_limit``
-    an update whose staleness would exceed it is discarded, the curvature
-    pair it formed kept, and recomputed from a fresh snapshot.  The trace
-    holds the state after every ``sample_every``-th apply (none when it is
-    0), ``wall_ms`` the wall time of the call, and ``compute_logs`` the
-    workers' logs, whose ``schedule`` :func:`~asqn.simulator.replay`
-    recomputes the run from, bit for bit.  No worker outlives the call.
+    :data:`~asqn.sampler.WORKER_UPDATES` from its stream of the run's
+    :class:`~asqn.simulator.WorkerDraws`, built before the fork, as the
+    simulator does.  Stops after exactly ``max_updates`` applies, once this
+    process sees ``max_wall_s`` seconds pass, or when any worker fails;
+    the first failure is reported as ``"<ExcType>: <message>"`` in
+    ``error``, a worker that dies without reporting as ``"WorkerError:
+    worker exited with code N"``.  With ``staleness_limit`` an update whose
+    staleness would exceed it is discarded, the curvature pair it formed
+    kept, and recomputed from a fresh snapshot.  The trace holds the state
+    after every ``sample_every``-th apply (none when it is 0), ``wall_ms``
+    the wall time of the call, and ``compute_logs`` the workers' logs,
+    whose ``schedule`` :func:`~asqn.simulator.replay` recomputes the run
+    from, bit for bit.  No worker outlives the call.
     """
     check_run(workers, algo, max_updates, sample_every, staleness_limit)
     cap = worker_cap()
     if cap is not None:
         workers = min(workers, cap)
 
-    master = SharedMasterState(np.zeros(model.dim) if theta0 is None else theta0)
+    master = SharedMasterState(ParameterState.start(model.dim, theta0).theta)
+    draws = WorkerDraws(seed, workers, sampler_cfg, model, algo)
     t0 = _time.perf_counter()
-    args = (master, sampler_cfg, model, algo, max_updates, seed, sample_every, max_wall_s,
+    args = (master, draws, sampler_cfg, model, algo, max_updates, sample_every,
             staleness_limit, t0)
     with fork_children(workers, _worker_main, args) as (procs, conns):
         sampled, logs, errors = _collect(procs, conns, master, t0, max_wall_s)

@@ -65,8 +65,12 @@ class ParameterState:
     iteration: int = 0
 
     @staticmethod
-    def zeros(dim: int) -> "ParameterState":
-        return ParameterState(theta=np.zeros(dim), u=np.zeros(dim), iteration=0)
+    def start(dim: int, theta0=None) -> "ParameterState":
+        """A run's start state: ``theta0`` copied, or zeros when None, and u = 0."""
+        theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+        return ParameterState(theta=theta, u=np.zeros(dim))
+
+    zeros = start
 
     def copy(self) -> "ParameterState":
         return ParameterState(self.theta.copy(), self.u.copy(), self.iteration)

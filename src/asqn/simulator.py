@@ -171,26 +171,26 @@ class ComputeTimes:
 
 
 class WorkerDraws:
-    """Every worker's subsamples, and its noise where its update draws any,
-    from the worker's own generator, seeded ``seeds[worker]``.
+    """One run's draw streams: worker w draws from its own generator,
+    seeded ``seed + w``, its subsamples and, where ``algo`` draws any
+    (:func:`~asqn.sampler.worker_draws_noise`; none without ``algo``), its
+    noise.  Run mode builds them before it forks; each worker draws its own.
 
     :meth:`next` gives a worker's ``(subsample, noise or None)`` for one
-    update.  A worker that draws no noise (``noise_dim`` 0) draws its
-    subsamples ``rows`` at a time, one ``integers`` call per :meth:`block`
-    of ``(rows, n_s + n_o)`` indices.  numpy reads bounded integers below
-    2**32 from the generator's 32-bit stream one value at a time and
-    buffers nothing between calls, so a block holds, value for value, the
-    subsamples of one :func:`~asqn.model.draw_subsample` call each; only
-    the state a generator is left in after its last block differs, and the
-    generators are private to one engine call.  A worker that draws noise
-    draws a subsample, then its noise, once per update, since drawing its
-    subsamples ahead would change which values each draw takes.
+    update.  Without noise a worker draws ``rows`` subsamples per
+    :meth:`block`, in one ``integers`` call that holds, value for value,
+    the subsamples of one :func:`~asqn.model.draw_subsample` call each:
+    numpy reads bounded integers below 2**32 one value at a time and
+    buffers nothing between calls, so only a generator's end state
+    differs.  With noise it draws a subsample, then its noise, per update,
+    as drawing subsamples ahead would change which values each draw takes.
     """
 
-    def __init__(self, seeds, n_records, n_s, n_o, noise_dim=0):
-        self.rngs = [np.random.default_rng(seed) for seed in seeds]
-        self.n_records, self.n_s, self.n_o, self.noise_dim = n_records, n_s, n_o, noise_dim
-        self.rows = block_rows(n_s + n_o)
+    def __init__(self, seed, workers, sampler_cfg, model, algo=None):
+        self.rngs = [np.random.default_rng(seed + w) for w in range(workers)]
+        self.n_records, self.n_s, self.n_o = model.n_records, sampler_cfg.n_s, sampler_cfg.n_o
+        self.noise_dim = model.dim if algo and worker_draws_noise(algo, sampler_cfg) else 0
+        self.rows = block_rows(self.n_s + self.n_o)
         self.pending: list = [[] for _ in self.rngs]  # each worker's unused rows, last first
 
     def block(self, w: int) -> np.ndarray:
@@ -235,11 +235,11 @@ class Recorder:
 
     It keeps the staleness log and applies the sampling rule: :meth:`apply`
     logs every apply and records the state every ``sample_every`` applies.
-    The simulators also record the initial state and :meth:`close` the
-    trace at the final one; the runtime's parent records the rows its
-    workers sampled with :meth:`sample`.  The model evaluates each record:
-    its ``evaluate`` gives the potential and the RMSE (None where the model
-    has none) with the bits of :func:`~asqn.model.potential` and
+    The simulators also :meth:`start` the trace at the start state and
+    :meth:`close` it at the final one; the runtime's parent records the
+    rows its workers sampled with :meth:`sample`.  The model evaluates each
+    record: its ``evaluate`` gives the potential and the RMSE (None where
+    the model has none) with the bits of :func:`~asqn.model.potential` and
     :func:`~asqn.model.rmse`."""
 
     def __init__(self, model, sample_every):
@@ -247,6 +247,12 @@ class Recorder:
         self.sample_every = sample_every
         self.trace: list = []
         self.staleness_log: list = []
+
+    def start(self, theta0) -> ParameterState:
+        """The run's start state (:meth:`ParameterState.start`), recorded at time 0."""
+        state = ParameterState.start(self.model.dim, theta0)
+        self.sample(state, 0.0, 0)
+        return state
 
     def sample(self, state, time, staleness):
         value, error = self.model.evaluate(state.theta)
@@ -313,64 +319,66 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
     """Compute and apply, in order, the updates of ``schedule``: the events
     of :func:`async_schedule` or a run's ``SimResult.schedule``.
 
-    Worker w draws from ``WorkerDraws`` seeded ``sim_cfg.seed + w`` and
-    computes, memory update included, through
-    :data:`~asqn.sampler.WORKER_UPDATES`.  An apply whose update is not yet
-    computed computes every start before it not yet computed, in one
-    stacked call with the bits of one worker at a time (the tests check
-    this on the numpy/BLAS build), so errors keep event order; the starts
-    left at the end are computed too.  A worker's second start before its
-    apply (an update the runtime did not apply) computes and drops the
-    first.  A start reads the state after its worker's last apply (the
-    reply to its send) or the current state (shared memory); states are
-    never mutated, so a worker holds the one it read, not a copy."""
+    Worker w draws from the run's :class:`WorkerDraws` and computes,
+    memory update included, through :data:`~asqn.sampler.WORKER_UPDATES`.
+    An apply whose update is not yet computed computes every start before
+    it not yet computed, in one stacked call with the bits of one worker
+    at a time (the tests check this on the numpy/BLAS build), so errors
+    keep event order; the end marker computes the starts left.  A worker's
+    second start before its apply (an update the runtime did not apply)
+    computes and drops the first.  Each worker holds one state, the one it
+    read and, after its apply, the one that apply made; a start reads it
+    if its iteration matches (the reply to a send) and the current state
+    otherwise (shared memory).  States are never mutated, so none is
+    copied.  A malformed event, or no end marker, raises ``ValueError``."""
     if algo not in WORKER_UPDATES:
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
-    state = ParameterState(theta=np.zeros(model.dim) if theta0 is None else
-                           np.asarray(theta0, dtype=float).copy(), u=np.zeros(model.dim))
-    draws = WorkerDraws(range(sim_cfg.seed, sim_cfg.seed + sim_cfg.workers), model.n_records,
-                        sampler_cfg.n_s, sampler_cfg.n_o,
-                        model.dim if worker_draws_noise(algo, sampler_cfg) else 0)
-    workers = [WorkerState(sampler_cfg, model.dim) for _ in range(sim_cfg.workers)]
     rec = Recorder(model, sim_cfg.sample_every)
-    rec.sample(state, 0.0, 0)
-    # each worker's last read and, until its next start, the state after its last apply
-    reads, applied = [state] * sim_cfg.workers, [None] * sim_cfg.workers
-    starts, ready = [], [None] * sim_cfg.workers  # workers started, not yet computed; updates
+    state = rec.start(theta0)
+    draws = WorkerDraws(sim_cfg.seed, sim_cfg.workers, sampler_cfg, model, algo)
+    ids = range(sim_cfg.workers)
+    workers = [WorkerState(sampler_cfg, model.dim) for _ in ids]
+    held = [state] * sim_cfg.workers  # each worker's read state; after its apply, the one it made
+    starts, ready = [], {}  # workers started, not yet computed; computed updates awaiting apply
 
     def compute():
         if starts:
             updates = WORKER_UPDATES[algo](sampler_cfg, [workers[w] for w in starts],
-                                           [reads[w] for w in starts], model,
+                                           [held[w] for w in starts], model,
                                            [draws.next(w) for w in starts])
-            for w, upd in zip(starts, updates):
-                ready[w] = upd
+            ready.update(zip(starts, updates))
             starts.clear()
 
     for kind, a, b in schedule:
         if kind == "start":
             if a in starts:
                 compute()
-            snap = applied[a] if applied[a] and applied[a].iteration == b else state
-            if snap.iteration != b:
-                raise ValueError(f"worker {a} starts on state {b}, not its own or the current")
-            reads[a], applied[a], ready[a] = snap, None, None
+            elif a not in ids:
+                raise ValueError(f"schedule event {(kind, a, b)!r} names no worker of {ids}")
+            if held[a].iteration != b:
+                if state.iteration != b:
+                    raise ValueError(f"worker {a} starts on state {b}, not its own or the current")
+                held[a] = state
+            ready.pop(a, None)
             starts.append(a)
         elif kind == "apply":
-            if ready[a] is None:
+            if a not in ready:
                 compute()
-            upd, ready[a] = ready[a], None
+                if a not in ready:
+                    raise ValueError(f"schedule event {(kind, a, b)!r} applies no started update")
             try:
-                state = master_apply(state, upd)
-                rec.apply(state, b, state.iteration - 1 - reads[a].iteration)
+                state = master_apply(state, ready.pop(a))
+                rec.apply(state, b, state.iteration - 1 - held[a].iteration)
             except Exception:
                 compute()  # the starts before this apply fail first
                 raise
-            applied[a] = state
+            held[a] = state
+        elif kind == "end":
+            compute()
+            return rec.close(state, b, truncated=a)
         else:
-            truncated, time = a, b
-    compute()
-    return rec.close(state, time, truncated=truncated)
+            raise ValueError(f"schedule event {(kind, a, b)!r} is of no known kind")
+    raise ValueError("schedule has no ('end', truncated, time) event")
 
 
 def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=None) -> SimResult:
@@ -381,7 +389,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     return replay(async_schedule(sim_cfg), sim_cfg, sampler_cfg, model, algo, theta0)
 
 
-def _sync_rounds(sim_cfg: SimConfig, n_records: int, n_s: int, n_o: int):
+def _sync_rounds(sim_cfg: SimConfig, sampler_cfg, model):
     """Yield every synchronous round's ``(wait, kept)``: how long the round
     waits for compute, and the ``(k, n_s + n_o)`` subsample indices of the
     k workers that met the timeout, in worker order.
@@ -389,7 +397,7 @@ def _sync_rounds(sim_cfg: SimConfig, n_records: int, n_s: int, n_o: int):
     Every worker draws its compute times and indices for a block of rounds
     in one call per generator (:class:`ComputeTimes`, :class:`WorkerDraws`),
     kept or not, so each stream advances as it would on a real cluster."""
-    draws = WorkerDraws(range(sim_cfg.seed, sim_cfg.seed + sim_cfg.workers), n_records, n_s, n_o)
+    draws = WorkerDraws(sim_cfg.seed, sim_cfg.workers, sampler_cfg, model)
     compute_times = ComputeTimes(sim_cfg, draws.rows)
     while True:
         times = np.stack([compute_times.block(w) for w in range(sim_cfg.workers)])
@@ -422,21 +430,16 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     after ``max_time`` is not applied, and the run is truncated there.
     """
     check_round_timeout(sim_cfg)
-    dim = model.dim
-    theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     n_s = sampler_cfg.n_s
-    rounds = _sync_rounds(sim_cfg, model.n_records, n_s, sampler_cfg.n_o)
+    rounds = _sync_rounds(sim_cfg, sampler_cfg, model)
 
     rec = Recorder(model, sim_cfg.sample_every)
-    state = ParameterState(theta=theta, u=np.zeros(dim), iteration=0)
-    rec.sample(state, 0.0, 0)
-
+    state = rec.start(theta0)
     t = 0.0
-    n = 0
     truncated = False
     included_log: list = []
 
-    while n < sim_cfg.update_limit:
+    while state.iteration < sim_cfg.update_limit:
         wait, kept = next(rounds)
         if len(kept):
             end = t + (2 * sim_cfg.comm_time + wait + sim_cfg.mu_master)
@@ -452,8 +455,7 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
         stacked = Subsample(s_indices=kept[:, :n_s], o_indices=kept[:, n_s:])
         grads = combined_gradient(model, state.theta, stacked)
         theta = mb_master.round(state.theta, grads, stacked.o_indices.ravel(), model)
-        n += 1
-        state = ParameterState(theta=theta, u=state.u, iteration=n)
+        state = ParameterState(theta=theta, u=state.u, iteration=state.iteration + 1)
         rec.apply(state, t, 0)
     return rec.close(state, t, truncated=truncated, included_log=included_log)
 

@@ -598,6 +598,43 @@ class TestLoadMovielens:
         np.testing.assert_array_equal(a.cols, b.cols)
 
 
+class TestProblemDefaults:
+    """A problem section that gives only its type (and a ratings file's
+    path) builds the documented defaults, array for array."""
+
+    @staticmethod
+    def build(problem):
+        return experiments.build_problem(validate_config(tiny_config(problem=problem)))
+
+    @staticmethod
+    def assert_same_mf(got, want):
+        for name in ("rows", "cols", "values"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert (got.n_rows, got.n_cols, got.rank) == (want.n_rows, want.n_cols, want.rank)
+
+    def test_linear_gaussian(self):
+        model, u_star = self.build({"type": "linear-gaussian"})
+        want, _, want_u = synth_linear_gaussian(seed=0, dim=100, n_records=600,
+                                                noise_variance=10.0, correlation=0.0)
+        np.testing.assert_array_equal(model.features, want.features)
+        np.testing.assert_array_equal(model.targets, want.targets)
+        assert model.noise_variance == want.noise_variance == 10.0
+        assert u_star == want_u
+
+    def test_synthetic_matrix_factorization(self):
+        model, u_star = self.build({"type": "matrix-factorization"})
+        self.assert_same_mf(model, synth_matrix_factorization(
+            seed=0, n_rows=200, n_cols=300, rank=3, noise_std=0.1, observed_fraction=0.1))
+        assert u_star is None
+
+    def test_ratings_file_without_rank(self, tmp_path):
+        path = tmp_path / "ratings.dat"
+        path.write_text("1::1193::5::0\n2::1193::3::0\n1::661::3::0\n")
+        model, u_star = self.build({"type": "matrix-factorization", "path": str(path)})
+        self.assert_same_mf(model, load_movielens(path, rank=5)[0])
+        assert model.rank == 5 and u_star is None
+
+
 class TestRunSgldSerial:
     def test_final_iterate_recorded_and_every_update_logged(self):
         model, _, _ = synth_linear_gaussian(0, 4, 30, 1.0)

@@ -458,6 +458,24 @@ class TestAsyncSchedule:
         schedule[5] = ("start", 1, 2)
         assert replay(schedule, sim, cfg, model).iterations == 2
 
+    @pytest.mark.parametrize("rest, match", [
+        ([("aply", 0, 1.0), ("end", False, 1.0)], r"\('aply', 0, 1.0\) is of no known kind"),
+        ([("apply", 0, 2.0), ("end", False, 2.0)],
+         r"\('apply', 0, 2.0\) applies no started update"),
+        ([("apply", 1, 2.0)], r"no \('end', truncated, time\) event"),
+        ([("start", -1, 1), ("end", False, 1.0)], r"\('start', -1, 1\) names no worker"),
+        ([("start", 2, 1), ("end", False, 1.0)], r"\('start', 2, 1\) names no worker"),
+    ], ids=["unknown-kind", "nothing-to-apply", "no-end-marker", "worker-minus-one",
+            "worker-W"])
+    def test_replay_rejects_a_malformed_schedule(self, rest, match):
+        # after worker 0's apply: an event of no known kind, an apply with
+        # no update started, no end marker, or a worker id outside 0..W-1
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=2, max_updates=2)
+        schedule = [("start", 0, 0), ("start", 1, 0), ("apply", 0, 1.0), *rest]
+        with pytest.raises(ValueError, match=match):
+            replay(schedule, sim, cfg, model)
+
 
 def noise_free_case(name):
     """(model, sampler config, theta0, algorithm) of as-lbfgs at beta = inf
@@ -525,6 +543,36 @@ def serial_sgld_reference(sim_cfg, sampler_cfg, model, theta0=None):
         _record(trace, model, state, t, 0, include_rmse)
     return SimResult(trace=trace, final_state=state, staleness_log=staleness_log,
                      truncated=truncated)
+
+
+class TestSgldStationaryMean:
+    """SGLD with exact gradients is the linear chain
+    e' = (I - hA) e + sqrt(2h/beta) xi in e = theta - theta*, A the Hessian
+    of U, whose stationary E[U - U*] = sum_i 1 / (2 beta (1 - h lambda_i / 2))
+    over the eigenvalues lambda_i of A, exactly; it is d / (2 beta) only as
+    h -> 0."""
+
+    def test_sgld_reaches_its_chains_exact_stationary_mean(self):
+        d, h, beta = 5, 0.1, 10.0
+        a = np.random.default_rng(3).standard_normal(d)
+        a /= np.linalg.norm(a)
+        # one record: every subsample gives the exact gradient; A = I + a a^T / 0.1
+        model = LinearGaussianModel(a[None, :], np.array([1.0]), 0.1)
+        theta_star = model.map_estimate()
+        lam = np.linalg.eigvalsh(np.eye(d) + np.outer(a, a) / 0.1)
+        exact = float(np.sum(1.0 / (2 * beta * (1 - h * lam / 2))))
+        burn_in, batches, per_batch = 1000, 50, 1000
+        res = run_async(SimConfig(workers=1, max_updates=burn_in + batches * per_batch),
+                        SamplerConfig(step=h, friction=0.5, inv_temperature=beta), model,
+                        algo="sgld", theta0=theta_star)
+        excess = np.array([r.potential for r in res.trace[burn_in + 1:]])
+        excess -= potential(model, theta_star)
+        means = excess.reshape(batches, per_batch).mean(axis=1)
+        se = means.std(ddof=1) / math.sqrt(batches)  # batch-means standard error
+        # the tolerance, fixed before the run: 4 batch-means standard errors,
+        # which must be small enough to tell exact from d / (2 beta)
+        assert 4 * se < abs(exact - d / (2 * beta)) / 4
+        assert abs(excess.mean() - exact) <= 4 * se
 
 
 class TestSerialSgld:
