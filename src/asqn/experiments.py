@@ -14,7 +14,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -561,15 +561,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     any point runs, so a configuration error (such as a non-integer
     ``sim.max_updates``, ``sgld`` in run mode, or two points that would
     write the same trace file) is raised before any process forks and
-    before ``out_dir`` is created.  Simulate
-    mode runs its independent points on one forked process per usable CPU,
-    capped by the ``ASQN_THREADS`` environment variable (Linux only, for
-    the ``fork`` start method); the outputs are byte-identical to a run on
-    one process.  Run mode runs its points one after another in the calling
-    process, because each times :func:`asqn.runtime.run`, which forks its
-    own workers.  Its ``speedup_vs_w1`` is the W = 1 point's mean wall time
-    over each point's, for the same number of applies: a throughput ratio
-    at a fixed update count, not a speedup in time-to-epsilon."""
+    before ``out_dir`` is created.  Simulate mode runs each distinct
+    point once: points with the same algorithm, :class:`SimConfig` and
+    :class:`SamplerConfig`, such as SGLD's, whose sim section is pinned
+    whatever the swept value, share one run.  It runs its distinct points
+    on one forked process per usable CPU, capped by the ``ASQN_THREADS``
+    environment variable (Linux only, for the ``fork`` start method); the
+    outputs are byte-identical to a run on one process.  Run mode runs
+    every point, one after another in the calling process, because each
+    times :func:`asqn.runtime.run`, which forks its own workers.  Its
+    ``speedup_vs_w1`` is the W = 1 point's mean wall time over each
+    point's, for the same number of applies: a throughput ratio at a fixed
+    update count, not a speedup in time-to-epsilon."""
     mode = cfg["mode"]
     algorithms = cfg["algorithms"]
     model, u_star = build_problem(cfg)
@@ -577,8 +580,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     reps, base_seed, eps = cfg["repetitions"], cfg["base_seed"], cfg["epsilon_accuracy"]
     key, label, section, default = _SWEEPS[mode]
     values = cfg["sweep"].get(key) or [cfg[section].get(key, default)]
-    calls = [_resolve_point(cfg, model, theta0, algo, base_seed + k, value)
-             for algo in algorithms for value in values for k in range(reps)]
+    points = [(algo, base_seed + k, value)
+              for algo in algorithms for value in values for k in range(reps)]
+    calls = [_resolve_point(cfg, model, theta0, *point) for point in points]
+    # a simulate point is a function of its resolved configurations alone,
+    # so points that resolve alike (SGLD's, whose sim section is pinned)
+    # share one run; a run-mode point times its own workers, so each runs
+    keys = [i if mode == "run" else
+            (algo, astuple(_sim_cfg(cfg, algo, seed, value)),
+             astuple(_sampler_cfg(cfg, algo, model)))
+            for i, (algo, seed, value) in enumerate(points)]
+    run_of, distinct = {}, []  # each key's index in distinct: the call of its first point
+    for point_key, call in zip(keys, calls):
+        if point_key not in run_of:
+            run_of[point_key] = len(distinct)
+            distinct.append(call)
     # a repeated algorithm, or swept values that print the same, would
     # write two points' traces to one file
     first = {}
@@ -590,13 +606,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
                                   f"would both write {name}")
             first[name] = f"{algo}, {key} {value!r}"
     # a run-mode point forks and times its own workers, so it runs alone
-    procs = 1 if mode == "run" else min(len(os.sched_getaffinity(0)), len(calls),
-                                        rt.worker_cap() or len(calls))
+    procs = 1 if mode == "run" else min(len(os.sched_getaffinity(0)), len(distinct),
+                                        rt.worker_cap() or len(distinct))
     out_dir = out_dir or cfg["output_dir"] or _DEFAULTS["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     written = []
     try:
-        results = iter(_run_points(calls, procs))
+        done = _run_points(distinct, procs)
+        results = (done[run_of[point_key]] for point_key in keys)
         summary = {
             "mode": mode,
             "u_star": u_star,

@@ -314,11 +314,24 @@ def asgd_step(theta, h, model, indices) -> UpdateVector:
     """Asynchronous SGD baseline: momentum-free, noise-free update vector."""
     if h <= 0:
         raise ConfigError(f"h must be positive, got {h}")
-    g = stochastic_gradient(model, theta, indices)
+    return _asgd_update(h, stochastic_gradient(model, theta, indices), theta)
+
+
+def _asgd_update(h, g, theta) -> UpdateVector:
+    """The a-SGD update of gradient ``g`` at ``theta``, or DivergenceError
+    if ``g`` is not finite."""
     if not np.isfinite(g).all():
         # SGLD takes its steps from here too, so the message names neither
         raise DivergenceError("non-finite gradient in a stochastic gradient step")
     return UpdateVector(d_theta=-h * g, d_u=np.zeros_like(theta))
+
+
+def _drawn_gradient(model, theta, indices):
+    """:func:`~asqn.model.stochastic_gradient`'s expression, and so its bits,
+    without its checks of ``theta`` and ``indices``, which a worker's own
+    draws at its own snapshot always pass."""
+    scale = model.n_records / indices.shape[-1]
+    return model.prior_gradient(theta) + scale * model.likelihood_grad_sum(theta, indices)
 
 
 def asgd_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
@@ -326,22 +339,22 @@ def asgd_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
     subsample in its ``(subsample, None)`` of ``draws``; a-SGD keeps no
     worker state, so ``workers`` goes unused.
 
-    Bit-identical to asgd_step worker by worker, which a batch of one
-    calls; a larger batch evaluates its gradients in one stacked call, and
-    redoes the steps one by one if that raises or meets a non-finite
+    Bit-identical to asgd_step worker by worker, as a batch of one is
+    computed; a larger batch evaluates its gradients in one stacked call,
+    and redoes the steps one by one if that raises or meets a non-finite
     gradient, so the first worker's error in order is raised.
     """
     if len(draws) > 1:
         theta = np.array([snap.theta for snap in snapshots])
         indices = np.array([sub.combined for sub, _ in draws])
         try:
-            g = stochastic_gradient(model, theta, indices)
+            g = _drawn_gradient(model, theta, indices)
         except Exception:  # raised again, in worker order, by the steps below
             g = None
         if g is not None and np.isfinite(g).all():
             d_theta, d_u = -cfg.step * g, np.zeros_like(theta)
             return [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(draws))]
-    return [asgd_step(snap.theta, cfg.step, model, sub.combined)
+    return [_asgd_update(cfg.step, _drawn_gradient(model, snap.theta, sub.combined), snap.theta)
             for snap, (sub, _) in zip(snapshots, draws)]
 
 

@@ -330,7 +330,9 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
     read and, after its apply, the one that apply made; a start reads it
     if its iteration matches (the reply to a send) and the current state
     otherwise (shared memory).  States are never mutated, so none is
-    copied.  A malformed event, or no end marker, raises ``ValueError``."""
+    copied.  A malformed event, an apply time before the last apply's (a
+    time of None is not compared), an event after the end marker, or no
+    end marker raises ``ValueError``."""
     if algo not in WORKER_UPDATES:
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
     rec = Recorder(model, sim_cfg.sample_every)
@@ -340,6 +342,8 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
     workers = [WorkerState(sampler_cfg, model.dim) for _ in ids]
     held = [state] * sim_cfg.workers  # each worker's read state; after its apply, the one it made
     starts, ready = [], {}  # workers started, not yet computed; computed updates awaiting apply
+    last_time = -math.inf  # the last apply's time that is not None
+    events = iter(schedule)
 
     def compute():
         if starts:
@@ -349,7 +353,7 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
             ready.update(zip(starts, updates))
             starts.clear()
 
-    for kind, a, b in schedule:
+    for kind, a, b in events:
         if kind == "start":
             if a in starts:
                 compute()
@@ -362,6 +366,11 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
             ready.pop(a, None)
             starts.append(a)
         elif kind == "apply":
+            if b is not None:
+                if b < last_time:
+                    raise ValueError(f"schedule event {(kind, a, b)!r} applies before the "
+                                     f"last apply's time {last_time!r}")
+                last_time = b
             if a not in ready:
                 compute()
                 if a not in ready:
@@ -374,6 +383,9 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
                 raise
             held[a] = state
         elif kind == "end":
+            trailing = list(events)
+            if trailing:
+                raise ValueError(f"schedule event {trailing[0]!r} comes after the end marker")
             compute()
             return rec.close(state, b, truncated=a)
         else:

@@ -735,6 +735,96 @@ class TestRunExperiment:
         assert [(float(t), int(n), int(l)) for t, n, l, _ in rows] == [
             (5.0 * n, n, 0) for n in range(0, 41, 5)]
 
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        """The algorithm of each engine call and the (calls, processes) of
+        each _run_points call that the sweep makes in this process."""
+        calls = {"engines": [], "runs": []}
+        run_async, run_sync_mb = experiments.run_async, experiments.run_sync_mb
+        run_points = experiments._run_points
+
+        def counted_async(*args, algo, **kwargs):
+            calls["engines"].append(algo)
+            return run_async(*args, algo=algo, **kwargs)
+
+        def counted_mb(*args, **kwargs):
+            calls["engines"].append("mb-lbfgs-simplified")
+            return run_sync_mb(*args, **kwargs)
+
+        def counted_points(point_calls, procs):
+            calls["runs"].append((len(point_calls), procs))
+            return run_points(point_calls, procs)
+
+        monkeypatch.setattr(experiments, "run_async", counted_async)
+        monkeypatch.setattr(experiments, "run_sync_mb", counted_mb)
+        monkeypatch.setattr(experiments, "_run_points", counted_points)
+        return calls
+
+    def test_sgld_runs_once_per_repetition_whatever_the_sweep(self, tmp_path, monkeypatch,
+                                                               engine_calls):
+        # both sigma values resolve to the one serial SGLD run of each
+        # repetition, which writes both traces
+        monkeypatch.setenv("ASQN_THREADS", "1")
+        doc = tiny_config(algorithms=["sgld"], sweep={"sigma_worker": [0.0, 50.0]},
+                          repetitions=2)
+        doc["sampler"]["inv_temperature"] = 50.0
+        cfg = validate_config(doc)
+        run_experiment(cfg, out_dir=str(tmp_path))
+        assert engine_calls["engines"] == ["sgld", "sgld"]
+        assert engine_calls["runs"] == [(2, 1)]
+        model = experiments.build_problem(cfg)[0]
+        for k in range(2):
+            sim = SimConfig(workers=1, mu_worker=5.0, timeout=10.0, max_updates=40,
+                            sample_every=5, seed=k)
+            samp = SamplerConfig(step=1e-3, friction=0.1, inv_temperature=50.0, n_s=3, n_o=2)
+            direct = tmp_path / f"direct-{k}.csv"
+            experiments.write_trace_csv(
+                experiments.run_async(sim, samp, model, algo="sgld").trace, direct)
+            for sigma in ("0", "50"):
+                assert (tmp_path / f"sgld_sigma-{sigma}_rep-{k}.csv").read_bytes() == \
+                    direct.read_bytes()
+
+    def test_sweep_processes_count_distinct_runs(self, tmp_path, monkeypatch, engine_calls):
+        # one distinct run forks no sweep process, however many CPUs
+        monkeypatch.delenv("ASQN_THREADS", raising=False)
+        cfg = validate_config(tiny_config(algorithms=["sgld"],
+                                          sweep={"sigma_worker": [0.0, 50.0]}))
+        run_experiment(cfg, out_dir=str(tmp_path))
+        assert engine_calls["runs"] == [(1, 1)]
+        assert engine_calls["engines"] == ["sgld"]
+
+    def test_distinct_points_each_run(self, tmp_path, monkeypatch, engine_calls):
+        # a-SGD's and mb-L-BFGS's sigma values and every repetition are
+        # distinct runs; only SGLD's sigma values are merged
+        monkeypatch.setenv("ASQN_THREADS", "1")
+        cfg = validate_config(tiny_config(
+            algorithms=["a-sgd", "mb-lbfgs-simplified", "sgld"],
+            sweep={"sigma_worker": [0.0, 50.0]}, repetitions=2))
+        summary = run_experiment(cfg, out_dir=str(tmp_path))
+        assert engine_calls["engines"] == ["a-sgd"] * 4 + ["mb-lbfgs-simplified"] * 4 + \
+            ["sgld"] * 2
+        assert engine_calls["runs"] == [(10, 1)]
+        for algo in ("a-sgd", "mb-lbfgs-simplified"):
+            for k in range(2):
+                traces = [(tmp_path / f"{algo}_sigma-{s}_rep-{k}.csv").read_bytes()
+                          for s in ("0", "50")]
+                assert traces[0] != traces[1], (algo, k)
+        assert len(summary["algorithms"]["sgld"]["points"]) == 2
+
+    def test_run_mode_never_merges_points(self, tmp_path, monkeypatch):
+        # each run-mode point times its own workers, so each one runs, even
+        # where every point's sim section would resolve alike
+        runs = []
+        run = experiments.rt.run
+        monkeypatch.setattr(experiments, "_sim_cfg", lambda *args: SimConfig())
+        monkeypatch.setattr(experiments.rt, "run",
+                            lambda *args, **kwargs: runs.append(kwargs) or run(*args, **kwargs))
+        cfg = validate_config(tiny_config(mode="run", algorithms=["as-lbfgs", "a-sgd"],
+                                          sweep={"workers": [1, 2]}, repetitions=2))
+        run_experiment(cfg, out_dir=str(tmp_path))
+        assert [(kw["algo"], kw["workers"], kw["seed"]) for kw in runs] == [
+            (algo, w, k) for algo in ("as-lbfgs", "a-sgd") for w in (1, 2) for k in (0, 1)]
+
     def test_run_mode_rejects_serial_baselines(self, tmp_path):
         cfg = validate_config(tiny_config(mode="run", algorithms=["sgld"]))
         with pytest.raises(ConfigError):

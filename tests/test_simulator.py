@@ -465,16 +465,39 @@ class TestAsyncSchedule:
         ([("apply", 1, 2.0)], r"no \('end', truncated, time\) event"),
         ([("start", -1, 1), ("end", False, 1.0)], r"\('start', -1, 1\) names no worker"),
         ([("start", 2, 1), ("end", False, 1.0)], r"\('start', 2, 1\) names no worker"),
+        ([("apply", 1, 0.5), ("end", False, 0.5)],
+         r"\('apply', 1, 0.5\) applies before the last apply's time 1.0"),
+        ([("apply", 1, None), ("start", 0, 2), ("apply", 0, 0.5), ("end", False, 0.5)],
+         r"\('apply', 0, 0.5\) applies before the last apply's time 1.0"),
+        ([("apply", 1, 2.0), ("end", False, 2.0), ("start", 0, 2)],
+         r"\('start', 0, 2\) comes after the end marker"),
+        ([("end", False, 1.0), ("end", False, 1.0)],
+         r"\('end', False, 1.0\) comes after the end marker"),
     ], ids=["unknown-kind", "nothing-to-apply", "no-end-marker", "worker-minus-one",
-            "worker-W"])
+            "worker-W", "time-backwards", "time-backwards-past-none", "start-after-end",
+            "end-after-end"])
     def test_replay_rejects_a_malformed_schedule(self, rest, match):
         # after worker 0's apply: an event of no known kind, an apply with
-        # no update started, no end marker, or a worker id outside 0..W-1
+        # no update started, no end marker, a worker id outside 0..W-1, an
+        # apply time that runs backwards (a None time is not compared), or
+        # an event after the end marker
         model, cfg, _ = problem("lg")
         sim = SimConfig(workers=2, max_updates=2)
         schedule = [("start", 0, 0), ("start", 1, 0), ("apply", 0, 1.0), *rest]
         with pytest.raises(ValueError, match=match):
             replay(schedule, sim, cfg, model)
+
+
+    def test_replay_accepts_equal_and_missing_apply_times(self):
+        # applies may share a time, and a run's applies carry none
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=2, max_updates=3)
+        schedule = [("start", 0, 0), ("start", 1, 0), ("apply", 0, 1.0), ("start", 0, 1),
+                    ("apply", 1, 1.0), ("start", 1, 2), ("apply", 0, None),
+                    ("end", False, 1.0)]
+        res = replay(schedule, sim, cfg, model)
+        assert [(r.time, r.iteration) for r in res.trace] == [(0.0, 0), (1.0, 1), (1.0, 2),
+                                                              (None, 3)]
 
 
 def noise_free_case(name):
