@@ -172,9 +172,12 @@ _SWEEPS = {"simulate": ("sigma_worker", "sigma", "sim", 0.0),
 
 
 def _is(value, kind):
-    """Whether ``value`` has the scalar ``kind``; every count passes."""
+    """Whether ``value`` has the scalar ``kind``; every count passes.  A
+    number may be infinite (beta = inf turns the noise off) but not NaN,
+    which JSON parsing accepts."""
     if kind is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and not (isinstance(value, float) and math.isnan(value)))
     return kind not in _WHAT or isinstance(value, kind)
 
 
@@ -565,14 +568,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     point once: points with the same algorithm, :class:`SimConfig` and
     :class:`SamplerConfig`, such as SGLD's, whose sim section is pinned
     whatever the swept value, share one run.  It runs its distinct points
-    on one forked process per usable CPU, capped by the ``ASQN_THREADS``
-    environment variable (Linux only, for the ``fork`` start method); the
-    outputs are byte-identical to a run on one process.  Run mode runs
-    every point, one after another in the calling process, because each
-    times :func:`asqn.runtime.run`, which forks its own workers.  Its
-    ``speedup_vs_w1`` is the W = 1 point's mean wall time over each
-    point's, for the same number of applies: a throughput ratio at a fixed
-    update count, not a speedup in time-to-epsilon."""
+    on one process per CPU the caller may run on, the calling process
+    and forked children (Linux only, for the ``fork`` start method), so
+    under one-CPU affinity (``taskset -c 0``) it runs them in the calling
+    process alone; the outputs are byte-identical to a run on one
+    process.  Run mode runs every point, one after another in the
+    calling process, because each times :func:`asqn.runtime.run`, which
+    forks its own workers.  Its ``speedup_vs_w1`` is the W = 1 point's
+    mean wall time over each point's, for the same number of applies: a
+    throughput ratio at a fixed update count, not a speedup in
+    time-to-epsilon."""
     mode = cfg["mode"]
     algorithms = cfg["algorithms"]
     model, u_star = build_problem(cfg)
@@ -606,8 +611,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
                                   f"would both write {name}")
             first[name] = f"{algo}, {key} {value!r}"
     # a run-mode point forks and times its own workers, so it runs alone
-    procs = 1 if mode == "run" else min(len(os.sched_getaffinity(0)), len(distinct),
-                                        rt.worker_cap() or len(distinct))
+    procs = 1 if mode == "run" else min(len(os.sched_getaffinity(0)), len(distinct))
     out_dir = out_dir or cfg["output_dir"] or _DEFAULTS["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     written = []

@@ -134,16 +134,6 @@ class SharedMasterState:
         return n, staleness, sampled
 
 
-def worker_cap() -> int | None:
-    """The process cap set by ``ASQN_THREADS``, or None when it is unset."""
-    cap = os.environ.get("ASQN_THREADS")
-    if not cap:
-        return None
-    if not cap.isdigit() or int(cap) < 1:
-        raise ConfigError(f"ASQN_THREADS must be a positive integer, got {cap!r}")
-    return int(cap)
-
-
 @contextlib.contextmanager
 def fork_children(count, target, args):
     """Fork ``count`` children, child ``i`` running ``target(i, conn, *args)``
@@ -275,7 +265,8 @@ def check_run(workers, algo="as-lbfgs", max_updates=1000, sample_every=0,
 
 def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=None,
         seed=0, sample_every=0, max_wall_s=None, staleness_limit=None) -> SimResult:
-    """Run W forked worker processes against a shared master state.
+    """Run exactly ``workers`` forked worker processes against a shared
+    master state.
 
     Worker ``w`` pins itself to the ``(w mod n)``-th of the n CPUs this
     process may run on; this process stays unpinned.  Each worker loops
@@ -296,10 +287,6 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     from, bit for bit.  No worker outlives the call.
     """
     check_run(workers, algo, max_updates, sample_every, staleness_limit)
-    cap = worker_cap()
-    if cap is not None:
-        workers = min(workers, cap)
-
     master = SharedMasterState(ParameterState.start(model.dim, theta0).theta)
     draws = WorkerDraws(seed, workers, sampler_cfg, model, algo)
     t0 = _time.perf_counter()

@@ -211,7 +211,7 @@ def lbfgs_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
     return updates
 
 
-def _update_numerics(cfg, model, theta, u, sub, previous, noise, apply, iterations):
+def _update_numerics(cfg, model, theta, u, sub, previous, noise, apply, iteration):
     """The only implementation of the AS-L-BFGS update numerics.
 
     Takes one worker's ``(d,)`` theta, u, noise and ``(n,)`` indices, or
@@ -219,8 +219,10 @@ def _update_numerics(cfg, model, theta, u, sub, previous, noise, apply, iteratio
     in place on the ``(2, d)`` (g, u) block, or the ``(k, 2, d)`` stack of
     them, into which the combined gradient is written directly.  Returns
     d_theta, d_u and the gradients on O and on ``previous`` (None without
-    it), shaped like theta, or raises DivergenceError at the first of
-    ``iterations`` with a non-finite gradient.  Each stacked row is
+    it), shaped like theta, or raises DivergenceError at ``iteration``
+    when a gradient is not finite.  A stack passes None: :func:`lbfgs_updates`
+    recomputes a stack that raises one worker at a time, which raises the
+    error of the first worker in order.  Each stacked row is
     bit-identical to the one-worker call.  One worker is not stacked: on
     linear-Gaussian d = 100, stacks of one made the whole update about
     10 us (12%) slower on a 2-core host.
@@ -229,8 +231,6 @@ def _update_numerics(cfg, model, theta, u, sub, previous, noise, apply, iteratio
     g, overlap_grad, *previous_grad = combined_gradient(model, theta, sub, with_overlap=True,
                                                         previous=previous, out=gu[..., 0, :])
     if not np.isfinite(g).all():
-        finite_rows = np.isfinite(g.reshape(len(iterations), -1)).all(axis=1)
-        iteration = iterations[int(finite_rows.argmin())]
         raise DivergenceError(f"non-finite gradient at iteration {iteration}",
                               iteration=iteration)
     gu[..., 1, :] = u
@@ -250,7 +250,7 @@ def _one_update(cfg, worker, snapshot, model, sub, noise, pair=True):
     memory = worker.memory
     d_theta, d_u, overlap_grad, g_prime = _update_numerics(
         cfg, model, snapshot.theta, snapshot.u, sub, previous, noise,
-        lambda gu: memory.apply(gu, out=gu), [snapshot.iteration])
+        lambda gu: memory.apply(gu, out=gu), snapshot.iteration)
     ctx = UpdateContext(snapshot_theta=snapshot.theta, subsample=sub,
                         overlap_gradient=overlap_grad)
     return UpdateVector(d_theta=d_theta, d_u=d_u), ctx, g_prime
@@ -270,7 +270,7 @@ def _stacked_updates(cfg, workers, snapshots, model, draws):
     d_theta, d_u, overlap_grad, g_prime = _update_numerics(
         cfg, model, theta, np.array([snap.u for snap in snapshots]), subs, previous,
         None if draws[0][1] is None else np.array([noise for _, noise in draws]),
-        lambda gu: apply_stacked(memories, gu, out=gu), [snap.iteration for snap in snapshots])
+        lambda gu: apply_stacked(memories, gu, out=gu), None)
     updates = [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(workers))]
     contexts = [UpdateContext(snapshot_theta=snap.theta, subsample=sub,
                               overlap_gradient=overlap_grad[i])
@@ -334,44 +334,36 @@ def _drawn_gradient(model, theta, indices):
     return model.prior_gradient(theta) + scale * model.likelihood_grad_sum(theta, indices)
 
 
-def asgd_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
-    """a-SGD updates of k workers, each at its own snapshot from the
-    subsample in its ``(subsample, None)`` of ``draws``; a-SGD keeps no
-    worker state, so ``workers`` goes unused.
+def sgd_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
+    """a-SGD and SGLD updates of k workers, each at its own snapshot from
+    its ``(subsample, noise or None)`` in ``draws``: the a-SGD update plus
+    sqrt(2 h / beta) times the noise where the draw holds one, as
+    worker_draws_noise decides.  Neither keeps worker state, so
+    ``workers`` goes unused.
 
-    Bit-identical to asgd_step worker by worker, as a batch of one is
-    computed; a larger batch evaluates its gradients in one stacked call,
-    and redoes the steps one by one if that raises or meets a non-finite
-    gradient, so the first worker's error in order is raised.
+    Without noise, bit-identical to asgd_step worker by worker.  With it,
+    applied by master_apply, this is sgld_step as an additive update,
+    theta + (-h g + xi) in place of (theta - h g) + xi, which can differ in
+    the last bit.  A batch of k >= 2 evaluates its gradients in one stacked
+    call, and redoes the steps one by one if that raises or meets a
+    non-finite gradient, so the first worker's error in order is raised.
     """
+    g = None
     if len(draws) > 1:
         theta = np.array([snap.theta for snap in snapshots])
-        indices = np.array([sub.combined for sub, _ in draws])
         try:
-            g = _drawn_gradient(model, theta, indices)
+            g = _drawn_gradient(model, theta, np.array([sub.combined for sub, _ in draws]))
         except Exception:  # raised again, in worker order, by the steps below
-            g = None
-        if g is not None and np.isfinite(g).all():
-            d_theta, d_u = -cfg.step * g, np.zeros_like(theta)
-            return [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(draws))]
-    return [_asgd_update(cfg.step, _drawn_gradient(model, snap.theta, sub.combined), snap.theta)
-            for snap, (sub, _) in zip(snapshots, draws)]
-
-
-def sgld_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
-    """SGLD updates of k workers: the a-SGD update of each at its own
-    snapshot plus sqrt(2 h / beta) times the standard normal vector of its
-    ``(subsample, noise)`` in ``draws`` (noise None at beta = inf).
-
-    Applied by master_apply, this is sgld_step as an additive update,
-    theta + (-h g + xi) in place of (theta - h g) + xi, which can differ in
-    the last bit at finite beta and gives the same bits at beta = inf.
-    """
-    updates = asgd_updates(cfg, workers, snapshots, model, draws)
-    if not math.isinf(cfg.inv_temperature):
-        scale = math.sqrt(2.0 * cfg.step / cfg.inv_temperature)
-        for upd, (_, noise) in zip(updates, draws):
-            upd.d_theta += scale * noise
+            pass
+    if g is not None and np.isfinite(g).all():
+        d_theta, d_u = -cfg.step * g, np.zeros_like(theta)
+        updates = [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(draws))]
+    else:
+        updates = [_asgd_update(cfg.step, _drawn_gradient(model, snap.theta, sub.combined),
+                                snap.theta) for snap, (sub, _) in zip(snapshots, draws)]
+    for upd, (_, noise) in zip(updates, draws):
+        if noise is not None:
+            upd.d_theta += math.sqrt(2.0 * cfg.step / cfg.inv_temperature) * noise
     return updates
 
 
@@ -381,7 +373,7 @@ def sgld_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
 # worker i's (subsample, noise or None) for this update, drawn from its own
 # generator as worker_draws_noise says.  Both the simulator's event loop
 # and the runtime's worker processes compute through this table.
-WORKER_UPDATES = {"as-lbfgs": lbfgs_updates, "a-sgd": asgd_updates, "sgld": sgld_updates}
+WORKER_UPDATES = {"as-lbfgs": lbfgs_updates, "a-sgd": sgd_updates, "sgld": sgd_updates}
 
 
 class MbLbfgsMaster:

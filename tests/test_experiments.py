@@ -1,5 +1,6 @@
 """Tests for configuration, dataset ingestion, and the experiment driver."""
 
+import contextlib
 import copy
 import json
 import math
@@ -62,6 +63,25 @@ def tiny_config(**overrides):
     for key, value in overrides.items():
         doc[key] = value
     return doc
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Narrow this process's CPU affinity to one CPU, as ``taskset -c``
+    would, so a sweep runs in this process alone; restore it on exit."""
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(before)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+@pytest.fixture
+def on_one_cpu():
+    """Run the test under one-CPU affinity (:func:`one_cpu`)."""
+    with one_cpu():
+        yield
 
 
 class TestPresets:
@@ -244,6 +264,12 @@ class TestValidateConfig:
         ("problem", "type", "matrix-factorization",
          "problem.correlation does not apply to problem type 'matrix-factorization'"),
         ("problem", "path", 3, "problem.path must be a string or null, got 3"),
+        # JSON parsing accepts NaN: an epsilon of NaN turned the cautious
+        # test off, and a comm_time of NaN wrote nan times
+        ("sampler", "epsilon", math.nan, "sampler.epsilon must be a number, got nan"),
+        ("sim", "comm_time", math.nan, "sim.comm_time must be a number, got nan"),
+        ("sweep", "sigma_worker", [math.nan],
+         "sweep.sigma_worker values must be numbers, got nan"),
     ])
     def test_malformed_nested_value_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                       section, key, value, message):
@@ -388,10 +414,9 @@ class TestValidateConfig:
         del doc["sampler"]["step"]
         assert validate_config(doc)["baselines"]["a-sgd"]["step"] == 1e-3
 
-    def test_baselines_run_without_friction(self, tmp_path, monkeypatch):
+    def test_baselines_run_without_friction(self, tmp_path, on_one_cpu):
         # AS-L-BFGS alone reads friction, so the baselines' outputs do not
         # depend on it and a config of baselines may leave it out
-        monkeypatch.setenv("ASQN_THREADS", "1")
         doc = tiny_config(algorithms=["a-sgd", "mb-lbfgs-simplified", "sgld"])
         run_experiment(validate_config(doc), out_dir=str(tmp_path / "with"))
         del doc["sampler"]["friction"]
@@ -416,7 +441,6 @@ class TestValidateConfig:
         # points forks no process before the error is raised
         forks = []
         monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
-        monkeypatch.delenv("ASQN_THREADS", raising=False)
         sweep = {"sigma_worker": [0.0, 2.0]} if mode == "simulate" else {"workers": [1, 2]}
         doc = tiny_config(mode=mode, sweep=sweep)
         doc[section]["max_updates"] = 12.5
@@ -436,7 +460,6 @@ class TestValidateConfig:
         # mb-L-BFGS at mu_worker 5 and sigma 0 can never meet a timeout of 1
         forks = []
         monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
-        monkeypatch.delenv("ASQN_THREADS", raising=False)
         doc = tiny_config(algorithms=["as-lbfgs", "mb-lbfgs-simplified"])
         doc["sim"]["timeout"] = timeout
         cfg = validate_config(doc)
@@ -695,19 +718,18 @@ class TestRunExperiment:
             )
         assert point["reached"] == len(reached)
 
-    def test_simulate_outputs_byte_identical(self, tmp_path, monkeypatch):
+    def test_simulate_outputs_byte_identical(self, tmp_path):
         # one point run twice, and a sweep of 4 x 2 x 2 points run on every
-        # usable CPU against the same sweep on one process
+        # usable CPU against the same sweep under one-CPU affinity
         sweep = tiny_config(algorithms=list(experiments.ALGORITHMS),
                             sweep={"sigma_worker": [0.0, 2.0]}, repetitions=2)
         for i, doc in enumerate([tiny_config(), sweep]):
             cfg = validate_config(doc)
             out1, out2 = tmp_path / f"a{i}", tmp_path / f"b{i}"
-            monkeypatch.delenv("ASQN_THREADS", raising=False)
             run_experiment(cfg, out_dir=str(out1))
             assert multiprocessing.active_children() == []
-            monkeypatch.setenv("ASQN_THREADS", "1")
-            run_experiment(cfg, out_dir=str(out2))
+            with one_cpu():
+                run_experiment(cfg, out_dir=str(out2))
             assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
             assert len(os.listdir(out1)) == (1 if i == 0 else 4 * 2 * 2) + 1
             for name in os.listdir(out1):
@@ -760,11 +782,10 @@ class TestRunExperiment:
         monkeypatch.setattr(experiments, "_run_points", counted_points)
         return calls
 
-    def test_sgld_runs_once_per_repetition_whatever_the_sweep(self, tmp_path, monkeypatch,
-                                                               engine_calls):
+    def test_sgld_runs_once_per_repetition_whatever_the_sweep(self, tmp_path, engine_calls,
+                                                               on_one_cpu):
         # both sigma values resolve to the one serial SGLD run of each
         # repetition, which writes both traces
-        monkeypatch.setenv("ASQN_THREADS", "1")
         doc = tiny_config(algorithms=["sgld"], sweep={"sigma_worker": [0.0, 50.0]},
                           repetitions=2)
         doc["sampler"]["inv_temperature"] = 50.0
@@ -784,19 +805,17 @@ class TestRunExperiment:
                 assert (tmp_path / f"sgld_sigma-{sigma}_rep-{k}.csv").read_bytes() == \
                     direct.read_bytes()
 
-    def test_sweep_processes_count_distinct_runs(self, tmp_path, monkeypatch, engine_calls):
+    def test_sweep_processes_count_distinct_runs(self, tmp_path, engine_calls):
         # one distinct run forks no sweep process, however many CPUs
-        monkeypatch.delenv("ASQN_THREADS", raising=False)
         cfg = validate_config(tiny_config(algorithms=["sgld"],
                                           sweep={"sigma_worker": [0.0, 50.0]}))
         run_experiment(cfg, out_dir=str(tmp_path))
         assert engine_calls["runs"] == [(1, 1)]
         assert engine_calls["engines"] == ["sgld"]
 
-    def test_distinct_points_each_run(self, tmp_path, monkeypatch, engine_calls):
+    def test_distinct_points_each_run(self, tmp_path, engine_calls, on_one_cpu):
         # a-SGD's and mb-L-BFGS's sigma values and every repetition are
         # distinct runs; only SGLD's sigma values are merged
-        monkeypatch.setenv("ASQN_THREADS", "1")
         cfg = validate_config(tiny_config(
             algorithms=["a-sgd", "mb-lbfgs-simplified", "sgld"],
             sweep={"sigma_worker": [0.0, 50.0]}, repetitions=2))
@@ -890,7 +909,6 @@ class TestRunExperiment:
             return call
 
         monkeypatch.setattr(experiments, "_resolve_point", resolve_point)
-        monkeypatch.delenv("ASQN_THREADS", raising=False)
         cfg = validate_config(tiny_config(sweep={"sigma_worker": [0.0, 1.0, 2.0]}))
         with pytest.raises(DivergenceError, match="point 1") as info:
             run_experiment(cfg, out_dir=str(tmp_path))
@@ -907,16 +925,11 @@ class TestCli:
         assert (out / "summary.json").exists()
         assert "done" in capsys.readouterr().out
 
-    def test_config_error_exit_one(self, tmp_path, capsys, monkeypatch):
+    def test_config_error_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("not json")
         assert cli_main(["--config", str(cfg_path)]) == 1
         assert "config error" in capsys.readouterr().err
-        # a process cap that would run no sweep process
-        cfg_path.write_text(json.dumps(tiny_config()))
-        monkeypatch.setenv("ASQN_THREADS", "0")
-        assert cli_main(["--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
-        assert "ASQN_THREADS must be a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode, section, key", [
         ("simulate", "sim", "max_updates"),
@@ -952,7 +965,6 @@ class TestCli:
         # another's file
         forks = []
         monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
-        monkeypatch.delenv("ASQN_THREADS", raising=False)
         doc = tiny_config(**overrides)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -1004,7 +1016,7 @@ class TestCli:
         assert os.listdir(out) == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_in_parallel_sweep_matches_serial(self, tmp_path, capsys, monkeypatch):
+    def test_divergence_in_parallel_sweep_matches_serial(self, tmp_path, capsys):
         # both a-sgd points diverge, at different updates; no point starts
         # after the first failure, so the as-lbfgs points never run
         doc = tiny_config(algorithms=["a-sgd", "as-lbfgs"], sweep={"sigma_worker": [0.0, 2.0]})
@@ -1013,21 +1025,18 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         raised = {}
-        for cap in ("1", None):
-            if cap:
-                monkeypatch.setenv("ASQN_THREADS", cap)
-            else:
-                monkeypatch.delenv("ASQN_THREADS", raising=False)
-            out = tmp_path / f"out-{cap}"
-            with pytest.raises(DivergenceError) as info:
-                run_experiment(validate_config(json.loads(cfg_path.read_text())),
-                               out_dir=str(out))
-            raised[cap] = (type(info.value), str(info.value), info.value.iteration)
-            assert os.listdir(out) == []
-            assert multiprocessing.active_children() == []
-            assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 2
+        for serial, cpus in ((True, one_cpu), (False, contextlib.nullcontext)):
+            out = tmp_path / f"out-{serial}"
+            with cpus():
+                with pytest.raises(DivergenceError) as info:
+                    run_experiment(validate_config(json.loads(cfg_path.read_text())),
+                                   out_dir=str(out))
+                raised[serial] = (type(info.value), str(info.value), info.value.iteration)
+                assert os.listdir(out) == []
+                assert multiprocessing.active_children() == []
+                assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 2
             assert f"after update {info.value.iteration}" in capsys.readouterr().err
-        assert raised["1"] == raised[None]
+        assert raised[True] == raised[False]
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="sweeps fork only on 2+ CPUs")
     def test_child_exit_without_report_exit_three(self, tmp_path, capsys, monkeypatch):
@@ -1045,7 +1054,6 @@ class TestCli:
             return checked_call
 
         monkeypatch.setattr(experiments, "_resolve_point", exits_in_child)
-        monkeypatch.delenv("ASQN_THREADS", raising=False)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(sweep={"sigma_worker": [0.0, 2.0]},
                                                    repetitions=2)))
