@@ -285,16 +285,18 @@ def _stacked_updates(cfg, workers, snapshots, model, draws):
 
 
 def master_apply(state: ParameterState, upd: UpdateVector) -> ParameterState:
-    """Componentwise accumulation; returns a new state with n+1 and fresh
-    arrays, leaving ``state`` untouched."""
-    theta = state.theta + upd.d_theta
-    u = state.u + upd.d_u
-    if not (np.isfinite(theta).all() and np.isfinite(u).all()):
+    """Componentwise accumulation; returns a new state with n+1 whose theta
+    and u are the two rows of one fresh ``(2, d)`` array, checked in one
+    finiteness pass, leaving ``state`` untouched."""
+    new = np.empty((2, state.theta.shape[-1]))
+    np.add(state.theta, upd.d_theta, out=new[0])
+    np.add(state.u, upd.d_u, out=new[1])
+    if not np.isfinite(new).all():
         raise DivergenceError(
             f"non-finite iterate after update {state.iteration + 1}",
             iteration=state.iteration + 1,
         )
-    return ParameterState(theta=theta, u=u, iteration=state.iteration + 1)
+    return ParameterState(theta=new[0], u=new[1], iteration=state.iteration + 1)
 
 
 def sgld_step(theta, h, beta, model, indices, rng) -> np.ndarray:

@@ -21,6 +21,7 @@ from asqn import (
     experiments,
     full_gradient,
     potential,
+    simulator,
 )
 from asqn.cli import main as cli_main
 from asqn.experiments import (
@@ -66,15 +67,21 @@ def tiny_config(**overrides):
 
 
 @contextlib.contextmanager
-def one_cpu():
-    """Narrow this process's CPU affinity to one CPU, as ``taskset -c``
-    would, so a sweep runs in this process alone; restore it on exit."""
+def first_cpus(count):
+    """Narrow this process's CPU affinity to its first ``count`` CPUs, as
+    ``taskset -c`` would; restore it on exit."""
     before = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(before)})
+    os.sched_setaffinity(0, set(sorted(before)[:count]))
     try:
         yield
     finally:
         os.sched_setaffinity(0, before)
+
+
+def one_cpu():
+    """One-CPU affinity (:func:`first_cpus`), so a sweep runs in this
+    process alone."""
+    return first_cpus(1)
 
 
 @pytest.fixture
@@ -574,6 +581,21 @@ class TestSynthMatrixFactorization:
 
         assert rmse(model, model.pack(f, g)) < 1e-12
 
+    @pytest.mark.parametrize("seed, n_rows, n_cols, rank", [(0, 200, 300, 3), (1, 200, 300, 3),
+                                                            (5, 40, 70, 5), (2, 9, 11, 1)])
+    def test_values_have_the_bits_of_fancy_indexing(self, seed, n_rows, n_cols, rank):
+        # the former expression, einsum over f[rows] and g[:, cols], is the
+        # reference; the benchmark's stored problems depend on its bits
+        model = synth_matrix_factorization(seed, n_rows, n_cols, rank)
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((n_rows, rank))
+        g = rng.standard_normal((rank, n_cols))
+        n_obs = max(1, int(round(0.1 * n_rows * n_cols)))
+        rows, cols = np.divmod(rng.choice(n_rows * n_cols, size=n_obs, replace=False), n_cols)
+        values = np.einsum("ik,ki->i", f[rows], g[:, cols]) + 0.1 * rng.standard_normal(n_obs)
+        assert model.values.tobytes() == values.tobytes()
+        assert np.array_equal(model.rows, rows) and np.array_equal(model.cols, cols)
+
 
 class TestLoadMovielens:
     def test_dat_format(self, tmp_path):
@@ -893,6 +915,46 @@ class TestRunExperiment:
             stale = [int(r.split(",")[2]) for r in rows[1:]]
             assert ns == sorted(ns) and len(set(ns)) == len(ns)
             assert all(l >= 0 for l in stale)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="sweeps fork only on 2+ CPUs")
+    def test_split_sweep_points_run_on_one_cpu_shares(self, monkeypatch):
+        # two sweep processes on two CPUs: each point runs on its process's
+        # one-CPU share, and its replay forks nothing though the fork
+        # threshold is 0; the caller's affinity comes back after the
+        # points, also when one raises
+        monkeypatch.setattr(simulator, "FORK_AFTER_S", 0.0)
+        seen = {}
+        real_exit = simulator.WorkerOwners.__exit__
+
+        def recording_exit(self, *exc_info):
+            seen["procs"] = self.procs
+            return real_exit(self, *exc_info)
+
+        monkeypatch.setattr(simulator.WorkerOwners, "__exit__", recording_exit)
+        model = synth_linear_gaussian(seed=0, dim=4, n_records=30)[0]
+        samp = SamplerConfig(step=1e-3, friction=0.1, n_s=3, n_o=2)
+
+        def point(seed):
+            def call():
+                sim = SimConfig(workers=4, mu_worker=5.0, max_updates=200, seed=seed)
+                res = experiments.run_async(sim, samp, model)
+                time.sleep(0.05)  # leaves the other process time to take a point
+                return os.sched_getaffinity(0), seen["procs"], res.iterations
+            return call
+
+        def failing():
+            raise DivergenceError("point failed", iteration=3)
+
+        with first_cpus(2):
+            cpus = sorted(os.sched_getaffinity(0))
+            got = experiments._run_points([point(seed) for seed in range(4)], 2)
+            assert all(cpu_set in ({cpus[0]}, {cpus[1]}) and procs == 1 and n == 200
+                       for cpu_set, procs, n in got)
+            assert os.sched_getaffinity(0) == set(cpus)
+            with pytest.raises(DivergenceError, match="point failed"):
+                experiments._run_points([point(0), failing, point(1)], 2)
+            assert os.sched_getaffinity(0) == set(cpus)
+        assert multiprocessing.active_children() == []
 
     def test_lowest_index_failure_raised(self, tmp_path, monkeypatch):
         # the parent runs point 0, then fails at once on point 2 while a

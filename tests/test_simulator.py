@@ -3,7 +3,11 @@
 import heapq
 import math
 import multiprocessing
+import os
+import signal
 import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +23,7 @@ from asqn import (
     SamplerConfig,
     SimConfig,
     TraceRecord,
+    WorkerError,
     WorkerState,
     asgd_step,
     combined_gradient,
@@ -34,7 +39,7 @@ from asqn import (
     time_to_epsilon,
 )
 from asqn.experiments import run_sgld_serial, synth_matrix_factorization
-from asqn import simulator
+from asqn import runtime, simulator
 from asqn.simulator import (ComputeTimes, SimResult, async_schedule, replay,
                             write_trace_csv)
 
@@ -74,8 +79,7 @@ class TestComputeTimeDistribution:
         times = ComputeTimes(SimConfig(mu_worker=mu, sigma_worker=sigma), rows=8)
         assert times.block(0).tolist() == [mu] * 8
         assert times.next(0) == mu
-        fresh = np.random.default_rng((0, 0, 1)).bit_generator.state
-        assert times.rngs[0].bit_generator.state == fresh
+        assert times.rngs == []  # no generator is built, so none is drawn from
 
     def test_moderate_tail_mean_and_std(self):
         # mu = 10, sigma = 5: light enough tail for the moment estimates to
@@ -413,6 +417,239 @@ class TestDeferredComputes:
         for engine in (run_async, per_worker_run_async):
             with pytest.raises(RuntimeError, match="marked"):
                 engine(sim, cfg, RaisingAt(model, fourth.theta))
+
+
+def outcome(run):
+    """``run()``'s result, or the type, message and iteration of the error
+    it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "iteration", None)
+
+
+def identical(a, b):
+    """Whether two outcomes are the same bit for bit: trace, staleness log
+    and final theta and u with their sign bits, or the same error."""
+    if not isinstance(a, SimResult) or not isinstance(b, SimResult):
+        return a == b
+    return (a.trace == b.trace and a.staleness_log == b.staleness_log
+            and a.truncated == b.truncated and a.iterations == b.iterations
+            and a.final_state.theta.tobytes() == b.final_state.theta.tobytes()
+            and a.final_state.u.tobytes() == b.final_state.u.tobytes())
+
+
+@pytest.fixture
+def owners(monkeypatch):
+    """The owner count (1: nothing forked) and the one-process compute
+    time of the last replay to finish in this process."""
+    seen = {}
+    real_exit = simulator.WorkerOwners.__exit__
+
+    def recording_exit(self, *exc_info):
+        seen.update(procs=self.procs, compute_s=self.compute_s)
+        return real_exit(self, *exc_info)
+
+    monkeypatch.setattr(simulator.WorkerOwners, "__exit__", recording_exit)
+    return seen
+
+
+@pytest.fixture
+def split(monkeypatch, owners):
+    """``split(run)``: the outcomes of ``run()`` in one process, then with
+    its replay split from the first batch and from a third of the first
+    run's computes, each checked to leave no process behind; and the owner
+    count of each."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a replay splits on 2+ CPUs only")
+
+    def outcomes(run):
+        got, cpus = [], os.sched_getaffinity(0)
+        for fork_after in (math.inf, 0.0, None):
+            if fork_after is None:
+                fork_after = owners["compute_s"] / 3
+            monkeypatch.setattr(simulator, "FORK_AFTER_S", fork_after)
+            got.append((outcome(run), owners["procs"]))
+            assert multiprocessing.active_children() == []
+            assert os.sched_getaffinity(0) == cpus
+        return got
+    return outcomes
+
+
+def split_owners(workers):
+    return min(len(os.sched_getaffinity(0)), workers)
+
+
+class TestSplitReplay:
+    """A replay split across helper processes gives the outcome of one
+    process, bit for bit, errors included, and leaves no process behind.
+    Timing decides which batch forks in the mid-run case, so CI runs these
+    tests repeatedly."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 10])
+    @pytest.mark.parametrize("algo", ["as-lbfgs", "a-sgd"])
+    @pytest.mark.parametrize("name", ["lg", "mf"])
+    def test_split_matches_one_process(self, split, name, algo, workers):
+        model, cfg, theta0 = problem(name)
+        for sigma in (0.0, 50.0):
+            sim = SimConfig(workers=workers, mu_worker=100.0, sigma_worker=sigma,
+                            comm_time=10.0, mu_master=4.0, max_updates=300, sample_every=7,
+                            seed=5)
+            (one, p1), (start, p2), (mid, p3) = split(
+                lambda: run_async(sim, cfg, model, algo=algo, theta0=theta0))
+            assert isinstance(one, SimResult) and one.iterations == 300
+            assert (p1, p2, p3) == (1, split_owners(workers), split_owners(workers))
+            assert identical(start, one) and identical(mid, one), sigma
+
+    def test_split_replay_of_a_run_mode_schedule(self, split):
+        model, cfg = small_problem()
+        cfg = replace(cfg, inv_temperature=1e3)
+        report = runtime.run(3, cfg, model, max_updates=300, seed=7, staleness_limit=2)
+        assert report.error is None
+        sim = SimConfig(workers=3, seed=7, sample_every=300)
+        (one, _), (start, procs), (mid, _) = split(
+            lambda: replay(report.schedule, sim, cfg, model))
+        assert procs == split_owners(3)
+        assert identical(start, one) and identical(mid, one)
+        assert one.final_state.theta.tobytes() == report.final_state.theta.tobytes()
+        assert one.staleness_log == report.staleness_log
+
+    @pytest.mark.parametrize("seed, update", [(7, 166), (6, 210)])
+    def test_split_matrix_factorization_demo_divergence(self, split, seed, update):
+        model = synth_matrix_factorization(seed=0, n_rows=200, n_cols=300, rank=3,
+                                           noise_std=0.1, observed_fraction=0.1)
+        theta0 = 0.1 * np.random.default_rng(1).standard_normal(model.dim)
+        cfg = SamplerConfig(step=3e-6, friction=0.1, n_s=40, n_o=20, memory_size=3,
+                            epsilon=0.1, rho=3.0)
+        sim = SimConfig(workers=4, mu_worker=1.0, max_updates=3000, sample_every=100,
+                        seed=seed)
+        with np.errstate(all="ignore"):
+            got = split(lambda: run_async(sim, cfg, model, algo="as-lbfgs", theta0=theta0))
+        want = (DivergenceError, f"non-finite iterate after update {update}", update)
+        assert got == [(want, 1), (want, split_owners(4)), (want, split_owners(4))]
+
+    def test_split_gradient_error_before_later_divergence(self, split, monkeypatch):
+        # test_deferred_gradient_error_reported_before_later_divergence's
+        # cases: a gradient that raises in some owner's share of a batch
+        # comes before an apply that diverges after it
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=3, mu_worker=100.0, sigma_worker=50.0, comm_time=10.0,
+                        max_updates=40, seed=2)
+        states = [ParameterState.zeros(model.dim)]
+        real_apply = master_apply
+        monkeypatch.setattr(simulator, "master_apply",
+                            lambda state, upd: states.append(real_apply(state, upd)) or states[-1])
+        run_async(sim, cfg, model)
+        kinds = set()
+        for i in range(5, 25):
+            for j in range(i + 1, i + 5):
+                def failing_apply(state, upd, j=j):
+                    if state.iteration + 1 == j:
+                        raise DivergenceError(f"apply {j}", iteration=j)
+                    return real_apply(state, upd)
+
+                monkeypatch.setattr(simulator, "master_apply", failing_apply)
+                model_i = RaisingAt(model, states[i].theta)
+                got = split(lambda: run_async(sim, cfg, model_i))
+                assert got[0][0] == got[1][0] == got[2][0], (i, j)
+                kinds.add(got[0][0][0])
+        assert kinds == {RuntimeError, DivergenceError}
+
+    def test_split_leftover_receives_computed_at_the_horizon(self, split):
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=3, mu_worker=100.0, max_updates=5, seed=1)
+        fourth = run_async(SimConfig(workers=3, mu_worker=100.0, max_updates=4, seed=1),
+                           cfg, model).final_state
+        got = split(lambda: run_async(sim, cfg, RaisingAt(model, fourth.theta)))
+        want = (RuntimeError, "marked parameter", None)
+        assert got == [(want, 1), (want, split_owners(3)), (want, split_owners(3))]
+
+    @pytest.mark.parametrize("algo", ["as-lbfgs", "a-sgd"])
+    def test_split_raises_the_first_failing_start(self, split, monkeypatch, algo):
+        # two consecutive states, read by consecutive workers, so often in
+        # one batch and in different owners' shares, raise; the error names
+        # the state, so it tells which start failed first
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=4, mu_worker=100.0, max_updates=60, seed=4)
+        states = [ParameterState.zeros(model.dim)]
+        real_apply = master_apply
+        monkeypatch.setattr(simulator, "master_apply",
+                            lambda state, upd: states.append(real_apply(state, upd)) or states[-1])
+        run_async(sim, cfg, model, algo=algo)
+        monkeypatch.setattr(simulator, "master_apply", real_apply)
+
+        class RaisingAtEither(LinearGaussianModel):
+            def likelihood_grad_sum(self, theta, indices=None):
+                for row in np.atleast_2d(theta):
+                    for n in (i, i + 1):
+                        if np.array_equal(row, states[n].theta):
+                            raise RuntimeError(f"marked state {n}")
+                return super().likelihood_grad_sum(theta, indices)
+
+        for i in range(8, 40, 3):
+            marked = RaisingAtEither(model.features, model.targets, model.noise_variance)
+            got = split(lambda: run_async(sim, cfg, marked, algo=algo))
+            assert got[0][0] == got[1][0] == got[2][0], i
+            assert got[0][0][:2] == (RuntimeError, f"marked state {i}"), i
+
+    def test_killed_helper_raises_worker_error(self, owners, monkeypatch):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a replay splits on 2+ CPUs only")
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=2, mu_worker=100.0, max_updates=400, seed=3)
+        tenth = run_async(replace(sim, max_updates=10), cfg, model).final_state
+        parent = os.getpid()
+
+        class KilledAt(RaisingAt):
+            """Kills the helper process that computes at the marked state."""
+
+            def likelihood_grad_sum(self, theta, indices=None):
+                if os.getpid() != parent and np.any(np.all(np.atleast_2d(theta) == self.marked,
+                                                           axis=-1)):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return LinearGaussianModel.likelihood_grad_sum(self, theta, indices)
+
+        monkeypatch.setattr(simulator, "FORK_AFTER_S", 0.0)
+
+        def hung(*_):
+            raise TimeoutError("the replay did not notice its helper's death")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            t0 = time.perf_counter()
+            with pytest.raises(WorkerError, match="exited with code -9"):
+                run_async(sim, cfg, KilledAt(model, tenth.theta))
+            assert time.perf_counter() - t0 < 30.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert owners["procs"] == 2
+        assert multiprocessing.active_children() == []
+
+    def test_split_forks_nothing_on_one_cpu_or_beside_a_thread(self, owners, monkeypatch):
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=4, mu_worker=100.0, max_updates=100, seed=3)
+        monkeypatch.setattr(simulator, "FORK_AFTER_S", 0.0)
+        want = run_async(sim, cfg, model)
+        before = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(before)})
+        try:
+            assert identical(run_async(sim, cfg, model), want)
+        finally:
+            os.sched_setaffinity(0, before)
+        assert owners["procs"] == 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert identical(run_async(sim, cfg, model), want)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert owners["procs"] == 1
+        assert os.sched_getaffinity(0) == before
 
 
 class TestAsyncSchedule:
@@ -851,8 +1088,7 @@ class TestBlockDraws:
         assert got == want
         assert all(type(c) is float for c in got)
         if mu == 0.0 or sigma == 0.0:  # no draw, as sample_compute_time draws none
-            fresh = np.random.default_rng((5, 0, 1)).bit_generator.state
-            assert times.rngs[0].bit_generator.state == fresh
+            assert times.rngs == []
 
     @staticmethod
     def _spy_sizes(monkeypatch):
