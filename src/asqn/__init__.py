@@ -12,6 +12,8 @@ Components:
   distributed (a)synchronous optimization with virtual-time traces.
 - :mod:`asqn.runtime` — real asynchronous execution with forked worker
   processes over a shared mapping (Linux only).
+- :mod:`asqn.owners` — the forked processes that own workers: forking,
+  CPU pinning, child reports, and the split replay's helpers.
 - :mod:`asqn.experiments` / :mod:`asqn.cli` — experiment configuration,
   dataset ingestion, sweeps, and trace/summary emission.
 """

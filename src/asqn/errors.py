@@ -24,7 +24,7 @@ class WorkerError(RuntimeError):
     """A worker process failed other than by divergence.  A worker of a
     real run raised, died without reporting, or outlived the stop and was
     terminated, and the run's report carries the error; or a process
-    running simulate-mode sweep points died without reporting."""
+    running simulate-mode sweep points, or a replay's helper, died."""
 
 
 def check_count(name, value, minimum=1):

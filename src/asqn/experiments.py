@@ -30,6 +30,7 @@ from .simulator import (
     time_to_epsilon,
     write_trace_csv,
 )
+from . import owners
 from . import runtime as rt
 
 ALGORITHMS = ("as-lbfgs", "a-sgd", "mb-lbfgs-simplified", "sgld")
@@ -505,8 +506,7 @@ def _take_points(calls, next_point):
             return results, (i, exc)
 
 
-def _points_child(i, conn, calls, next_point, shares):
-    os.sched_setaffinity(0, shares[i + 1])
+def _points_child(i, conn, calls, next_point):
     conn.send(_take_points(calls, next_point))
     conn.close()
 
@@ -517,29 +517,24 @@ def _run_points(calls, procs):
 
     The parent is one of the processes and forks the others.  Process i
     runs its points on its own share ``cpus[i::procs]`` of the CPUs the
-    caller may run on: each child pins itself to it, and the parent
-    narrows its own affinity while it takes points and restores it after.
-    So a point's :func:`~asqn.simulator.replay` splits its batches only
-    across its own process's share, and on a one-CPU share, or in a child,
-    which is daemonic, it forks nothing.  After a point fails no new point
+    caller may run on (:func:`asqn.owners.fork_children` pins each child,
+    and the parent is :func:`~asqn.owners.pinned` while it takes points),
+    so a point's :func:`~asqn.simulator.replay` splits only across its own
+    process's share.  After a point fails no new point
     starts, the points already started finish, and the failure of the
     lowest-index failed point is raised, as a serial run would raise it.
     A child that exits without reporting raises :class:`WorkerError` at
     once, and the other children are stopped."""
     cpus = sorted(os.sched_getaffinity(0))
-    shares = [cpus[i::procs] for i in range(procs)]
     next_point = multiprocessing.get_context("fork").Value("q", 0)
-    args = (calls, next_point, shares)
-    with rt.fork_children(procs - 1, _points_child, args) as (children, conns):
-        os.sched_setaffinity(0, shares[0])
-        try:
+    shares = [cpus[i::procs] for i in range(1, procs)]
+    with owners.fork_children(shares, _points_child, (calls, next_point)) as (children, conns):
+        with owners.pinned(cpus[::procs]):
             reports = [_take_points(calls, next_point)]
-        finally:
-            os.sched_setaffinity(0, cpus)
         for proc, conn in zip(children, conns):
-            report, died = rt.receive_report(conn, proc)
+            report, died = owners.receive_report(conn, proc)
             if died:
-                raise WorkerError(died)
+                raise died
             reports.append(report)
     failures = [failure for _, failure in reports if failure]
     if failures:

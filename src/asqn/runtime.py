@@ -8,18 +8,16 @@ shares with every worker process, and applies are guarded by a
 process-shared lock.  Reads go through a seqlock-style versioned snapshot:
 the version counter is bumped before and after every apply, and a snapshot
 retries until it observes the same even version on both sides of its copy,
-so no reader ever sees a torn ``(theta, u, n)`` triple.  Each worker pins
-itself to one CPU of the parent's affinity set, worker ``w`` to the
-``(w mod n)``-th of its n CPUs; the parent stays unpinned.
+so no reader ever sees a torn ``(theta, u, n)`` triple.  Each worker is
+pinned to one CPU by :func:`asqn.owners.fork_children` (see :func:`run`).
 
 Linux only: anonymous shared mappings reach the workers through ``fork``.
-Forking a process that runs other threads is unsafe, so call :func:`run`
-from a process whose other threads are idle or joined.
+Forking a process that runs other threads is unsafe, and :func:`run` does
+not check for them as a replay does (:func:`asqn.owners._other_threads`).
 """
 
 from __future__ import annotations
 
-import contextlib
 import mmap
 import multiprocessing
 import multiprocessing.connection
@@ -28,6 +26,7 @@ import time as _time
 
 import numpy as np
 
+from . import owners
 from .errors import ConfigError, DivergenceError, check_count
 from .sampler import WORKER_UPDATES, ParameterState, WorkerState
 from .simulator import Recorder, SimResult, WorkerDraws
@@ -134,65 +133,18 @@ class SharedMasterState:
         return n, staleness, sampled
 
 
-@contextlib.contextmanager
-def fork_children(count, target, args):
-    """Fork ``count`` children, child ``i`` running ``target(i, conn, *args)``
-    with ``conn`` the only send end of its own one-way Pipe; yields the
-    processes and the receive ends, in child order.
-
-    On exit every child still alive is terminated, and every child is
-    joined, so none outlives the block.  Linux only (``fork``)."""
-    fork = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for i in range(count):
-            recv_end, send_end = fork.Pipe(duplex=False)
-            proc = fork.Process(target=target, args=(i, send_end, *args), daemon=True)
-            conns.append(recv_end)
-            proc.start()
-            procs.append(proc)
-            send_end.close()  # the child's copy is the only writer: EOF means it exited
-        yield procs, conns
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
-        for conn in conns:
-            conn.close()
-
-
-def receive_report(conn, proc):
-    """Receive the one report a child sends before it exits, then join it.
-
-    Returns ``(report, None)``, or ``(None, "WorkerError: worker exited with
-    code N")`` when the child closed its pipe without reporting."""
-    try:
-        report = conn.recv()
-    except EOFError:
-        report = None
-    conn.close()
-    proc.join()
-    if report is None:
-        return None, f"WorkerError: worker exited with code {proc.exitcode}"
-    return report, None
-
-
 def _worker_main(w, conn, master, draws, sampler_cfg, model, algo, max_updates,
                  sample_every, staleness_limit, t0):
-    """One worker process: pins itself to one CPU, loops snapshot ->
-    update from ``draws.next(w)`` (with the memory update) -> exclusive
-    apply until ``stop`` is set, then sends its sampled ``(time, n,
-    staleness, theta)`` rows, its log of ``(n_read, n or None)`` per update
-    that reached the apply (None: not applied) and its first error (or
-    None) to the parent."""
+    """One worker process: loops snapshot -> update from ``draws.next(w)``
+    (with the memory update) -> exclusive apply until ``stop`` is set, then
+    sends its sampled ``(time, n, staleness, theta)`` rows, its log of
+    ``(n_read, n or None)`` per update that reached the apply (None: not
+    applied) and its first error (or None) to the parent."""
     sampled, log = [], []
     error = None
     ws = WorkerState(sampler_cfg, model.dim)
     worker_updates = WORKER_UPDATES[algo]
     try:
-        cpus = sorted(os.sched_getaffinity(0))  # the parent's set, inherited through fork
-        os.sched_setaffinity(0, {cpus[w % len(cpus)]})
         while not master.stop.is_set():
             theta, u, n_read = master.snapshot()
             snap = ParameterState(theta=theta, u=u, iteration=n_read)
@@ -220,7 +172,7 @@ def _collect(procs, conns, master, t0, max_wall_s):
     worker's compute log (empty without a report) and the errors seen.  The
     first error, a worker that exits without reporting, or the wall-clock
     limit sets ``stop``; a worker still running ``_STOP_GRACE_S`` after
-    ``stop`` is terminated."""
+    ``stop`` is reported, and left for ``fork_children`` to terminate."""
     pending = {conn: w for w, conn in enumerate(conns)}
     sampled, logs, errors = [], [[] for _ in conns], []
     stopped_at = None
@@ -231,16 +183,13 @@ def _collect(procs, conns, master, t0, max_wall_s):
         if stopped_at is None and master.stop.is_set():
             stopped_at = now
         if stopped_at is not None and now - stopped_at > _STOP_GRACE_S:
-            for w in pending.values():
-                procs[w].terminate()
-                procs[w].join()
-                errors.append(f"WorkerError: worker {w} still running "
-                              f"{_STOP_GRACE_S:g} s after stop; terminated")
+            errors += [f"WorkerError: worker {w} still running {_STOP_GRACE_S:g} s after "
+                       f"stop; terminated" for w in pending.values()]
             break
         for conn in multiprocessing.connection.wait(list(pending), timeout=_POLL_S):
             w = pending.pop(conn)
-            report, died = receive_report(conn, procs[w])
-            rows, logs[w], error = report or ([], [], died)
+            report, died = owners.receive_report(conn, procs[w])
+            rows, logs[w], error = report or ([], [], f"{type(died).__name__}: {died}")
             sampled += rows
             if error is not None:
                 errors.append(error)
@@ -268,23 +217,24 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     """Run exactly ``workers`` forked worker processes against a shared
     master state.
 
-    Worker ``w`` pins itself to the ``(w mod n)``-th of the n CPUs this
-    process may run on; this process stays unpinned.  Each worker loops
-    snapshot -> update -> exclusive apply until the shared stop word is
-    set, computing its update, memory update included, through
-    :data:`~asqn.sampler.WORKER_UPDATES` from its stream of the run's
-    :class:`~asqn.simulator.WorkerDraws`, built before the fork, as the
-    simulator does.  Stops after exactly ``max_updates`` applies, once this
-    process sees ``max_wall_s`` seconds pass, or when any worker fails;
-    the first failure is reported as ``"<ExcType>: <message>"`` in
-    ``error``, a worker that dies without reporting as ``"WorkerError:
-    worker exited with code N"``.  With ``staleness_limit`` an update whose
-    staleness would exceed it is discarded, the curvature pair it formed
-    kept, and recomputed from a fresh snapshot.  The trace holds the state
-    after every ``sample_every``-th apply (none when it is 0), ``wall_ms``
-    the wall time of the call, and ``compute_logs`` the workers' logs,
-    whose ``schedule`` :func:`~asqn.simulator.replay` recomputes the run
-    from, bit for bit.  No worker outlives the call.
+    Worker ``w`` runs on the ``(w mod n)``-th of the n CPUs this process may
+    run on (:func:`~asqn.owners.fork_children` pins it); this process stays
+    unpinned.  Each worker loops snapshot -> update -> exclusive apply until
+    the shared stop word is set, computing its update, memory update
+    included, through :data:`~asqn.sampler.WORKER_UPDATES` from its stream
+    of the run's :class:`~asqn.simulator.WorkerDraws`, built before the
+    fork, as the simulator does.  Stops after exactly ``max_updates``
+    applies, once this process sees ``max_wall_s`` seconds pass, or when any
+    worker fails; the first failure is reported as
+    ``"<ExcType>: <message>"`` in ``error``, a worker that dies without
+    reporting as ``"WorkerError: worker exited with code N"``.  With
+    ``staleness_limit`` an update whose staleness would exceed it is
+    discarded, the curvature pair it formed kept, and recomputed from a
+    fresh snapshot.  The trace holds the state after every
+    ``sample_every``-th apply (none when it is 0), ``wall_ms`` the wall
+    time of the call, and ``compute_logs`` the workers' logs, whose
+    ``schedule`` :func:`~asqn.simulator.replay` recomputes the run from,
+    bit for bit.  No worker outlives the call.
     """
     check_run(workers, algo, max_updates, sample_every, staleness_limit)
     master = SharedMasterState(ParameterState.start(model.dim, theta0).theta)
@@ -292,7 +242,9 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     t0 = _time.perf_counter()
     args = (master, draws, sampler_cfg, model, algo, max_updates, sample_every,
             staleness_limit, t0)
-    with fork_children(workers, _worker_main, args) as (procs, conns):
+    cpus = sorted(os.sched_getaffinity(0))
+    cpu_sets = [{cpus[w % len(cpus)]} for w in range(workers)]
+    with owners.fork_children(cpu_sets, _worker_main, args) as (procs, conns):
         sampled, logs, errors = _collect(procs, conns, master, t0, max_wall_s)
     wall_ms = (_time.perf_counter() - t0) * 1e3
 

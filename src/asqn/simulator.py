@@ -7,30 +7,24 @@ serial one of that interleaving and identical (cfg, seed) pairs give
 bit-identical traces.  Compute times are log-normal with mean and
 standard deviation (mu, sigma); communication costs tau per message leg;
 the master is a serial FIFO resource charging mu_master per applied
-update.  A long :func:`replay` splits each batch of worker computes
-across forked helper processes (:class:`WorkerOwners`); every worker's
-update depends only on its own state, draws and snapshot, so the results
-are those of one process, bit for bit.
+update.  A :func:`replay` computes its workers' updates through
+:class:`asqn.owners.WorkerOwners`, which may split them across processes
+with the results of one process, bit for bit.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 import math
-import mmap
-import multiprocessing
-import os
-import time as _time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, WorkerError, check_count
+from .errors import ConfigError, check_count
 from .model import Subsample, combined_gradient, draw_subsample
-from .sampler import (WORKER_UPDATES, MbLbfgsMaster, ParameterState, UpdateVector, WorkerState,
-                      master_apply, worker_draws_noise)
+from .owners import WorkerOwners
+from .sampler import WORKER_UPDATES, MbLbfgsMaster, ParameterState, master_apply, worker_draws_noise
 
 
 @dataclass
@@ -325,297 +319,6 @@ def async_schedule(sim_cfg: SimConfig):
     yield "end", n < update_limit, busy
 
 
-# A replay forks its helpers only once its computes have taken this long.
-# One helper of a 38 MB process costs about 2 ms on a 2-core host: 0.8 ms
-# to fork it through runtime.fork_children, 0.5 ms to terminate and join
-# it (medians of 30), and about 1 ms before it answers its first request.
-# So a run pays at most about a tenth of its computes for the fork, and
-# one that ends sooner never forks.  On that host lg-async-sim's
-# 600-update runs compute for 15.8 ms (median, at most 16.4 ms in 200) and
-# stay in one process, and mf-async-sim's for 166 ms, which fork after an
-# eighth of them.
-FORK_AFTER_S = 0.02
-# How long a waiting owner spins on a sequence word before it blocks on its
-# pipe: longer than the calling process's work between two batches (about
-# 50 us per batch of mf-async-sim), so a steady run does not sleep and wake
-# between batches, and short enough that no process spins for long.
-SPIN_S = 300e-6
-
-
-def _wait(words, index, value, fd) -> bool:
-    """Wait for ``words[index]`` to reach ``value``: spin up to ``SPIN_S``,
-    then block on ``fd``, on which the writer sends one wake byte per
-    message (:func:`_wake`).  Each byte read, of this message or of one
-    already seen while spinning, makes the loop look again.  False when
-    ``fd`` reaches end of file: the peer is gone.
-
-    A reader that sees the word reads the data after it, and the writer
-    writes them before it: x86-64 keeps stores in order and loads in
-    order, as the runtime's seqlock relies on.  Reading no byte when the
-    spin succeeds saves two system calls per batch, about 6% of an
-    mf-async-sim run on a 2-core host."""
-    deadline = _time.perf_counter() + SPIN_S
-    while words[index] != value:
-        if _time.perf_counter() > deadline and not os.read(fd, 1):
-            return False
-    return True
-
-
-def _wake(fd):
-    """Send one wake byte on the non-blocking ``fd``.  A full pipe already
-    holds unread wake bytes, each of which makes a blocked reader look
-    again, so this one is not needed."""
-    try:
-        os.write(fd, b"\0")
-    except BlockingIOError:
-        pass
-
-
-def _other_threads() -> bool:
-    """Whether this process runs any thread besides the calling one, a
-    Python thread or a native one such as those of a BLAS thread pool
-    (``OPENBLAS_NUM_THREADS`` above 1): Linux lists every thread under
-    /proc.  Forking a process that runs threads is unsafe, and helpers
-    beside a BLAS pool that already uses the CPUs would only contend for
-    them (on a 2-core host a split ML-1M preset run took 31.8 s in place
-    of 2.5 s)."""
-    try:
-        return len(os.listdir("/proc/self/task")) > 1
-    except OSError:
-        return True
-
-
-def _share_updates(update, cfg, model, workers, snapshots, draws):
-    """``(updates, None)`` of one share of a batch, computed by ``update``
-    (an entry of :data:`~asqn.sampler.WORKER_UPDATES`), or ``(None, (i,
-    error))`` when it raises, with ``i`` the position in the share of the
-    first worker whose update fails.
-
-    ``update`` raises the error of the first worker that fails, in order,
-    after it has advanced the ``local_iter`` of the workers before it
-    (AS-L-BFGS) or leaving every worker as it was (a-SGD and SGLD keep no
-    worker state).  So the first worker that has not advanced and fails
-    again on its own is that worker, and its error is the same."""
-    steps = [worker.local_iter for worker in workers]
-    try:
-        return update(cfg, workers, snapshots, model, draws), None
-    except Exception as exc:
-        failure = (0, exc)
-    for i, worker in enumerate(workers):
-        if worker.local_iter == steps[i]:
-            try:
-                update(cfg, [worker], [snapshots[i]], model, [draws[i]])
-            except Exception as exc:
-                return None, (i, exc)
-    return None, failure
-
-
-class WorkerOwners:
-    """The workers of one :func:`replay`, each with its
-    :class:`~asqn.sampler.WorkerState` and its stream of the run's
-    :class:`WorkerDraws`, and the processes that own them; a context
-    manager, so that no helper process outlives the replay.
-
-    :meth:`compute` gives the updates of a batch of distinct workers.  The
-    calling process owns every worker until its computes have taken
-    ``FORK_AFTER_S``.  At the first batch after that it forks P - 1 helper
-    processes, P = min(CPUs this process may run on, W), which inherit
-    the workers' states and pending draws, and process i of the P (the
-    calling process is 0) owns from then on the workers w = i (mod P).
-    Each batch is then split into the owners' shares, in start order:
-    the calling process writes each helper's starts and their snapshots
-    into one shared anonymous mapping and computes its own share while
-    the helpers compute theirs, which each writes into its workers' own
-    result slots.  Each owner is pinned to its own CPU until the replay
-    ends.  One process stays the owner of all where P is 1, where
-    ``os.fork`` or ``os.sched_getaffinity`` is missing, in a daemonic
-    process (a simulate sweep's point process, which may not have
-    children), and where the process runs other threads when its computes
-    reach ``FORK_AFTER_S``, BLAS threads included (:func:`_other_threads`).
-
-    Every update depends only on its worker's state, draws and snapshot,
-    and a stacked compute of a share has the bits of one worker at a time,
-    so the split gives the updates of one process bit for bit.  A batch
-    whose shares fail raises the error of its first failing start, as one
-    process would: each owner reports the first failure of its share and
-    its position.  A helper that exits mid-run raises :class:`WorkerError`
-    with its exit code."""
-
-    def __init__(self, sim_cfg: SimConfig, sampler_cfg, model, algo):
-        self.update = WORKER_UPDATES[algo]
-        self.cfg, self.model = sampler_cfg, model
-        self.workers = [WorkerState(sampler_cfg, model.dim) for _ in range(sim_cfg.workers)]
-        self.draws = WorkerDraws(sim_cfg.seed, sim_cfg.workers, sampler_cfg, model, algo)
-        self.may_fork = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                         and len(self.workers) > 1
-                         and not multiprocessing.current_process().daemon)
-        self.procs = 1  # owners: this process and its helpers
-        self.compute_s = 0.0  # wall time of the computes in one process
-        self.helpers = None  # (process, connection, request fd, reply fd) of each, once forked
-        self._exit = contextlib.ExitStack()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self._exit.close()
-
-    def compute(self, starts, held):
-        """``(worker, update)`` of each of the distinct workers ``starts``,
-        each at its state in ``held``, after its memory update."""
-        if self.may_fork and self.compute_s >= FORK_AFTER_S:
-            self.may_fork = False
-            self._fork()
-        if self.helpers is None:
-            t0 = _time.perf_counter()
-            updates = self.update(self.cfg, [self.workers[w] for w in starts],
-                                  [held[w] for w in starts], self.model,
-                                  [self.draws.next(w) for w in starts])
-            self.compute_s += _time.perf_counter() - t0
-            return zip(starts, updates)
-        shares = [[w for w in starts if w % self.procs == i] for i in range(self.procs)]
-        for i, share in enumerate(shares[1:], 1):
-            if share:
-                self._request(i, share, held)
-        results, failures = [], []
-        for i, share in enumerate(shares):
-            if not share:
-                continue
-            if i == 0:
-                updates, failure = self._share(share, [held[w] for w in share])
-            else:
-                failure = self._reply(i)
-                updates = None if failure else [UpdateVector(*self.slots[w, 1]) for w in share]
-            if failure:
-                failures.append((starts.index(share[failure[0]]), failure[1]))
-            else:
-                results += zip(share, updates)
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        return results
-
-    def _share(self, share, snapshots):
-        return _share_updates(self.update, self.cfg, self.model,
-                              [self.workers[w] for w in share], snapshots,
-                              [self.draws.next(w) for w in share])
-
-    def _fork(self):
-        """Fork the helpers, unless this process may run on one CPU or runs
-        other threads, and map the words and slots they share; pin this
-        process to the first of its CPUs and helper i to the i-th until
-        the replay ends, so that no two owners share a CPU.
-
-        Owner i's request and reply are words ``[i * stride]`` and ``[i *
-        stride + 1]``, its share's size ``[i * stride + 2]``, the position
-        in its share of the first failure ``[i * stride + 3]`` (-1: none),
-        and its workers and their snapshots' iterations the next 2W
-        words; slot ``[w, 0]`` holds worker w's snapshot (theta, u) and
-        ``[w, 1]`` its update (d_theta, d_u): W * 4 * d floats.  Each
-        helper has a request and a reply pipe for wake bytes, whose write
-        ends are non-blocking, and sends its failure, if any, through its
-        ``fork_children`` connection."""
-        from .runtime import fork_children  # runtime imports this module
-
-        cpus = sorted(os.sched_getaffinity(0))
-        procs = min(len(cpus), len(self.workers))
-        if procs == 1 or _other_threads():
-            return
-        self.procs = procs
-        workers, dim = len(self.workers), self.model.dim
-        self.stride = 4 + 2 * workers
-        ints = self.procs * self.stride
-        shared = mmap.mmap(-1, 8 * ints + 32 * workers * dim)
-        self.words = memoryview(shared)[:8 * ints].cast("q")
-        self.slots = np.frombuffer(shared, dtype=float, offset=8 * ints).reshape(
-            workers, 2, 2, dim)
-        self.sent = [0] * self.procs  # the last request of each owner
-        pipes = [(*os.pipe(), *os.pipe()) for _ in range(self.procs - 1)]  # request, reply
-        for request_r, request_w, reply_r, reply_w in pipes:
-            os.set_blocking(request_w, False)
-            os.set_blocking(reply_w, False)
-            self._exit.callback(os.close, request_w)
-            self._exit.callback(os.close, reply_r)
-        try:
-            helpers, conns = self._exit.enter_context(
-                fork_children(self.procs - 1, _helper_main, (self, pipes, cpus)))
-        finally:
-            for request_r, _, _, reply_w in pipes:
-                os.close(request_r)
-                os.close(reply_w)
-        self.helpers = [(proc, conn, request_w, reply_r) for proc, conn, (_, request_w, reply_r, _)
-                        in zip(helpers, conns, pipes)]
-        os.sched_setaffinity(0, {cpus[0]})
-        self._exit.callback(os.sched_setaffinity, 0, cpus)
-
-    def _request(self, i, share, held):
-        """Send owner i its share, each worker at its state in ``held``."""
-        words, base, workers = self.words, i * self.stride, len(self.workers)
-        words[base + 2] = len(share)
-        for j, w in enumerate(share):
-            words[base + 4 + j] = w
-            words[base + 4 + workers + j] = held[w].iteration
-            snapshot = self.slots[w, 0]
-            snapshot[0] = held[w].theta
-            snapshot[1] = held[w].u
-        self.sent[i] += 1
-        words[base] = self.sent[i]
-        _wake(self.helpers[i - 1][2])
-
-    def _reply(self, i):
-        """Wait for owner i's reply: None, or (position, error) of its
-        share's first failure.  Raises WorkerError if it has exited."""
-        proc, conn, _, reply = self.helpers[i - 1]
-        base = i * self.stride
-        try:
-            if _wait(self.words, base + 1, self.sent[i], reply):
-                failed = self.words[base + 3]
-                return None if failed < 0 else (failed, conn.recv())
-        except EOFError:
-            pass
-        proc.join()
-        raise WorkerError(f"replay helper process {i} exited with code {proc.exitcode}")
-
-    def serve(self, i, request, reply, conn):
-        """Owner i's loop in its helper process: compute each request and
-        reply, until the request pipe reaches end of file.  A failure's
-        error follows its reply through ``conn``, so that a large one
-        cannot block the helper before the calling process looks."""
-        words, base, workers = self.words, i * self.stride, len(self.workers)
-        seq = 0
-        while True:
-            seq += 1
-            if not _wait(words, base, seq, request):
-                return
-            share = [words[base + 4 + j] for j in range(words[base + 2])]
-            # a worker keeps its snapshot's theta as its previous iterate,
-            # so theta is copied out of the slot; u is read in the compute alone
-            snapshots = [ParameterState(self.slots[w, 0, 0].copy(), self.slots[w, 0, 1],
-                                        words[base + 4 + workers + j])
-                         for j, w in enumerate(share)]
-            updates, failure = self._share(share, snapshots)
-            for w, upd in zip(share, updates or ()):
-                self.slots[w, 1, 0] = upd.d_theta
-                self.slots[w, 1, 1] = upd.d_u
-            words[base + 3] = -1 if failure is None else failure[0]
-            words[base + 1] = seq
-            _wake(reply)
-            if failure:
-                conn.send(failure[1])
-
-
-def _helper_main(i, conn, owners, pipes, cpus):
-    """Helper process i + 1 of a split replay: keeps of ``pipes`` only the
-    read end of its request pipe and the write end of its reply pipe, so
-    that each reaches end of file when its one peer exits, pins itself to
-    ``cpus[i + 1]`` and serves its owner's requests."""
-    request, _, _, reply = pipes[i]
-    for fd in (fd for fds in pipes for fd in fds):
-        if fd not in (request, reply):
-            os.close(fd)
-    os.sched_setaffinity(0, {cpus[i + 1]})
-    owners.serve(i + 1, request, reply, conn)
-
-
 def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
            theta0=None) -> SimResult:
     """Compute and apply, in order, the updates of ``schedule``: the events
@@ -627,22 +330,17 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
     it not yet computed, in one batch of stacked calls with the bits of
     one worker at a time (the tests check this on the numpy/BLAS build),
     so errors keep event order; the end marker computes the starts left.
-    Once the computes have taken ``FORK_AFTER_S``, each batch is split
-    across up to one process per CPU that this process may run on, itself
-    and helpers it forks (:class:`WorkerOwners`), with the results of one
-    process bit for bit; no helper outlives the call.  It forks nothing
-    in a process that runs other threads, Python or native: forking a
-    process that runs threads is unsafe, and a BLAS thread pool
-    (``OPENBLAS_NUM_THREADS`` unset or above 1) already uses the CPUs.  It
-    forks nothing under one-CPU affinity (``taskset -c 0``) either.  A
-    worker's second start before its apply (an update the runtime did not
-    apply) computes and drops the first.  Each worker holds one state, the
-    one it read and, after its apply, the one that apply made; a start
-    reads it if its iteration matches (the reply to a send) and the
-    current state otherwise (shared memory).  States are never mutated, so
-    none is copied.  A malformed event, an apply time before the last
-    apply's (a time of None is not compared), an event after the end
-    marker, or no end marker raises ``ValueError``."""
+    A long replay splits its batches across helper processes
+    (:class:`~asqn.owners.WorkerOwners`, which says when), with the results
+    of one process bit for bit; no helper outlives the call.  A worker's
+    second start before its apply (an update the runtime did not apply)
+    computes and drops the first.  Each worker holds one state, the one it
+    read and, after its apply, the one that apply made; a start reads it
+    if its iteration matches (the reply to a send) and the current state
+    otherwise (shared memory).  States are never mutated, so none is
+    copied.  A malformed event, an apply time before the last apply's (a
+    time of None is not compared), an event after the end marker, or no
+    end marker raises ``ValueError``."""
     if algo not in WORKER_UPDATES:
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
     rec = Recorder(model, sim_cfg.sample_every)
@@ -653,7 +351,8 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
     last_time = -math.inf  # the last apply's time that is not None
     events = iter(schedule)
 
-    with WorkerOwners(sim_cfg, sampler_cfg, model, algo) as owners:
+    draws = WorkerDraws(sim_cfg.seed, sim_cfg.workers, sampler_cfg, model, algo)
+    with WorkerOwners(sampler_cfg, model, algo, draws) as owners:
         def compute():
             if starts:
                 ready.update(owners.compute(starts, held))
@@ -706,13 +405,7 @@ def run_async(sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs", theta0=No
     """The asynchronous algorithms (as-L-BFGS, a-SGD and SGLD) on a
     simulated cluster: :func:`replay` of :func:`async_schedule`.  At W = 1
     with ``sigma_worker`` 0 and the SGLD update this is serial SGLD:
-    update n lands at n * (mu_worker + 2 * comm_time + mu_master).
-
-    A run whose computes take longer than ``FORK_AFTER_S`` (20 ms) splits
-    its batches across forked helpers, one per CPU this process may run
-    on, with the results of one process bit for bit; it forks nothing
-    beside other threads (a BLAS thread pool included: set
-    ``OPENBLAS_NUM_THREADS=1``) and nothing under ``taskset -c 0``."""
+    update n lands at n * (mu_worker + 2 * comm_time + mu_master)."""
     return replay(async_schedule(sim_cfg), sim_cfg, sampler_cfg, model, algo, theta0)
 
 

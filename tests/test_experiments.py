@@ -20,8 +20,8 @@ from asqn import (
     SimConfig,
     experiments,
     full_gradient,
+    owners,
     potential,
-    simulator,
 )
 from asqn.cli import main as cli_main
 from asqn.experiments import (
@@ -283,7 +283,7 @@ class TestValidateConfig:
         # each of these used to run with the value ignored, or to end in a
         # traceback; none may start a process
         forks = []
-        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.setattr(owners, "fork_children", lambda *args: forks.append(args))
         doc = tiny_config()
         (doc.setdefault(section, {}) if section else doc)[key] = value
         with pytest.raises(ConfigError, match=message):
@@ -314,7 +314,7 @@ class TestValidateConfig:
         # a problem count is checked where the problem is built, before any
         # point runs, any process forks or the output directory is created
         forks = []
-        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.setattr(owners, "fork_children", lambda *args: forks.append(args))
         doc = tiny_config()
         if problem == "matrix-factorization":
             doc["problem"] = {"type": problem, "seed": 0, "n_rows": 5, "n_cols": 6, "rank": 2}
@@ -357,7 +357,7 @@ class TestValidateConfig:
                                                       problem, message):
         # {"format": "csv", "max_ratings": 7} used to exit 0 with both ignored
         forks = []
-        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.setattr(owners, "fork_children", lambda *args: forks.append(args))
         doc = {"preset": "ml-1m-paper", "problem": problem, "sim": {"max_updates": 20}}
         with pytest.raises(ConfigError, match=message):
             validate_config(doc)
@@ -402,7 +402,7 @@ class TestValidateConfig:
                                                      section, key, message):
         # these used to end in a KeyError or TypeError traceback
         forks = []
-        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.setattr(owners, "fork_children", lambda *args: forks.append(args))
         doc = tiny_config()
         del (doc[section] if key else doc)[key or section]
         with pytest.raises(ConfigError, match=message):
@@ -447,7 +447,7 @@ class TestValidateConfig:
         # the points' configs are built in the parent, so a sweep over two
         # points forks no process before the error is raised
         forks = []
-        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.setattr(owners, "fork_children", lambda *args: forks.append(args))
         sweep = {"sigma_worker": [0.0, 2.0]} if mode == "simulate" else {"workers": [1, 2]}
         doc = tiny_config(mode=mode, sweep=sweep)
         doc[section]["max_updates"] = 12.5
@@ -466,7 +466,7 @@ class TestValidateConfig:
                                                             timeout, message):
         # mb-L-BFGS at mu_worker 5 and sigma 0 can never meet a timeout of 1
         forks = []
-        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.setattr(owners, "fork_children", lambda *args: forks.append(args))
         doc = tiny_config(algorithms=["as-lbfgs", "mb-lbfgs-simplified"])
         doc["sim"]["timeout"] = timeout
         cfg = validate_config(doc)
@@ -922,15 +922,15 @@ class TestRunExperiment:
         # one-CPU share, and its replay forks nothing though the fork
         # threshold is 0; the caller's affinity comes back after the
         # points, also when one raises
-        monkeypatch.setattr(simulator, "FORK_AFTER_S", 0.0)
+        monkeypatch.setattr(owners, "FORK_AFTER_S", 0.0)
         seen = {}
-        real_exit = simulator.WorkerOwners.__exit__
+        real_exit = owners.WorkerOwners.__exit__
 
         def recording_exit(self, *exc_info):
             seen["procs"] = self.procs
             return real_exit(self, *exc_info)
 
-        monkeypatch.setattr(simulator.WorkerOwners, "__exit__", recording_exit)
+        monkeypatch.setattr(owners.WorkerOwners, "__exit__", recording_exit)
         model = synth_linear_gaussian(seed=0, dim=4, n_records=30)[0]
         samp = SamplerConfig(step=1e-3, friction=0.1, n_s=3, n_o=2)
 
@@ -1026,7 +1026,7 @@ class TestCli:
         # each used to run every point and exit 0, one trace overwriting
         # another's file
         forks = []
-        monkeypatch.setattr(experiments.rt, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.setattr(owners, "fork_children", lambda *args: forks.append(args))
         doc = tiny_config(**overrides)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
@@ -1121,7 +1121,9 @@ class TestCli:
                                                    repetitions=2)))
         out = tmp_path / "out"
         assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 3
-        assert "worker exited with code 7" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "worker exited with code 7" in err
+        assert "WorkerError:" not in err  # not wrapped in a second WorkerError
         assert os.listdir(out) == []
         assert multiprocessing.active_children() == []
 

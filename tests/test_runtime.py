@@ -25,7 +25,7 @@ from asqn import (
     post_send_memory_update,
     potential,
 )
-from asqn import SimConfig, runtime
+from asqn import SimConfig, owners, runtime
 from asqn.runtime import SharedMasterState, run
 from asqn.simulator import replay
 
@@ -442,7 +442,7 @@ class TestRun:
         # sample only n = 5
         model, cfg = small_problem()
         forks = []
-        monkeypatch.setattr(runtime, "fork_children", lambda *args: forks.append(args))
+        monkeypatch.setattr(owners, "fork_children", lambda *args: forks.append(args))
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             run(2, cfg, model, **{"max_updates": 50, "seed": 0, **arguments})
         assert forks == []

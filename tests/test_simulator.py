@@ -39,6 +39,7 @@ from asqn import (
     time_to_epsilon,
 )
 from asqn.experiments import run_sgld_serial, synth_matrix_factorization
+import asqn.owners
 from asqn import runtime, simulator
 from asqn.simulator import (ComputeTimes, SimResult, async_schedule, replay,
                             write_trace_csv)
@@ -444,13 +445,13 @@ def owners(monkeypatch):
     """The owner count (1: nothing forked) and the one-process compute
     time of the last replay to finish in this process."""
     seen = {}
-    real_exit = simulator.WorkerOwners.__exit__
+    real_exit = asqn.owners.WorkerOwners.__exit__
 
     def recording_exit(self, *exc_info):
         seen.update(procs=self.procs, compute_s=self.compute_s)
         return real_exit(self, *exc_info)
 
-    monkeypatch.setattr(simulator.WorkerOwners, "__exit__", recording_exit)
+    monkeypatch.setattr(asqn.owners.WorkerOwners, "__exit__", recording_exit)
     return seen
 
 
@@ -468,7 +469,7 @@ def split(monkeypatch, owners):
         for fork_after in (math.inf, 0.0, None):
             if fork_after is None:
                 fork_after = owners["compute_s"] / 3
-            monkeypatch.setattr(simulator, "FORK_AFTER_S", fork_after)
+            monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", fork_after)
             got.append((outcome(run), owners["procs"]))
             assert multiprocessing.active_children() == []
             assert os.sched_getaffinity(0) == cpus
@@ -609,7 +610,7 @@ class TestSplitReplay:
                     os.kill(os.getpid(), signal.SIGKILL)
                 return LinearGaussianModel.likelihood_grad_sum(self, theta, indices)
 
-        monkeypatch.setattr(simulator, "FORK_AFTER_S", 0.0)
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", 0.0)
 
         def hung(*_):
             raise TimeoutError("the replay did not notice its helper's death")
@@ -630,7 +631,7 @@ class TestSplitReplay:
     def test_split_forks_nothing_on_one_cpu_or_beside_a_thread(self, owners, monkeypatch):
         model, cfg, _ = problem("lg")
         sim = SimConfig(workers=4, mu_worker=100.0, max_updates=100, seed=3)
-        monkeypatch.setattr(simulator, "FORK_AFTER_S", 0.0)
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", 0.0)
         want = run_async(sim, cfg, model)
         before = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(before)})
@@ -1409,6 +1410,8 @@ class TestBlockDrawnSubsamples:
         sim = SimConfig(workers=3, mu_master=0.5, mu_worker=10.0, sigma_worker=6.0,
                         comm_time=1.0, max_updates=max_updates, sample_every=9, seed=6)
         want = per_worker_run_async(sim, cfg, model, algo=algo, theta0=theta0)
+        # the spy sees this process's draws only, so the run stays in it
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", math.inf)
         sizes = TestBlockDraws._spy_sizes(monkeypatch)
         got = run_async(sim, cfg, model, algo=algo, theta0=theta0)
         assert same_result(got, want)
@@ -1466,6 +1469,8 @@ class TestBlockDrawnSubsamples:
                         comm_time=2.5, mu_master=0.5, max_updates=150, sample_every=9, seed=6)
         want = (per_worker_run_async(sim, cfg, model, algo, theta0) if algo == "as-lbfgs"
                 else serial_sgld_reference(sim, cfg, model, theta0))
+        # the spy sees this process's draws only, so the run stays in it
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", math.inf)
         sizes = TestBlockDraws._spy_sizes(monkeypatch)
         got = run_async(sim, cfg, model, algo=algo, theta0=theta0)
         if algo == "as-lbfgs":
