@@ -455,7 +455,8 @@ def _resolve_point(cfg, model, theta0, algo, seed, value):
     its SimResult.  Every configuration error of the point is raised here,
     before any point runs.  A run-mode point calls :func:`asqn.runtime.run`
     on ``value`` worker processes and raises a worker's failure as its
-    error type."""
+    error type, a DivergenceError or a WorkerError with the message alone,
+    any other as a WorkerError that names its type."""
     samp = _sampler_cfg(cfg, algo, model)
     if cfg["mode"] == "run":
         kw = {**cfg["runtime"], "workers": value, "algo": algo}
@@ -464,9 +465,10 @@ def _resolve_point(cfg, model, theta0, algo, seed, value):
         def run_point():
             result = rt.run(sampler_cfg=samp, model=model, theta0=theta0, seed=seed, **kw)
             if result.error:
-                if result.error.startswith(f"{DivergenceError.__name__}:"):
-                    raise DivergenceError(result.error)
-                raise WorkerError(result.error)
+                kind, _, message = result.error.partition(": ")
+                if kind == DivergenceError.__name__:
+                    raise DivergenceError(message)
+                raise WorkerError(message if kind == WorkerError.__name__ else result.error)
             return result
         return run_point
     sim = _sim_cfg(cfg, algo, seed, value)
@@ -485,9 +487,10 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std(ddof=0)), int(arr.size)
 
 
-def _take_points(calls, next_point):
+def _take_points(_, calls, next_point):
     """Run ``calls`` by the index taken from the shared counter
-    ``next_point`` until none is left or one fails.
+    ``next_point`` until none is left or one fails.  The first argument,
+    the index :func:`~asqn.owners.fork_children` gives a child, goes unused.
 
     Returns ``({index: SimResult}, (index, exception) or None)``.  A failure
     moves the counter past the last call, so no process starts another."""
@@ -504,11 +507,6 @@ def _take_points(calls, next_point):
             with next_point.get_lock():
                 next_point.value = len(calls)
             return results, (i, exc)
-
-
-def _points_child(i, conn, calls, next_point):
-    conn.send(_take_points(calls, next_point))
-    conn.close()
 
 
 def _run_points(calls, procs):
@@ -528,9 +526,9 @@ def _run_points(calls, procs):
     cpus = sorted(os.sched_getaffinity(0))
     next_point = multiprocessing.get_context("fork").Value("q", 0)
     shares = [cpus[i::procs] for i in range(1, procs)]
-    with owners.fork_children(shares, _points_child, (calls, next_point)) as (children, conns):
+    with owners.fork_children(shares, _take_points, (calls, next_point)) as (children, conns):
         with owners.pinned(cpus[::procs]):
-            reports = [_take_points(calls, next_point)]
+            reports = [_take_points(None, calls, next_point)]
         for proc, conn in zip(children, conns):
             report, died = owners.receive_report(conn, proc)
             if died:

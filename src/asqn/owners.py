@@ -4,9 +4,10 @@ reported here (Linux only: ``fork`` and CPU affinity).
 The workers of :func:`asqn.runtime.run`, the point processes of a simulate
 sweep and the helpers of a split :func:`asqn.simulator.replay`
 (:class:`WorkerOwners`) are all forked by :func:`fork_children`, which pins
-each to its own CPU set; :func:`receive_report` takes a child's one report
-or the :class:`~asqn.errors.WorkerError` of its exit, and :func:`pinned`
-narrows the calling process for a block.
+each to its own CPU set and sends what the child's function returns, its
+one report, to the parent; :func:`receive_report`, the one reader of a
+child's pipe, takes that report or the :class:`~asqn.errors.WorkerError`
+of its exit, and :func:`pinned` narrows the calling process for a block.
 """
 
 from __future__ import annotations
@@ -35,29 +36,30 @@ def pinned(cpus):
         os.sched_setaffinity(0, before)
 
 
-def _child_main(cpus, target, *args):
+def _child_main(cpus, conn, target, i, *args):
     # a child only narrows the set it inherited, so the pin needs no
     # handler: a failure would end the child without a report
     os.sched_setaffinity(0, cpus)
-    target(*args)
+    conn.send(target(i, *args))
+    conn.close()
 
 
 @contextlib.contextmanager
 def fork_children(cpu_sets, target, args):
     """Fork one child per CPU set: child ``i`` pins itself to
-    ``cpu_sets[i]``, then runs ``target(i, conn, *args)`` with ``conn`` the
-    only send end of its own one-way Pipe; yields the processes and the
-    receive ends, in child order.
+    ``cpu_sets[i]``, runs ``target(i, *args)`` and sends what it returns,
+    its one report, through the only send end of its own one-way Pipe;
+    yields the processes and the receive ends, in child order.
 
-    On exit every child still alive is terminated, and every child is
-    joined, so none outlives the block."""
+    A child may fork children of its own.  On exit every child still
+    alive is terminated, and every child is joined, so none outlives the
+    block."""
     fork = multiprocessing.get_context("fork")
     procs, conns = [], []
     try:
         for i, cpus in enumerate(cpu_sets):
             recv_end, send_end = fork.Pipe(duplex=False)
-            proc = fork.Process(target=_child_main, args=(cpus, target, i, send_end, *args),
-                                daemon=True)
+            proc = fork.Process(target=_child_main, args=(cpus, send_end, target, i, *args))
             conns.append(recv_end)
             proc.start()
             procs.append(proc)
@@ -166,10 +168,9 @@ class WorkerOwners(contextlib.ExitStack):
     the helpers compute theirs, which each writes into its workers' own
     result slots.  Owner i runs on the i-th of the CPUs until the replay
     ends.  One process owns all where P is 1 (W = 1, or one-CPU affinity
-    such as ``taskset -c 0``), in a daemonic process (a simulate sweep's
-    point process, which may not have children), and where the process
-    runs other threads when its computes reach ``FORK_AFTER_S``, BLAS
-    threads included (:func:`_other_threads`): set
+    such as ``taskset -c 0`` or a simulate sweep's one-CPU share), and
+    where the process runs other threads when its computes reach
+    ``FORK_AFTER_S``, BLAS threads included (:func:`_other_threads`): set
     ``OPENBLAS_NUM_THREADS=1`` to let a run split.
 
     Every update depends only on its worker's state, draws and snapshot,
@@ -177,15 +178,16 @@ class WorkerOwners(contextlib.ExitStack):
     so the split gives the updates of one process bit for bit.  A batch
     whose shares fail raises the error of its first failing start, as one
     process would: each owner reports the first failure of its share and
-    its position.  A helper that exits mid-run raises :class:`WorkerError`
-    with its exit code."""
+    its position.  A helper whose share fails ends, and that failure is
+    its report; a helper that exits without one raises
+    :class:`WorkerError` with its exit code."""
 
     def __init__(self, sampler_cfg, model, algo, draws):
         super().__init__()
         self.update = WORKER_UPDATES[algo]
         self.cfg, self.model, self.draws = sampler_cfg, model, draws
         self.workers = [WorkerState(sampler_cfg, model.dim) for _ in draws.rngs]
-        self.may_fork = len(self.workers) > 1 and not multiprocessing.current_process().daemon
+        self.may_fork = len(self.workers) > 1
         self.procs = 1  # owners: this process and its helpers
         self.compute_s = 0.0  # wall time of the computes in one process
         self.helpers = None  # (process, connection, request fd, reply fd) of each, once forked
@@ -198,9 +200,9 @@ class WorkerOwners(contextlib.ExitStack):
             self._fork()
         if self.helpers is None:
             t0 = _time.perf_counter()
-            updates = self.update(self.cfg, [self.workers[w] for w in starts],
-                                  [held[w] for w in starts], self.model,
-                                  [self.draws.next(w) for w in starts])
+            updates = list(self.update(self.cfg, [self.workers[w] for w in starts],
+                                       [held[w] for w in starts], self.model,
+                                       [self.draws.next(w) for w in starts]))
             self.compute_s += _time.perf_counter() - t0
             return zip(starts, updates)
         shares = [[w for w in starts if w % self.procs == i] for i in range(self.procs)]
@@ -226,46 +228,35 @@ class WorkerOwners(contextlib.ExitStack):
 
     def _share(self, share, snapshots):
         """``(updates, None)`` of the workers ``share``, or ``(None, (i,
-        error))`` with ``i`` the position of the first that fails.  A stacked
-        compute raises the error of the first worker that fails, after it
-        has advanced the ``local_iter`` of those before it (a-SGD and SGLD
-        keep no worker state), so the first worker not advanced that fails
-        again alone is that worker, with the same error."""
-        workers = [self.workers[w] for w in share]
-        draws = [self.draws.next(w) for w in share]
-        steps = [worker.local_iter for worker in workers]
+        error))`` with ``i`` the position of the first that fails: the
+        entry yields its updates in worker order, so ``i`` is the number it
+        gave before it raised."""
+        updates = []
         try:
-            return self.update(self.cfg, workers, snapshots, self.model, draws), None
+            for upd in self.update(self.cfg, [self.workers[w] for w in share], snapshots,
+                                   self.model, [self.draws.next(w) for w in share]):
+                updates.append(upd)
         except Exception as exc:
-            failure = (0, exc)
-        for i, worker in enumerate(workers):
-            if worker.local_iter == steps[i]:
-                try:
-                    self.update(self.cfg, [worker], [snapshots[i]], self.model, [draws[i]])
-                except Exception as exc:
-                    return None, (i, exc)
-        return None, failure
+            return None, (len(updates), exc)
+        return updates, None
 
     def _fork(self):
         """Fork the helpers, unless P is 1 or this process runs other
         threads, and map the words and slots they share.
 
         Owner i's request and reply are words ``[i * stride]`` and ``[i *
-        stride + 1]``, its share's size ``[i * stride + 2]``, the position
-        in its share of the first failure ``[i * stride + 3]`` (-1: none),
-        and its workers and their snapshots' iterations the next 2W
-        words; slot ``[w, 0]`` holds worker w's snapshot (theta, u) and
-        ``[w, 1]`` its update (d_theta, d_u): W * 4 * d floats.  Each
-        helper has a request and a reply pipe for wake bytes, whose write
-        ends are non-blocking, and sends its failure, if any, through its
-        ``fork_children`` connection."""
+        stride + 1]``, its share's size ``[i * stride + 2]``, and its
+        workers and their snapshots' iterations the next 2W words; slot
+        ``[w, 0]`` holds worker w's snapshot (theta, u) and ``[w, 1]`` its
+        update (d_theta, d_u): W * 4 * d floats.  Each helper has a request
+        and a reply pipe for wake bytes, whose write ends are non-blocking."""
         cpus = sorted(os.sched_getaffinity(0))
         procs = min(len(cpus), len(self.workers))
         if procs == 1 or _other_threads():
             return
         self.procs = procs
         workers, dim = len(self.workers), self.model.dim
-        self.stride = 4 + 2 * workers
+        self.stride = 3 + 2 * workers
         ints = self.procs * self.stride
         shared = mmap.mmap(-1, 8 * ints + 32 * workers * dim)
         self.words = memoryview(shared)[:8 * ints].cast("q")
@@ -294,8 +285,8 @@ class WorkerOwners(contextlib.ExitStack):
         words, base, workers = self.words, i * self.stride, len(self.workers)
         words[base + 2] = len(share)
         for j, w in enumerate(share):
-            words[base + 4 + j] = w
-            words[base + 4 + workers + j] = held[w].iteration
+            words[base + 3 + j] = w
+            words[base + 3 + workers + j] = held[w].iteration
             snapshot = self.slots[w, 0]
             snapshot[0] = held[w].theta
             snapshot[1] = held[w].u
@@ -304,54 +295,54 @@ class WorkerOwners(contextlib.ExitStack):
         _wake(self.helpers[i - 1][2])
 
     def _reply(self, i):
-        """Wait for owner i's reply: None, or (position, error) of its
-        share's first failure.  Raises WorkerError if it has exited."""
+        """Wait for owner i's reply: None, or, once its reply pipe reaches
+        end of file, its report, the (position, error) of its share's first
+        failure.  Raises WorkerError if it exited without one."""
         proc, conn, _, reply = self.helpers[i - 1]
-        base = i * self.stride
-        try:
-            if _wait(self.words, base + 1, self.sent[i], reply):
-                failed = self.words[base + 3]
-                return None if failed < 0 else (failed, conn.recv())
-        except EOFError:
-            pass
-        proc.join()
-        raise WorkerError(f"replay helper process {i} exited with code {proc.exitcode}")
+        if _wait(self.words, i * self.stride + 1, self.sent[i], reply):
+            return None
+        failure, died = receive_report(conn, proc)
+        if died:
+            raise WorkerError(f"replay helper process {i} exited with code {proc.exitcode}")
+        return failure
 
-    def serve(self, i, request, reply, conn):
+    def serve(self, i, request, reply):
         """Owner i's loop in its helper process: compute each request and
-        reply, until the request pipe reaches end of file.  A failure's
-        error follows its reply through ``conn``, so that a large one
-        cannot block the helper before the calling process looks."""
+        reply, until the request pipe reaches end of file (None), or until a
+        share fails: then close the reply pipe, so that the calling process
+        reads the report, however large, and return the failure's
+        ``(position, error)``."""
         words, base, workers = self.words, i * self.stride, len(self.workers)
         seq = 0
         while True:
             seq += 1
             if not _wait(words, base, seq, request):
-                return
-            share = [words[base + 4 + j] for j in range(words[base + 2])]
+                return None
+            share = [words[base + 3 + j] for j in range(words[base + 2])]
             # a worker keeps its snapshot's theta as its previous iterate,
             # so theta is copied out of the slot; u is read in the compute alone
             snapshots = [ParameterState(self.slots[w, 0, 0].copy(), self.slots[w, 0, 1],
-                                        words[base + 4 + workers + j])
+                                        words[base + 3 + workers + j])
                          for j, w in enumerate(share)]
             updates, failure = self._share(share, snapshots)
-            for w, upd in zip(share, updates or ()):
+            if failure:
+                os.close(reply)
+                return failure
+            for w, upd in zip(share, updates):
                 self.slots[w, 1, 0] = upd.d_theta
                 self.slots[w, 1, 1] = upd.d_u
-            words[base + 3] = -1 if failure is None else failure[0]
             words[base + 1] = seq
             _wake(reply)
-            if failure:
-                conn.send(failure[1])
 
 
-def _helper_main(i, conn, owners, pipes):
+def _helper_main(i, owners, pipes):
     """Helper process i + 1 of a split replay, pinned to its CPU by
     :func:`fork_children`: keeps of ``pipes`` only the read end of its
     request pipe and the write end of its reply pipe, so that each reaches
-    end of file when its one peer exits, and serves its owner's requests."""
+    end of file when its one peer exits, and serves its owner's requests;
+    returns its report."""
     request, _, _, reply = pipes[i]
     for fd in (fd for fds in pipes for fd in fds):
         if fd not in (request, reply):
             os.close(fd)
-    owners.serve(i + 1, request, reply, conn)
+    return owners.serve(i + 1, request, reply)

@@ -133,13 +133,13 @@ class SharedMasterState:
         return n, staleness, sampled
 
 
-def _worker_main(w, conn, master, draws, sampler_cfg, model, algo, max_updates,
+def _worker_main(w, master, draws, sampler_cfg, model, algo, max_updates,
                  sample_every, staleness_limit, t0):
     """One worker process: loops snapshot -> update from ``draws.next(w)``
     (with the memory update) -> exclusive apply until ``stop`` is set, then
-    sends its sampled ``(time, n, staleness, theta)`` rows, its log of
-    ``(n_read, n or None)`` per update that reached the apply (None: not
-    applied) and its first error (or None) to the parent."""
+    returns its report: its sampled ``(time, n, staleness, theta)`` rows,
+    its log of ``(n_read, n or None)`` per update that reached the apply
+    (None: not applied) and its first error (or None)."""
     sampled, log = [], []
     error = None
     ws = WorkerState(sampler_cfg, model.dim)
@@ -148,7 +148,7 @@ def _worker_main(w, conn, master, draws, sampler_cfg, model, algo, max_updates,
         while not master.stop.is_set():
             theta, u, n_read = master.snapshot()
             snap = ParameterState(theta=theta, u=u, iteration=n_read)
-            upd = worker_updates(sampler_cfg, [ws], [snap], model, [draws.next(w)])[0]
+            upd = next(worker_updates(sampler_cfg, [ws], [snap], model, [draws.next(w)]))
             if master.stop.is_set():
                 break
             applied = master.apply(upd, n_read, sample_every, staleness_limit, max_updates)
@@ -163,8 +163,7 @@ def _worker_main(w, conn, master, draws, sampler_cfg, model, algo, max_updates,
         # reported, so a broken run cannot pass for a finished one
         error = f"{type(exc).__name__}: {exc}"
         master.stop.set()
-    conn.send((sampled, log, error))
-    conn.close()
+    return sampled, log, error
 
 
 def _collect(procs, conns, master, t0, max_wall_s):

@@ -177,10 +177,10 @@ def _advance(worker, ctx):
     worker.local_iter += 1
 
 
-def lbfgs_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
+def lbfgs_updates(cfg, workers, snapshots, model, draws):
     """AS-L-BFGS updates of k >= 1 distinct workers, each at its own
     snapshot from its ``(subsample, noise or None)`` in ``draws``, each
-    followed by its post-send memory update.
+    followed by its post-send memory update; yields them in worker order.
 
     Bit-identical to compute_update then post_send_memory_update worker by
     worker on the same draws.  On k >= 2 workers that all have a pair due,
@@ -189,8 +189,9 @@ def lbfgs_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
     (:func:`~asqn.lbfgs.try_add_stacked`), so each worker keeps only its
     cautious test and the insert of its pair.  Any other batch, and a
     stacked batch that raises, is computed one worker at a time from the
-    same draws, each update followed by its admission, so the first
-    worker's error in order is raised.
+    same draws, each update followed by its admission and yielded, so the
+    first worker's error in order is raised after the workers before it
+    have yielded.
     """
     if len(workers) > 1 and len({_wants_pair(worker) for worker in workers}) == 1:
         try:
@@ -202,13 +203,12 @@ def lbfgs_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
                 try_add_stacked([worker.memory for worker in workers], *pairs)
             for worker, ctx in zip(workers, contexts):
                 _advance(worker, ctx)
-            return updates
-    updates = []
+            yield from updates
+            return
     for worker, snapshot, draw in zip(workers, snapshots, draws):
         upd, ctx, g_prime = _one_update(cfg, worker, snapshot, model, *draw)
         _admit(worker, ctx, g_prime)
-        updates.append(upd)
-    return updates
+        yield upd
 
 
 def _update_numerics(cfg, model, theta, u, sub, previous, noise, apply, iteration):
@@ -336,19 +336,20 @@ def _drawn_gradient(model, theta, indices):
     return model.prior_gradient(theta) + scale * model.likelihood_grad_sum(theta, indices)
 
 
-def sgd_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
+def sgd_updates(cfg, workers, snapshots, model, draws):
     """a-SGD and SGLD updates of k workers, each at its own snapshot from
-    its ``(subsample, noise or None)`` in ``draws``: the a-SGD update plus
-    sqrt(2 h / beta) times the noise where the draw holds one, as
-    worker_draws_noise decides.  Neither keeps worker state, so
-    ``workers`` goes unused.
+    its ``(subsample, noise or None)`` in ``draws``, yielded in worker
+    order: the a-SGD update plus sqrt(2 h / beta) times the noise where the
+    draw holds one, as worker_draws_noise decides.  Neither keeps worker
+    state, so ``workers`` goes unused.
 
     Without noise, bit-identical to asgd_step worker by worker.  With it,
     applied by master_apply, this is sgld_step as an additive update,
     theta + (-h g + xi) in place of (theta - h g) + xi, which can differ in
     the last bit.  A batch of k >= 2 evaluates its gradients in one stacked
     call, and redoes the steps one by one if that raises or meets a
-    non-finite gradient, so the first worker's error in order is raised.
+    non-finite gradient, so the first worker's error in order is raised
+    after the workers before it have yielded.
     """
     g = None
     if len(draws) > 1:
@@ -357,24 +358,29 @@ def sgd_updates(cfg, workers, snapshots, model, draws) -> list[UpdateVector]:
             g = _drawn_gradient(model, theta, np.array([sub.combined for sub, _ in draws]))
         except Exception:  # raised again, in worker order, by the steps below
             pass
-    if g is not None and np.isfinite(g).all():
+    stacked = g is not None and np.isfinite(g).all()
+    if stacked:
         d_theta, d_u = -cfg.step * g, np.zeros_like(theta)
-        updates = [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(draws))]
-    else:
-        updates = [_asgd_update(cfg.step, _drawn_gradient(model, snap.theta, sub.combined),
-                                snap.theta) for snap, (sub, _) in zip(snapshots, draws)]
-    for upd, (_, noise) in zip(updates, draws):
+    for i, (snap, (sub, noise)) in enumerate(zip(snapshots, draws)):
+        if stacked:
+            upd = UpdateVector(d_theta=d_theta[i], d_u=d_u[i])
+        else:
+            upd = _asgd_update(cfg.step, _drawn_gradient(model, snap.theta, sub.combined),
+                               snap.theta)
         if noise is not None:
             upd.d_theta += math.sqrt(2.0 * cfg.step / cfg.inv_temperature) * noise
-    return updates
+        yield upd
 
 
 # The updates of k >= 1 distinct workers of each asynchronous algorithm,
 # each at its own snapshot, all called as
 # (cfg, workers, snapshots, model, draws) -> updates, where draws[i] is
 # worker i's (subsample, noise or None) for this update, drawn from its own
-# generator as worker_draws_noise says.  Both the simulator's event loop
-# and the runtime's worker processes compute through this table.
+# generator as worker_draws_noise says.  Each entry is a generator that
+# yields the updates in worker order, so a batch that raises has given the
+# updates of the workers before the first that failed.  Both the
+# simulator's event loop and the runtime's worker processes compute
+# through this table.
 WORKER_UPDATES = {"as-lbfgs": lbfgs_updates, "a-sgd": sgd_updates, "sgld": sgd_updates}
 
 

@@ -51,6 +51,8 @@ class SimConfig:
             raise ConfigError("times must be nonnegative")
         if self.sigma_worker < 0:
             raise ConfigError("sigma_worker must be nonnegative")
+        if self.max_time <= 0:  # no update would run, and the run would pass as truncated
+            raise ConfigError(f"max_time must be positive, got {self.max_time}")
         if self.max_updates == 0:
             if math.isinf(self.max_time):
                 raise ConfigError("horizon required: set max_updates or max_time")

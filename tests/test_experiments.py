@@ -1078,6 +1078,33 @@ class TestCli:
         assert os.listdir(out) == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_mode_divergence_exit_two_without_a_second_type(self, tmp_path, capsys):
+        doc = tiny_config(mode="run")
+        doc["sampler"].update(step=1e9, friction=0.99)
+        doc["runtime"]["max_updates"] = 5000
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical divergence: non-finite")
+        assert "DivergenceError:" not in err
+        assert os.listdir(out) == []
+
+    def test_run_mode_worker_exit_three_without_a_second_type(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.setattr(experiments.rt, "_worker_main", lambda w, *args: os._exit(7))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(mode="run")))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("worker failed: worker exited with code 7")
+        assert "WorkerError:" not in err
+        assert os.listdir(out) == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_in_parallel_sweep_matches_serial(self, tmp_path, capsys):
         # both a-sgd points diverge, at different updates; no point starts
         # after the first failure, so the as-lbfgs points never run

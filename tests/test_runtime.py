@@ -373,10 +373,11 @@ class TestRun:
         held = np.frombuffer(buf, dtype=np.int64).reshape(workers, 2)  # (count, lowest)
         worker_main = runtime._worker_main
 
-        def recording(w, conn, *args):
-            worker_main(w, conn, *args)
+        def recording(w, *args):
+            report = worker_main(w, *args)
             cpu_set = os.sched_getaffinity(0)
             held[w] = len(cpu_set), min(cpu_set)
+            return report
 
         monkeypatch.setattr(runtime, "_worker_main", recording)
         for broken in (False, True):

@@ -533,7 +533,7 @@ def updates_from_rngs(algo, cfg, workers, snapshots, model, rngs):
     noisy = worker_draws_noise(algo, cfg)
     draws = [(draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o),
               rng.standard_normal(model.dim) if noisy else None) for rng in rngs]
-    return WORKER_UPDATES[algo](cfg, workers, snapshots, model, draws)
+    return list(WORKER_UPDATES[algo](cfg, workers, snapshots, model, draws))
 
 
 class TestBatchedUpdates:

@@ -628,6 +628,71 @@ class TestSplitReplay:
         assert owners["procs"] == 2
         assert multiprocessing.active_children() == []
 
+    def test_split_helper_error_of_a_megabyte_reaches_the_caller(self, owners, monkeypatch):
+        # a helper's failure is its report, sent after it has closed its
+        # reply pipe: an error larger than a pipe's buffer must not block
+        # the helper before the caller reads it
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a replay splits on 2+ CPUs only")
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=2, mu_worker=100.0, max_updates=400, seed=3)
+        tenth = run_async(replace(sim, max_updates=10), cfg, model).final_state
+        parent = os.getpid()
+        message = "marked " + "x" * (1 << 20)
+
+        class LargeErrorAt(RaisingAt):
+            """Raises a 1 MB error in the helper process that computes at the
+            marked state."""
+
+            def likelihood_grad_sum(self, theta, indices=None):
+                if os.getpid() != parent and np.any(np.all(np.atleast_2d(theta) == self.marked,
+                                                           axis=-1)):
+                    raise RuntimeError(message)
+                return LinearGaussianModel.likelihood_grad_sum(self, theta, indices)
+
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", 0.0)
+
+        def hung(*_):
+            raise TimeoutError("the helper blocked on its report")
+
+        before = os.sched_getaffinity(0)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(RuntimeError) as info:
+                run_async(sim, cfg, LargeErrorAt(model, tenth.theta))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert str(info.value) == message
+        assert owners["procs"] == 2
+        assert multiprocessing.active_children() == []
+        assert os.sched_getaffinity(0) == before
+
+    def test_split_in_a_forked_child_on_its_cpu_share(self, owners, monkeypatch):
+        # a child forked on two CPUs splits its replay across them, as its
+        # parent would; each of its helpers is its own child
+        cpus = sorted(os.sched_getaffinity(0))[:2]
+        if len(cpus) < 2:
+            pytest.skip("a replay splits on 2+ CPUs only")
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=4, mu_worker=100.0, max_updates=100, seed=3)
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", math.inf)
+        want = run_async(sim, cfg, model)
+        assert owners["procs"] == 1
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", 0.0)
+
+        def child(_):
+            return outcome(lambda: run_async(sim, cfg, model)), owners["procs"]
+
+        with asqn.owners.fork_children([set(cpus)], child, ()) as (procs, conns):
+            report, died = asqn.owners.receive_report(conns[0], procs[0])
+        assert died is None
+        got, procs = report
+        assert procs == 2
+        assert identical(got, want)
+        assert multiprocessing.active_children() == []
+
     def test_split_forks_nothing_on_one_cpu_or_beside_a_thread(self, owners, monkeypatch):
         model, cfg, _ = problem("lg")
         sim = SimConfig(workers=4, mu_worker=100.0, max_updates=100, seed=3)
@@ -1301,6 +1366,13 @@ class TestSimConfigValidation:
     def test_missing_horizon(self):
         with pytest.raises(ConfigError):
             SimConfig(max_updates=0)
+
+    @pytest.mark.parametrize("max_time", [0.0, -1.0])
+    def test_non_positive_max_time(self, max_time):
+        # such a horizon ran no update and passed as a truncated run
+        for max_updates in (0, 100):
+            with pytest.raises(ConfigError, match="max_time must be positive"):
+                SimConfig(max_updates=max_updates, max_time=max_time)
 
     def test_time_only_horizon_needs_time_to_pass(self):
         with pytest.raises(ConfigError, match="time-only horizon"):
