@@ -90,16 +90,23 @@ def receive_report(conn, proc):
     return report, None
 
 
-# A replay forks its helpers only once its computes have taken this long.
+# A replay decides once whether to fork its helpers: at its first batch
+# after its computes in one process have taken FORK_AFTER_S, and then only
+# if the updates left to its horizon are at least FORK_AHEAD times those
+# computed so far.  At a steady rate four times the computes already made
+# then lie ahead, so a run whose computes total less than about
+# 5 * FORK_AFTER_S never forks; FORK_AFTER_S = 0 forks at the first batch.
 # One helper of a 38 MB process costs about 2 ms on a 2-core host: 0.8 ms
 # to fork it through fork_children, 0.5 ms to terminate and join it
-# (medians of 30), and about 1 ms before it answers its first request.
-# So a run pays at most about a tenth of its computes for the fork, and
-# one that ends sooner never forks.  On that host lg-async-sim's
-# 600-update runs compute for 15.8 ms (median, at most 16.4 ms in 200) and
-# stay in one process, and mf-async-sim's for 166 ms, which fork after an
-# eighth of them.
+# (medians of 30), and about 1 ms before it answers its first request.  On
+# a loaded 2-core host lg-async-sim's 600-update runs compute for a little
+# over FORK_AFTER_S: forked on elapsed time alone, 20 of 20 split for
+# their last tenth to fifth of updates and ran slower (benchmark
+# update_cost_ref 15.2-16.3 in 10 runs); under FORK_AHEAD none forks
+# (12.4-13.1).  mf-async-sim's 3,000-update runs still fork at the same
+# batch, after 272-316 updates.
 FORK_AFTER_S = 0.02
+FORK_AHEAD = 4
 # How long a waiting owner spins on a sequence word before it blocks on its
 # pipe: longer than the calling process's work between two batches (about
 # 50 us per batch of mf-async-sim), so a steady run does not sleep and wake
@@ -158,8 +165,11 @@ class WorkerOwners(contextlib.ExitStack):
 
     :meth:`compute` gives the updates of a batch of distinct workers.  The
     calling process owns every worker until its computes have taken
-    ``FORK_AFTER_S``.  At the first batch after that it forks P - 1 helper
-    processes, P = min(CPUs this process may run on, W), which inherit
+    ``FORK_AFTER_S``.  At the first batch after that, if the updates left to
+    ``horizon`` (the updates the replay applies; inf where time alone ends
+    it) are at least ``FORK_AHEAD`` times the updates computed so far, it
+    forks P - 1 helper processes, P = min(CPUs this process may run on, W),
+    and otherwise it owns them all to the end.  The helpers inherit
     the workers' states and pending draws, and process i of the P (the
     calling process is 0) owns from then on the workers w = i (mod P).
     Each batch is then split into the owners' shares, in start order:
@@ -182,7 +192,7 @@ class WorkerOwners(contextlib.ExitStack):
     its report; a helper that exits without one raises
     :class:`WorkerError` with its exit code."""
 
-    def __init__(self, sampler_cfg, model, algo, draws):
+    def __init__(self, sampler_cfg, model, algo, draws, horizon):
         super().__init__()
         self.update = WORKER_UPDATES[algo]
         self.cfg, self.model, self.draws = sampler_cfg, model, draws
@@ -190,6 +200,8 @@ class WorkerOwners(contextlib.ExitStack):
         self.may_fork = len(self.workers) > 1
         self.procs = 1  # owners: this process and its helpers
         self.compute_s = 0.0  # wall time of the computes in one process
+        self.computed = 0  # updates computed in one process
+        self.horizon = horizon  # updates the replay applies; inf where time alone ends it
         self.helpers = None  # (process, connection, request fd, reply fd) of each, once forked
 
     def compute(self, starts, held):
@@ -197,13 +209,15 @@ class WorkerOwners(contextlib.ExitStack):
         each at its state in ``held``, after its memory update."""
         if self.may_fork and self.compute_s >= FORK_AFTER_S:
             self.may_fork = False
-            self._fork()
+            if self.horizon - self.computed >= FORK_AHEAD * self.computed:
+                self._fork()
         if self.helpers is None:
             t0 = _time.perf_counter()
             updates = list(self.update(self.cfg, [self.workers[w] for w in starts],
                                        [held[w] for w in starts], self.model,
                                        [self.draws.next(w) for w in starts]))
             self.compute_s += _time.perf_counter() - t0
+            self.computed += len(starts)
             return zip(starts, updates)
         shares = [[w for w in starts if w % self.procs == i] for i in range(self.procs)]
         for i, share in enumerate(shares[1:], 1):

@@ -2,10 +2,10 @@
 
 The master node of the message-passing formulation degenerates, on shared
 memory, to a mutually exclusive apply section.  The master's ``(n, version,
-stop)`` header and its ``theta`` and ``u``, the two rows of one ``(2, d)``
-block, live in one anonymous ``mmap`` mapping that the ``fork`` start method
-shares with every worker process, and applies are guarded by a
-process-shared lock.  Reads go through a seqlock-style versioned snapshot:
+stop, diverged)`` header and its ``theta`` and ``u``, the two rows of one
+``(2, d)`` block, live in one anonymous ``mmap`` mapping that the ``fork``
+start method shares with every worker process, and applies are guarded by
+a process-shared lock.  Reads go through a seqlock-style versioned snapshot:
 the version counter is bumped before and after every apply, and a snapshot
 retries until it observes the same even version on both sides of its copy,
 so no reader ever sees a torn ``(theta, u, n)`` triple.  Each worker is
@@ -66,10 +66,10 @@ class SharedMasterState:
     def __init__(self, theta0):
         theta0 = np.asarray(theta0, dtype=float)
         dim = theta0.size
-        self._map = mmap.mmap(-1, 24 + 16 * dim)
-        self._header = memoryview(self._map)[:24].cast("q")  # (n, version, stop)
+        self._map = mmap.mmap(-1, 32 + 16 * dim)
+        self._header = memoryview(self._map)[:32].cast("q")  # (n, version, stop, diverged)
         self._state = np.frombuffer(self._map, dtype=float, count=2 * dim,
-                                    offset=24).reshape(2, dim)
+                                    offset=32).reshape(2, dim)
         self.theta, self.u = self._state
         self.theta[:] = theta0
         self.lock = multiprocessing.get_context("fork").Lock()
@@ -108,13 +108,16 @@ class SharedMasterState:
         or None).  The copy is taken inside the critical section so sampled
         iterates are exact.  Under the lock, an update is refused, leaving
         the state untouched and returning None, once ``max_updates`` are
-        applied or where its staleness would exceed ``staleness_limit``; the
-        apply that reaches ``max_updates`` sets ``stop``."""
+        applied, after an apply that diverged, or where its staleness would
+        exceed ``staleness_limit``; the apply that reaches ``max_updates``
+        sets ``stop``.  An apply that diverges raises
+        :class:`DivergenceError` after it lands, and is a run's last."""
         header = self._header
         with self.lock:
             n = header[0]
             staleness = n - n_read
-            if n >= max_updates or (staleness_limit is not None and staleness > staleness_limit):
+            if (n >= max_updates or header[3]
+                    or (staleness_limit is not None and staleness > staleness_limit)):
                 return None
             header[1] += 1
             self.theta += upd.d_theta
@@ -127,6 +130,8 @@ class SharedMasterState:
             if sample_every and n % sample_every == 0:
                 sampled = self.theta.copy()
             ok = bool(np.isfinite(self._state).all())
+            if not ok:
+                header[3] = 1
             header[1] += 1
         if not ok:
             raise DivergenceError(f"non-finite iterate after update {n}", iteration=n)
@@ -139,7 +144,8 @@ def _worker_main(w, master, draws, sampler_cfg, model, algo, max_updates,
     (with the memory update) -> exclusive apply until ``stop`` is set, then
     returns its report: its sampled ``(time, n, staleness, theta)`` rows,
     its log of ``(n_read, n or None)`` per update that reached the apply
-    (None: not applied) and its first error (or None)."""
+    (None: not applied; an apply that diverged is logged with its n) and
+    its first error (or None)."""
     sampled, log = [], []
     error = None
     ws = WorkerState(sampler_cfg, model.dim)
@@ -151,7 +157,11 @@ def _worker_main(w, master, draws, sampler_cfg, model, algo, max_updates,
             upd = next(worker_updates(sampler_cfg, [ws], [snap], model, [draws.next(w)]))
             if master.stop.is_set():
                 break
-            applied = master.apply(upd, n_read, sample_every, staleness_limit, max_updates)
+            try:
+                applied = master.apply(upd, n_read, sample_every, staleness_limit, max_updates)
+            except DivergenceError as exc:  # the update landed: a replay must apply it too
+                log.append((n_read, exc.iteration))
+                raise
             log.append((n_read, applied[0] if applied else None))
             if applied is None:  # too stale, or the run is done
                 continue
@@ -168,12 +178,12 @@ def _worker_main(w, master, draws, sampler_cfg, model, algo, max_updates,
 
 def _collect(procs, conns, master, t0, max_wall_s):
     """Wait on every worker's pipe at once; return the sampled rows, each
-    worker's compute log (empty without a report) and the errors seen.  The
+    worker's compute log (None without a report) and the errors seen.  The
     first error, a worker that exits without reporting, or the wall-clock
     limit sets ``stop``; a worker still running ``_STOP_GRACE_S`` after
     ``stop`` is reported, and left for ``fork_children`` to terminate."""
     pending = {conn: w for w, conn in enumerate(conns)}
-    sampled, logs, errors = [], [[] for _ in conns], []
+    sampled, logs, errors = [], [None] * len(conns), []
     stopped_at = None
     while pending:
         now = _time.perf_counter()
@@ -188,7 +198,7 @@ def _collect(procs, conns, master, t0, max_wall_s):
         for conn in multiprocessing.connection.wait(list(pending), timeout=_POLL_S):
             w = pending.pop(conn)
             report, died = owners.receive_report(conn, procs[w])
-            rows, logs[w], error = report or ([], [], f"{type(died).__name__}: {died}")
+            rows, logs[w], error = report or ([], None, f"{type(died).__name__}: {died}")
             sampled += rows
             if error is not None:
                 errors.append(error)
@@ -231,9 +241,10 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     discarded, the curvature pair it formed kept, and recomputed from a
     fresh snapshot.  The trace holds the state after every
     ``sample_every``-th apply (none when it is 0), ``wall_ms`` the wall
-    time of the call, and ``compute_logs`` the workers' logs, whose
-    ``schedule`` :func:`~asqn.simulator.replay` recomputes the run from,
-    bit for bit.  No worker outlives the call.
+    time of the call, and ``compute_logs`` the workers' logs (None for a
+    worker whose report was lost), whose ``schedule``
+    :func:`~asqn.simulator.replay` recomputes the run from, bit for bit,
+    a diverging apply included.  No worker outlives the call.
     """
     check_run(workers, algo, max_updates, sample_every, staleness_limit)
     master = SharedMasterState(ParameterState.start(model.dim, theta0).theta)
@@ -250,8 +261,8 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     rec = Recorder(model, sample_every)
     for t, n, staleness, theta in sorted(sampled, key=lambda row: row[1]):
         rec.sample(ParameterState(theta=theta, u=None, iteration=n), t, staleness)  # theta only
-    rec.staleness_log = sorted((n, n - 1 - n_read) for log in logs for n_read, n in log
-                               if n is not None)
+    rec.staleness_log = sorted((n, n - 1 - n_read) for log in logs if log is not None
+                               for n_read, n in log if n is not None)
     final = ParameterState(theta=master.theta.copy(), u=master.u.copy(), iteration=master.n)
     return rec.result(final, wall_ms=wall_ms, error=errors[0] if errors else None,
                       compute_logs=logs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,8 @@ class SimResult:
     final_potential: float | None = None  # potential(model, final_state.theta)
     wall_ms: float | None = None  # run mode only
     error: str | None = None  # run mode only: "<ExcType>: <message>" of the first failure
-    compute_logs: list | None = None  # run mode only: each worker's (n_read, n or None) per compute
+    # run mode only: each worker's (n_read, n or None) per compute; None if its report was lost
+    compute_logs: list | None = None
 
     @property
     def iterations(self) -> int:
@@ -106,11 +108,15 @@ class SimResult:
     @property
     def schedule(self) -> list | None:
         """Run mode: the events for :func:`replay`, apply n followed by the
-        starts that read its state; an apply carries no time (None)."""
+        starts that read its state; an apply carries no time (None).  Raises
+        ``ValueError`` where a worker's report, and so its applies, was
+        lost."""
         if self.compute_logs is None:
             return None
         slots = [[] for _ in range(2 * self.iterations + 2)]  # apply n, then its readers
         for w, log in enumerate(self.compute_logs):
+            if log is None:
+                raise ValueError(f"no schedule: the report of worker {w} was lost")
             for n_read, n in log:
                 slots[2 * n_read + 1].append(("start", w, n_read))
                 if n is not None:
@@ -334,7 +340,9 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
     so errors keep event order; the end marker computes the starts left.
     A long replay splits its batches across helper processes
     (:class:`~asqn.owners.WorkerOwners`, which says when), with the results
-    of one process bit for bit; no helper outlives the call.  A worker's
+    of one process bit for bit; no helper outlives the call.  Its horizon
+    there is the count of apply events of a sized schedule, such as a
+    run's, and ``sim_cfg.update_limit`` otherwise.  A worker's
     second start before its apply (an update the runtime did not apply)
     computes and drops the first.  Each worker holds one state, the one it
     read and, after its apply, the one that apply made; a start reads it
@@ -354,7 +362,9 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
     events = iter(schedule)
 
     draws = WorkerDraws(sim_cfg.seed, sim_cfg.workers, sampler_cfg, model, algo)
-    with WorkerOwners(sampler_cfg, model, algo, draws) as owners:
+    horizon = (sum(kind == "apply" for kind, _, _ in schedule) if isinstance(schedule, Sized)
+               else sim_cfg.update_limit)
+    with WorkerOwners(sampler_cfg, model, algo, draws, horizon) as owners:
         def compute():
             if starts:
                 ready.update(owners.compute(starts, held))

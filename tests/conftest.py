@@ -6,8 +6,10 @@ OpenBLAS starts a thread pool when numpy loads unless told otherwise.
 numpy reads these variables at its import, which comes after this file.
 
 ``--split-from-first-batch`` sets ``asqn.owners.FORK_AFTER_S`` to 0 for the
-session, so every replay that may split does so from its first batch;
-a test that sets the threshold itself keeps its own value."""
+session, so every replay that may split does so from its first batch:
+no update is computed yet, so ``asqn.owners.FORK_AHEAD`` allows the fork
+whatever the horizon.  A test that sets the threshold itself keeps its
+own value."""
 
 import os
 

@@ -13,6 +13,7 @@ import pytest
 
 from asqn import (
     ConfigError,
+    DivergenceError,
     LinearGaussianModel,
     ParameterState,
     SamplerConfig,
@@ -50,19 +51,21 @@ class HangingGradientModel(LinearGaussianModel):
         time.sleep(3600)
 
 
-class FirstCallExitsModel(LinearGaussianModel):
-    """The first gradient call, in whichever worker makes it, ends that
-    worker's process with exit code 7 and no report; later calls work."""
+class CallExitsModel(LinearGaussianModel):
+    """The ``call``-th gradient call of the run, in whichever worker makes
+    it, ends that worker's process with exit code 7 and no report; other
+    calls work."""
 
-    def __init__(self, model):
+    def __init__(self, model, call=1):
         super().__init__(model.features, model.targets, 1.0)
+        self.call = call
         self.calls = FORK.Value("i", 0)  # shared with the forked workers
 
     def likelihood_grad_sum(self, theta, indices=None):
         with self.calls.get_lock():
-            first = self.calls.value == 0
             self.calls.value += 1
-        if first:
+            exits = self.calls.value == self.call
+        if exits:
             os._exit(7)
         return super().likelihood_grad_sum(theta, indices)
 
@@ -222,6 +225,16 @@ class TestSharedMasterState:
                 proc.terminate()
                 proc.join()
 
+    def test_apply_refused_after_divergence(self):
+        # the diverging apply lands, then raises; no later apply lands, so
+        # it stays the run's last
+        master = SharedMasterState(np.zeros(2))
+        with pytest.raises(DivergenceError) as info:
+            master.apply(UpdateVector(np.full(2, np.inf), np.zeros(2)), n_read=0)
+        assert info.value.iteration == 1
+        assert master.apply(UpdateVector(np.ones(2), np.ones(2)), n_read=1) is None
+        assert (master.n, master.version) == (1, 2)
+
     def test_apply_over_staleness_limit_leaves_state_untouched(self):
         master = SharedMasterState(np.zeros(2))
         upd = UpdateVector(np.ones(2), np.ones(2))
@@ -321,7 +334,7 @@ class TestRun:
 
     def test_worker_exiting_without_report_stops_the_others(self):
         model, cfg = small_problem()
-        report = run(2, cfg, FirstCallExitsModel(model), max_updates=10**9, seed=0,
+        report = run(2, cfg, CallExitsModel(model), max_updates=10**9, seed=0,
                      max_wall_s=60.0)
         assert report.error == "WorkerError: worker exited with code 7"
         assert report.wall_ms < 30e3  # stopped by the error, not the wall clock
@@ -484,3 +497,36 @@ class TestReplay:
         assert got.final_state.theta.tobytes() == report.final_state.theta.tobytes()
         assert got.final_state.u.tobytes() == report.final_state.u.tobytes()
         assert got.staleness_log == report.staleness_log
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replay_of_a_diverged_run_raises_its_divergence(self, workers):
+        # the diverging apply lands before its error: the worker logs it, so
+        # the run's schedule holds it and its replay diverges there too.  At
+        # W = 2 the other worker may compute on the diverged state, and the
+        # run reports whichever error reaches it first: both name update n
+        model, cfg = small_problem()
+        bad = SamplerConfig(step=1e6, friction=0.99, n_s=3, n_o=2)
+        for seed in range(4):
+            report = run(workers, bad, model, max_updates=5000, seed=seed)
+            n = report.iterations
+            assert report.error in (f"DivergenceError: non-finite iterate after update {n}",
+                                    f"DivergenceError: non-finite gradient at iteration {n}")
+            assert len(report.staleness_log) == n
+            with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+                replay(report.schedule, SimConfig(workers=workers, seed=seed), bad, model)
+            assert str(info.value) == f"non-finite iterate after update {n}"
+            assert info.value.iteration == n
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_replay_schedule_where_a_report_was_lost(self, workers):
+        # a worker that exits without its report takes its applies with it:
+        # the run's schedule would replay short, so it raises instead
+        model, cfg = small_problem()
+        report = run(workers, cfg, CallExitsModel(model, call=40), max_updates=10**9, seed=0,
+                     max_wall_s=60.0)
+        assert report.error == "WorkerError: worker exited with code 7"
+        lost = [w for w, log in enumerate(report.compute_logs) if log is None]
+        assert len(lost) == 1
+        with pytest.raises(ValueError, match=f"the report of worker {lost[0]} was lost"):
+            report.schedule

@@ -443,12 +443,12 @@ def identical(a, b):
 @pytest.fixture
 def owners(monkeypatch):
     """The owner count (1: nothing forked) and the one-process compute
-    time of the last replay to finish in this process."""
+    time and update count of the last replay to finish in this process."""
     seen = {}
     real_exit = asqn.owners.WorkerOwners.__exit__
 
     def recording_exit(self, *exc_info):
-        seen.update(procs=self.procs, compute_s=self.compute_s)
+        seen.update(procs=self.procs, compute_s=self.compute_s, computed=self.computed)
         return real_exit(self, *exc_info)
 
     monkeypatch.setattr(asqn.owners.WorkerOwners, "__exit__", recording_exit)
@@ -460,17 +460,26 @@ def split(monkeypatch, owners):
     """``split(run)``: the outcomes of ``run()`` in one process, then with
     its replay split from the first batch and from a third of the first
     run's computes, each checked to leave no process behind; and the owner
-    count of each."""
+    count of each.  The mid-run case sets ``FORK_AHEAD`` to 0, as the rule
+    would refuse a fork a third of the way into a run, and checks that its
+    first batch was computed in one process."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("a replay splits on 2+ CPUs only")
 
     def outcomes(run):
         got, cpus = [], os.sched_getaffinity(0)
-        for fork_after in (math.inf, 0.0, None):
-            if fork_after is None:
-                fork_after = owners["compute_s"] / 3
-            monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", fork_after)
+        for case in ("one process", "first batch", "mid-run"):
+            if case == "one process":
+                monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", math.inf)
+            elif case == "first batch":
+                one_process_s = owners["compute_s"]
+                monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", 0.0)
+            else:
+                monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", one_process_s / 3)
+                monkeypatch.setattr(asqn.owners, "FORK_AHEAD", 0)
             got.append((outcome(run), owners["procs"]))
+            if case == "mid-run":
+                assert owners["computed"] > 0
             assert multiprocessing.active_children() == []
             assert os.sched_getaffinity(0) == cpus
         return got
@@ -716,6 +725,54 @@ class TestSplitReplay:
         assert not thread.is_alive()
         assert owners["procs"] == 1
         assert os.sched_getaffinity(0) == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_split_only_with_four_times_the_computes_ahead(self, owners, monkeypatch, workers):
+        # sigma 0: every worker computes its first update in the first batch
+        # and its second in the second, where a tiny positive FORK_AFTER_S
+        # takes the one fork decision with W updates computed; the rule then
+        # forks only if at least 4W updates are left to the horizon
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a replay splits on 2+ CPUs only")
+        model, cfg, _ = problem("lg")
+
+        def replayed(fork_after, **horizon):
+            monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", fork_after)
+            sim = SimConfig(workers=workers, mu_worker=100.0, comm_time=10.0, seed=3, **horizon)
+            return run_async(sim, cfg, model), owners["procs"], owners["computed"]
+
+        for horizon, procs in [({"max_updates": 5 * workers - 1}, 1),
+                               ({"max_updates": 5 * workers}, split_owners(workers)),
+                               ({"max_updates": 0, "max_time": 360.0}, split_owners(workers))]:
+            want, one, _ = replayed(math.inf, **horizon)
+            got, split, computed = replayed(1e-12, **horizon)
+            assert (one, split) == (1, procs), horizon
+            assert identical(got, want), horizon
+            if procs > 1:
+                assert computed == workers
+        assert want.iterations == 3 * workers  # the time-only horizon: under 5W updates
+
+    def test_split_counts_the_applies_of_a_run_schedule(self, owners, monkeypatch):
+        # a run's schedule of 4 applies is replayed under the default
+        # max_updates of 1,000: its own applies, not max_updates, are the
+        # horizon, so no decision after a first batch forks; the same
+        # events as an iterator have max_updates as their horizon
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a replay splits on 2+ CPUs only")
+        model, cfg = small_problem()
+        report = runtime.run(2, cfg, model, max_updates=4, seed=7)
+        assert report.error is None and report.iterations == 4
+        sim = SimConfig(workers=2, seed=7)
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", math.inf)
+        want = replay(report.schedule, sim, cfg, model)
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", 1e-12)
+        got = replay(report.schedule, sim, cfg, model)
+        assert owners["procs"] == 1
+        assert identical(got, want)
+        got = replay(iter(report.schedule), sim, cfg, model)
+        assert owners["procs"] == 2
+        assert identical(got, want)
+        assert got.final_state.theta.tobytes() == report.final_state.theta.tobytes()
 
 
 class TestAsyncSchedule:
