@@ -451,12 +451,18 @@ def _initial_theta(cfg, model):
 
 
 def _resolve_point(cfg, model, theta0, algo, seed, value):
-    """One point ``(algo, seed, swept value)`` as a ready call that returns
-    its SimResult.  Every configuration error of the point is raised here,
-    before any point runs.  A run-mode point calls :func:`asqn.runtime.run`
-    on ``value`` worker processes and raises a worker's failure as its
-    error type, a DivergenceError or a WorkerError with the message alone,
-    any other as a WorkerError that names its type."""
+    """One point ``(algo, seed, swept value)`` as ``(key, call)``: a ready
+    call that returns its SimResult, and the key of the run it makes.
+    Every configuration error of the point is raised here, before any
+    point runs.  A simulate point is a function of its resolved
+    configurations alone, so its key is ``(algo, astuple(SimConfig),
+    astuple(SamplerConfig))``, and points that resolve alike (SGLD's,
+    whose sim section is pinned) share one run.  A run-mode point times
+    its own workers, so its key is None: each runs.  It calls
+    :func:`asqn.runtime.run` on ``value`` worker processes and raises a
+    worker's failure as its error type, a DivergenceError or a WorkerError
+    with the message alone, any other as a WorkerError that names its
+    type."""
     samp = _sampler_cfg(cfg, algo, model)
     if cfg["mode"] == "run":
         kw = {**cfg["runtime"], "workers": value, "algo": algo}
@@ -470,14 +476,15 @@ def _resolve_point(cfg, model, theta0, algo, seed, value):
                     raise DivergenceError(message)
                 raise WorkerError(message if kind == WorkerError.__name__ else result.error)
             return result
-        return run_point
+        return None, run_point
     sim = _sim_cfg(cfg, algo, seed, value)
+    key = (algo, astuple(sim), astuple(samp))
     if algo == "mb-lbfgs-simplified":
         check_round_timeout(sim)
         master = MbLbfgsMaster(model.dim, step=samp.step, memory_size=samp.memory_size,
                                epsilon=samp.epsilon, rho=samp.rho)
-        return lambda: run_sync_mb(sim, master, samp, model, theta0=theta0)
-    return lambda: run_async(sim, samp, model, algo=algo, theta0=theta0)
+        return key, lambda: run_sync_mb(sim, master, samp, model, theta0=theta0)
+    return key, lambda: run_async(sim, samp, model, algo=algo, theta0=theta0)
 
 
 def _mean_std(values):
@@ -599,16 +606,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     values = cfg["sweep"].get(key) or [cfg[section].get(key, default)]
     points = [(algo, base_seed + k, value)
               for algo in algorithms for value in values for k in range(reps)]
-    calls = [_resolve_point(cfg, model, theta0, *point) for point in points]
-    # a simulate point is a function of its resolved configurations alone,
-    # so points that resolve alike (SGLD's, whose sim section is pinned)
-    # share one run; a run-mode point times its own workers, so each runs
-    keys = [i if mode == "run" else
-            (algo, astuple(_sim_cfg(cfg, algo, seed, value)),
-             astuple(_sampler_cfg(cfg, algo, model)))
-            for i, (algo, seed, value) in enumerate(points)]
-    run_of, distinct = {}, []  # each key's index in distinct: the call of its first point
-    for point_key, call in zip(keys, calls):
+    resolved = [_resolve_point(cfg, model, theta0, *point) for point in points]
+    # each key's index in distinct: the call of its first point
+    run_of, distinct, keys = {}, [], []
+    for i, (point_key, call) in enumerate(resolved):
+        point_key = i if point_key is None else point_key  # a run-mode point runs alone
+        keys.append(point_key)
         if point_key not in run_of:
             run_of[point_key] = len(distinct)
             distinct.append(call)

@@ -24,11 +24,11 @@ class LbfgsMemory:
     """
 
     def __init__(self, dim: int, capacity: int, epsilon: float = 1e-8, rho: float = 0.0):
-        if capacity < 1:
+        if not capacity >= 1:
             raise ConfigError(f"capacity must be positive, got {capacity}")
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {epsilon}")
-        if rho < 0:
+        if not rho >= 0:
             raise ConfigError(f"rho must be nonnegative, got {rho}")
         check_count("dim", dim, minimum=0)
         self.dim = int(dim)

@@ -163,21 +163,21 @@ class WorkerOwners(contextlib.ExitStack):
     run's :class:`~asqn.simulator.WorkerDraws`), and the processes that own
     them; an ExitStack of what a split opens, so no helper outlives it.
 
-    :meth:`compute` gives the updates of a batch of distinct workers.  The
-    calling process owns every worker until its computes have taken
-    ``FORK_AFTER_S``.  At the first batch after that, if the updates left to
-    ``horizon`` (the updates the replay applies; inf where time alone ends
-    it) are at least ``FORK_AHEAD`` times the updates computed so far, it
-    forks P - 1 helper processes, P = min(CPUs this process may run on, W),
-    and otherwise it owns them all to the end.  The helpers inherit
-    the workers' states and pending draws, and process i of the P (the
-    calling process is 0) owns from then on the workers w = i (mod P).
-    Each batch is then split into the owners' shares, in start order:
-    the calling process writes each helper's starts and their snapshots
-    into one shared anonymous mapping and computes its own share while
-    the helpers compute theirs, which each writes into its workers' own
-    result slots.  Owner i runs on the i-th of the CPUs until the replay
-    ends.  One process owns all where P is 1 (W = 1, or one-CPU affinity
+    :meth:`compute` gives the updates of a batch of distinct workers,
+    split into the shares of the P owning processes, in start order:
+    process i of the P (the calling process is 0) owns the workers w = i
+    (mod P).  P is 1, the calling process alone, until its computes have
+    taken ``FORK_AFTER_S``.  At the first batch after that, if the updates
+    left to ``horizon`` (the updates the replay applies; inf where time
+    alone ends it) are at least ``FORK_AHEAD`` times the updates computed
+    so far, it forks P - 1 helper processes, P = min(CPUs this process may
+    run on, W), and otherwise it owns them all to the end.  The helpers
+    inherit the workers' states and pending draws.  Per batch the calling
+    process writes each helper's starts and their snapshots into one
+    shared anonymous mapping and computes its own share while the helpers
+    compute theirs, which each writes into its workers' own result slots.
+    Owner i runs on the i-th of the CPUs until the replay ends.  One
+    process owns all where P is 1 (W = 1, or one-CPU affinity
     such as ``taskset -c 0`` or a simulate sweep's one-CPU share), and
     where the process runs other threads when its computes reach
     ``FORK_AFTER_S``, BLAS threads included (:func:`_other_threads`): set
@@ -199,10 +199,9 @@ class WorkerOwners(contextlib.ExitStack):
         self.workers = [WorkerState(sampler_cfg, model.dim) for _ in draws.rngs]
         self.may_fork = len(self.workers) > 1
         self.procs = 1  # owners: this process and its helpers
-        self.compute_s = 0.0  # wall time of the computes in one process
-        self.computed = 0  # updates computed in one process
+        self.compute_s = 0.0  # wall time of the computes before the fork decision
+        self.computed = 0  # updates computed before the fork decision
         self.horizon = horizon  # updates the replay applies; inf where time alone ends it
-        self.helpers = None  # (process, connection, request fd, reply fd) of each, once forked
 
     def compute(self, starts, held):
         """``(worker, update)`` of each of the distinct workers ``starts``,
@@ -211,14 +210,7 @@ class WorkerOwners(contextlib.ExitStack):
             self.may_fork = False
             if self.horizon - self.computed >= FORK_AHEAD * self.computed:
                 self._fork()
-        if self.helpers is None:
-            t0 = _time.perf_counter()
-            updates = list(self.update(self.cfg, [self.workers[w] for w in starts],
-                                       [held[w] for w in starts], self.model,
-                                       [self.draws.next(w) for w in starts]))
-            self.compute_s += _time.perf_counter() - t0
-            self.computed += len(starts)
-            return zip(starts, updates)
+        t0 = _time.perf_counter()
         shares = [[w for w in starts if w % self.procs == i] for i in range(self.procs)]
         for i, share in enumerate(shares[1:], 1):
             if share:
@@ -238,6 +230,9 @@ class WorkerOwners(contextlib.ExitStack):
                 results += zip(share, updates)
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
+        if self.may_fork:
+            self.compute_s += _time.perf_counter() - t0
+            self.computed += len(starts)
         return results
 
     def _share(self, share, snapshots):
@@ -290,6 +285,7 @@ class WorkerOwners(contextlib.ExitStack):
             for request_r, _, _, reply_w in pipes:
                 os.close(request_r)
                 os.close(reply_w)
+        # (process, connection, request fd, reply fd) of each helper
         self.helpers = [(proc, conn, request_w, reply_r) for proc, conn, (_, request_w, reply_r, _)
                         in zip(helpers, conns, pipes)]
         self.enter_context(pinned({cpus[0]}))

@@ -5,11 +5,14 @@ memory, to a mutually exclusive apply section.  The master's ``(n, version,
 stop, diverged)`` header and its ``theta`` and ``u``, the two rows of one
 ``(2, d)`` block, live in one anonymous ``mmap`` mapping that the ``fork``
 start method shares with every worker process, and applies are guarded by
-a process-shared lock.  Reads go through a seqlock-style versioned snapshot:
-the version counter is bumped before and after every apply, and a snapshot
-retries until it observes the same even version on both sides of its copy,
-so no reader ever sees a torn ``(theta, u, n)`` triple.  Each worker is
-pinned to one CPU by :func:`asqn.owners.fork_children` (see :func:`run`).
+a process-shared lock.  An apply lands its update in that block through
+:func:`asqn.sampler.master_apply`, the simulator's apply rule, so a replay
+of the run applies every update alike.  Reads go through a seqlock-style
+versioned snapshot: the version counter is bumped before and after every
+apply, and a snapshot retries until it observes the same even version on
+both sides of its copy, so no reader ever sees a torn ``(theta, u, n)``
+triple.  Each worker is pinned to one CPU by
+:func:`asqn.owners.fork_children` (see :func:`run`).
 
 Linux only: anonymous shared mappings reach the workers through ``fork``.
 Forking a process that runs other threads is unsafe, and :func:`run` does
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import owners
 from .errors import ConfigError, DivergenceError, check_count
-from .sampler import WORKER_UPDATES, ParameterState, WorkerState
+from .sampler import WORKER_UPDATES, ParameterState, WorkerState, master_apply
 from .simulator import Recorder, SimResult, WorkerDraws
 
 # a worker still running this long after the stop word is set is terminated
@@ -60,10 +63,13 @@ class SharedMasterState:
     ``theta`` and ``u`` are the two rows of one ``(2, d)`` array over the
     shared mapping; ``n`` and ``version`` read its header, and ``stop``
     (``is_set()``/``set()``) its third word, which any process sharing the
-    mapping may set.
+    mapping may set.  The run's limits are given once: applies stop at
+    ``max_updates``, every ``sample_every``-th state is copied (none when
+    0), and an update whose staleness would exceed ``staleness_limit``
+    (None: no limit) is refused.
     """
 
-    def __init__(self, theta0):
+    def __init__(self, theta0, max_updates=float("inf"), sample_every=0, staleness_limit=None):
         theta0 = np.asarray(theta0, dtype=float)
         dim = theta0.size
         self._map = mmap.mmap(-1, 32 + 16 * dim)
@@ -74,6 +80,9 @@ class SharedMasterState:
         self.theta[:] = theta0
         self.lock = multiprocessing.get_context("fork").Lock()
         self.stop = _StopWord(self._header)
+        self.max_updates = max_updates
+        self.sample_every = sample_every
+        self.staleness_limit = staleness_limit
 
     @property
     def n(self) -> int:
@@ -103,9 +112,10 @@ class SharedMasterState:
             if header[1] == v1:
                 return theta, u, n
 
-    def apply(self, upd, n_read, sample_every=0, staleness_limit=None, max_updates=float("inf")):
-        """Exclusive accumulation; returns (n, staleness, sampled theta copy
-        or None).  The copy is taken inside the critical section so sampled
+    def apply(self, upd, n_read):
+        """Exclusive accumulation through :func:`~asqn.sampler.master_apply`
+        into the shared block; returns (n, staleness, sampled theta copy or
+        None).  The copy is taken inside the critical section so sampled
         iterates are exact.  Under the lock, an update is refused, leaving
         the state untouched and returning None, once ``max_updates`` are
         applied, after an apply that diverged, or where its staleness would
@@ -116,30 +126,27 @@ class SharedMasterState:
         with self.lock:
             n = header[0]
             staleness = n - n_read
-            if (n >= max_updates or header[3]
-                    or (staleness_limit is not None and staleness > staleness_limit)):
+            if (n >= self.max_updates or header[3]
+                    or (self.staleness_limit is not None and staleness > self.staleness_limit)):
                 return None
             header[1] += 1
-            self.theta += upd.d_theta
-            self.u += upd.d_u
-            n += 1
-            header[0] = n
-            if n >= max_updates:
-                self.stop.set()
-            sampled = None
-            if sample_every and n % sample_every == 0:
-                sampled = self.theta.copy()
-            ok = bool(np.isfinite(self._state).all())
-            if not ok:
+            try:
+                master_apply(ParameterState(self.theta, self.u, n), upd, out=self._state)
+            except DivergenceError:
                 header[3] = 1
-            header[1] += 1
-        if not ok:
-            raise DivergenceError(f"non-finite iterate after update {n}", iteration=n)
-        return n, staleness, sampled
+                raise
+            finally:
+                n += 1
+                header[0] = n
+                if n >= self.max_updates:
+                    self.stop.set()
+                header[1] += 1
+            if self.sample_every and n % self.sample_every == 0:
+                return n, staleness, self.theta.copy()
+        return n, staleness, None
 
 
-def _worker_main(w, master, draws, sampler_cfg, model, algo, max_updates,
-                 sample_every, staleness_limit, t0):
+def _worker_main(w, master, draws, sampler_cfg, model, algo, t0):
     """One worker process: loops snapshot -> update from ``draws.next(w)``
     (with the memory update) -> exclusive apply until ``stop`` is set, then
     returns its report: its sampled ``(time, n, staleness, theta)`` rows,
@@ -158,7 +165,7 @@ def _worker_main(w, master, draws, sampler_cfg, model, algo, max_updates,
             if master.stop.is_set():
                 break
             try:
-                applied = master.apply(upd, n_read, sample_every, staleness_limit, max_updates)
+                applied = master.apply(upd, n_read)
             except DivergenceError as exc:  # the update landed: a replay must apply it too
                 log.append((n_read, exc.iteration))
                 raise
@@ -217,7 +224,7 @@ def check_run(workers, algo="as-lbfgs", max_updates=1000, sample_every=0,
     # discard every update, so neither run would stop
     check_count("max_updates", max_updates)
     check_count("sample_every", sample_every, minimum=0)
-    if staleness_limit is not None and staleness_limit < 0:
+    if staleness_limit is not None and not staleness_limit >= 0:
         raise ConfigError(f"staleness_limit must be nonnegative, got {staleness_limit}")
 
 
@@ -247,11 +254,11 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     a diverging apply included.  No worker outlives the call.
     """
     check_run(workers, algo, max_updates, sample_every, staleness_limit)
-    master = SharedMasterState(ParameterState.start(model.dim, theta0).theta)
+    master = SharedMasterState(ParameterState.start(model.dim, theta0).theta, max_updates,
+                               sample_every, staleness_limit)
     draws = WorkerDraws(seed, workers, sampler_cfg, model, algo)
     t0 = _time.perf_counter()
-    args = (master, draws, sampler_cfg, model, algo, max_updates, sample_every,
-            staleness_limit, t0)
+    args = (master, draws, sampler_cfg, model, algo, t0)
     cpus = sorted(os.sched_getaffinity(0))
     cpu_sets = [{cpus[w % len(cpus)]} for w in range(workers)]
     with owners.fork_children(cpu_sets, _worker_main, args) as (procs, conns):

@@ -41,11 +41,11 @@ class SamplerConfig:
     use_memory: bool = True
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ConfigError(f"step must be positive, got {self.step}")
         if not 0.0 < self.friction < 1.0:
             raise ConfigError(f"friction must lie in (0, 1), got {self.friction}")
-        if self.inv_temperature <= 0:
+        if not self.inv_temperature > 0:
             raise ConfigError(f"inverse temperature must be positive, got {self.inv_temperature}")
         for name in ("memory_size", "n_s", "n_o"):
             check_count(name, getattr(self, name))
@@ -69,8 +69,6 @@ class ParameterState:
         """A run's start state: ``theta0`` copied, or zeros when None, and u = 0."""
         theta = np.zeros(dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
         return ParameterState(theta=theta, u=np.zeros(dim))
-
-    zeros = start
 
     def copy(self) -> "ParameterState":
         return ParameterState(self.theta.copy(), self.u.copy(), self.iteration)
@@ -284,11 +282,16 @@ def _stacked_updates(cfg, workers, snapshots, model, draws):
     return updates, contexts, (s, y)
 
 
-def master_apply(state: ParameterState, upd: UpdateVector) -> ParameterState:
-    """Componentwise accumulation; returns a new state with n+1 whose theta
-    and u are the two rows of one fresh ``(2, d)`` array, checked in one
-    finiteness pass, leaving ``state`` untouched."""
-    new = np.empty((2, state.theta.shape[-1]))
+def master_apply(state: ParameterState, upd: UpdateVector, out=None) -> ParameterState:
+    """Componentwise accumulation; returns the state with n+1 whose theta
+    and u are the two rows of ``out``, a ``(2, d)`` array, or of a fresh
+    one when it is None, leaving ``state`` untouched unless ``out`` holds
+    it (the runtime's shared block, added into in place).  Both rows are
+    checked in one finiteness pass, after the add; a non-finite one raises
+    :class:`DivergenceError` at iteration n+1.  The one master-side rule:
+    every simulated apply and every apply of run mode's shared state runs
+    it, so a replay of a run applies its updates alike."""
+    new = np.empty((2, state.theta.shape[-1])) if out is None else out
     np.add(state.theta, upd.d_theta, out=new[0])
     np.add(state.u, upd.d_u, out=new[1])
     if not np.isfinite(new).all():
@@ -301,7 +304,7 @@ def master_apply(state: ParameterState, upd: UpdateVector) -> ParameterState:
 
 def sgld_step(theta, h, beta, model, indices, rng) -> np.ndarray:
     """One stochastic gradient Langevin step; beta = inf gives plain SGD."""
-    if h <= 0 or beta <= 0:
+    if not (h > 0 and beta > 0):
         raise ConfigError(f"h and beta must be positive, got ({h}, {beta})")
     g = stochastic_gradient(model, theta, indices)
     new = theta - h * g
@@ -314,7 +317,7 @@ def sgld_step(theta, h, beta, model, indices, rng) -> np.ndarray:
 
 def asgd_step(theta, h, model, indices) -> UpdateVector:
     """Asynchronous SGD baseline: momentum-free, noise-free update vector."""
-    if h <= 0:
+    if not h > 0:
         raise ConfigError(f"h must be positive, got {h}")
     return _asgd_update(h, stochastic_gradient(model, theta, indices), theta)
 
@@ -393,7 +396,7 @@ class MbLbfgsMaster:
     """
 
     def __init__(self, dim, step, memory_size=3, epsilon=1e-8, rho=0.0, use_memory=True):
-        if step <= 0:
+        if not step > 0:
             raise ConfigError(f"step must be positive, got {step}")
         self.step = float(step)
         self.use_memory = use_memory

@@ -48,11 +48,11 @@ class SimConfig:
         check_count("workers", self.workers)
         check_count("max_updates", self.max_updates, minimum=0)
         check_count("sample_every", self.sample_every)
-        if self.mu_master < 0 or self.mu_worker < 0 or self.comm_time < 0:
+        if not (self.mu_master >= 0 and self.mu_worker >= 0 and self.comm_time >= 0):
             raise ConfigError("times must be nonnegative")
-        if self.sigma_worker < 0:
+        if not self.sigma_worker >= 0:
             raise ConfigError("sigma_worker must be nonnegative")
-        if self.max_time <= 0:  # no update would run, and the run would pass as truncated
+        if not self.max_time > 0:  # no update would run, and the run would pass as truncated
             raise ConfigError(f"max_time must be positive, got {self.max_time}")
         if self.max_updates == 0:
             if math.isinf(self.max_time):

@@ -114,7 +114,7 @@ def test_03_degenerate_limit_is_momentum_sgd():
 
     rng_a = np.random.default_rng(33)
     worker = WorkerState(cfg, model.dim)
-    state = ParameterState.zeros(model.dim)
+    state = ParameterState.start(model.dim)
     trajectory_a = []
     for _ in range(100):
         upd, ctx = compute_update(cfg, worker, state, model, rng_a)
@@ -239,7 +239,7 @@ def test_07_stationary_covariance():
                         n_s=1, n_o=1, use_memory=False)
     rng = np.random.default_rng(7)
     worker = WorkerState(cfg, 2)
-    state = ParameterState.zeros(2)
+    state = ParameterState.start(2)
     n, burn = 150000, 5000
     samples = np.empty((n - burn, 2))
     for i in range(n):
@@ -267,7 +267,7 @@ def test_08_noise_variance_calibration():
                             n_s=1, n_o=1, use_memory=False)
         rng = np.random.default_rng(8)
         worker = WorkerState(cfg, dim)
-        state = ParameterState.zeros(dim)
+        state = ParameterState.start(dim)
         draws = np.concatenate([
             compute_update(cfg, worker, state, model, rng)[0].d_u
             for _ in range(100)

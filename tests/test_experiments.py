@@ -968,7 +968,7 @@ class TestRunExperiment:
                     time.sleep(0.5)
                     return None
                 raise DivergenceError(f"point {sigma:g}", iteration=int(sigma))
-            return call
+            return (algo, seed, sigma), call
 
         monkeypatch.setattr(experiments, "_resolve_point", resolve_point)
         cfg = validate_config(tiny_config(sweep={"sigma_worker": [0.0, 1.0, 2.0]}))
@@ -1133,14 +1133,14 @@ class TestCli:
         resolve_point = experiments._resolve_point
 
         def exits_in_child(*args):
-            call = resolve_point(*args)
+            key, call = resolve_point(*args)
 
             def checked_call():
                 if os.getpid() != parent:
                     os._exit(7)
                 time.sleep(0.2)  # leaves the child time to take a point
                 return call()
-            return checked_call
+            return key, checked_call
 
         monkeypatch.setattr(experiments, "_resolve_point", exits_in_child)
         cfg_path = tmp_path / "cfg.json"

@@ -209,6 +209,13 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             LbfgsMemory(2, 1, rho=-1.0)
 
+    @pytest.mark.parametrize("argument", ["capacity", "epsilon", "rho"])
+    def test_nan_rejected(self, argument):
+        # NaN fails every comparison: epsilon NaN admitted every pair with
+        # y.s finite, so the cautious test was off
+        with pytest.raises(ConfigError, match=argument):
+            LbfgsMemory(2, **{"capacity": 1, argument: math.nan})
+
     @pytest.mark.parametrize("dim", [-1, 2.5, 2.0, True, "3", None])
     def test_bad_dim(self, dim):
         # a configuration error, not a numpy error (-1) or a truncation (2.5)

@@ -26,7 +26,7 @@ from asqn import (
     post_send_memory_update,
     potential,
 )
-from asqn import SimConfig, owners, runtime
+from asqn import SimConfig, owners, runtime, simulator
 from asqn.runtime import SharedMasterState, run
 from asqn.simulator import replay
 
@@ -96,13 +96,13 @@ class TestSharedMasterState:
     def test_apply_refused_once_max_updates_applied(self):
         # the apply that reaches the limit sets stop; later ones leave the
         # state untouched
-        master = SharedMasterState(np.zeros(2))
+        master = SharedMasterState(np.zeros(2), max_updates=2)
         upd = UpdateVector(np.ones(2), np.ones(2))
-        assert master.apply(upd, n_read=0, max_updates=2)[:2] == (1, 0)
+        assert master.apply(upd, n_read=0)[:2] == (1, 0)
         assert not master.stop.is_set()
-        assert master.apply(upd, n_read=0, max_updates=2)[:2] == (2, 1)
+        assert master.apply(upd, n_read=0)[:2] == (2, 1)
         assert master.stop.is_set()
-        assert master.apply(upd, n_read=2, max_updates=2) is None
+        assert master.apply(upd, n_read=2) is None
         np.testing.assert_array_equal(master.theta, [2.0, 2.0])
         assert (master.n, master.version) == (2, 4)
 
@@ -236,14 +236,14 @@ class TestSharedMasterState:
         assert (master.n, master.version) == (1, 2)
 
     def test_apply_over_staleness_limit_leaves_state_untouched(self):
-        master = SharedMasterState(np.zeros(2))
+        master = SharedMasterState(np.zeros(2), staleness_limit=2)
         upd = UpdateVector(np.ones(2), np.ones(2))
-        for _ in range(3):
+        for _ in range(3):  # staleness 0, 1 and 2
             master.apply(upd, n_read=0)
-        assert master.apply(upd, n_read=0, staleness_limit=2) is None
+        assert master.apply(upd, n_read=0) is None
         np.testing.assert_array_equal(master.theta, [3.0, 3.0])
         assert (master.n, master.version) == (3, 6)
-        assert master.apply(upd, n_read=1, staleness_limit=2)[:2] == (4, 2)
+        assert master.apply(upd, n_read=1)[:2] == (4, 2)
 
 
 class TestRun:
@@ -253,7 +253,7 @@ class TestRun:
 
         rng = np.random.default_rng(5)
         worker = WorkerState(cfg, model.dim)
-        state = ParameterState.zeros(model.dim)
+        state = ParameterState.start(model.dim)
         for _ in range(30):
             upd, ctx = compute_update(cfg, worker, state, model, rng)
             state = master_apply(state, upd)
@@ -273,7 +273,7 @@ class TestRun:
 
         rng = np.random.default_rng(5)
         worker = WorkerState(cfg, model.dim)
-        state = ParameterState.zeros(model.dim)
+        state = ParameterState.start(model.dim)
         for _ in range(150):
             if algo == "as-lbfgs":
                 upd, ctx = compute_update(cfg, worker, state, model, rng)
@@ -434,6 +434,7 @@ class TestRun:
         ({"max_updates": 0}, "max_updates"),
         ({"max_updates": -5}, "max_updates"),
         ({"staleness_limit": -1}, "staleness_limit"),
+        ({"staleness_limit": math.nan}, "staleness_limit"),
     ])
     def test_invalid_horizon_or_limit_rejected_before_forking(self, arguments, message):
         # a negative limit discarded every update, so without max_wall_s the
@@ -497,6 +498,32 @@ class TestReplay:
         assert got.final_state.theta.tobytes() == report.final_state.theta.tobytes()
         assert got.final_state.u.tobytes() == report.final_state.u.tobytes()
         assert got.staleness_log == report.staleness_log
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replay_matches_run_through_a_patched_master_apply(self, monkeypatch, workers):
+        # the run's shared apply and the replay land every update through
+        # the one master_apply, so a master-side rule changed there reaches
+        # both alike: here a momentum step of half its size
+        model, cfg = small_problem()
+        sim = SimConfig(workers=workers, seed=7, sample_every=300)
+        real_apply = master_apply
+
+        def half_momentum(state, upd, out=None):
+            return real_apply(state, UpdateVector(upd.d_theta, 0.5 * upd.d_u), out=out)
+
+        monkeypatch.setattr(simulator, "master_apply", half_momentum)
+        monkeypatch.setattr(runtime, "master_apply", half_momentum)
+        report = run(workers, cfg, model, max_updates=300, seed=7)
+        assert report.error is None and report.iterations == 300
+        got = replay(report.schedule, sim, cfg, model)
+        assert got.final_state.theta.tobytes() == report.final_state.theta.tobytes()
+        assert got.final_state.u.tobytes() == report.final_state.u.tobytes()
+        assert got.staleness_log == report.staleness_log
+        monkeypatch.undo()
+        unpatched = replay(report.schedule, sim, cfg, model)
+        assert unpatched.final_state.u.tobytes() != got.final_state.u.tobytes()
+        plain = run(workers, cfg, model, max_updates=300, seed=7)
+        assert plain.final_state.u.tobytes() != report.final_state.u.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("workers", [1, 2])

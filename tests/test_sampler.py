@@ -52,6 +52,17 @@ class TestSamplerConfig:
         with pytest.raises(ConfigError):
             SamplerConfig(step=0.1, friction=1.0)
 
+    @pytest.mark.parametrize("field", ["step", "inv_temperature"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ConfigError):
+            SamplerConfig(**{"step": 0.1, "friction": 0.5, field: math.nan})
+
+    @pytest.mark.parametrize("field", ["epsilon", "rho"])
+    def test_nan_memory_setting_rejected_by_the_worker_memory(self, field):
+        cfg = SamplerConfig(step=0.1, friction=0.5, **{field: math.nan})
+        with pytest.raises(ConfigError, match=field):
+            WorkerState(cfg, 3)
+
     @pytest.mark.parametrize("field", ["n_s", "n_o", "memory_size"])
     def test_sizes_below_one_rejected(self, field):
         with pytest.raises(ConfigError):
@@ -72,7 +83,7 @@ class TestComputeUpdate:
         cfg = SamplerConfig(step=0.1, friction=0.5, n_s=2, n_o=1)
         model = zero_gradient_model(2)
         worker = WorkerState(cfg, 2)
-        snap = ParameterState.zeros(2)
+        snap = ParameterState.start(2)
         upd, _ = compute_update(cfg, worker, snap, model, np.random.default_rng(0))
         np.testing.assert_array_equal(upd.d_theta, 0.0)
         np.testing.assert_array_equal(upd.d_u, 0.0)
@@ -97,7 +108,7 @@ class TestComputeUpdate:
         cfg = SamplerConfig(step=0.01, friction=0.1, n_s=2, n_o=1)
         model = quadratic_lg()
         worker = WorkerState(cfg, model.dim)
-        snap = ParameterState.zeros(model.dim)
+        snap = ParameterState.start(model.dim)
         compute_update(cfg, worker, snap, model, np.random.default_rng(0))
         assert len(worker.memory) == 0
 
@@ -110,7 +121,7 @@ class TestComputeUpdate:
             dim = 1000
             model = zero_gradient_model(dim)
             worker = WorkerState(cfg, dim)
-            snap = ParameterState.zeros(dim)
+            snap = ParameterState.start(dim)
             rng = np.random.default_rng(42)
             draws = np.concatenate(
                 [compute_update(cfg, worker, snap, model, rng)[0].d_u
@@ -122,7 +133,7 @@ class TestComputeUpdate:
     def test_halving_beta_doubles_variance(self):
         dim = 1000
         model = zero_gradient_model(dim)
-        snap = ParameterState.zeros(dim)
+        snap = ParameterState.start(dim)
         variances = []
         for beta in (20.0, 10.0):
             cfg = SamplerConfig(step=1e-2, friction=0.2, inv_temperature=beta,
@@ -173,7 +184,7 @@ class TestPostSendMemoryUpdate:
         cfg = SamplerConfig(step=0.01, friction=0.1, n_s=2, n_o=1)
         model = quadratic_lg()
         worker = WorkerState(cfg, model.dim)
-        snap = ParameterState.zeros(model.dim)
+        snap = ParameterState.start(model.dim)
         _, ctx = compute_update(cfg, worker, snap, model, np.random.default_rng(0))
         assert post_send_memory_update(worker, ctx, model) is False
         assert worker.local_iter == 1
@@ -183,7 +194,7 @@ class TestPostSendMemoryUpdate:
         cfg = SamplerConfig(step=0.01, friction=0.1, n_s=2, n_o=1)
         model = quadratic_lg()
         worker = WorkerState(cfg, model.dim)
-        snap = ParameterState.zeros(model.dim)
+        snap = ParameterState.start(model.dim)
         rng = np.random.default_rng(0)
         for _ in range(2):
             _, ctx = compute_update(cfg, worker, snap, model, rng)
@@ -265,7 +276,7 @@ class TestMasterApply:
             UpdateVector(rng.standard_normal(3), rng.standard_normal(3))
             for _ in range(10)
         ]
-        state = ParameterState.zeros(3)
+        state = ParameterState.start(3)
         for upd in updates:
             state = master_apply(state, upd)
         np.testing.assert_allclose(
@@ -286,7 +297,7 @@ class TestMasterApply:
         assert not np.shares_memory(new.u, u)
 
     def test_nonfinite_result_raises(self):
-        state = ParameterState.zeros(1)
+        state = ParameterState.start(1)
         with pytest.raises(DivergenceError):
             master_apply(state, UpdateVector(np.array([np.nan]), np.zeros(1)))
 
@@ -327,7 +338,8 @@ class TestSgld:
         assert abs(np.var(samples) / target - 1.0) < 0.10
 
 
-    @pytest.mark.parametrize("h, beta", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -2.0)])
+    @pytest.mark.parametrize("h, beta", [(0.0, 1.0), (-0.1, 1.0), (0.1, 0.0), (0.1, -2.0),
+                                         (math.nan, 1.0), (0.1, math.nan)])
     def test_nonpositive_h_or_beta_is_a_config_error(self, h, beta):
         model = quadratic_lg()
         with pytest.raises(ConfigError, match="h and beta must be positive"):
@@ -335,7 +347,7 @@ class TestSgld:
 
 
 class TestAsgd:
-    @pytest.mark.parametrize("h", [0.0, -0.1])
+    @pytest.mark.parametrize("h", [0.0, -0.1, math.nan])
     def test_nonpositive_h_is_a_config_error(self, h):
         model = quadratic_lg()
         with pytest.raises(ConfigError, match="h must be positive"):
@@ -367,6 +379,11 @@ class TestAsgd:
 
 
 class TestMbLbfgs:
+    @pytest.mark.parametrize("step", [0.0, math.nan])
+    def test_bad_step(self, step):
+        with pytest.raises(ConfigError, match="step must be positive"):
+            MbLbfgsMaster(3, step=step)
+
     def test_single_worker_full_batch_is_gd_step(self):
         model = quadratic_lg()
         master = MbLbfgsMaster(model.dim, step=0.05, use_memory=False)
@@ -467,7 +484,7 @@ class TestDegenerateLimit:
         cfg = SamplerConfig(step=1e-3, friction=0.1, n_s=3, n_o=2,
                             use_memory=False)
         worker = WorkerState(cfg, model.dim)
-        state = ParameterState.zeros(model.dim)
+        state = ParameterState.start(model.dim)
         rng = np.random.default_rng(12)
         trajectory = []
         for _ in range(100):
@@ -668,7 +685,7 @@ class TestBatchedUpdates:
         cfg = SamplerConfig(step=0.02, friction=0.1, n_s=5, n_o=3)
         workers = [WorkerState(cfg, model.dim) for _ in range(4)]
         rngs = [np.random.default_rng(w) for w in range(4)]
-        snaps = [ParameterState.zeros(model.dim) for _ in range(4)]
+        snaps = [ParameterState.start(model.dim) for _ in range(4)]
         updates_from_rngs("as-lbfgs", cfg, workers, snaps, model, rngs)
         assert model.calls == 2  # S and O; no pair is due yet
         model.calls = 0
@@ -690,7 +707,7 @@ class TestBatchedUpdates:
         cfg = SamplerConfig(step=0.02, friction=0.1, n_s=5, n_o=3)
         workers = [WorkerState(cfg, model.dim) for _ in range(4)]
         rngs = [np.random.default_rng(w) for w in range(4)]
-        snaps = [ParameterState.zeros(model.dim) for _ in range(4)]
+        snaps = [ParameterState.start(model.dim) for _ in range(4)]
         for who, sizes in [([0, 1], [2]), ([0, 1, 2, 3], [2]), ([3, 0, 2, 1], [2, 4])]:
             updates_from_rngs("as-lbfgs", cfg, [workers[w] for w in who],
                               [snaps[w] for w in who], model, [rngs[w] for w in who])

@@ -165,7 +165,7 @@ class TestRunAsync:
 
         rng = np.random.default_rng(sim.seed)
         worker = WorkerState(cfg, model.dim)
-        state = ParameterState.zeros(model.dim)
+        state = ParameterState.start(model.dim)
         for _ in range(25):
             upd, ctx = compute_update(cfg, worker, state, model, rng)
             state = master_apply(state, upd)
@@ -241,7 +241,7 @@ def per_worker_run_async(sim_cfg, sampler_cfg, model, algo="as-lbfgs", theta0=No
     """The former asynchronous event loop: each receive computes its worker's
     update at its pop, one worker at a time."""
     dim = model.dim
-    state = ParameterState.zeros(dim)
+    state = ParameterState.start(dim)
     if theta0 is not None:
         state.theta = np.asarray(theta0, dtype=float).copy()
     include_rmse = isinstance(model, MatrixFactorizationModel)
@@ -376,7 +376,7 @@ class TestDeferredComputes:
         model, cfg, _ = problem("lg")
         sim = SimConfig(workers=3, mu_worker=100.0, sigma_worker=50.0, comm_time=10.0,
                         max_updates=40, seed=2)
-        states = [ParameterState.zeros(model.dim)]
+        states = [ParameterState.start(model.dim)]
         real_apply = master_apply
 
         def recording_apply(state, upd):
@@ -545,7 +545,7 @@ class TestSplitReplay:
         model, cfg, _ = problem("lg")
         sim = SimConfig(workers=3, mu_worker=100.0, sigma_worker=50.0, comm_time=10.0,
                         max_updates=40, seed=2)
-        states = [ParameterState.zeros(model.dim)]
+        states = [ParameterState.start(model.dim)]
         real_apply = master_apply
         monkeypatch.setattr(simulator, "master_apply",
                             lambda state, upd: states.append(real_apply(state, upd)) or states[-1])
@@ -581,7 +581,7 @@ class TestSplitReplay:
         # the state, so it tells which start failed first
         model, cfg, _ = problem("lg")
         sim = SimConfig(workers=4, mu_worker=100.0, max_updates=60, seed=4)
-        states = [ParameterState.zeros(model.dim)]
+        states = [ParameterState.start(model.dim)]
         real_apply = master_apply
         monkeypatch.setattr(simulator, "master_apply",
                             lambda state, upd: states.append(real_apply(state, upd)) or states[-1])
@@ -1415,6 +1415,15 @@ class TestSimConfigValidation:
     def test_bad_workers(self):
         with pytest.raises(ConfigError):
             SimConfig(workers=0)
+
+    @pytest.mark.parametrize("field", ["mu_master", "mu_worker", "comm_time", "sigma_worker",
+                                       "max_time"])
+    def test_nan_rejected(self, field):
+        # NaN fails every comparison: max_time NaN with max_updates 0 made a
+        # schedule that never ended
+        with pytest.raises(ConfigError):
+            SimConfig(**{"max_updates": 0, "max_time": 10.0, "mu_worker": 1.0,
+                         field: math.nan})
 
     def test_negative_times(self):
         with pytest.raises(ConfigError):
