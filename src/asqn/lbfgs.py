@@ -24,8 +24,7 @@ class LbfgsMemory:
     """
 
     def __init__(self, dim: int, capacity: int, epsilon: float = 1e-8, rho: float = 0.0):
-        if not capacity >= 1:
-            raise ConfigError(f"capacity must be positive, got {capacity}")
+        check_count("capacity", capacity)
         if not epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {epsilon}")
         if not rho >= 0:

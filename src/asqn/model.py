@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 
 
 @dataclass(frozen=True)
@@ -162,8 +162,8 @@ class MatrixFactorizationModel(UnitGaussianPrior):
             raise ConfigError("rows, cols, values must have equal length")
         if len(rows) < 1:
             raise ConfigError("need at least one observed entry")
-        if rank < 1:
-            raise ConfigError(f"rank must be positive, got {rank}")
+        for name, count in (("n_rows", n_rows), ("n_cols", n_cols), ("rank", rank)):
+            check_count(name, count)
         if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
             raise ConfigError("observed entry index out of bounds")
         self.rows = rows

@@ -8,6 +8,10 @@ each to its own CPU set and sends what the child's function returns, its
 one report, to the parent; :func:`receive_report`, the one reader of a
 child's pipe, takes that report or the :class:`~asqn.errors.WorkerError`
 of its exit, and :func:`pinned` narrows the calling process for a block.
+A split replay's caller and each helper pass a batch through a shared
+mapping and signal each message on one of two semaphores, on which the
+waiting side spins before it blocks (:func:`_wait`); a helper's failure
+and its death both reach the caller through its one report pipe.
 """
 
 from __future__ import annotations
@@ -107,40 +111,31 @@ def receive_report(conn, proc):
 # batch, after 272-316 updates.
 FORK_AFTER_S = 0.02
 FORK_AHEAD = 4
-# How long a waiting owner spins on a sequence word before it blocks on its
-# pipe: longer than the calling process's work between two batches (about
-# 50 us per batch of mf-async-sim), so a steady run does not sleep and wake
-# between batches, and short enough that no process spins for long.
+# How long a waiting owner spins on its semaphore before it blocks, and
+# each step of the block: longer than the calling process's work between
+# two batches (about 50 us per batch of mf-async-sim), so a steady run does
+# not sleep and wake between batches, and short enough that no process
+# spins for long and a blocked one soon sees its peer gone.
 SPIN_S = 300e-6
 
 
-def _wait(words, index, value, fd) -> bool:
-    """Wait for ``words[index]`` to reach ``value``: spin up to ``SPIN_S``,
-    then block on ``fd``, on which the writer sends one wake byte per
-    message (:func:`_wake`).  Each byte read, of this message or of one
-    already seen while spinning, makes the loop look again.  False when
-    ``fd`` reaches end of file: the peer is gone.
+def _wait(sem, gone) -> bool:
+    """Take one release of ``sem``: spin on non-blocking acquires for
+    ``SPIN_S``, then block in steps of ``SPIN_S``.  False when a step takes
+    nothing and ``gone()`` holds: the peer is gone.
 
-    A reader that sees the word reads the data after it, and the writer
-    writes them before it: x86-64 keeps stores in order and loads in
-    order, as the runtime's seqlock relies on.  Reading no byte when the
-    spin succeeds saves two system calls per batch, about 6% of an
-    mf-async-sim run on a 2-core host."""
+    Each release follows its writer's writes and each acquire precedes its
+    reader's reads, and the semaphore orders memory, so a reader sees the
+    data of the message it takes.  Spinning makes no system call while the
+    peer answers within ``SPIN_S``, as a steady split run's peers do."""
     deadline = _time.perf_counter() + SPIN_S
-    while words[index] != value:
-        if _time.perf_counter() > deadline and not os.read(fd, 1):
-            return False
+    while not sem.acquire(False):
+        if _time.perf_counter() > deadline:
+            if sem.acquire(timeout=SPIN_S):
+                return True
+            if gone():
+                return False
     return True
-
-
-def _wake(fd):
-    """Send one wake byte on the non-blocking ``fd``.  A full pipe already
-    holds unread wake bytes, each of which makes a blocked reader look
-    again, so this one is not needed."""
-    try:
-        os.write(fd, b"\0")
-    except BlockingIOError:
-        pass
 
 
 def _other_threads() -> bool:
@@ -174,8 +169,10 @@ class WorkerOwners(contextlib.ExitStack):
     run on, W), and otherwise it owns them all to the end.  The helpers
     inherit the workers' states and pending draws.  Per batch the calling
     process writes each helper's starts and their snapshots into one
-    shared anonymous mapping and computes its own share while the helpers
-    compute theirs, which each writes into its workers' own result slots.
+    shared anonymous mapping, releases the helper's request semaphore and
+    computes its own share while the helpers compute theirs, which each
+    writes into its workers' own result slots before it releases its reply
+    semaphore.
     Owner i runs on the i-th of the CPUs until the replay ends.  One
     process owns all where P is 1 (W = 1, or one-CPU affinity
     such as ``taskset -c 0`` or a simulate sweep's one-CPU share), and
@@ -190,7 +187,8 @@ class WorkerOwners(contextlib.ExitStack):
     process would: each owner reports the first failure of its share and
     its position.  A helper whose share fails ends, and that failure is
     its report; a helper that exits without one raises
-    :class:`WorkerError` with its exit code."""
+    :class:`WorkerError` with its exit code.  A helper whose calling
+    process is gone ends too."""
 
     def __init__(self, sampler_cfg, model, algo, draws, horizon):
         super().__init__()
@@ -212,9 +210,9 @@ class WorkerOwners(contextlib.ExitStack):
                 self._fork()
         t0 = _time.perf_counter()
         shares = [[w for w in starts if w % self.procs == i] for i in range(self.procs)]
-        for i, share in enumerate(shares[1:], 1):
+        for h, share in enumerate(shares[1:]):
             if share:
-                self._request(i, share, held)
+                self._request(h, share, held)
         results, failures = [], []
         for i, share in enumerate(shares):
             if not share:
@@ -222,7 +220,7 @@ class WorkerOwners(contextlib.ExitStack):
             if i == 0:
                 updates, failure = self._share(share, [held[w] for w in share])
             else:
-                failure = self._reply(i)
+                failure = self._reply(i - 1)
                 updates = None if failure else [UpdateVector(*self.slots[w, 1]) for w in share]
             if failure:
                 failures.append((starts.index(share[failure[0]]), failure[1]))
@@ -253,106 +251,75 @@ class WorkerOwners(contextlib.ExitStack):
         """Fork the helpers, unless P is 1 or this process runs other
         threads, and map the words and slots they share.
 
-        Owner i's request and reply are words ``[i * stride]`` and ``[i *
-        stride + 1]``, its share's size ``[i * stride + 2]``, and its
-        workers and their snapshots' iterations the next 2W words; slot
-        ``[w, 0]`` holds worker w's snapshot (theta, u) and ``[w, 1]`` its
-        update (d_theta, d_u): W * 4 * d floats.  Each helper has a request
-        and a reply pipe for wake bytes, whose write ends are non-blocking."""
+        Helper h (owner h + 1) has its share's size in word ``[h *
+        stride]`` and its workers and their snapshots' iterations in the
+        next 2W words; slot ``[w, 0]`` holds worker w's snapshot (theta, u)
+        and ``[w, 1]`` its update (d_theta, d_u): W * 4 * d floats.  Each
+        helper has a request and a reply semaphore, released once per
+        message after its data are written."""
         cpus = sorted(os.sched_getaffinity(0))
         procs = min(len(cpus), len(self.workers))
         if procs == 1 or _other_threads():
             return
         self.procs = procs
         workers, dim = len(self.workers), self.model.dim
-        self.stride = 3 + 2 * workers
-        ints = self.procs * self.stride
+        self.stride = 1 + 2 * workers
+        ints = (procs - 1) * self.stride
         shared = mmap.mmap(-1, 8 * ints + 32 * workers * dim)
         self.words = memoryview(shared)[:8 * ints].cast("q")
         self.slots = np.frombuffer(shared, dtype=float, offset=8 * ints).reshape(
             workers, 2, 2, dim)
-        self.sent = [0] * self.procs  # the last request of each owner
-        pipes = [(*os.pipe(), *os.pipe()) for _ in range(self.procs - 1)]  # request, reply
-        for request_r, request_w, reply_r, reply_w in pipes:
-            os.set_blocking(request_w, False)
-            os.set_blocking(reply_w, False)
-            self.callback(os.close, request_w)
-            self.callback(os.close, reply_r)
-        try:
-            helpers, conns = self.enter_context(fork_children(
-                [{cpu} for cpu in cpus[1:procs]], _helper_main, (self, pipes)))
-        finally:
-            for request_r, _, _, reply_w in pipes:
-                os.close(request_r)
-                os.close(reply_w)
-        # (process, connection, request fd, reply fd) of each helper
-        self.helpers = [(proc, conn, request_w, reply_r) for proc, conn, (_, request_w, reply_r, _)
-                        in zip(helpers, conns, pipes)]
+        fork = multiprocessing.get_context("fork")
+        # (request, reply) of each helper
+        self.links = [(fork.Semaphore(0), fork.Semaphore(0)) for _ in range(procs - 1)]
+        # (process, report connection) of each helper
+        self.helpers = list(zip(*self.enter_context(fork_children(
+            [{cpu} for cpu in cpus[1:procs]], self.serve, (os.getpid(),)))))
         self.enter_context(pinned({cpus[0]}))
 
-    def _request(self, i, share, held):
-        """Send owner i its share, each worker at its state in ``held``."""
-        words, base, workers = self.words, i * self.stride, len(self.workers)
-        words[base + 2] = len(share)
+    def _request(self, h, share, held):
+        """Send helper h its share, each worker at its state in ``held``."""
+        words, base, workers = self.words, h * self.stride, len(self.workers)
+        words[base] = len(share)
         for j, w in enumerate(share):
-            words[base + 3 + j] = w
-            words[base + 3 + workers + j] = held[w].iteration
+            words[base + 1 + j] = w
+            words[base + 1 + workers + j] = held[w].iteration
             snapshot = self.slots[w, 0]
             snapshot[0] = held[w].theta
             snapshot[1] = held[w].u
-        self.sent[i] += 1
-        words[base] = self.sent[i]
-        _wake(self.helpers[i - 1][2])
+        self.links[h][0].release()
 
-    def _reply(self, i):
-        """Wait for owner i's reply: None, or, once its reply pipe reaches
-        end of file, its report, the (position, error) of its share's first
+    def _reply(self, h):
+        """Wait for helper h's reply: None, or, once it has reported or
+        exited, its report, the (position, error) of its share's first
         failure.  Raises WorkerError if it exited without one."""
-        proc, conn, _, reply = self.helpers[i - 1]
-        if _wait(self.words, i * self.stride + 1, self.sent[i], reply):
+        proc, conn = self.helpers[h]
+        if _wait(self.links[h][1], conn.poll):
             return None
         failure, died = receive_report(conn, proc)
         if died:
-            raise WorkerError(f"replay helper process {i} exited with code {proc.exitcode}")
+            raise WorkerError(f"replay helper process {h + 1} exited with code {proc.exitcode}")
         return failure
 
-    def serve(self, i, request, reply):
-        """Owner i's loop in its helper process: compute each request and
-        reply, until the request pipe reaches end of file (None), or until a
-        share fails: then close the reply pipe, so that the calling process
-        reads the report, however large, and return the failure's
-        ``(position, error)``."""
-        words, base, workers = self.words, i * self.stride, len(self.workers)
-        seq = 0
-        while True:
-            seq += 1
-            if not _wait(words, base, seq, request):
-                return None
-            share = [words[base + 3 + j] for j in range(words[base + 2])]
+    def serve(self, h, parent):
+        """Helper h's loop, the target :func:`fork_children` runs in it:
+        compute each request and reply, until the calling process, pid
+        ``parent``, is gone (None), or until a share fails: then return the
+        failure's ``(position, error)``, its report."""
+        words, base, workers = self.words, h * self.stride, len(self.workers)
+        request, reply = self.links[h]
+        while _wait(request, lambda: os.getppid() != parent):
+            share = [words[base + 1 + j] for j in range(words[base])]
             # a worker keeps its snapshot's theta as its previous iterate,
             # so theta is copied out of the slot; u is read in the compute alone
             snapshots = [ParameterState(self.slots[w, 0, 0].copy(), self.slots[w, 0, 1],
-                                        words[base + 3 + workers + j])
+                                        words[base + 1 + workers + j])
                          for j, w in enumerate(share)]
             updates, failure = self._share(share, snapshots)
             if failure:
-                os.close(reply)
                 return failure
             for w, upd in zip(share, updates):
                 self.slots[w, 1, 0] = upd.d_theta
                 self.slots[w, 1, 1] = upd.d_u
-            words[base + 1] = seq
-            _wake(reply)
-
-
-def _helper_main(i, owners, pipes):
-    """Helper process i + 1 of a split replay, pinned to its CPU by
-    :func:`fork_children`: keeps of ``pipes`` only the read end of its
-    request pipe and the write end of its reply pipe, so that each reaches
-    end of file when its one peer exits, and serves its owner's requests;
-    returns its report."""
-    request, _, _, reply = pipes[i]
-    for fd in (fd for fds in pipes for fd in fds):
-        if fd not in (request, reply):
-            os.close(fd)
-    return owners.serve(i + 1, request, reply)
+            reply.release()
+        return None

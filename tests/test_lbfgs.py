@@ -197,9 +197,11 @@ class TestPositiveDefinitenessCheck:
 
 
 class TestConstruction:
-    def test_bad_capacity(self):
-        with pytest.raises(ConfigError):
-            LbfgsMemory(2, 0)
+    @pytest.mark.parametrize("capacity", [0, -1, 2.5, 2.0, True, "3", None])
+    def test_bad_capacity(self, capacity):
+        # a configuration error, not a truncation (2.5 ran with 2, True with 1)
+        with pytest.raises(ConfigError, match="capacity must be an integer of at least 1"):
+            LbfgsMemory(5, capacity)
 
     def test_bad_epsilon(self):
         with pytest.raises(ConfigError):

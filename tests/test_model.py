@@ -1,6 +1,7 @@
 """Tests for the potential/gradient layer of both benchmark models."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -535,3 +536,11 @@ class TestConstruction:
     def test_mf_ragged_inputs(self):
         with pytest.raises(ConfigError):
             MatrixFactorizationModel([0, 1], [0], [1.0], 2, 2, 1)
+
+    @pytest.mark.parametrize("value", [0, 2.9, 2.0, True, math.nan, "3", None])
+    @pytest.mark.parametrize("name", ["n_rows", "n_cols", "rank"])
+    def test_mf_bad_counts(self, name, value):
+        # a configuration error, not a truncation (2.9 ran with 2, True with 1)
+        counts = {"n_rows": 3, "n_cols": 3, "rank": 3, name: value}
+        with pytest.raises(ConfigError, match=f"{name} must be an integer of at least 1"):
+            MatrixFactorizationModel([0], [0], [1.0], **counts)

@@ -1,6 +1,8 @@
 """Tests for the discrete-event simulator."""
 
+import contextlib
 import heapq
+import itertools
 import math
 import multiprocessing
 import os
@@ -8,6 +10,7 @@ import signal
 import sys
 import threading
 import time
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -462,9 +465,16 @@ def split(monkeypatch, owners):
     run's computes, each checked to leave no process behind; and the owner
     count of each.  The mid-run case sets ``FORK_AHEAD`` to 0, as the rule
     would refuse a fork a third of the way into a run, and checks that its
-    first batch was computed in one process."""
+    first batch was computed in one process.
+
+    The owners' clock ticks once per reading, so a one-process compute
+    takes 1 and the mid-run case forks at the batch a third of the way
+    into the run on any host; a wait that finds its semaphore unreleased
+    then blocks on it at once."""
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("a replay splits on 2+ CPUs only")
+    monkeypatch.setattr(asqn.owners, "_time",
+                        types.SimpleNamespace(perf_counter=itertools.count().__next__))
 
     def outcomes(run):
         got, cpus = [], os.sched_getaffinity(0)
@@ -493,8 +503,8 @@ def split_owners(workers):
 class TestSplitReplay:
     """A replay split across helper processes gives the outcome of one
     process, bit for bit, errors included, and leaves no process behind.
-    Timing decides which batch forks in the mid-run case, so CI runs these
-    tests repeatedly."""
+    The owners' wait protocol interleaves differently on every run, so CI
+    runs these tests repeatedly."""
 
     @pytest.mark.parametrize("workers", [2, 3, 10])
     @pytest.mark.parametrize("algo", ["as-lbfgs", "a-sgd"])
@@ -638,9 +648,9 @@ class TestSplitReplay:
         assert multiprocessing.active_children() == []
 
     def test_split_helper_error_of_a_megabyte_reaches_the_caller(self, owners, monkeypatch):
-        # a helper's failure is its report, sent after it has closed its
-        # reply pipe: an error larger than a pipe's buffer must not block
-        # the helper before the caller reads it
+        # a helper's failure is its report, which the caller reads once it
+        # finds the report pipe readable: an error larger than a pipe's
+        # buffer must not block the helper before the caller reads it
         if len(os.sched_getaffinity(0)) < 2:
             pytest.skip("a replay splits on 2+ CPUs only")
         model, cfg, _ = problem("lg")
@@ -701,6 +711,61 @@ class TestSplitReplay:
         assert procs == 2
         assert identical(got, want)
         assert multiprocessing.active_children() == []
+
+    def test_split_helper_ends_when_its_caller_is_killed(self, monkeypatch):
+        # a child splits its replay, then is killed mid-run: its helper,
+        # reparented, must notice and exit rather than wait forever
+        cpus = sorted(os.sched_getaffinity(0))[:2]
+        if len(cpus) < 2:
+            pytest.skip("a replay splits on 2+ CPUs only")
+        model, cfg, _ = problem("lg")
+        sim = SimConfig(workers=2, mu_worker=100.0, max_updates=400, seed=3)
+        helper = multiprocessing.get_context("fork").Value("i", 0)
+        monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", 0.0)
+
+        class KillsCaller(LinearGaussianModel):
+            """Records the helper's pid, then kills the calling process
+            after 20 more gradients there."""
+            caller, calls = None, 0
+
+            def likelihood_grad_sum(self, theta, indices=None):
+                if os.getpid() != self.caller:
+                    helper.value = os.getpid()
+                elif helper.value:
+                    self.calls += 1
+                    if self.calls == 20:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                return super().likelihood_grad_sum(theta, indices)
+
+        killing = KillsCaller(model.features, model.targets, model.noise_variance)
+
+        def child(_):
+            killing.caller = os.getpid()
+            return outcome(lambda: run_async(sim, cfg, killing))
+
+        # joined, not read: the helper holds the child's report pipe open
+        with asqn.owners.fork_children([set(cpus)], child, ()) as (procs, _):
+            procs[0].join()
+        assert procs[0].exitcode == -signal.SIGKILL
+        pid = helper.value
+        assert pid
+        try:
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                try:
+                    with open(f"/proc/{pid}/stat") as fh:
+                        state = fh.read().rsplit(")", 1)[1].split()[0]
+                except FileNotFoundError:
+                    break
+                if state == "Z":
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail(f"helper {pid} outlived its killed caller by 10 s")
+        finally:
+            # a helper left running holds this run's output streams open
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
 
     def test_split_forks_nothing_on_one_cpu_or_beside_a_thread(self, owners, monkeypatch):
         model, cfg, _ = problem("lg")
