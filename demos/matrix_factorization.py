@@ -16,6 +16,14 @@ Two things make this landscape trickier than the quadratic quickstart:
 Run:  python3 demos/matrix_factorization.py
 """
 
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# a long replay splits its batches across helper processes only in a
+# process that runs no BLAS thread pool.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
 import numpy as np
 
 from asqn import SamplerConfig, SimConfig, run_async

@@ -12,6 +12,14 @@ averaged over 5 repetitions.
 Run:  python3 demos/straggler_sweep.py
 """
 
+import os
+
+# One BLAS thread unless the caller chose otherwise, set before numpy loads:
+# a long replay splits its batches across helper processes only in a
+# process that runs no BLAS thread pool.
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
 import numpy as np
 
 from asqn import (

@@ -21,6 +21,8 @@ class LbfgsMemory:
     zero-s pairs rejected outright), which keeps the implied matrix
     positive definite even on non-convex problems.  ``rho`` adds a rho*I
     shift on top of the two-loop product for numerical stabilization.
+    Each pair is kept as its own ``(2, d)`` block, rows s and y, with
+    1/(y.s), so :func:`apply_stacked` gathers whole blocks.
     """
 
     def __init__(self, dim: int, capacity: int, epsilon: float = 1e-8, rho: float = 0.0):
@@ -34,7 +36,9 @@ class LbfgsMemory:
         self.capacity = int(capacity)
         self.epsilon = float(epsilon)
         self.rho = float(rho)
-        # copies of the admitted (s, y) with 1/(y.s) as a Python float, newest first
+        # the admitted pairs, newest first, each (s, y, 1/(y.s), block):
+        # block is the memory's own (2, d) copy of the pair, s and y are
+        # its rows, which the two-loop reads, and 1/(y.s) is a Python float
         self._pairs: list = []
         self._gamma = 1.0
 
@@ -44,7 +48,7 @@ class LbfgsMemory:
     @property
     def pairs(self):
         """Copies of the stored (s, y, 1/(y.s)), oldest first."""
-        return [(s.copy(), y.copy(), inv_ys) for s, y, inv_ys in reversed(self._pairs)]
+        return [(s.copy(), y.copy(), inv_ys) for s, y, inv_ys, _ in reversed(self._pairs)]
 
     def _check(self, v, name):
         v = np.asarray(v, dtype=float)
@@ -52,25 +56,31 @@ class LbfgsMemory:
             raise ValueError(f"{name} must have shape ({self.dim},), got {v.shape}")
         return v
 
-    def try_add(self, s, y, products=None) -> bool:
+    def try_add(self, s, y) -> bool:
         """Append (s, y), evicting the oldest pair if full, iff the
-        cautious condition holds.  Returns whether the pair was admitted.
-
-        ``products`` are s.s, y.s and y.y as Python floats when the caller
-        has formed them, as :func:`try_add_stacked` does for a batch; with
-        the bits of the one-dimensional ``@``, which the rows of a stacked
-        ``np.vecdot`` have, the result is the same bit for bit."""
+        cautious condition holds.  Returns whether the pair was admitted;
+        the memory keeps a (2, d) copy of it."""
         s = self._check(s, "s")
         y = self._check(y, "y")
-        ss, ys, yy = (float(s @ s), float(y @ s), None) if products is None else products
-        # s = 0 passes the printed inequality (0 >= 0) but makes 1/(y.s)
-        # undefined, so it is rejected before the test.
-        if ss == 0.0 or not math.isfinite(ys) or ys < self.epsilon * ss:
+        ys = float(y @ s)
+        if not self._admits(float(s @ s), ys):
             return False
-        self._pairs.insert(0, (s.copy(), y.copy(), 1.0 / ys))
-        del self._pairs[self.capacity:]
-        self._gamma = ys / (float(y @ y) if yy is None else yy)
+        self._insert(np.array((s, y)), ys, float(y @ y))
         return True
+
+    def _admits(self, ss, ys) -> bool:
+        """The cautious test on s.s and y.s.  s = 0 passes the printed
+        inequality (0 >= 0) but makes 1/(y.s) undefined, so it is rejected
+        before the test."""
+        return not (ss == 0.0 or not math.isfinite(ys) or ys < self.epsilon * ss)
+
+    def _insert(self, block, ys, yy):
+        """Make the (2, d) block (s, y), an array of its own that the
+        memory keeps, the newest pair, evicting the oldest if full; ``ys``
+        and ``yy`` are y.s and y.y as Python floats."""
+        self._pairs.insert(0, (block[0], block[1], 1.0 / ys, block))
+        del self._pairs[self.capacity:]
+        self._gamma = ys / yy
 
     def gamma(self) -> float:
         """Scaling of the initial matrix H0 = gamma * I (1.0 when empty).
@@ -102,35 +112,48 @@ class LbfgsMemory:
 
 def _two_loop(pairs, gamma, v, out):
     """H v, written to ``out`` (which may be ``v``), for the ``pairs``
-    (s, y, 1/(y.s)), newest first, and H0 = gamma * I.  It serves one
-    memory, with ``(d,)`` pairs and a ``(d,)`` or ``(m, d)`` v, and a stack
-    of k memories, with ``(k, 1, d)`` pairs and a ``(k, m, d)`` v, over
-    which 1/(y.s) and gamma broadcast.  Each dot is one BLAS ddot per row."""
+    (s, y, 1/(y.s), block), newest first, and H0 = gamma * I; the block,
+    whose rows are s and y, is not read here.  It serves one memory, with
+    ``(d,)`` pairs and a ``(d,)`` or ``(m, d)`` v, and a stack of k
+    memories, with ``(k, 1, d)`` pairs and a ``(k, m, d)`` v, over which
+    1/(y.s) and gamma broadcast.  Each dot is one BLAS ddot per row."""
     q = out
     if q is not v:
         q[...] = v
     tmp = np.empty_like(q) if pairs else None  # each step's update, in one buffer
     alphas = []
-    for s, y, inv_ys in pairs:
+    for s, y, inv_ys, _ in pairs:
         a = inv_ys * np.vecdot(s, q)
         q -= np.multiply(a[..., None], y, out=tmp)
         alphas.append(a)
     r = np.multiply(q, gamma, out=q)
-    for (s, y, inv_ys), a in zip(reversed(pairs), reversed(alphas)):
+    for (s, y, inv_ys, _), a in zip(reversed(pairs), reversed(alphas)):
         b = inv_ys * np.vecdot(y, r)
         r += np.multiply((a - b)[..., None], s, out=tmp)
     return r
 
 
-def try_add_stacked(memories, s, y) -> list:
-    """``memories[i].try_add(s[i], y[i])`` for every row ``i`` of the
-    ``(k, d)`` stacks s and y, bit for bit: s.s, y.s and y.y of all rows
-    come from one ``np.vecdot`` call each, whose rows are one BLAS ddot
-    each, as the one-dimensional ``@`` is.  Returns whether each pair was
-    admitted."""
+def try_add_stacked(memories, blocks) -> list:
+    """``memories[i].try_add(s_i, y_i)`` for every ``(2, d)`` block
+    ``(s_i, y_i)`` of the ``(k, 2, d)`` stack ``blocks``, as a stacked
+    batch forms its pairs, bit for bit.  The shape is checked once for the
+    batch, s.s, y.s and y.y of all blocks come from one ``np.vecdot`` call
+    each, whose rows are one BLAS ddot each, as the one-dimensional ``@``
+    is, and each admitted pair is kept as a copy of its own block, so no
+    memory holds a view of the caller's stack.  Returns whether each pair
+    was admitted."""
+    blocks = np.asarray(blocks, dtype=float)
+    if blocks.shape != (len(memories), 2, memories[0].dim):
+        raise ValueError(f"the pairs of {len(memories)} memories must have shape "
+                         f"({len(memories)}, 2, {memories[0].dim}), got {blocks.shape}")
+    s, y = blocks[:, 0], blocks[:, 1]
     ss, ys, yy = (np.vecdot(a, b).tolist() for a, b in ((s, s), (y, s), (y, y)))
-    return [mem.try_add(s_row, y_row, products)
-            for mem, s_row, y_row, *products in zip(memories, s, y, ss, ys, yy)]
+    admitted = []
+    for mem, block, ss_i, ys_i, yy_i in zip(memories, blocks, ss, ys, yy):
+        admitted.append(mem._admits(ss_i, ys_i))
+        if admitted[-1]:
+            mem._insert(block.copy(), ys_i, yy_i)
+    return admitted
 
 
 STACKED_MAX_DIM = 512
@@ -150,10 +173,11 @@ def apply_stacked(memories, vectors, out=None) -> np.ndarray:
     at least ``STACKED_MIN_BATCH`` memories of a d at most
     ``STACKED_MAX_DIM``.  Any other batch is applied one block per memory
     through :meth:`LbfgsMemory.apply`.  On a 2-core host with M = 3 and
-    m = 2 (best of 25 interleaved runs, two sessions), the stacked
-    recursion took 0.90, 0.70, 0.55 and 0.33 times the per-memory time at
-    d = 100 and k = 2, 3, 4 and 10; 1.14, 0.94 to 0.95, 0.72 to 0.84 and
-    0.47 to 0.56 times at d = 500; and 1.1 to 1.5 times at d = 1500.
+    m = 2 (best of 25 interleaved runs, gather included), the stacked
+    recursion took 0.92 to 0.93, 0.69, 0.53 to 0.56 and 0.32 times the
+    per-memory time at d = 100 and k = 2, 3, 4 and 10; 1.08, 0.85, 0.73
+    and 0.51 times at d = 300; 1.11 to 1.19, 0.99 to 1.00, 0.85 to 0.89
+    and 1.12 to 1.24 times at d = 500; and 1.25 to 1.52 times at d = 1500.
     """
     vectors = np.asarray(vectors, dtype=float)
     if out is None:
@@ -167,13 +191,13 @@ def apply_stacked(memories, vectors, out=None) -> np.ndarray:
     rho = np.array([mem.rho for mem in memories])
     shift = rho[:, None, None] * vectors if rho.any() else None  # before out overwrites vectors
     k, n, d = len(memories), len(memories[0]), vectors.shape[-1]
-    # pair j of memory i, newest first, goes to [i, j]
+    # pair j of memory i, newest first, goes to [i, j]: one (2, d) block each
     pairs = [pair for mem in memories for pair in mem._pairs]
-    sy = np.array([v for pair in pairs for v in pair[:2]]).reshape(k, n, 2, 1, d)
+    sy = np.array([pair[3] for pair in pairs]).reshape(k, n, 2, 1, d)
     inv_ys = np.array([pair[2] for pair in pairs]).reshape(k, n, 1)
     gamma = np.array([mem._gamma for mem in memories]).reshape(k, 1, 1)
-    r = _two_loop([(sy[:, j, 0], sy[:, j, 1], inv_ys[:, j]) for j in range(n)], gamma,
-                  vectors, out)
+    r = _two_loop([(sy[:, j, 0], sy[:, j, 1], inv_ys[:, j], sy[:, j]) for j in range(n)],
+                  gamma, vectors, out)
     if shift is not None:
         np.add(r, shift, out=r, where=(rho != 0.0)[:, None, None])
     return r

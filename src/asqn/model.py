@@ -53,17 +53,26 @@ class Subsample:
         return np.concatenate([self.s_indices, self.o_indices], axis=-1)
 
 
-def draw_subsample(rng: np.random.Generator, n_records: int, n_s: int, n_o: int) -> Subsample:
-    """Draw S and O independently, uniformly with replacement.
+def draw_indices(rng: np.random.Generator, n_records: int, size) -> np.ndarray:
+    """Record indices drawn uniformly with replacement, in an array of
+    shape ``size``: the one draw behind every subsample, whose ``n_s + n_o``
+    indices along the last axis are S, then O.
 
-    One draw of ``n_s + n_o`` indices is split into S and O.  Below 2**32
-    numpy takes every bounded integer from the generator's persistent 32-bit
-    stream and buffers nothing per call, so this is bit-identical to drawing
-    S and then O with two calls, and leaves the generator in the same state.
+    Below 2**32 numpy takes every bounded integer from the generator's
+    persistent 32-bit stream and buffers nothing per call, so one draw of
+    several rows, or of S and O together, is bit-identical to drawing them
+    one call at a time, and leaves the generator in the same state.
+    """
+    return rng.integers(0, n_records, size=size)
+
+
+def draw_subsample(rng: np.random.Generator, n_records: int, n_s: int, n_o: int) -> Subsample:
+    """Draw S and O independently, uniformly with replacement: one
+    :func:`draw_indices` row of ``n_s + n_o`` indices, split into S and O.
     """
     if n_s < 1 or n_o < 1:
         raise ValueError(f"subsample parts must be nonempty, got n_s={n_s}, n_o={n_o}")
-    drawn = rng.integers(0, n_records, size=n_s + n_o)
+    drawn = draw_indices(rng, n_records, n_s + n_o)
     return Subsample(s_indices=drawn[:n_s], o_indices=drawn[n_s:])
 
 
@@ -342,8 +351,18 @@ def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False,
         raise ValueError("both subsample parts must be nonempty")
     if previous is not None and not with_overlap:
         raise ValueError("previous needs with_overlap")
-    scale = model.n_records / sub.n_total
-    parts = [sub.s_indices, sub.o_indices] + ([] if previous is None else [previous])
+    return split_gradient(model, theta, sub.s_indices, sub.o_indices, with_overlap, previous,
+                          out)
+
+
+def split_gradient(model, theta, s_indices, o_indices, with_overlap=False, previous=None,
+                   out=None):
+    """:func:`combined_gradient` on the parts ``s_indices`` and ``o_indices``
+    of a subsample, without its checks, which a worker's own draws at its
+    own snapshot always pass: the index arrays may be slices of the rows a
+    worker drew."""
+    scale = model.n_records / (s_indices.shape[-1] + o_indices.shape[-1])
+    parts = [s_indices, o_indices] + ([] if previous is None else [previous])
     lik_s, lik_o, *lik_previous = model.likelihood_grad_sums(theta, parts)
     prior = model.prior_gradient(theta)
     # prior + scale * (lik_s + lik_o), and prior + c * lik for the others
@@ -352,7 +371,7 @@ def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False,
     combined = np.add(prior, lik_s, out=out)
     if not with_overlap:
         return combined
-    lik_o *= model.n_records / sub.n_o
+    lik_o *= model.n_records / o_indices.shape[-1]
     overlap = np.add(prior, lik_o, out=lik_o)
     if previous is None:
         return combined, overlap

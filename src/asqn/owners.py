@@ -40,7 +40,19 @@ def pinned(cpus):
         os.sched_setaffinity(0, before)
 
 
+# The send end of this process's own report pipe where fork_children
+# forked it, and None elsewhere: state of the process, not of a caller.
+_report_end = None
+
+
 def _child_main(cpus, conn, target, i, *args):
+    global _report_end
+    # a child of a child inherits its parent's send end: closed here, the
+    # parent's pipe reaches EOF when the parent exits, whatever its
+    # children still run
+    if _report_end is not None:
+        _report_end.close()
+    _report_end = conn
     # a child only narrows the set it inherited, so the pin needs no
     # handler: a failure would end the child without a report
     os.sched_setaffinity(0, cpus)
@@ -55,7 +67,9 @@ def fork_children(cpu_sets, target, args):
     its one report, through the only send end of its own one-way Pipe;
     yields the processes and the receive ends, in child order.
 
-    A child may fork children of its own.  On exit every child still
+    A child may fork children of its own, which close the send end of
+    its pipe that they inherit, so a child's exit reaches its reader as
+    EOF even while its own children run.  On exit every child still
     alive is terminated, and every child is joined, so none outlives the
     block."""
     fork = multiprocessing.get_context("fork")

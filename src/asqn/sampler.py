@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, check_count
 from .lbfgs import LbfgsMemory, apply_stacked, try_add_stacked
-from .model import Subsample, combined_gradient, draw_subsample, stochastic_gradient
+from .model import Subsample, draw_subsample, split_gradient, stochastic_gradient
 
 
 @dataclass
@@ -121,8 +121,10 @@ def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, Upd
     """
     sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
     noise = rng.standard_normal(model.dim) if worker_draws_noise("as-lbfgs", cfg) else None
-    upd, ctx, _ = _one_update(cfg, worker, snapshot, model, sub, noise, pair=False)
-    return upd, ctx
+    upd, overlap_grad, _ = _one_update(cfg, worker, snapshot, model, sub.combined, noise,
+                                       pair=False)
+    return upd, UpdateContext(snapshot_theta=snapshot.theta, subsample=sub,
+                              overlap_gradient=overlap_grad)
 
 
 def worker_draws_noise(algo, cfg) -> bool:
@@ -147,87 +149,93 @@ def post_send_memory_update(worker: WorkerState, ctx: UpdateContext, model) -> b
     g_prime = None
     if _wants_pair(worker):
         g_prime = stochastic_gradient(model, ctx.snapshot_theta, worker.prev_overlap)
-    return _admit(worker, ctx, g_prime)
+    return _admit(worker, ctx.snapshot_theta, ctx.subsample.o_indices, ctx.overlap_gradient,
+                  g_prime)
 
 
 def _wants_pair(worker: WorkerState) -> bool:
     return worker.local_iter >= 1 and worker.cfg.use_memory
 
 
-def _admit(worker, ctx, g_prime) -> bool:
+def _admit(worker, theta, overlap, overlap_grad, g_prime) -> bool:
     """The bookkeeping of post_send_memory_update, given the gradient on
-    the previous overlap set at the snapshot (None when no pair is due)."""
+    the previous overlap set at the snapshot's ``theta`` (None when no
+    pair is due)."""
     admitted = False
     if g_prime is not None:
-        s = ctx.snapshot_theta - worker.prev_theta
+        s = theta - worker.prev_theta
         y = g_prime - worker.prev_overlap_grad
         admitted = worker.memory.try_add(s, y)
-    _advance(worker, ctx)
+    _advance(worker, theta, overlap, overlap_grad)
     return admitted
 
 
-def _advance(worker, ctx):
-    """Make the update's snapshot, overlap set and overlap gradient the
-    worker's previous ones."""
-    worker.prev_theta = ctx.snapshot_theta
-    worker.prev_overlap = ctx.subsample.o_indices
-    worker.prev_overlap_grad = ctx.overlap_gradient
+def _advance(worker, theta, overlap, overlap_grad):
+    """Make an update's snapshot theta, overlap set and overlap gradient
+    the worker's previous ones."""
+    worker.prev_theta = theta
+    worker.prev_overlap = overlap
+    worker.prev_overlap_grad = overlap_grad
     worker.local_iter += 1
 
 
 def lbfgs_updates(cfg, workers, snapshots, model, draws):
     """AS-L-BFGS updates of k >= 1 distinct workers, each at its own
-    snapshot from its ``(subsample, noise or None)`` in ``draws``, each
-    followed by its post-send memory update; yields them in worker order.
+    snapshot from its ``(indices, noise or None)`` in ``draws``, the
+    ``(n_s + n_o,)`` index row it drew, S first, and each followed by its
+    post-send memory update; yields them in worker order.
 
     Bit-identical to compute_update then post_send_memory_update worker by
     worker on the same draws.  On k >= 2 workers that all have a pair due,
-    or none has, :func:`_update_numerics` runs once on stacks, and s, y,
-    s.s, y.s and y.y of the pairs are formed once for the batch
-    (:func:`~asqn.lbfgs.try_add_stacked`), so each worker keeps only its
-    cautious test and the insert of its pair.  Any other batch, and a
-    stacked batch that raises, is computed one worker at a time from the
-    same draws, each update followed by its admission and yielded, so the
-    first worker's error in order is raised after the workers before it
-    have yielded.
+    or none has, :func:`_stacked_updates` runs the numerics once on stacks
+    and forms the pairs in one ``(k, 2, d)`` block, whose s.s, y.s and y.y
+    :func:`~asqn.lbfgs.try_add_stacked` forms once for the batch, so each
+    worker keeps only its cautious test and the insert of its pair; each
+    worker then advances to its snapshot and its rows of the batch's
+    overlap sets and gradients.  Any other batch, and a stacked batch that
+    raises, is computed one worker at a time from the same draws, each
+    update followed by its admission and yielded, so the first worker's
+    error in order is raised after the workers before it have yielded.
     """
     if len(workers) > 1 and len({_wants_pair(worker) for worker in workers}) == 1:
         try:
-            updates, contexts, pairs = _stacked_updates(cfg, workers, snapshots, model, draws)
+            updates, overlap, overlap_grad, pairs = _stacked_updates(cfg, workers, snapshots,
+                                                                     model, draws)
         except Exception:  # whatever it was, the replay below raises it in worker order
             pass
         else:
             if pairs is not None:
-                try_add_stacked([worker.memory for worker in workers], *pairs)
-            for worker, ctx in zip(workers, contexts):
-                _advance(worker, ctx)
+                try_add_stacked([worker.memory for worker in workers], pairs)
+            for worker, snapshot, o_row, grad in zip(workers, snapshots, overlap, overlap_grad):
+                _advance(worker, snapshot.theta, o_row, grad)
             yield from updates
             return
-    for worker, snapshot, draw in zip(workers, snapshots, draws):
-        upd, ctx, g_prime = _one_update(cfg, worker, snapshot, model, *draw)
-        _admit(worker, ctx, g_prime)
+    for worker, snapshot, (indices, noise) in zip(workers, snapshots, draws):
+        upd, overlap_grad, g_prime = _one_update(cfg, worker, snapshot, model, indices, noise)
+        _admit(worker, snapshot.theta, indices[cfg.n_s:], overlap_grad, g_prime)
         yield upd
 
 
-def _update_numerics(cfg, model, theta, u, sub, previous, noise, apply, iteration):
+def _update_numerics(cfg, model, theta, u, indices, previous, noise, apply, iteration):
     """The only implementation of the AS-L-BFGS update numerics.
 
-    Takes one worker's ``(d,)`` theta, u, noise and ``(n,)`` indices, or
-    stacks of k workers' with a leading axis; ``apply`` runs the two-loop
-    in place on the ``(2, d)`` (g, u) block, or the ``(k, 2, d)`` stack of
-    them, into which the combined gradient is written directly.  Returns
-    d_theta, d_u and the gradients on O and on ``previous`` (None without
-    it), shaped like theta, or raises DivergenceError at ``iteration``
-    when a gradient is not finite.  A stack passes None: :func:`lbfgs_updates`
-    recomputes a stack that raises one worker at a time, which raises the
-    error of the first worker in order.  Each stacked row is
-    bit-identical to the one-worker call.  One worker is not stacked: on
-    linear-Gaussian d = 100, stacks of one made the whole update about
-    10 us (12%) slower on a 2-core host.
+    Takes one worker's ``(d,)`` theta, u, noise and ``(n_s + n_o,)`` index
+    row, S first, or stacks of k workers' with a leading axis; ``apply``
+    runs the two-loop in place on the ``(2, d)`` (g, u) block, or the
+    ``(k, 2, d)`` stack of them, into which the combined gradient is
+    written directly.  Returns d_theta, d_u and the gradients on O and on
+    ``previous`` (None without it), shaped like theta, or raises
+    DivergenceError at ``iteration`` when a gradient is not finite.  A
+    stack passes None: :func:`lbfgs_updates` recomputes a stack that raises
+    one worker at a time, which raises the error of the first worker in
+    order.  Each stacked row is bit-identical to the one-worker call.  One
+    worker is not stacked: on linear-Gaussian d = 100, stacks of one made
+    the whole update about 10 us (12%) slower on a 2-core host.
     """
     gu = np.empty((*theta.shape[:-1], 2, theta.shape[-1]))
-    g, overlap_grad, *previous_grad = combined_gradient(model, theta, sub, with_overlap=True,
-                                                        previous=previous, out=gu[..., 0, :])
+    g, overlap_grad, *previous_grad = split_gradient(
+        model, theta, indices[..., :cfg.n_s], indices[..., cfg.n_s:], with_overlap=True,
+        previous=previous, out=gu[..., 0, :])
     if not np.isfinite(g).all():
         raise DivergenceError(f"non-finite gradient at iteration {iteration}",
                               iteration=iteration)
@@ -241,45 +249,42 @@ def _update_numerics(cfg, model, theta, u, sub, previous, noise, apply, iteratio
     return h[..., 1, :], d_u, overlap_grad, previous_grad[0] if previous_grad else None
 
 
-def _one_update(cfg, worker, snapshot, model, sub, noise, pair=True):
-    """One worker's (update, context, previous-overlap gradient, None
-    unless a pair is due and ``pair``); leaves the worker untouched."""
+def _one_update(cfg, worker, snapshot, model, indices, noise, pair=True):
+    """One worker's update from its index row, its gradient on O, and its
+    gradient on the previous O (None unless a pair is due and ``pair``);
+    leaves the worker untouched."""
     previous = worker.prev_overlap if pair and _wants_pair(worker) else None
     memory = worker.memory
     d_theta, d_u, overlap_grad, g_prime = _update_numerics(
-        cfg, model, snapshot.theta, snapshot.u, sub, previous, noise,
+        cfg, model, snapshot.theta, snapshot.u, indices, previous, noise,
         lambda gu: memory.apply(gu, out=gu), snapshot.iteration)
-    ctx = UpdateContext(snapshot_theta=snapshot.theta, subsample=sub,
-                        overlap_gradient=overlap_grad)
-    return UpdateVector(d_theta=d_theta, d_u=d_u), ctx, g_prime
+    return UpdateVector(d_theta=d_theta, d_u=d_u), overlap_grad, g_prime
 
 
 def _stacked_updates(cfg, workers, snapshots, model, draws):
     """The numerics of _one_update for k >= 2 workers that all have a pair
-    due or none has, on stacks made with np.array, leaving the workers
-    untouched.  Returns the updates, the contexts, and the ``(k, d)``
-    stacks ``(s, y)`` of the workers' pairs, or None when none is due."""
-    subs = Subsample(s_indices=np.array([sub.s_indices for sub, _ in draws]),
-                     o_indices=np.array([sub.o_indices for sub, _ in draws]))
+    due or none has, leaving the workers untouched: the draws' index rows
+    are stacked with one np.array call, and S and O are slices of that
+    stack.  Returns the updates, the ``(k, n_o)`` overlap sets and ``(k, d)``
+    overlap gradients the workers advance to, and the ``(k, 2, d)`` block
+    of the workers' pairs (s, y), or None when none is due."""
+    indices = np.array([row for row, _ in draws])
     due = _wants_pair(workers[0])
     previous = np.array([worker.prev_overlap for worker in workers]) if due else None
     memories = [worker.memory for worker in workers]
     theta = np.array([snap.theta for snap in snapshots])
     d_theta, d_u, overlap_grad, g_prime = _update_numerics(
-        cfg, model, theta, np.array([snap.u for snap in snapshots]), subs, previous,
+        cfg, model, theta, np.array([snap.u for snap in snapshots]), indices, previous,
         None if draws[0][1] is None else np.array([noise for _, noise in draws]),
         lambda gu: apply_stacked(memories, gu, out=gu), None)
-    updates = [UpdateVector(d_theta=d_theta[i], d_u=d_u[i]) for i in range(len(workers))]
-    contexts = [UpdateContext(snapshot_theta=snap.theta, subsample=sub,
-                              overlap_gradient=overlap_grad[i])
-                for i, (snap, (sub, _)) in enumerate(zip(snapshots, draws))]
+    updates = [UpdateVector(d_theta=a, d_u=b) for a, b in zip(d_theta, d_u)]
+    overlap = indices[:, cfg.n_s:]
     if not due:
-        return updates, contexts, None
-    s = np.array([worker.prev_theta for worker in workers])
-    y = np.array([worker.prev_overlap_grad for worker in workers])
-    np.subtract(theta, s, out=s)
-    np.subtract(g_prime, y, out=y)
-    return updates, contexts, (s, y)
+        return updates, overlap, overlap_grad, None
+    pairs = np.empty((len(workers), 2, theta.shape[-1]))
+    np.subtract(theta, [worker.prev_theta for worker in workers], out=pairs[:, 0])
+    np.subtract(g_prime, [worker.prev_overlap_grad for worker in workers], out=pairs[:, 1])
+    return updates, overlap, overlap_grad, pairs
 
 
 def master_apply(state: ParameterState, upd: UpdateVector, out=None) -> ParameterState:
@@ -341,7 +346,7 @@ def _drawn_gradient(model, theta, indices):
 
 def sgd_updates(cfg, workers, snapshots, model, draws):
     """a-SGD and SGLD updates of k workers, each at its own snapshot from
-    its ``(subsample, noise or None)`` in ``draws``, yielded in worker
+    its ``(indices, noise or None)`` in ``draws``, yielded in worker
     order: the a-SGD update plus sqrt(2 h / beta) times the noise where the
     draw holds one, as worker_draws_noise decides.  Neither keeps worker
     state, so ``workers`` goes unused.
@@ -358,18 +363,17 @@ def sgd_updates(cfg, workers, snapshots, model, draws):
     if len(draws) > 1:
         theta = np.array([snap.theta for snap in snapshots])
         try:
-            g = _drawn_gradient(model, theta, np.array([sub.combined for sub, _ in draws]))
+            g = _drawn_gradient(model, theta, np.array([indices for indices, _ in draws]))
         except Exception:  # raised again, in worker order, by the steps below
             pass
     stacked = g is not None and np.isfinite(g).all()
     if stacked:
         d_theta, d_u = -cfg.step * g, np.zeros_like(theta)
-    for i, (snap, (sub, noise)) in enumerate(zip(snapshots, draws)):
+    for i, (snap, (indices, noise)) in enumerate(zip(snapshots, draws)):
         if stacked:
             upd = UpdateVector(d_theta=d_theta[i], d_u=d_u[i])
         else:
-            upd = _asgd_update(cfg.step, _drawn_gradient(model, snap.theta, sub.combined),
-                               snap.theta)
+            upd = _asgd_update(cfg.step, _drawn_gradient(model, snap.theta, indices), snap.theta)
         if noise is not None:
             upd.d_theta += math.sqrt(2.0 * cfg.step / cfg.inv_temperature) * noise
         yield upd
@@ -378,8 +382,9 @@ def sgd_updates(cfg, workers, snapshots, model, draws):
 # The updates of k >= 1 distinct workers of each asynchronous algorithm,
 # each at its own snapshot, all called as
 # (cfg, workers, snapshots, model, draws) -> updates, where draws[i] is
-# worker i's (subsample, noise or None) for this update, drawn from its own
-# generator as worker_draws_noise says.  Each entry is a generator that
+# worker i's (indices, noise or None) for this update, its (n_s + n_o,)
+# index row, S first, and its noise, drawn from its own generator as
+# worker_draws_noise says.  Each entry is a generator that
 # yields the updates in worker order, so a batch that raises has given the
 # updates of the workers before the first that failed.  Both the
 # simulator's event loop and the runtime's worker processes compute

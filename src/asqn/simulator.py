@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_count
-from .model import Subsample, combined_gradient, draw_subsample
+from .model import Subsample, combined_gradient, draw_indices
 from .owners import WorkerOwners
 from .sampler import WORKER_UPDATES, MbLbfgsMaster, ParameterState, master_apply, worker_draws_noise
 
@@ -189,38 +189,38 @@ class WorkerDraws:
     (:func:`~asqn.sampler.worker_draws_noise`; none without ``algo``), its
     noise.  Run mode builds them before it forks; each worker draws its own.
 
-    :meth:`next` gives a worker's ``(subsample, noise or None)`` for one
-    update.  Without noise a worker draws ``rows`` subsamples per
-    :meth:`block`, in one ``integers`` call that holds, value for value,
-    the subsamples of one :func:`~asqn.model.draw_subsample` call each:
-    numpy reads bounded integers below 2**32 one value at a time and
-    buffers nothing between calls, so only a generator's end state
-    differs.  With noise it draws a subsample, then its noise, per update,
-    as drawing subsamples ahead would change which values each draw takes.
+    :meth:`next` gives a worker's ``(indices, noise or None)`` for one
+    update: ``indices`` is the ``(n_s + n_o,)`` index row of
+    :func:`~asqn.model.draw_indices`, S first, the ``combined`` indices of
+    the subsample that :func:`~asqn.model.draw_subsample` would draw.
+    Without noise a worker draws ``rows`` index rows per :meth:`block`, in
+    one ``draw_indices`` call that holds, value for value, the rows of one
+    ``draw_subsample`` call each, so only a generator's end state differs.
+    With noise it draws a row, then its noise, per update, as drawing rows
+    ahead would change which values each draw takes.
     """
 
     def __init__(self, seed, workers, sampler_cfg, model, algo=None):
         self.rngs = [np.random.default_rng(seed + w) for w in range(workers)]
-        self.n_records, self.n_s, self.n_o = model.n_records, sampler_cfg.n_s, sampler_cfg.n_o
+        self.n_records, self.row_size = model.n_records, sampler_cfg.n_s + sampler_cfg.n_o
         self.noise_dim = model.dim if algo and worker_draws_noise(algo, sampler_cfg) else 0
-        self.rows = block_rows(self.n_s + self.n_o)
+        self.rows = block_rows(self.row_size)
         self.pending: list = [[] for _ in self.rngs]  # each worker's unused rows, last first
 
     def block(self, w: int) -> np.ndarray:
-        """The next ``rows`` subsamples of worker ``w``, S and O side by side."""
-        return self.rngs[w].integers(0, self.n_records, size=(self.rows, self.n_s + self.n_o))
+        """The next ``rows`` index rows of worker ``w``, S and O side by side."""
+        return draw_indices(self.rngs[w], self.n_records, (self.rows, self.row_size))
 
     def next(self, w: int):
-        """Worker ``w``'s subsample and noise (None without) for its next update."""
+        """Worker ``w``'s index row and noise (None without) for its next update."""
         if self.noise_dim:
             rng = self.rngs[w]
-            sub = draw_subsample(rng, self.n_records, self.n_s, self.n_o)
-            return sub, rng.standard_normal(self.noise_dim)
+            return (draw_indices(rng, self.n_records, self.row_size),
+                    rng.standard_normal(self.noise_dim))
         pending = self.pending[w]
         if not pending:
             pending.extend(self.block(w)[::-1])
-        row = pending.pop()
-        return Subsample(s_indices=row[:self.n_s], o_indices=row[self.n_s:]), None
+        return pending.pop(), None
 
 
 def check_round_timeout(sim_cfg: SimConfig):

@@ -1,6 +1,8 @@
 """Tests for the cautious FIFO curvature memory and the two-loop recursion."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -326,7 +328,7 @@ class TestRowStorage:
         s = rng.standard_normal((k, dim))
         y = s + 0.1 * rng.standard_normal((k, dim))
         if stacked:
-            assert all(try_add_stacked(memories, s, y))
+            assert all(try_add_stacked(memories, np.stack((s, y), axis=1)))
         else:
             assert all([mem.try_add(s_i, y_i) for mem, s_i, y_i in zip(memories, s, y)])
         vectors = rng.standard_normal((k, 2, dim))
@@ -467,6 +469,16 @@ class TestApplyStacked:
             assert all(np.array_equal(a[0], b[0]) and a[2] == b[2]
                        for a, b in zip(mem.pairs, pairs))
 
+    def test_copied_memories_stack_like_their_originals(self):
+        # a deep copy or a pickled memory keeps the (2, d) block of each
+        # pair, which a stacked batch gathers
+        rng = np.random.default_rng(6)
+        memories = alike_memories(rng, STACKED_MIN_BATCH + 1, 6, 3, 1.0, 4)
+        vectors = rng.standard_normal((len(memories), 2, 6))
+        want = apply_stacked(memories, vectors)
+        assert same_bits(apply_stacked(copy.deepcopy(memories), vectors), want)
+        assert same_bits(apply_stacked(pickle.loads(pickle.dumps(memories)), vectors), want)
+
     @pytest.mark.parametrize("dim", [6, STACKED_MAX_DIM + 1])
     @pytest.mark.parametrize("k", [2, STACKED_MIN_BATCH, 5])
     def test_in_place_and_into_out_equal_a_fresh_result(self, dim, k):
@@ -482,7 +494,8 @@ class TestApplyStacked:
 
 class TestTryAddStacked:
     """try_add_stacked forms s.s, y.s and y.y of a batch in stacked vecdot
-    calls, and each memory admits through try_add given those products."""
+    calls, and each memory applies try_add's cautious test to those
+    products."""
 
     def test_vecdot_rows_equal_one_dimensional_matmul(self):
         # 700 pairs with d from 1 to 4097, some scaled far from 1
@@ -516,7 +529,7 @@ class TestTryAddStacked:
                     s[row] = 0.0
                 elif kind == 2:
                     s[row], y[row] = 1e200, rng.choice([1e200, np.inf, np.nan])
-            got = try_add_stacked([stacked[w] for w in who], s, y)
+            got = try_add_stacked([stacked[w] for w in who], np.stack((s, y), axis=1))
             want = [single[w].try_add(si, yi) for w, si, yi in zip(who, s, y)]
             assert got == want
             for si, yi, ok in zip(s, y, want):
@@ -531,3 +544,28 @@ class TestTryAddStacked:
             for (s1, y1, r1), (s2, y2, r2) in zip(a.pairs, b.pairs):
                 assert same_bits(s1, s2) and same_bits(y1, y2) and r1 == r2
             assert same_bits(a.apply(v), b.apply(v))
+
+    def test_kept_pairs_are_copies_and_a_wrong_shape_changes_nothing(self):
+        # later writes to the (k, 2, d) block a batch formed change no kept
+        # pair, and a block of the wrong shape is refused before any
+        # memory changes
+        rng = np.random.default_rng(4)
+        d, k = 5, 4
+        memories = [LbfgsMemory(d, 2, epsilon=0.5) for _ in range(k)]
+
+        def unchanged(kept):
+            return all(len(mem) == len(pairs) and all(
+                same_bits(a[0], b[0]) and same_bits(a[1], b[1]) and a[2] == b[2]
+                for a, b in zip(mem.pairs, pairs)) for mem, pairs in zip(memories, kept))
+
+        for _ in range(3):
+            s = rng.standard_normal((k, d))
+            block = np.stack((s, s + rng.standard_normal((k, d))), axis=1)
+            try_add_stacked(memories, block)
+            kept = [mem.pairs for mem in memories]
+            block[...] = 7.0
+            assert any(kept) and unchanged(kept)
+        for shape in [(k, 2, d + 1), (k - 1, 2, d), (k, 3, d), (k, d)]:
+            with pytest.raises(ValueError, match="must have shape"):
+                try_add_stacked(memories, np.ones(shape))
+        assert unchanged(kept)

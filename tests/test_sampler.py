@@ -544,11 +544,12 @@ def same_worker(a, b):
 
 
 def updates_from_rngs(algo, cfg, workers, snapshots, model, rngs):
-    """``WORKER_UPDATES[algo]`` on each worker's ``(subsample, noise or
+    """``WORKER_UPDATES[algo]`` on each worker's ``(indices, noise or
     None)`` for one update, drawn from its own generator in ``rngs``: the
-    subsample, then the noise where a worker of ``algo`` draws any."""
+    index row of a subsample, then the noise where a worker of ``algo``
+    draws any."""
     noisy = worker_draws_noise(algo, cfg)
-    draws = [(draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o),
+    draws = [(draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o).combined,
               rng.standard_normal(model.dim) if noisy else None) for rng in rngs]
     return list(WORKER_UPDATES[algo](cfg, workers, snapshots, model, draws))
 

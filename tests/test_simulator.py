@@ -713,40 +713,51 @@ class TestSplitReplay:
         assert multiprocessing.active_children() == []
 
     def test_split_helper_ends_when_its_caller_is_killed(self, monkeypatch):
-        # a child splits its replay, then is killed mid-run: its helper,
+        # a child splits its replay, then is killed while its helper is
+        # inside a share: the child's report must read as its exit at once,
+        # as the helper holds no copy of its pipe, and the helper,
         # reparented, must notice and exit rather than wait forever
         cpus = sorted(os.sched_getaffinity(0))[:2]
         if len(cpus) < 2:
             pytest.skip("a replay splits on 2+ CPUs only")
         model, cfg, _ = problem("lg")
         sim = SimConfig(workers=2, mu_worker=100.0, max_updates=400, seed=3)
-        helper = multiprocessing.get_context("fork").Value("i", 0)
+        fork = multiprocessing.get_context("fork")
+        helper, stalled, release = fork.Value("i", 0), fork.Event(), fork.Event()
         monkeypatch.setattr(asqn.owners, "FORK_AFTER_S", 0.0)
 
-        class KillsCaller(LinearGaussianModel):
-            """Records the helper's pid, then kills the calling process
-            after 20 more gradients there."""
+        class StallsHelper(LinearGaussianModel):
+            """Records the helper's pid and stalls the helper at its 20th
+            gradient until released, for 60 s at most."""
             caller, calls = None, 0
 
             def likelihood_grad_sum(self, theta, indices=None):
                 if os.getpid() != self.caller:
                     helper.value = os.getpid()
-                elif helper.value:
                     self.calls += 1
                     if self.calls == 20:
-                        os.kill(os.getpid(), signal.SIGKILL)
+                        stalled.set()
+                        release.wait(60.0)
                 return super().likelihood_grad_sum(theta, indices)
 
-        killing = KillsCaller(model.features, model.targets, model.noise_variance)
+        stalling = StallsHelper(model.features, model.targets, model.noise_variance)
 
         def child(_):
-            killing.caller = os.getpid()
-            return outcome(lambda: run_async(sim, cfg, killing))
+            stalling.caller = os.getpid()
+            return outcome(lambda: run_async(sim, cfg, stalling))
 
-        # joined, not read: the helper holds the child's report pipe open
-        with asqn.owners.fork_children([set(cpus)], child, ()) as (procs, _):
-            procs[0].join()
-        assert procs[0].exitcode == -signal.SIGKILL
+        with asqn.owners.fork_children([set(cpus)], child, ()) as (procs, conns):
+            try:
+                assert stalled.wait(30.0), "the replay did not split"
+                os.kill(procs[0].pid, signal.SIGKILL)
+                # bounded: a helper that held the pipe would keep it open
+                # for as long as it stalls
+                assert conns[0].poll(10.0), "the killed child's report pipe stayed open"
+                report, error = asqn.owners.receive_report(conns[0], procs[0])
+            finally:
+                release.set()
+        assert report is None
+        assert str(error) == f"worker exited with code {-signal.SIGKILL}"
         pid = helper.value
         assert pid
         try:
@@ -1599,10 +1610,11 @@ class TestSharedResult:
 
 
 class TestBlockDrawnSubsamples:
-    """A worker that draws no noise draws its subsamples in blocks of
+    """A worker draws each update's subsample as one index row, S first.
+    One that draws no noise draws its rows in blocks of
     block_rows(n_s + n_o), one generator call each; run_async then equals
     the loop that draws one subsample per update, bit for bit, and a worker
-    that draws noise still draws subsample then noise once per update."""
+    that draws noise still draws row then noise once per update."""
 
     @pytest.mark.parametrize("name", ["as-lbfgs-mf", "a-sgd-lg"])
     @pytest.mark.parametrize("max_updates", [3 * 2 * simulator.BLOCK_ROWS,
@@ -1661,6 +1673,30 @@ class TestBlockDrawnSubsamples:
                 assert errors[0] == errors[1], (i, j)
                 outcomes.add(errors[0][0])
         assert outcomes == {RuntimeError, DivergenceError}
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
+    def test_next_gives_the_rows_of_draw_subsample(self, noisy):
+        # draw for draw, past the end of a block, a worker's index row is
+        # the combined subsample its twin generator draws, S first, and
+        # its noise, where it draws any, the twin's next normal vector
+        model, cfg, _ = problem("lg")
+        if not noisy:
+            cfg = replace(cfg, inv_temperature=math.inf)
+        draws = simulator.WorkerDraws(5, 2, cfg, model, "as-lbfgs")
+        twins = [np.random.default_rng(5 + w) for w in range(2)]
+        for n in range(2 * draws.rows + 6):
+            w = n % 2
+            indices, noise = draws.next(w)
+            sub = draw_subsample(twins[w], model.n_records, cfg.n_s, cfg.n_o)
+            assert indices.shape == (cfg.n_s + cfg.n_o,)
+            assert np.array_equal(indices, sub.combined)
+            if noisy:
+                assert np.array_equal(noise, twins[w].standard_normal(model.dim))
+            else:
+                assert noise is None
+        if noisy:
+            assert all(rng.bit_generator.state == twin.bit_generator.state
+                       for rng, twin in zip(draws.rngs, twins))
 
     @pytest.mark.parametrize("algo", ["as-lbfgs", "sgld"])
     def test_noisy_workers_draw_once_per_update(self, monkeypatch, algo):
