@@ -156,7 +156,7 @@ def try_add_stacked(memories, blocks) -> list:
     return admitted
 
 
-STACKED_MAX_DIM = 512
+STACKED_MAX_DIM = 350
 STACKED_MIN_BATCH = 3
 
 
@@ -173,11 +173,13 @@ def apply_stacked(memories, vectors, out=None) -> np.ndarray:
     at least ``STACKED_MIN_BATCH`` memories of a d at most
     ``STACKED_MAX_DIM``.  Any other batch is applied one block per memory
     through :meth:`LbfgsMemory.apply`.  On a 2-core host with M = 3 and
-    m = 2 (best of 25 interleaved runs, gather included), the stacked
-    recursion took 0.92 to 0.93, 0.69, 0.53 to 0.56 and 0.32 times the
-    per-memory time at d = 100 and k = 2, 3, 4 and 10; 1.08, 0.85, 0.73
-    and 0.51 times at d = 300; 1.11 to 1.19, 0.99 to 1.00, 0.85 to 0.89
-    and 1.12 to 1.24 times at d = 500; and 1.25 to 1.52 times at d = 1500.
+    m = 2 (best of 25 interleaved runs, gather included, one process per
+    d), the stacked recursion took 0.66, 0.53 and 0.32 times the
+    per-memory time at d = 100 and k = 3, 4 and 10; 0.71 to 0.89, 0.59 to
+    0.67 and 0.39 to 0.49 times at d = 300; 0.70 to 0.88, 0.60 to 0.72 and
+    0.52 to 0.53 times at d = 350; but at k = 10 0.83 to 0.97 at d = 375,
+    0.56 to 0.99 at d = 400, 1.05 to 1.11 at d = 450 and 1.16 to 1.21 at d = 500,
+    and 1.06 to 1.33 times at d = 1500.
     """
     vectors = np.asarray(vectors, dtype=float)
     if out is None:

@@ -2,10 +2,10 @@
 
 The master node of the message-passing formulation degenerates, on shared
 memory, to a mutually exclusive apply section.  The master's ``(n, version,
-stop, diverged)`` header and its ``theta`` and ``u``, the two rows of one
-``(2, d)`` block, live in one anonymous ``mmap`` mapping that the ``fork``
-start method shares with every worker process, and applies are guarded by
-a process-shared lock.  An apply lands its update in that block through
+stop)`` header and its ``theta`` and ``u``, the two rows of one ``(2, d)``
+block at byte offset 32, live in one anonymous ``mmap`` mapping that the
+``fork`` start method shares with every worker process, and applies are
+guarded by a process-shared lock.  An apply lands its update in that block through
 :func:`asqn.sampler.master_apply`, the simulator's apply rule, so a replay
 of the run applies every update alike.  Reads go through a seqlock-style
 versioned snapshot: the version counter is bumped before and after every
@@ -63,17 +63,16 @@ class SharedMasterState:
     ``theta`` and ``u`` are the two rows of one ``(2, d)`` array over the
     shared mapping; ``n`` and ``version`` read its header, and ``stop``
     (``is_set()``/``set()``) its third word, which any process sharing the
-    mapping may set.  The run's limits are given once: applies stop at
-    ``max_updates``, every ``sample_every``-th state is copied (none when
-    0), and an update whose staleness would exceed ``staleness_limit``
-    (None: no limit) is refused.
+    mapping may set.  Once it is set every apply is refused.  The run's
+    limits are given once: the apply that reaches ``max_updates`` sets
+    ``stop``, and every ``sample_every``-th state is copied (none when 0).
     """
 
-    def __init__(self, theta0, max_updates=float("inf"), sample_every=0, staleness_limit=None):
+    def __init__(self, theta0, max_updates=float("inf"), sample_every=0):
         theta0 = np.asarray(theta0, dtype=float)
         dim = theta0.size
-        self._map = mmap.mmap(-1, 32 + 16 * dim)
-        self._header = memoryview(self._map)[:32].cast("q")  # (n, version, stop, diverged)
+        self._map = mmap.mmap(-1, 32 + 16 * dim)  # the state block stays 32-byte aligned
+        self._header = memoryview(self._map)[:24].cast("q")  # (n, version, stop)
         self._state = np.frombuffer(self._map, dtype=float, count=2 * dim,
                                     offset=32).reshape(2, dim)
         self.theta, self.u = self._state
@@ -82,7 +81,6 @@ class SharedMasterState:
         self.stop = _StopWord(self._header)
         self.max_updates = max_updates
         self.sample_every = sample_every
-        self.staleness_limit = staleness_limit
 
     @property
     def n(self) -> int:
@@ -117,23 +115,21 @@ class SharedMasterState:
         into the shared block; returns (n, staleness, sampled theta copy or
         None).  The copy is taken inside the critical section so sampled
         iterates are exact.  Under the lock, an update is refused, leaving
-        the state untouched and returning None, once ``max_updates`` are
-        applied, after an apply that diverged, or where its staleness would
-        exceed ``staleness_limit``; the apply that reaches ``max_updates``
-        sets ``stop``.  An apply that diverges raises
-        :class:`DivergenceError` after it lands, and is a run's last."""
+        the state untouched and returning None, if and only if ``stop`` is
+        set.  The apply that reaches ``max_updates`` sets it, and so does
+        an apply that diverges: that one raises :class:`DivergenceError`
+        after it lands, and is a run's last."""
         header = self._header
         with self.lock:
+            if self.stop.is_set():
+                return None
             n = header[0]
             staleness = n - n_read
-            if (n >= self.max_updates or header[3]
-                    or (self.staleness_limit is not None and staleness > self.staleness_limit)):
-                return None
             header[1] += 1
             try:
                 master_apply(ParameterState(self.theta, self.u, n), upd, out=self._state)
             except DivergenceError:
-                header[3] = 1
+                self.stop.set()
                 raise
             finally:
                 n += 1
@@ -148,11 +144,11 @@ class SharedMasterState:
 
 def _worker_main(w, master, draws, sampler_cfg, model, algo, t0):
     """One worker process: loops snapshot -> update from ``draws.next(w)``
-    (with the memory update) -> exclusive apply until ``stop`` is set, then
-    returns its report: its sampled ``(time, n, staleness, theta)`` rows,
-    its log of ``(n_read, n or None)`` per update that reached the apply
-    (None: not applied; an apply that diverged is logged with its n) and
-    its first error (or None)."""
+    (with the memory update) -> exclusive apply until ``stop`` is set or
+    an apply is refused, then returns its report: its sampled ``(time, n,
+    staleness, theta)`` rows, its log of ``(n_read, n or None)`` per update
+    it computed (None: refused, and so its last; an apply that diverged is
+    logged with its n) and its first error (or None)."""
     sampled, log = [], []
     error = None
     ws = WorkerState(sampler_cfg, model.dim)
@@ -162,16 +158,14 @@ def _worker_main(w, master, draws, sampler_cfg, model, algo, t0):
             theta, u, n_read = master.snapshot()
             snap = ParameterState(theta=theta, u=u, iteration=n_read)
             upd = next(worker_updates(sampler_cfg, [ws], [snap], model, [draws.next(w)]))
-            if master.stop.is_set():
-                break
             try:
                 applied = master.apply(upd, n_read)
             except DivergenceError as exc:  # the update landed: a replay must apply it too
                 log.append((n_read, exc.iteration))
                 raise
             log.append((n_read, applied[0] if applied else None))
-            if applied is None:  # too stale, or the run is done
-                continue
+            if applied is None:  # the run is done
+                break
             n, staleness, theta_s = applied
             if theta_s is not None:
                 sampled.append((_time.perf_counter() - t0, n, staleness, theta_s))
@@ -213,23 +207,19 @@ def _collect(procs, conns, master, t0, max_wall_s):
     return sampled, logs, errors
 
 
-def check_run(workers, algo="as-lbfgs", max_updates=1000, sample_every=0,
-              staleness_limit=None):
+def check_run(workers, algo="as-lbfgs", max_updates=1000, sample_every=0):
     """Raise :class:`ConfigError` unless :func:`run` accepts these arguments;
     it checks them before it forks.  SGLD and mb-L-BFGS do not run here."""
     check_count("workers", workers)
     if algo not in ("as-lbfgs", "a-sgd"):
         raise ConfigError(f"{algo} is not available in run mode")
-    # max_updates 0 would refuse every apply and a negative staleness limit
-    # discard every update, so neither run would stop
+    # max_updates 0 would still apply one update
     check_count("max_updates", max_updates)
     check_count("sample_every", sample_every, minimum=0)
-    if staleness_limit is not None and not staleness_limit >= 0:
-        raise ConfigError(f"staleness_limit must be nonnegative, got {staleness_limit}")
 
 
 def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=None,
-        seed=0, sample_every=0, max_wall_s=None, staleness_limit=None) -> SimResult:
+        seed=0, sample_every=0, max_wall_s=None) -> SimResult:
     """Run exactly ``workers`` forked worker processes against a shared
     master state.
 
@@ -243,19 +233,19 @@ def run(workers, sampler_cfg, model, algo="as-lbfgs", max_updates=1000, theta0=N
     applies, once this process sees ``max_wall_s`` seconds pass, or when any
     worker fails; the first failure is reported as
     ``"<ExcType>: <message>"`` in ``error``, a worker that dies without
-    reporting as ``"WorkerError: worker exited with code N"``.  With
-    ``staleness_limit`` an update whose staleness would exceed it is
-    discarded, the curvature pair it formed kept, and recomputed from a
-    fresh snapshot.  The trace holds the state after every
-    ``sample_every``-th apply (none when it is 0), ``wall_ms`` the wall
+    reporting as ``"WorkerError: worker exited with code N"``.  The stop
+    word is the one reason an apply is refused, and a worker whose apply is
+    refused logs that compute unapplied and stops, so its log holds at
+    most one unapplied compute, its last.  The trace holds the state after
+    every ``sample_every``-th apply (none when it is 0), ``wall_ms`` the wall
     time of the call, and ``compute_logs`` the workers' logs (None for a
     worker whose report was lost), whose ``schedule``
     :func:`~asqn.simulator.replay` recomputes the run from, bit for bit,
     a diverging apply included.  No worker outlives the call.
     """
-    check_run(workers, algo, max_updates, sample_every, staleness_limit)
+    check_run(workers, algo, max_updates, sample_every)
     master = SharedMasterState(ParameterState.start(model.dim, theta0).theta, max_updates,
-                               sample_every, staleness_limit)
+                               sample_every)
     draws = WorkerDraws(seed, workers, sampler_cfg, model, algo)
     t0 = _time.perf_counter()
     args = (master, draws, sampler_cfg, model, algo, t0)

@@ -342,15 +342,14 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
     (:class:`~asqn.owners.WorkerOwners`, which says when), with the results
     of one process bit for bit; no helper outlives the call.  Its horizon
     there is the count of apply events of a sized schedule, such as a
-    run's, and ``sim_cfg.update_limit`` otherwise.  A worker's
-    second start before its apply (an update the runtime did not apply)
-    computes and drops the first.  Each worker holds one state, the one it
-    read and, after its apply, the one that apply made; a start reads it
-    if its iteration matches (the reply to a send) and the current state
-    otherwise (shared memory).  States are never mutated, so none is
-    copied.  A malformed event, an apply time before the last apply's (a
-    time of None is not compared), an event after the end marker, or no
-    end marker raises ``ValueError``."""
+    run's, and ``sim_cfg.update_limit`` otherwise.  Each worker holds one
+    state, the one it read and, after its apply, the one that apply made;
+    a start reads it if its iteration matches (the reply to a send) and
+    the current state otherwise (shared memory).  States are never
+    mutated, so none is copied.  A malformed event, a worker's second
+    start before its apply, an apply time before the last apply's (a time
+    of None is not compared), an event after the end marker, or no end
+    marker raises ``ValueError``."""
     if algo not in WORKER_UPDATES:
         raise ConfigError(f"unknown asynchronous algorithm {algo!r}")
     rec = Recorder(model, sim_cfg.sample_every)
@@ -372,16 +371,16 @@ def replay(schedule, sim_cfg: SimConfig, sampler_cfg, model, algo="as-lbfgs",
 
         for kind, a, b in events:
             if kind == "start":
-                if a in starts:
-                    compute()
-                elif a not in ids:
+                if a not in ids:
                     raise ValueError(f"schedule event {(kind, a, b)!r} names no worker of {ids}")
+                if a in starts or a in ready:
+                    raise ValueError(f"schedule event {(kind, a, b)!r} starts worker {a} again "
+                                     f"before its apply")
                 if held[a].iteration != b:
                     if state.iteration != b:
                         raise ValueError(f"worker {a} starts on state {b}, not its own or "
                                          f"the current")
                     held[a] = state
-                ready.pop(a, None)
                 starts.append(a)
             elif kind == "apply":
                 if b is not None:

@@ -506,6 +506,28 @@ class TestRmse:
         assert rmse(model, theta) == pytest.approx(np.sqrt(np.mean(sq)), abs=1e-12)
 
 
+def fancy_index_evaluate(model, theta):
+    """``evaluate`` written with fancy-index gathers, F rows and G columns."""
+    f, g = model.unpack(theta)
+    r = np.einsum("ik,ki->i", f[model.rows], g[:, model.cols]) - model.values
+    return model.prior_potential(theta) + 0.5 * float(r @ r), float(np.sqrt(np.mean(r**2)))
+
+
+class TestMatrixFactorizationEvaluate:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_equal_the_fancy_index_formulation(self, seed):
+        # the mf-async-sim problem: 6,000 ratings of a 200 x 300 matrix
+        model = synth_matrix_factorization(seed=0, n_rows=200, n_cols=300, rank=3,
+                                           noise_std=0.1, observed_fraction=0.1)
+        rng = np.random.default_rng(seed)
+        theta = 10.0 ** rng.uniform(-2, 1) * rng.standard_normal(model.dim)
+        assert model.evaluate(theta) == fancy_index_evaluate(model, theta)
+        f, g = model.unpack(theta)
+        idx = rng.integers(0, model.n_records, 50)
+        want = np.einsum("ik,ki->i", f[model.rows[idx]], g[:, model.cols[idx]])
+        assert model.predictions(theta, idx).tobytes() == want.tobytes()
+
+
 class TestPacking:
     def test_round_trip_identity(self):
         model = random_mf()

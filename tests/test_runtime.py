@@ -154,16 +154,19 @@ class TestSharedMasterState:
         # (loads are not reordered with other loads); the writer keeps
         # theta == u == constant-vector(n), which a torn read would break.
         # The writer applies at least min_writes updates and goes on until
-        # the reader has taken 100 snapshots mid-run and set the stop word,
-        # so a loaded host slows the test down instead of failing it.
+        # the reader has taken 100 snapshots mid-run and set ``done``, so a
+        # loaded host slows the test down instead of failing it.  ``done``
+        # is an Event of its own, as the stop word would refuse the
+        # writer's later applies.
         dim = 256
         master = SharedMasterState(np.zeros(dim))
         min_writes = 50000
         upd = UpdateVector(np.ones(dim), np.ones(dim))
+        done = FORK.Event()
 
         def writer():
             applied = 0
-            while applied < min_writes or not master.stop.is_set():
+            while applied < min_writes or not done.is_set():
                 master.apply(upd, n_read=0)
                 applied += 1
 
@@ -173,15 +176,15 @@ class TestSharedMasterState:
         try:
             while proc.exitcode is None and not torn:
                 theta, u, n = master.snapshot()
-                # before the stop word the writer has more updates to apply
-                mid_run += 0 < n and not master.stop.is_set()
+                # before the reader is done the writer has more updates to apply
+                mid_run += 0 < n and not done.is_set()
                 if not (np.all(theta == theta[0]) and np.array_equal(theta, u)
                         and theta[0] == n):
                     torn.append(n)
                 if mid_run >= 100:
-                    master.stop.set()
+                    done.set()
         finally:
-            master.stop.set()
+            done.set()
             proc.join(timeout=60)
         assert not proc.is_alive()
         assert proc.exitcode == 0
@@ -226,24 +229,26 @@ class TestSharedMasterState:
                 proc.join()
 
     def test_apply_refused_after_divergence(self):
-        # the diverging apply lands, then raises; no later apply lands, so
-        # it stays the run's last
+        # the diverging apply lands, sets stop, then raises; no later apply
+        # lands, so it stays the run's last
         master = SharedMasterState(np.zeros(2))
         with pytest.raises(DivergenceError) as info:
             master.apply(UpdateVector(np.full(2, np.inf), np.zeros(2)), n_read=0)
         assert info.value.iteration == 1
+        assert master.stop.is_set()
         assert master.apply(UpdateVector(np.ones(2), np.ones(2)), n_read=1) is None
         assert (master.n, master.version) == (1, 2)
 
-    def test_apply_over_staleness_limit_leaves_state_untouched(self):
-        master = SharedMasterState(np.zeros(2), staleness_limit=2)
-        upd = UpdateVector(np.ones(2), np.ones(2))
-        for _ in range(3):  # staleness 0, 1 and 2
-            master.apply(upd, n_read=0)
-        assert master.apply(upd, n_read=0) is None
-        np.testing.assert_array_equal(master.theta, [3.0, 3.0])
-        assert (master.n, master.version) == (3, 6)
-        assert master.apply(upd, n_read=1)[:2] == (4, 2)
+    def test_apply_refused_once_stop_is_set_from_outside(self):
+        # the stop word alone refuses an apply, whoever set it
+        master = SharedMasterState(np.zeros(2))
+        upd = UpdateVector(np.ones(2), -np.ones(2))
+        assert master.apply(upd, n_read=0)[:2] == (1, 0)
+        master.stop.set()
+        assert master.apply(upd, n_read=1) is None
+        np.testing.assert_array_equal(master.theta, [1.0, 1.0])
+        np.testing.assert_array_equal(master.u, [-1.0, -1.0])
+        assert (master.n, master.version) == (1, 2)
 
 
 class TestRun:
@@ -408,20 +413,16 @@ class TestRun:
         assert report.error is None
         np.testing.assert_array_equal(report.final_state.u, 0.0)
 
-    def test_staleness_limit_back_pressure(self):
-        # the limit is checked under the apply lock, so it holds exactly
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_worker_leaves_at_most_its_last_compute_unapplied(self, seed):
+        # a refused apply ends its worker's loop, so every compute is logged
+        # and only a worker's last may be unapplied
         model, cfg = small_problem()
-        report = run(4, cfg, model, max_updates=200, seed=4, staleness_limit=2)
-        assert report.error is None
-        assert report.iterations == 200
-        assert all(l <= 2 for _, l in report.staleness_log)
-
-    def test_zero_staleness_limit_serialises_four_workers(self):
-        model, cfg = small_problem()
-        report = run(4, cfg, model, max_updates=200, seed=4, staleness_limit=0)
-        assert report.error is None
-        assert report.iterations == 200
-        assert report.max_staleness == 0
+        report = run(4, cfg, model, max_updates=200, seed=seed)
+        assert report.error is None and report.iterations == 200
+        for log in report.compute_logs:
+            assert all(n is not None for _, n in log[:-1])
+        assert sum(n is not None for log in report.compute_logs for _, n in log) == 200
 
     def test_invalid_arguments(self):
         model, cfg = small_problem()
@@ -433,13 +434,10 @@ class TestRun:
     @pytest.mark.parametrize("arguments, message", [
         ({"max_updates": 0}, "max_updates"),
         ({"max_updates": -5}, "max_updates"),
-        ({"staleness_limit": -1}, "staleness_limit"),
-        ({"staleness_limit": math.nan}, "staleness_limit"),
     ])
     def test_invalid_horizon_or_limit_rejected_before_forking(self, arguments, message):
-        # a negative limit discarded every update, so without max_wall_s the
-        # run never returned; max_updates 0 still applied one update.  The
-        # wall-clock limit here only bounds the test where the check is missing.
+        # max_updates 0 would still apply one update.  The wall-clock limit
+        # here only bounds the test where the check is missing.
         model, cfg = small_problem()
         with pytest.raises(ConfigError, match=message):
             run(2, cfg, model, **{"max_updates": 50, "seed": 0, "max_wall_s": 5.0,
@@ -480,21 +478,35 @@ class TestReplay:
     """A run's schedule, replayed in one process through the simulator's
     replay, gives the run's final state and staleness log bit for bit.
     Each run interleaves its workers differently, so repeated runs cover
-    more schedules; limit 0 at W = 2 discards many updates, whose computes
-    the replay must still make."""
+    more schedules; at W = 4 up to three workers end on a refused apply,
+    whose computes the replay must still make."""
 
-    @pytest.mark.parametrize("staleness_limit", [None, 0, 2])
     @pytest.mark.parametrize("algo", ["as-lbfgs", "a-sgd"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_replay_matches_run(self, workers, algo, staleness_limit):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_replay_matches_run(self, workers, algo):
         model, cfg = small_problem()
         cfg = replace(cfg, inv_temperature=1e3)  # as-lbfgs workers draw noise too
-        report = run(workers, cfg, model, algo=algo, max_updates=300, seed=7,
-                     staleness_limit=staleness_limit)
+        report = run(workers, cfg, model, algo=algo, max_updates=300, seed=7)
         assert report.error is None and report.iterations == 300
         got = replay(report.schedule, SimConfig(workers=workers, seed=7, sample_every=300),
                      cfg, model, algo)
         assert got.iterations == 300
+        assert got.final_state.theta.tobytes() == report.final_state.theta.tobytes()
+        assert got.final_state.u.tobytes() == report.final_state.u.tobytes()
+        assert got.staleness_log == report.staleness_log
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_replay_matches_a_run_the_wall_clock_stops(self, workers):
+        # the parent sets stop mid-flight: applies already under way land,
+        # later ones are refused, and a worker whose apply is refused ends
+        # its log with that compute, unapplied; the replay computes it too
+        model, cfg = small_problem()
+        cfg = replace(cfg, inv_temperature=1e3)
+        report = run(workers, cfg, model, max_updates=10**9, seed=7, max_wall_s=0.3)
+        assert report.error is None and 0 < report.iterations < 10**9
+        got = replay(report.schedule, SimConfig(workers=workers, seed=7, sample_every=10**9),
+                     cfg, model)
+        assert got.iterations == report.iterations
         assert got.final_state.theta.tobytes() == report.final_state.theta.tobytes()
         assert got.final_state.u.tobytes() == report.final_state.u.tobytes()
         assert got.staleness_log == report.staleness_log

@@ -524,7 +524,7 @@ class TestSplitReplay:
     def test_split_replay_of_a_run_mode_schedule(self, split):
         model, cfg = small_problem()
         cfg = replace(cfg, inv_temperature=1e3)
-        report = runtime.run(3, cfg, model, max_updates=300, seed=7, staleness_limit=2)
+        report = runtime.run(3, cfg, model, max_updates=300, seed=7)
         assert report.error is None
         sim = SimConfig(workers=3, seed=7, sample_every=300)
         (one, _), (start, procs), (mid, _) = split(
@@ -909,14 +909,19 @@ class TestAsyncSchedule:
          r"\('start', 0, 2\) comes after the end marker"),
         ([("end", False, 1.0), ("end", False, 1.0)],
          r"\('end', False, 1.0\) comes after the end marker"),
+        ([("start", 1, 1), ("apply", 1, 2.0), ("end", False, 2.0)],
+         r"\('start', 1, 1\) starts worker 1 again before its apply"),
+        ([("start", 0, 1), ("start", 0, 1), ("apply", 0, 2.0), ("end", False, 2.0)],
+         r"\('start', 0, 1\) starts worker 0 again before its apply"),
     ], ids=["unknown-kind", "nothing-to-apply", "no-end-marker", "worker-minus-one",
             "worker-W", "time-backwards", "time-backwards-past-none", "start-after-end",
-            "end-after-end"])
+            "end-after-end", "second-start-computed", "second-start-not-computed"])
     def test_replay_rejects_a_malformed_schedule(self, rest, match):
         # after worker 0's apply: an event of no known kind, an apply with
         # no update started, no end marker, a worker id outside 0..W-1, an
-        # apply time that runs backwards (a None time is not compared), or
-        # an event after the end marker
+        # apply time that runs backwards (a None time is not compared), an
+        # event after the end marker, or a worker's second start before its
+        # apply, whether its first is computed yet or not
         model, cfg, _ = problem("lg")
         sim = SimConfig(workers=2, max_updates=2)
         schedule = [("start", 0, 0), ("start", 1, 0), ("apply", 0, 1.0), *rest]
