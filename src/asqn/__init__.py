@@ -16,62 +16,32 @@ Components:
   CPU pinning, child reports, and the split replay's helpers.
 - :mod:`asqn.experiments` / :mod:`asqn.cli` — experiment configuration,
   dataset ingestion, sweeps, and trace/summary emission.
+
+The names below are loaded from their modules on first access (PEP 562),
+so ``import asqn.cli`` imports no numpy: the entry point sets its BLAS
+thread default before numpy loads.
 """
 
-from .errors import ConfigError, DivergenceError, WorkerError
-from .lbfgs import LbfgsMemory
-from .model import (
-    LinearGaussianModel,
-    MatrixFactorizationModel,
-    Subsample,
-    combined_gradient,
-    draw_subsample,
-    full_gradient,
-    potential,
-    rmse,
-    stochastic_gradient,
-)
-from .sampler import (
-    MbLbfgsMaster,
-    ParameterState,
-    SamplerConfig,
-    UpdateVector,
-    WorkerState,
-    asgd_step,
-    compute_update,
-    master_apply,
-    post_send_memory_update,
-    sgld_step,
-)
-from .simulator import SimConfig, TraceRecord, run_async, run_sync_mb, time_to_epsilon
+import importlib
 
-__all__ = [
-    "ConfigError",
-    "DivergenceError",
-    "LbfgsMemory",
-    "LinearGaussianModel",
-    "MatrixFactorizationModel",
-    "MbLbfgsMaster",
-    "ParameterState",
-    "SamplerConfig",
-    "SimConfig",
-    "Subsample",
-    "TraceRecord",
-    "UpdateVector",
-    "WorkerError",
-    "WorkerState",
-    "asgd_step",
-    "combined_gradient",
-    "compute_update",
-    "draw_subsample",
-    "full_gradient",
-    "master_apply",
-    "post_send_memory_update",
-    "potential",
-    "rmse",
-    "run_async",
-    "run_sync_mb",
-    "sgld_step",
-    "stochastic_gradient",
-    "time_to_epsilon",
-]
+# the package's exports, by the submodule that defines them
+_EXPORTS = {
+    "errors": ("ConfigError", "DivergenceError", "WorkerError"),
+    "lbfgs": ("LbfgsMemory",),
+    "model": ("LinearGaussianModel", "MatrixFactorizationModel", "combined_gradient",
+              "draw_subsample", "full_gradient", "potential", "rmse", "stochastic_gradient"),
+    "sampler": ("MbLbfgsMaster", "ParameterState", "SamplerConfig", "UpdateVector",
+                "WorkerState", "asgd_step", "compute_update", "master_apply",
+                "post_send_memory_update", "sgld_step"),
+    "simulator": ("SimConfig", "TraceRecord", "run_async", "run_sync_mb", "time_to_epsilon"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # not cached here: each access reads the submodule's current binding
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

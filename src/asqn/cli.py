@@ -5,15 +5,20 @@
 Exit codes: 0 success, 1 configuration error, 2 numerical divergence,
 3 a worker process failed: a worker of a ``--mode run`` experiment, or a
 process running simulate-mode points that exited without reporting.
+
+Unless the caller's environment sets them, ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` are set to 1 before numpy
+loads: a process beside a BLAS thread pool never splits a replay across
+helper processes, and the pool itself costs time.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigError, DivergenceError, WorkerError
-from .experiments import load_config, run_experiment
 
 
 def main(argv=None) -> int:
@@ -26,6 +31,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="output directory for traces and the summary")
     parser.add_argument("--seed", type=int, help="override the base seed")
     args = parser.parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    # numpy reads the variables above when it loads, which is here
+    from .experiments import load_config, run_experiment
 
     overrides = {}
     if args.mode:

@@ -17,40 +17,10 @@ model adds later is a cache of index offsets that depend on shapes alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, check_count
-
-
-@dataclass(frozen=True)
-class Subsample:
-    """A with-replacement data subsample split into a large part S and a
-    small overlapping part O used for consistent gradient differences.
-
-    The index arrays have shape ``(n,)``, or ``(k, n)`` for ``k`` subsamples
-    stacked row by row; the sizes below count indices along the last axis.
-    """
-
-    s_indices: np.ndarray
-    o_indices: np.ndarray
-
-    @property
-    def n_s(self) -> int:
-        return self.s_indices.shape[-1]
-
-    @property
-    def n_o(self) -> int:
-        return self.o_indices.shape[-1]
-
-    @property
-    def n_total(self) -> int:
-        return self.n_s + self.n_o
-
-    @property
-    def combined(self) -> np.ndarray:
-        return np.concatenate([self.s_indices, self.o_indices], axis=-1)
 
 
 def draw_indices(rng: np.random.Generator, n_records: int, size) -> np.ndarray:
@@ -66,14 +36,14 @@ def draw_indices(rng: np.random.Generator, n_records: int, size) -> np.ndarray:
     return rng.integers(0, n_records, size=size)
 
 
-def draw_subsample(rng: np.random.Generator, n_records: int, n_s: int, n_o: int) -> Subsample:
-    """Draw S and O independently, uniformly with replacement: one
-    :func:`draw_indices` row of ``n_s + n_o`` indices, split into S and O.
+def draw_subsample(rng: np.random.Generator, n_records: int, n_s: int, n_o: int) -> np.ndarray:
+    """Draw S and O independently, uniformly with replacement: the
+    :func:`draw_indices` row of ``n_s + n_o`` indices that every engine
+    carries, S first, so ``row[:n_s]`` is S and ``row[n_s:]`` is O.
     """
     if n_s < 1 or n_o < 1:
         raise ValueError(f"subsample parts must be nonempty, got n_s={n_s}, n_o={n_o}")
-    drawn = draw_indices(rng, n_records, n_s + n_o)
-    return Subsample(s_indices=drawn[:n_s], o_indices=drawn[n_s:])
+    return draw_indices(rng, n_records, n_s + n_o)
 
 
 class UnitGaussianPrior:
@@ -130,7 +100,10 @@ class LinearGaussianModel(UnitGaussianPrior):
         also be ``(k, d)``, row ``i`` of the result then taken at
         ``theta[i]``.
         """
-        a = self.features if indices is None else self.features[indices]
+        # take copies the rows that fancy indexing would, in less time; the
+        # method skips np.take's dispatch, which costs more than it saves
+        # on subsamples of tens of rows
+        a = self.features if indices is None else self.features.take(indices, axis=0)
         y = self.targets if indices is None else self.targets[indices]
         r = (a @ theta if theta.ndim == 1 else (a @ theta[:, :, None])[..., 0]) - y
         # matmul runs a 1-D r as the row (1, n), as it runs each stacked row
@@ -322,48 +295,53 @@ def stochastic_gradient(model, theta, indices) -> np.ndarray:
         raise ValueError("index list must be nonempty")
     if indices.min() < 0 or indices.max() >= model.n_records:
         raise ValueError("subsample index out of range")
+    return drawn_gradient(model, theta, indices)
+
+
+def drawn_gradient(model, theta, indices):
+    """:func:`stochastic_gradient` without its checks, which a worker's own
+    draws at its own snapshot always pass."""
     scale = model.n_records / indices.shape[-1]
     return model.prior_gradient(theta) + scale * model.likelihood_grad_sum(theta, indices)
 
 
-def combined_gradient(model, theta, sub: Subsample, with_overlap: bool = False,
+def combined_gradient(model, theta, s_indices, o_indices, with_overlap: bool = False,
                       previous=None, out=None):
-    """Weighted S/O combination of stochastic gradients.
+    """Weighted S/O combination of stochastic gradients, S and O being
+    the parts ``row[:n_s]`` and ``row[n_s:]`` of a drawn index row.
 
     The prior gradient enters exactly once; each part's likelihood sum is
     rescaled by N_Y/N_part and the parts are weighted by N_part/N_total,
     which collapses to the plain stochastic gradient on S and O together
     and keeps the estimator unbiased.
 
-    A stacked subsample of ``k`` rows, evaluated at ``theta`` or at row
-    ``i`` of a ``(k, d)`` ``theta``, gives ``(k, d)`` arrays whose row ``i``
-    is bit-identical to the call on that row alone.
+    ``(k, n_s)`` and ``(k, n_o)`` parts of ``k`` stacked rows, evaluated at
+    ``theta`` or at row ``i`` of a ``(k, d)`` ``theta``, give ``(k, d)``
+    arrays whose row ``i`` is bit-identical to the call on that row alone.
 
     With ``with_overlap`` the O-part likelihood sum is reused to also
     return the stochastic gradient on O alone, as ``(combined, overlap)``;
     the overlap gradient is bit-identical to
-    ``stochastic_gradient(model, theta, sub.o_indices)``.  ``previous``, an
+    ``stochastic_gradient(model, theta, o_indices)``.  ``previous``, an
     index array shaped like the S and O ones, adds a third item,
     bit-identical to ``stochastic_gradient(model, theta, previous)``.  All
     parts are evaluated in one ``likelihood_grad_sums`` call, whose sums
     are new arrays that this function scales in place.  The combined
     gradient is written to ``out`` when given.
     """
-    theta = _check_theta(model, theta, sub.s_indices.shape[:-1])
-    if sub.n_s == 0 or sub.n_o == 0:
+    theta = _check_theta(model, theta, np.shape(s_indices)[:-1])
+    if np.shape(s_indices)[-1] == 0 or np.shape(o_indices)[-1] == 0:
         raise ValueError("both subsample parts must be nonempty")
     if previous is not None and not with_overlap:
         raise ValueError("previous needs with_overlap")
-    return split_gradient(model, theta, sub.s_indices, sub.o_indices, with_overlap, previous,
-                          out)
+    return split_gradient(model, theta, s_indices, o_indices, with_overlap, previous, out)
 
 
 def split_gradient(model, theta, s_indices, o_indices, with_overlap=False, previous=None,
                    out=None):
-    """:func:`combined_gradient` on the parts ``s_indices`` and ``o_indices``
-    of a subsample, without its checks, which a worker's own draws at its
-    own snapshot always pass: the index arrays may be slices of the rows a
-    worker drew."""
+    """:func:`combined_gradient` without its checks, which a worker's own
+    draws at its own snapshot always pass: the index arrays may be slices
+    of the rows a worker drew."""
     scale = model.n_records / (s_indices.shape[-1] + o_indices.shape[-1])
     parts = [s_indices, o_indices] + ([] if previous is None else [previous])
     lik_s, lik_o, *lik_previous = model.likelihood_grad_sums(theta, parts)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, check_count
 from .lbfgs import LbfgsMemory, apply_stacked, try_add_stacked
-from .model import Subsample, draw_subsample, split_gradient, stochastic_gradient
+from .model import draw_subsample, drawn_gradient, split_gradient, stochastic_gradient
 
 
 @dataclass
@@ -85,10 +85,11 @@ class UpdateVector:
 @dataclass
 class UpdateContext:
     """Everything the post-send memory update needs from the matching
-    compute_update call."""
+    compute_update call: its snapshot's theta, its ``(n_s + n_o,)`` index
+    row, S first, and its gradient on O."""
 
     snapshot_theta: np.ndarray
-    subsample: Subsample
+    indices: np.ndarray
     overlap_gradient: np.ndarray
 
 
@@ -105,9 +106,10 @@ class WorkerState:
 
 
 def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, UpdateContext]:
-    """One worker iteration: draw a subsample, then noise where the worker
-    draws any, form the combined gradient at the (possibly stale) snapshot,
-    and build (d_theta, d_u).
+    """One worker iteration: draw an index row with
+    :func:`~asqn.model.draw_subsample`, then noise where the worker draws
+    any, form the combined gradient at the (possibly stale) snapshot, and
+    build (d_theta, d_u).
 
     The overlap gradient the next curvature pair needs comes out of the
     same call, reusing its O-part likelihood sum rather than evaluating
@@ -119,11 +121,10 @@ def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, Upd
     of the protocol.  It runs the numerics of :func:`lbfgs_updates` on one
     worker, leaving the previous-overlap gradient to post_send_memory_update.
     """
-    sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
+    indices = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
     noise = rng.standard_normal(model.dim) if worker_draws_noise("as-lbfgs", cfg) else None
-    upd, overlap_grad, _ = _one_update(cfg, worker, snapshot, model, sub.combined, noise,
-                                       pair=False)
-    return upd, UpdateContext(snapshot_theta=snapshot.theta, subsample=sub,
+    upd, overlap_grad, _ = _one_update(cfg, worker, snapshot, model, indices, noise, pair=False)
+    return upd, UpdateContext(snapshot_theta=snapshot.theta, indices=indices,
                               overlap_gradient=overlap_grad)
 
 
@@ -149,8 +150,8 @@ def post_send_memory_update(worker: WorkerState, ctx: UpdateContext, model) -> b
     g_prime = None
     if _wants_pair(worker):
         g_prime = stochastic_gradient(model, ctx.snapshot_theta, worker.prev_overlap)
-    return _admit(worker, ctx.snapshot_theta, ctx.subsample.o_indices, ctx.overlap_gradient,
-                  g_prime)
+    return _admit(worker, ctx.snapshot_theta, ctx.indices[worker.cfg.n_s:],
+                  ctx.overlap_gradient, g_prime)
 
 
 def _wants_pair(worker: WorkerState) -> bool:
@@ -336,14 +337,6 @@ def _asgd_update(h, g, theta) -> UpdateVector:
     return UpdateVector(d_theta=-h * g, d_u=np.zeros_like(theta))
 
 
-def _drawn_gradient(model, theta, indices):
-    """:func:`~asqn.model.stochastic_gradient`'s expression, and so its bits,
-    without its checks of ``theta`` and ``indices``, which a worker's own
-    draws at its own snapshot always pass."""
-    scale = model.n_records / indices.shape[-1]
-    return model.prior_gradient(theta) + scale * model.likelihood_grad_sum(theta, indices)
-
-
 def sgd_updates(cfg, workers, snapshots, model, draws):
     """a-SGD and SGLD updates of k workers, each at its own snapshot from
     its ``(indices, noise or None)`` in ``draws``, yielded in worker
@@ -363,7 +356,7 @@ def sgd_updates(cfg, workers, snapshots, model, draws):
     if len(draws) > 1:
         theta = np.array([snap.theta for snap in snapshots])
         try:
-            g = _drawn_gradient(model, theta, np.array([indices for indices, _ in draws]))
+            g = drawn_gradient(model, theta, np.array([indices for indices, _ in draws]))
         except Exception:  # raised again, in worker order, by the steps below
             pass
     stacked = g is not None and np.isfinite(g).all()
@@ -373,7 +366,7 @@ def sgd_updates(cfg, workers, snapshots, model, draws):
         if stacked:
             upd = UpdateVector(d_theta=d_theta[i], d_u=d_u[i])
         else:
-            upd = _asgd_update(cfg.step, _drawn_gradient(model, snap.theta, indices), snap.theta)
+            upd = _asgd_update(cfg.step, drawn_gradient(model, snap.theta, indices), snap.theta)
         if noise is not None:
             upd.d_theta += math.sqrt(2.0 * cfg.step / cfg.inv_temperature) * noise
         yield upd

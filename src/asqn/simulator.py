@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, check_count
-from .model import Subsample, combined_gradient, draw_indices
+from .model import draw_indices, split_gradient
 from .owners import WorkerOwners
 from .sampler import WORKER_UPDATES, MbLbfgsMaster, ParameterState, master_apply, worker_draws_noise
 
@@ -191,11 +191,11 @@ class WorkerDraws:
 
     :meth:`next` gives a worker's ``(indices, noise or None)`` for one
     update: ``indices`` is the ``(n_s + n_o,)`` index row of
-    :func:`~asqn.model.draw_indices`, S first, the ``combined`` indices of
-    the subsample that :func:`~asqn.model.draw_subsample` would draw.
-    Without noise a worker draws ``rows`` index rows per :meth:`block`, in
-    one ``draw_indices`` call that holds, value for value, the rows of one
-    ``draw_subsample`` call each, so only a generator's end state differs.
+    :func:`~asqn.model.draw_indices`, S first, the row that
+    :func:`~asqn.model.draw_subsample` would draw.  Without noise a worker
+    draws ``rows`` index rows per :meth:`block`, in one ``draw_indices``
+    call that holds, value for value, the rows of one ``draw_subsample``
+    call each, so only a generator's end state differs.
     With noise it draws a row, then its noise, per update, as drawing rows
     ahead would change which values each draw takes.
     """
@@ -449,7 +449,8 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     compute time and a subsample, and only gradients whose compute time is
     within the round timeout are aggregated; stragglers' work is discarded.
     All gradients of a round are taken at the same theta, so the kept
-    subsamples are stacked in worker order and evaluated in one call.
+    index rows are stacked in worker order and their S and O slices
+    evaluated in one call.
     Each worker draws its compute times and subsamples for a block of
     rounds at once (see :func:`block_rows`); the draws, and so the
     iterates, are those of one draw per worker per round.
@@ -483,9 +484,8 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
         included_log.append(len(kept))
         if not len(kept):
             continue
-        stacked = Subsample(s_indices=kept[:, :n_s], o_indices=kept[:, n_s:])
-        grads = combined_gradient(model, state.theta, stacked)
-        theta = mb_master.round(state.theta, grads, stacked.o_indices.ravel(), model)
+        grads = split_gradient(model, state.theta, kept[:, :n_s], kept[:, n_s:])
+        theta = mb_master.round(state.theta, grads, kept[:, n_s:].ravel(), model)
         state = ParameterState(theta=theta, u=state.u, iteration=state.iteration + 1)
         rec.apply(state, t, 0)
     return rec.close(state, t, truncated=truncated, included_log=included_log)

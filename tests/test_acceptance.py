@@ -127,8 +127,8 @@ def test_03_degenerate_limit_is_momentum_sgd():
     u = np.zeros(model.dim)
     worst = 0.0
     for step_a in trajectory_a:
-        sub = draw_subsample(rng_b, model.n_records, cfg.n_s, cfg.n_o)
-        g = combined_gradient(model, theta, sub)
+        row = draw_subsample(rng_b, model.n_records, cfg.n_s, cfg.n_o)
+        g = combined_gradient(model, theta, row[:cfg.n_s], row[cfg.n_s:])
         theta = theta + u
         u = (1.0 - cfg.friction) * u - cfg.step * g
         worst = max(worst, float(np.max(np.abs(theta - step_a))))

@@ -6,7 +6,10 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -978,6 +981,22 @@ class TestRunExperiment:
         assert multiprocessing.active_children() == []
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code, **env):
+    """The JSON that ``code`` prints last, run in a new interpreter whose
+    environment sets no BLAS thread variable but those in ``env``;
+    ``code`` may call ``blas()``, the values of those variables."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS} | env
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    prelude = f"import json, os\ndef blas(): return [os.environ.get(v) for v in {BLAS_VARS}]\n"
+    done = subprocess.run([sys.executable, "-c", prelude + code], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestCli:
     def test_success_exit_zero(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -986,6 +1005,21 @@ class TestCli:
         assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 0
         assert (out / "summary.json").exists()
         assert "done" in capsys.readouterr().out
+
+    def test_entry_point_runs_on_one_blas_thread_by_default(self, tmp_path):
+        # importing the package loads no numpy and sets nothing; main sets
+        # each BLAS variable the caller left unset to 1 before numpy loads,
+        # so no BLAS pool starts beside the run
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config()))
+        imported = run_python("import os, sys, asqn.cli\n"
+                              "print(json.dumps(['numpy' in sys.modules, blas()]))")
+        assert imported == [False, [None, None, None]]
+        run = (f"from asqn.cli import main\n"
+               f"code = main(['--config', {str(cfg_path)!r}, '--out', {str(tmp_path)!r}])\n"
+               f"print(json.dumps([code, blas(), len(os.listdir('/proc/self/task'))]))")
+        assert run_python(run) == [0, ["1", "1", "1"], 1]
+        assert run_python(run, OPENBLAS_NUM_THREADS="2")[:2] == [0, ["2", "1", "1"]]
 
     def test_config_error_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

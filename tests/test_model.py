@@ -11,7 +11,6 @@ from asqn import (
     ConfigError,
     LinearGaussianModel,
     MatrixFactorizationModel,
-    Subsample,
     combined_gradient,
     draw_subsample,
     full_gradient,
@@ -159,9 +158,8 @@ class TestCombinedGradient:
     def test_identical_parts_equal_single_part(self):
         model = random_lg()
         theta = np.ones(model.dim)
-        sub = Subsample(np.array([0, 2]), np.array([0, 2]))
         np.testing.assert_allclose(
-            combined_gradient(model, theta, sub),
+            combined_gradient(model, theta, np.array([0, 2]), np.array([0, 2])),
             stochastic_gradient(model, theta, [0, 2]),
             atol=1e-12,
         )
@@ -170,10 +168,10 @@ class TestCombinedGradient:
         model = random_mf()
         rng = np.random.default_rng(3)
         theta = rng.standard_normal(model.dim)
-        sub = draw_subsample(rng, model.n_records, 5, 2)
+        row = draw_subsample(rng, model.n_records, 5, 2)
         np.testing.assert_allclose(
-            combined_gradient(model, theta, sub),
-            stochastic_gradient(model, theta, sub.combined),
+            combined_gradient(model, theta, row[:5], row[5:]),
+            stochastic_gradient(model, theta, row),
             atol=1e-12,
         )
 
@@ -184,7 +182,7 @@ class TestCombinedGradient:
                                     rng.standard_normal(3), 1.0)
         theta = rng.standard_normal(2)
         grads = [
-            combined_gradient(model, theta, Subsample(np.array([s]), np.array([o])))
+            combined_gradient(model, theta, np.array([s]), np.array([o]))
             for s in range(3)
             for o in range(3)
         ]
@@ -258,13 +256,12 @@ class TestBatchedLikelihoodGradSum:
         model = make_model()
         rng = np.random.default_rng(4)
         theta = rng.standard_normal(model.dim)
-        subs = [draw_subsample(rng, model.n_records, 5, 3) for _ in range(4)]
-        stacked = Subsample(np.stack([s.s_indices for s in subs]),
-                            np.stack([s.o_indices for s in subs]))
-        assert (stacked.n_s, stacked.n_o, stacked.n_total) == (5, 3, 8)
-        combined, overlap = combined_gradient(model, theta, stacked, with_overlap=True)
-        for i, sub in enumerate(subs):
-            want, want_overlap = combined_gradient(model, theta, sub, with_overlap=True)
+        rows = np.stack([draw_subsample(rng, model.n_records, 5, 3) for _ in range(4)])
+        combined, overlap = combined_gradient(model, theta, rows[:, :5], rows[:, 5:],
+                                              with_overlap=True)
+        for i, row in enumerate(rows):
+            want, want_overlap = combined_gradient(model, theta, row[:5], row[5:],
+                                                   with_overlap=True)
             assert np.array_equal(combined[i], want)
             assert np.array_equal(overlap[i], want_overlap)
 
@@ -305,16 +302,16 @@ class TestPerRowTheta:
         model = make_model()
         rng = np.random.default_rng(4)
         theta = rng.standard_normal((4, model.dim))
-        subs = [draw_subsample(rng, model.n_records, 5, 3) for _ in range(4)]
-        stacked = Subsample(np.stack([s.s_indices for s in subs]),
-                            np.stack([s.o_indices for s in subs]))
-        combined, overlap = combined_gradient(model, theta, stacked, with_overlap=True)
-        plain = stochastic_gradient(model, theta, stacked.o_indices)
-        for i, sub in enumerate(subs):
-            want, want_overlap = combined_gradient(model, theta[i], sub, with_overlap=True)
+        rows = np.stack([draw_subsample(rng, model.n_records, 5, 3) for _ in range(4)])
+        combined, overlap = combined_gradient(model, theta, rows[:, :5], rows[:, 5:],
+                                              with_overlap=True)
+        plain = stochastic_gradient(model, theta, rows[:, 5:])
+        for i, row in enumerate(rows):
+            want, want_overlap = combined_gradient(model, theta[i], row[:5], row[5:],
+                                                   with_overlap=True)
             assert np.array_equal(combined[i], want), BUILD
             assert np.array_equal(overlap[i], want_overlap), BUILD
-            assert np.array_equal(plain[i], stochastic_gradient(model, theta[i], sub.o_indices))
+            assert np.array_equal(plain[i], stochastic_gradient(model, theta[i], row[5:]))
 
     def test_theta_rows_must_match_index_rows(self):
         model = random_lg(0, n=10, d=3)
@@ -422,23 +419,23 @@ class TestLikelihoodGradSums:
         rng = np.random.default_rng(8)
         for k in (1, 3):
             theta = rng.standard_normal((k, model.dim))
-            sub = Subsample(rng.integers(0, model.n_records, (k, 5)),
-                            rng.integers(0, model.n_records, (k, 3)))
+            s_indices = rng.integers(0, model.n_records, (k, 5))
+            o_indices = rng.integers(0, model.n_records, (k, 3))
             previous = rng.integers(0, model.n_records, (k, 3))
-            combined, overlap, prev = combined_gradient(model, theta, sub, with_overlap=True,
-                                                        previous=previous)
-            want, want_overlap = combined_gradient(model, theta, sub, with_overlap=True)
+            combined, overlap, prev = combined_gradient(model, theta, s_indices, o_indices,
+                                                        with_overlap=True, previous=previous)
+            want, want_overlap = combined_gradient(model, theta, s_indices, o_indices,
+                                                   with_overlap=True)
             assert np.array_equal(combined, want)
             assert np.array_equal(overlap, want_overlap)
             assert np.array_equal(prev, stochastic_gradient(model, theta, previous))
         with pytest.raises(ValueError):
-            combined_gradient(model, theta, sub, previous=previous)
+            combined_gradient(model, theta, s_indices, o_indices, previous=previous)
 
 
 def two_call_draw_subsample(rng, n_records, n_s, n_o):
     """The former draw: S and O from two calls to the generator."""
-    return Subsample(rng.integers(0, n_records, size=n_s),
-                     rng.integers(0, n_records, size=n_o))
+    return rng.integers(0, n_records, size=n_s), rng.integers(0, n_records, size=n_o)
 
 
 class TestDrawSubsample:
@@ -449,30 +446,30 @@ class TestDrawSubsample:
             one, two = np.random.default_rng(seed), np.random.default_rng(seed)
             for n_s, n_o in [(40, 20), (3, 1), (1, 1), (7, 5), (4, 2)]:
                 a = draw_subsample(one, n_records, n_s, n_o)
-                b = two_call_draw_subsample(two, n_records, n_s, n_o)
-                assert np.array_equal(a.s_indices, b.s_indices)
-                assert np.array_equal(a.o_indices, b.o_indices)
+                b_s, b_o = two_call_draw_subsample(two, n_records, n_s, n_o)
+                assert np.array_equal(a[:n_s], b_s)
+                assert np.array_equal(a[n_s:], b_o)
             assert one.bit_generator.state == two.bit_generator.state
             assert np.array_equal(one.standard_normal(3), two.standard_normal(3))
 
     def test_deterministic_given_seed(self):
         a = draw_subsample(np.random.default_rng(5), 100, 4, 2)
         b = draw_subsample(np.random.default_rng(5), 100, 4, 2)
-        np.testing.assert_array_equal(a.s_indices, b.s_indices)
-        np.testing.assert_array_equal(a.o_indices, b.o_indices)
+        np.testing.assert_array_equal(a[:4], b[:4])
+        np.testing.assert_array_equal(a[4:], b[4:])
 
     def test_single_support_point(self):
-        sub = draw_subsample(np.random.default_rng(0), 1, 4, 2)
-        assert np.all(sub.combined == 0)
+        row = draw_subsample(np.random.default_rng(0), 1, 4, 2)
+        assert np.all(row == 0)
 
     def test_sizes(self):
-        sub = draw_subsample(np.random.default_rng(0), 10, 4, 2)
-        assert (sub.n_s, sub.n_o, sub.n_total) == (4, 2, 6)
+        row = draw_subsample(np.random.default_rng(0), 10, 4, 2)
+        assert row.shape == (6,)
 
     def test_uniformity_chi_square(self):
         rng = np.random.default_rng(6)
         draws = np.concatenate(
-            [draw_subsample(rng, 10, 4, 1).combined for _ in range(20000)]
+            [draw_subsample(rng, 10, 4, 1) for _ in range(20000)]
         )
         counts = np.bincount(draws, minlength=10)
         _, p = stats.chisquare(counts)
@@ -481,6 +478,52 @@ class TestDrawSubsample:
     def test_empty_part_rejected(self):
         with pytest.raises(ValueError):
             draw_subsample(np.random.default_rng(0), 10, 0, 2)
+
+
+class TestRowFormat:
+    """A draw is one ``(n_s + n_o,)`` index row, S first; the gradient
+    functions take its slices."""
+
+    def test_draw_subsample_is_the_draw_indices_row(self):
+        for seed in range(5):
+            one, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n_s, n_o in [(40, 20), (3, 1), (1, 1)]:
+                assert np.array_equal(draw_subsample(one, 600, n_s, n_o),
+                                      model_module.draw_indices(twin, 600, n_s + n_o))
+            assert one.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("make_model", [lambda: random_lg(2, n=50, d=6), random_mf],
+                             ids=["lg", "mf"])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_combined_gradient_on_row_slices_equals_split_gradient(self, make_model, k):
+        model = make_model()
+        rng = np.random.default_rng(9)
+        lead = () if k is None else (k,)
+        theta = rng.standard_normal((*lead, model.dim))
+        row = model_module.draw_indices(rng, model.n_records, (*lead, 8))
+        previous = model_module.draw_indices(rng, model.n_records, (*lead, 3))
+        s_indices, o_indices = row[..., :5], row[..., 5:]
+        for kwargs in ({}, {"with_overlap": True},
+                       {"with_overlap": True, "previous": previous}):
+            # np.array stacks a returned tuple, keeping every bit
+            got = np.array(combined_gradient(model, theta, s_indices, o_indices, **kwargs))
+            want = np.array(model_module.split_gradient(model, theta, s_indices, o_indices,
+                                                        **kwargs))
+            assert got.tobytes() == want.tobytes()
+
+    def test_checks(self):
+        model = random_lg(0, n=10, d=3)
+        row = np.arange(6)
+        with pytest.raises(ValueError):
+            draw_subsample(np.random.default_rng(0), 10, 4, 0)
+        for s_indices, o_indices in [(row[:0], row), (row, row[:0])]:
+            with pytest.raises(ValueError):
+                combined_gradient(model, np.zeros(3), s_indices, o_indices)
+        for theta in (np.zeros(4), np.zeros((2, 3))):
+            with pytest.raises(ConfigError):
+                combined_gradient(model, theta, row[:4], row[4:])
+        with pytest.raises(ValueError):
+            combined_gradient(model, np.zeros(3), row[:4], row[4:], previous=row[4:])
 
 
 class TestRmse:
@@ -526,6 +569,31 @@ class TestMatrixFactorizationEvaluate:
         idx = rng.integers(0, model.n_records, 50)
         want = np.einsum("ik,ki->i", f[model.rows[idx]], g[:, model.cols[idx]])
         assert model.predictions(theta, idx).tobytes() == want.tobytes()
+
+
+def fancy_index_grad_sum(model, theta, indices=None):
+    """The linear-Gaussian likelihood-gradient sum with fancy-indexed
+    gathers, as the model computed it before it gathered rows with take."""
+    a = model.features if indices is None else model.features[indices]
+    y = model.targets if indices is None else model.targets[indices]
+    r = (a @ theta if theta.ndim == 1 else (a @ theta[:, :, None])[..., 0]) - y
+    return (r @ a if r.ndim == 1 else (r[..., None, :] @ a)[..., 0, :]) / model.noise_variance
+
+
+class TestLinearGaussianGather:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_equal_the_fancy_index_formulation(self, seed):
+        # the lg-async-sim size: d = 100, subsamples of 40 rows
+        model = random_lg(seed, n=600, d=100)
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal(model.dim)
+        got = model.likelihood_grad_sum(theta)
+        assert got.tobytes() == fancy_index_grad_sum(model, theta).tobytes()
+        for lead in [(), (10,)]:
+            indices = rng.integers(0, model.n_records, (*lead, 40))
+            for th in [theta, rng.standard_normal((*lead, model.dim))]:
+                got = model.likelihood_grad_sum(th, indices)
+                assert got.tobytes() == fancy_index_grad_sum(model, th, indices).tobytes()
 
 
 class TestPacking:

@@ -284,8 +284,8 @@ class TestRun:
                 upd, ctx = compute_update(cfg, worker, state, model, rng)
                 post_send_memory_update(worker, ctx, model)
             else:
-                sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
-                upd = asgd_step(state.theta, cfg.step, model, sub.combined)
+                row = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
+                upd = asgd_step(state.theta, cfg.step, model, row)
             state = master_apply(state, upd)
         assert report.error is None and report.iterations == 150
         np.testing.assert_array_equal(report.final_state.theta, state.theta)

@@ -13,7 +13,6 @@ from asqn import (
     MbLbfgsMaster,
     ParameterState,
     SamplerConfig,
-    Subsample,
     UpdateVector,
     WorkerState,
     asgd_step,
@@ -98,9 +97,8 @@ class TestComputeUpdate:
         snap = ParameterState(theta=theta, u=u.copy(), iteration=0)
         upd, ctx = compute_update(cfg, worker, snap, model, rng)
         # replay the subsample draw to know which gradient was used
-        g = combined_gradient(
-            model, theta, draw_subsample(np.random.default_rng(1), model.n_records, 3, 2)
-        )
+        row = draw_subsample(np.random.default_rng(1), model.n_records, 3, 2)
+        g = combined_gradient(model, theta, row[:3], row[3:])
         np.testing.assert_allclose(upd.d_u, -cfg.step * g - cfg.friction * u, atol=1e-14)
         np.testing.assert_allclose(upd.d_theta, u, atol=1e-14)
 
@@ -162,7 +160,7 @@ class TestComputeUpdate:
             upd, ctx = compute_update(cfg, worker, state, model, rng)
             assert np.array_equal(
                 ctx.overlap_gradient,
-                stochastic_gradient(model, state.theta, ctx.subsample.o_indices),
+                stochastic_gradient(model, state.theta, ctx.indices[cfg.n_s:]),
             )
             state = master_apply(state, upd)
             post_send_memory_update(worker, ctx, model)
@@ -218,7 +216,7 @@ class TestPostSendMemoryUpdate:
             full = np.arange(n)
             ctx = UpdateContext(
                 snapshot_theta=theta.copy(),
-                subsample=Subsample(full, full),
+                indices=np.concatenate([full, full]),
                 overlap_gradient=stochastic_gradient(model, theta, full),
             )
             post_send_memory_update(worker, ctx, model)
@@ -244,7 +242,7 @@ class TestPostSendMemoryUpdate:
             if prev_ctx is not None:
                 expected_y = (
                     stochastic_gradient(model, ctx.snapshot_theta,
-                                        prev_ctx.subsample.o_indices)
+                                        prev_ctx.indices[cfg.n_s:])
                     - prev_ctx.overlap_gradient
                 )
             post_send_memory_update(worker, ctx, model)
@@ -462,10 +460,10 @@ class TestMbLbfgsRound:
         theta = 0.1 * rng.standard_normal(model.dim)
         for n in range(60):
             k = 1 + n % 4
-            sub = Subsample(rng.integers(0, model.n_records, (k, 6)),
-                            rng.integers(0, model.n_records, (k, 3)))
-            grads = combined_gradient(model, theta, sub)
-            overlap = sub.o_indices.ravel()
+            s_indices = rng.integers(0, model.n_records, (k, 6))
+            o_indices = rng.integers(0, model.n_records, (k, 3))
+            grads = combined_gradient(model, theta, s_indices, o_indices)
+            overlap = o_indices.ravel()
             new = got.round(theta, grads, overlap, model)
             assert same_bits(new, want.round(theta, list(grads), overlap.tolist(), model))
             theta = new
@@ -498,8 +496,8 @@ class TestDegenerateLimit:
         theta = np.zeros(model.dim)
         u = np.zeros(model.dim)
         for n in range(100):
-            sub = draw_subsample(rng, model.n_records, 3, 2)
-            g = combined_gradient(model, theta, sub)
+            row = draw_subsample(rng, model.n_records, 3, 2)
+            g = combined_gradient(model, theta, row[:3], row[3:])
             theta = theta + u
             u = (1 - cfg.friction) * u - cfg.step * g
             np.testing.assert_allclose(trajectory[n], theta, atol=1e-12)
@@ -549,7 +547,7 @@ def updates_from_rngs(algo, cfg, workers, snapshots, model, rngs):
     index row of a subsample, then the noise where a worker of ``algo``
     draws any."""
     noisy = worker_draws_noise(algo, cfg)
-    draws = [(draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o).combined,
+    draws = [(draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o),
               rng.standard_normal(model.dim) if noisy else None) for rng in rngs]
     return list(WORKER_UPDATES[algo](cfg, workers, snapshots, model, draws))
 
@@ -727,8 +725,8 @@ class TestBatchedUpdates:
                      for _ in range(k)]
             got = updates_from_rngs("a-sgd", cfg, None, snaps, model, rngs_b[:k])
             for snap, upd, r in zip(snaps, got, rngs_s[:k]):
-                sub = draw_subsample(r, model.n_records, cfg.n_s, cfg.n_o)
-                want = asgd_step(snap.theta, cfg.step, model, sub.combined)
+                row = draw_subsample(r, model.n_records, cfg.n_s, cfg.n_o)
+                want = asgd_step(snap.theta, cfg.step, model, row)
                 assert np.array_equal(upd.d_theta, want.d_theta)
                 assert np.array_equal(upd.d_u, want.d_u)
         assert all(a.bit_generator.state == b.bit_generator.state
@@ -780,8 +778,8 @@ class TestSgldUpdates:
                 (one,) = updates_from_rngs("sgld", cfg, None, [snap], model, [rngs_s[w]])
                 assert np.array_equal(upd.d_theta, one.d_theta)
                 assert np.array_equal(upd.d_u, one.d_u) and not upd.d_u.any()
-                sub = draw_subsample(rngs_r[w], model.n_records, cfg.n_s, cfg.n_o)
-                want = sgld_step(snap.theta, cfg.step, beta, model, sub.combined, rngs_r[w])
+                row = draw_subsample(rngs_r[w], model.n_records, cfg.n_s, cfg.n_o)
+                want = sgld_step(snap.theta, cfg.step, beta, model, row, rngs_r[w])
                 np.testing.assert_allclose(snap.theta + upd.d_theta, want,
                                            rtol=1e-12, atol=1e-12)
         for a, b, r in zip(rngs_b, rngs_s, rngs_r):
@@ -804,10 +802,11 @@ class TestSgldUpdates:
 def reference_update(cfg, worker, snapshot, model, rng):
     """The former single-worker compute_update: one-dimensional gradients
     at the snapshot and one two-row block apply on (g, u)."""
-    sub = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
+    row = draw_subsample(rng, model.n_records, cfg.n_s, cfg.n_o)
     noise = rng.standard_normal(model.dim) if cfg.noise_scale() > 0.0 else None
     theta, u = snapshot.theta, snapshot.u
-    g, overlap_grad = combined_gradient(model, theta, sub, with_overlap=True)
+    g, overlap_grad = combined_gradient(model, theta, row[:cfg.n_s], row[cfg.n_s:],
+                                        with_overlap=True)
     if not np.isfinite(g).all():
         raise DivergenceError(
             f"non-finite gradient at iteration {snapshot.iteration}",
@@ -818,7 +817,7 @@ def reference_update(cfg, worker, snapshot, model, rng):
     if noise is not None:
         d_u += cfg.noise_scale() * noise
     return UpdateVector(d_theta=h[1], d_u=d_u), UpdateContext(
-        snapshot_theta=theta, subsample=sub, overlap_gradient=overlap_grad)
+        snapshot_theta=theta, indices=row, overlap_gradient=overlap_grad)
 
 
 def reference_post_send(worker, ctx, model):
@@ -832,7 +831,7 @@ def reference_post_send(worker, ctx, model):
         admitted = worker.memory.try_add(ctx.snapshot_theta - worker.prev_theta,
                                          g_prime - worker.prev_overlap_grad)
     worker.prev_theta = ctx.snapshot_theta
-    worker.prev_overlap = ctx.subsample.o_indices
+    worker.prev_overlap = ctx.indices[worker.cfg.n_s:]
     worker.prev_overlap_grad = ctx.overlap_gradient
     worker.local_iter += 1
     return admitted, due

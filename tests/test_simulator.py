@@ -275,9 +275,9 @@ def per_worker_run_async(sim_cfg, sampler_cfg, model, algo="as-lbfgs", theta0=No
                 upd, ctx = compute_update(sampler_cfg, workers[w], snapshot, model, samp_rngs[w])
                 post_send_memory_update(workers[w], ctx, model)
             else:
-                sub = draw_subsample(samp_rngs[w], model.n_records, sampler_cfg.n_s,
+                row = draw_subsample(samp_rngs[w], model.n_records, sampler_cfg.n_s,
                                      sampler_cfg.n_o)
-                upd = asgd_step(snapshot.theta, sampler_cfg.step, model, sub.combined)
+                upd = asgd_step(snapshot.theta, sampler_cfg.step, model, row)
             push(t + c + sim_cfg.comm_time, w, "arrive", (upd, snapshot.iteration))
         else:
             upd, n_read = payload
@@ -995,9 +995,9 @@ def serial_sgld_reference(sim_cfg, sampler_cfg, model, theta0=None):
             truncated = True
             break
         n += 1
-        sub = draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
+        row = draw_subsample(rng, model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
         theta = sgld_step(theta, sampler_cfg.step, sampler_cfg.inv_temperature,
-                          model, sub.combined, rng)
+                          model, row, rng)
         t += step_time
         state = ParameterState(theta=theta, u=state.u, iteration=n)
         staleness_log.append((n, 0))
@@ -1243,10 +1243,11 @@ def per_worker_run_sync_mb(sim_cfg, mb_master, sampler_cfg, model, theta0=None):
                  for w in range(sim_cfg.workers)]
         grads, overlap = [], []
         for w, c in enumerate(times):
-            sub = draw_subsample(samp_rngs[w], model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
+            row = draw_subsample(samp_rngs[w], model.n_records, sampler_cfg.n_s, sampler_cfg.n_o)
             if c <= sim_cfg.timeout:
-                grads.append(combined_gradient(model, state.theta, sub))
-                overlap.extend(sub.o_indices.tolist())
+                n_s = sampler_cfg.n_s
+                grads.append(combined_gradient(model, state.theta, row[:n_s], row[n_s:]))
+                overlap.extend(row[n_s:].tolist())
         included_log.append(len(grads))
         if sim_cfg.wait_for_stragglers:
             wait = max(times)
@@ -1682,7 +1683,7 @@ class TestBlockDrawnSubsamples:
     @pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
     def test_next_gives_the_rows_of_draw_subsample(self, noisy):
         # draw for draw, past the end of a block, a worker's index row is
-        # the combined subsample its twin generator draws, S first, and
+        # the one its twin generator draws, S first, and
         # its noise, where it draws any, the twin's next normal vector
         model, cfg, _ = problem("lg")
         if not noisy:
@@ -1692,9 +1693,9 @@ class TestBlockDrawnSubsamples:
         for n in range(2 * draws.rows + 6):
             w = n % 2
             indices, noise = draws.next(w)
-            sub = draw_subsample(twins[w], model.n_records, cfg.n_s, cfg.n_o)
+            row = draw_subsample(twins[w], model.n_records, cfg.n_s, cfg.n_o)
             assert indices.shape == (cfg.n_s + cfg.n_o,)
-            assert np.array_equal(indices, sub.combined)
+            assert np.array_equal(indices, row)
             if noisy:
                 assert np.array_equal(noise, twins[w].standard_normal(model.dim))
             else:
