@@ -30,9 +30,9 @@ _EXPORTS = {
     "lbfgs": ("LbfgsMemory",),
     "model": ("LinearGaussianModel", "MatrixFactorizationModel", "combined_gradient",
               "draw_subsample", "full_gradient", "potential", "rmse", "stochastic_gradient"),
-    "sampler": ("MbLbfgsMaster", "ParameterState", "SamplerConfig", "UpdateVector",
-                "WorkerState", "asgd_step", "compute_update", "master_apply",
-                "post_send_memory_update", "sgld_step"),
+    "sampler": ("MbLbfgsMaster", "ParameterState", "SamplerConfig", "WorkerState",
+                "asgd_step", "compute_update", "master_apply", "post_send_memory_update",
+                "sgld_step"),
     "simulator": ("SimConfig", "TraceRecord", "run_async", "run_sync_mb", "time_to_epsilon"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -140,6 +140,10 @@ PRESETS = {name: _deep_merge(_PAPER, own) for name, own in {
 # that kind, and a dict for an object that holds its keys only.
 _SAMPLER = {"step": float, "friction": float, "inv_temperature": float, "memory_size": int,
             "n_s": int | None, "n_o": int | None, "epsilon": float, "rho": float}
+# the sampler keys each baseline reads, which its own section may set
+_BASELINES = {algo: {key: _SAMPLER[key] for key in ("step", "n_s", "n_o", *own)}
+              for algo, own in (("a-sgd", ()), ("sgld", ("inv_temperature",)),
+                                ("mb-lbfgs-simplified", ("memory_size", "epsilon", "rho")))}
 # the ratings-file keys of a matrix-factorization problem: load_movielens keywords
 _RATINGS_FILE = {"path": "path", "format": "fmt", "max_ratings": "max_ratings"}
 # the problem keys of each type, besides "type" and "seed"
@@ -154,7 +158,7 @@ _SCHEMA = {
     "schema_version": int, "preset": str, "mode": str, "algorithms": [str],
     "problem": {"type": str, "seed": int, **_PROBLEMS["linear-gaussian"],
                 **_PROBLEMS["matrix-factorization"]},
-    "sampler": _SAMPLER, "baselines": dict.fromkeys(ALGORITHMS[1:], _SAMPLER),
+    "sampler": _SAMPLER, "baselines": _BASELINES,
     "sim": {"workers": int, "sigma_worker": float, "comm_time": float, "timeout": float,
             "max_updates": int, "max_time": float, "sample_every": int,
             "timing": dict.fromkeys(ALGORITHMS, {"mu_master": float, "mu_worker": float}),
@@ -318,9 +322,12 @@ def synth_linear_gaussian(seed=0, dim=100, n_records=600, noise_variance=10.0,
 
 def synth_matrix_factorization(seed=0, n_rows=200, n_cols=300, rank=3, noise_std=0.1,
                                observed_fraction=0.1):
-    """Low-rank synthetic ratings: Y = F G + noise on a random subset of cells."""
+    """Low-rank synthetic ratings: Y = F G + noise on a random subset of
+    cells, a share ``observed_fraction`` in (0, 1] of them (at least one)."""
     for name, count in (("n_rows", n_rows), ("n_cols", n_cols), ("rank", rank)):
         check_count(name, count)
+    if not 0.0 < observed_fraction <= 1.0:
+        raise ConfigError(f"observed_fraction must lie in (0, 1], got {observed_fraction!r}")
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((n_rows, rank))
     g = rng.standard_normal((rank, n_cols))

@@ -25,7 +25,7 @@ import time as _time
 import numpy as np
 
 from .errors import WorkerError
-from .sampler import WORKER_UPDATES, ParameterState, UpdateVector, WorkerState
+from .sampler import WORKER_UPDATES, ParameterState, WorkerState
 
 
 @contextlib.contextmanager
@@ -235,7 +235,7 @@ class WorkerOwners(contextlib.ExitStack):
                 updates, failure = self._share(share, [held[w] for w in share])
             else:
                 failure = self._reply(i - 1)
-                updates = None if failure else [UpdateVector(*self.slots[w, 1]) for w in share]
+                updates = None if failure else [self.slots[w, 1] for w in share]
             if failure:
                 failures.append((starts.index(share[failure[0]]), failure[1]))
             else:
@@ -268,9 +268,12 @@ class WorkerOwners(contextlib.ExitStack):
         Helper h (owner h + 1) has its share's size in word ``[h *
         stride]`` and its workers and their snapshots' iterations in the
         next 2W words; slot ``[w, 0]`` holds worker w's snapshot (theta, u)
-        and ``[w, 1]`` its update (d_theta, d_u): W * 4 * d floats.  Each
-        helper has a request and a reply semaphore, released once per
-        message after its data are written."""
+        and ``[w, 1]`` its ``(2, d)`` update (d_theta, d_u), as the worker
+        computed it: W * 4 * d floats.  The calling process applies each
+        update from its slot, which a helper writes again only at the
+        worker's next start, after that apply.  Each helper has a request
+        and a reply semaphore, released once per message after its data
+        are written."""
         cpus = sorted(os.sched_getaffinity(0))
         procs = min(len(cpus), len(self.workers))
         if procs == 1 or _other_threads():
@@ -333,7 +336,6 @@ class WorkerOwners(contextlib.ExitStack):
             if failure:
                 return failure
             for w, upd in zip(share, updates):
-                self.slots[w, 1, 0] = upd.d_theta
-                self.slots[w, 1, 1] = upd.d_u
+                self.slots[w, 1] = upd
             reply.release()
         return None

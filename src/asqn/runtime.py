@@ -5,7 +5,8 @@ memory, to a mutually exclusive apply section.  The master's ``(n, version,
 stop)`` header and its ``theta`` and ``u``, the two rows of one ``(2, d)``
 block at byte offset 32, live in one anonymous ``mmap`` mapping that the
 ``fork`` start method shares with every worker process, and applies are
-guarded by a process-shared lock.  An apply lands its update in that block through
+guarded by a process-shared lock.  An apply lands its update, a ``(2, d)``
+array (d_theta, d_u) laid out as that block, in the block through
 :func:`asqn.sampler.master_apply`, the simulator's apply rule, so a replay
 of the run applies every update alike.  Reads go through a seqlock-style
 versioned snapshot: the version counter is bumped before and after every

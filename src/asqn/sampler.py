@@ -1,9 +1,11 @@
-"""Update-vector mathematics for the asynchronous quasi-Newton sampler.
+"""Update mathematics for the asynchronous quasi-Newton sampler.
 
 This module holds the per-worker computation (quasi-Newton momentum update
 with tempered Gaussian noise), the master-side accumulation, and the three
 baselines: SGLD, asynchronous SGD, and a simplified synchronous
-multi-batch L-BFGS.
+multi-batch L-BFGS.  An update, from the worker that computes it to the
+master that applies it, is one ``(2, d)`` float array whose rows are
+(d_theta, d_u), laid out as the master's (theta, u).
 
 Every function is either pure or mutates only the worker-owned state it is
 handed; serializing master applies is the caller's job.
@@ -75,14 +77,6 @@ class ParameterState:
 
 
 @dataclass
-class UpdateVector:
-    """Additive update a worker ships to the master."""
-
-    d_theta: np.ndarray
-    d_u: np.ndarray
-
-
-@dataclass
 class UpdateContext:
     """Everything the post-send memory update needs from the matching
     compute_update call: its snapshot's theta, its ``(n_s + n_o,)`` index
@@ -105,11 +99,11 @@ class WorkerState:
         self.local_iter = 0
 
 
-def compute_update(cfg, worker, snapshot, model, rng) -> tuple[UpdateVector, UpdateContext]:
+def compute_update(cfg, worker, snapshot, model, rng) -> tuple[np.ndarray, UpdateContext]:
     """One worker iteration: draw an index row with
     :func:`~asqn.model.draw_subsample`, then noise where the worker draws
     any, form the combined gradient at the (possibly stale) snapshot, and
-    build (d_theta, d_u).
+    build the ``(2, d)`` update (d_theta, d_u).
 
     The overlap gradient the next curvature pair needs comes out of the
     same call, reusing its O-part likelihood sum rather than evaluating
@@ -184,7 +178,7 @@ def lbfgs_updates(cfg, workers, snapshots, model, draws):
     """AS-L-BFGS updates of k >= 1 distinct workers, each at its own
     snapshot from its ``(indices, noise or None)`` in ``draws``, the
     ``(n_s + n_o,)`` index row it drew, S first, and each followed by its
-    post-send memory update; yields them in worker order.
+    post-send memory update; yields the ``(2, d)`` updates in worker order.
 
     Bit-identical to compute_update then post_send_memory_update worker by
     worker on the same draws.  On k >= 2 workers that all have a pair due,
@@ -222,9 +216,10 @@ def _update_numerics(cfg, model, theta, u, indices, previous, noise, apply, iter
 
     Takes one worker's ``(d,)`` theta, u, noise and ``(n_s + n_o,)`` index
     row, S first, or stacks of k workers' with a leading axis; ``apply``
-    runs the two-loop in place on the ``(2, d)`` (g, u) block, or the
+    runs the two-loop in place on the ``(2, d)`` (u, g) block, or the
     ``(k, 2, d)`` stack of them, into which the combined gradient is
-    written directly.  Returns d_theta, d_u and the gradients on O and on
+    written directly, and the block becomes the update (H u, -step H g -
+    friction u + noise).  Returns it and the gradients on O and on
     ``previous`` (None without it), shaped like theta, or raises
     DivergenceError at ``iteration`` when a gradient is not finite.  A
     stack passes None: :func:`lbfgs_updates` recomputes a stack that raises
@@ -233,21 +228,21 @@ def _update_numerics(cfg, model, theta, u, indices, previous, noise, apply, iter
     worker is not stacked: on linear-Gaussian d = 100, stacks of one made
     the whole update about 10 us (12%) slower on a 2-core host.
     """
-    gu = np.empty((*theta.shape[:-1], 2, theta.shape[-1]))
+    ug = np.empty((*theta.shape[:-1], 2, theta.shape[-1]))
     g, overlap_grad, *previous_grad = split_gradient(
         model, theta, indices[..., :cfg.n_s], indices[..., cfg.n_s:], with_overlap=True,
-        previous=previous, out=gu[..., 0, :])
+        previous=previous, out=ug[..., 1, :])
     if not np.isfinite(g).all():
         raise DivergenceError(f"non-finite gradient at iteration {iteration}",
                               iteration=iteration)
-    gu[..., 1, :] = u
-    h = apply(gu)
-    # -step * H g - friction * u, in the block's first row
-    d_u = np.multiply(h[..., 0, :], -cfg.step, out=h[..., 0, :])
+    ug[..., 0, :] = u
+    upd = apply(ug)
+    # -step * H g - friction * u, in the block's second row
+    d_u = np.multiply(upd[..., 1, :], -cfg.step, out=upd[..., 1, :])
     d_u -= cfg.friction * u
     if noise is not None:
         d_u += cfg.noise_scale() * noise
-    return h[..., 1, :], d_u, overlap_grad, previous_grad[0] if previous_grad else None
+    return upd, overlap_grad, previous_grad[0] if previous_grad else None
 
 
 def _one_update(cfg, worker, snapshot, model, indices, noise, pair=True):
@@ -256,29 +251,27 @@ def _one_update(cfg, worker, snapshot, model, indices, noise, pair=True):
     leaves the worker untouched."""
     previous = worker.prev_overlap if pair and _wants_pair(worker) else None
     memory = worker.memory
-    d_theta, d_u, overlap_grad, g_prime = _update_numerics(
-        cfg, model, snapshot.theta, snapshot.u, indices, previous, noise,
-        lambda gu: memory.apply(gu, out=gu), snapshot.iteration)
-    return UpdateVector(d_theta=d_theta, d_u=d_u), overlap_grad, g_prime
+    return _update_numerics(cfg, model, snapshot.theta, snapshot.u, indices, previous, noise,
+                            lambda ug: memory.apply(ug, out=ug), snapshot.iteration)
 
 
 def _stacked_updates(cfg, workers, snapshots, model, draws):
     """The numerics of _one_update for k >= 2 workers that all have a pair
     due or none has, leaving the workers untouched: the draws' index rows
     are stacked with one np.array call, and S and O are slices of that
-    stack.  Returns the updates, the ``(k, n_o)`` overlap sets and ``(k, d)``
-    overlap gradients the workers advance to, and the ``(k, 2, d)`` block
-    of the workers' pairs (s, y), or None when none is due."""
+    stack.  Returns the ``(k, 2, d)`` block of the updates, the ``(k, n_o)``
+    overlap sets and ``(k, d)`` overlap gradients the workers advance to,
+    and the ``(k, 2, d)`` block of the workers' pairs (s, y), or None when
+    none is due."""
     indices = np.array([row for row, _ in draws])
     due = _wants_pair(workers[0])
     previous = np.array([worker.prev_overlap for worker in workers]) if due else None
     memories = [worker.memory for worker in workers]
     theta = np.array([snap.theta for snap in snapshots])
-    d_theta, d_u, overlap_grad, g_prime = _update_numerics(
+    updates, overlap_grad, g_prime = _update_numerics(
         cfg, model, theta, np.array([snap.u for snap in snapshots]), indices, previous,
         None if draws[0][1] is None else np.array([noise for _, noise in draws]),
-        lambda gu: apply_stacked(memories, gu, out=gu), None)
-    updates = [UpdateVector(d_theta=a, d_u=b) for a, b in zip(d_theta, d_u)]
+        lambda ug: apply_stacked(memories, ug, out=ug), None)
     overlap = indices[:, cfg.n_s:]
     if not due:
         return updates, overlap, overlap_grad, None
@@ -288,18 +281,19 @@ def _stacked_updates(cfg, workers, snapshots, model, draws):
     return updates, overlap, overlap_grad, pairs
 
 
-def master_apply(state: ParameterState, upd: UpdateVector, out=None) -> ParameterState:
-    """Componentwise accumulation; returns the state with n+1 whose theta
-    and u are the two rows of ``out``, a ``(2, d)`` array, or of a fresh
-    one when it is None, leaving ``state`` untouched unless ``out`` holds
-    it (the runtime's shared block, added into in place).  Both rows are
+def master_apply(state: ParameterState, upd: np.ndarray, out=None) -> ParameterState:
+    """Componentwise accumulation of the ``(2, d)`` update ``upd``, rows
+    (d_theta, d_u); returns the state with n+1 whose theta and u are the
+    two rows of ``out``, a ``(2, d)`` array, or of a fresh one when it is
+    None, leaving ``state`` untouched unless ``out`` holds it (the
+    runtime's shared block, added into in place).  Both rows are
     checked in one finiteness pass, after the add; a non-finite one raises
     :class:`DivergenceError` at iteration n+1.  The one master-side rule:
     every simulated apply and every apply of run mode's shared state runs
     it, so a replay of a run applies its updates alike."""
     new = np.empty((2, state.theta.shape[-1])) if out is None else out
-    np.add(state.theta, upd.d_theta, out=new[0])
-    np.add(state.u, upd.d_u, out=new[1])
+    np.add(state.theta, upd[0], out=new[0])
+    np.add(state.u, upd[1], out=new[1])
     if not np.isfinite(new).all():
         raise DivergenceError(
             f"non-finite iterate after update {state.iteration + 1}",
@@ -321,28 +315,31 @@ def sgld_step(theta, h, beta, model, indices, rng) -> np.ndarray:
     return new
 
 
-def asgd_step(theta, h, model, indices) -> UpdateVector:
-    """Asynchronous SGD baseline: momentum-free, noise-free update vector."""
+def asgd_step(theta, h, model, indices) -> np.ndarray:
+    """Asynchronous SGD baseline: the momentum-free, noise-free ``(2, d)``
+    update (-h g, 0)."""
     if not h > 0:
         raise ConfigError(f"h must be positive, got {h}")
-    return _asgd_update(h, stochastic_gradient(model, theta, indices), theta)
+    return _asgd_update(h, stochastic_gradient(model, theta, indices))
 
 
-def _asgd_update(h, g, theta) -> UpdateVector:
-    """The a-SGD update of gradient ``g`` at ``theta``, or DivergenceError
-    if ``g`` is not finite."""
+def _asgd_update(h, g) -> np.ndarray:
+    """The a-SGD update (-h g, 0) of gradient ``g``, or DivergenceError if
+    ``g`` is not finite."""
     if not np.isfinite(g).all():
         # SGLD takes its steps from here too, so the message names neither
         raise DivergenceError("non-finite gradient in a stochastic gradient step")
-    return UpdateVector(d_theta=-h * g, d_u=np.zeros_like(theta))
+    upd = np.zeros((2, *g.shape))
+    np.multiply(g, -h, out=upd[0])
+    return upd
 
 
 def sgd_updates(cfg, workers, snapshots, model, draws):
     """a-SGD and SGLD updates of k workers, each at its own snapshot from
     its ``(indices, noise or None)`` in ``draws``, yielded in worker
-    order: the a-SGD update plus sqrt(2 h / beta) times the noise where the
-    draw holds one, as worker_draws_noise decides.  Neither keeps worker
-    state, so ``workers`` goes unused.
+    order: the a-SGD update plus sqrt(2 h / beta) times the noise in its
+    d_theta row where the draw holds one, as worker_draws_noise decides.
+    Neither keeps worker state, so ``workers`` goes unused.
 
     Without noise, bit-identical to asgd_step worker by worker.  With it,
     applied by master_apply, this is sgld_step as an additive update,
@@ -361,14 +358,13 @@ def sgd_updates(cfg, workers, snapshots, model, draws):
             pass
     stacked = g is not None and np.isfinite(g).all()
     if stacked:
-        d_theta, d_u = -cfg.step * g, np.zeros_like(theta)
+        updates = np.zeros((len(draws), 2, g.shape[-1]))
+        np.multiply(g, -cfg.step, out=updates[:, 0])
     for i, (snap, (indices, noise)) in enumerate(zip(snapshots, draws)):
-        if stacked:
-            upd = UpdateVector(d_theta=d_theta[i], d_u=d_u[i])
-        else:
-            upd = _asgd_update(cfg.step, drawn_gradient(model, snap.theta, indices), snap.theta)
+        upd = (updates[i] if stacked
+               else _asgd_update(cfg.step, drawn_gradient(model, snap.theta, indices)))
         if noise is not None:
-            upd.d_theta += math.sqrt(2.0 * cfg.step / cfg.inv_temperature) * noise
+            upd[0] += math.sqrt(2.0 * cfg.step / cfg.inv_temperature) * noise
         yield upd
 
 
@@ -377,8 +373,8 @@ def sgd_updates(cfg, workers, snapshots, model, draws):
 # (cfg, workers, snapshots, model, draws) -> updates, where draws[i] is
 # worker i's (indices, noise or None) for this update, its (n_s + n_o,)
 # index row, S first, and its noise, drawn from its own generator as
-# worker_draws_noise says.  Each entry is a generator that
-# yields the updates in worker order, so a batch that raises has given the
+# worker_draws_noise says.  Each entry is a generator that yields the
+# (2, d) updates in worker order, so a batch that raises has given the
 # updates of the workers before the first that failed.  Both the
 # simulator's event loop and the runtime's worker processes compute
 # through this table.

@@ -7,9 +7,10 @@ serial one of that interleaving and identical (cfg, seed) pairs give
 bit-identical traces.  Compute times are log-normal with mean and
 standard deviation (mu, sigma); communication costs tau per message leg;
 the master is a serial FIFO resource charging mu_master per applied
-update.  A :func:`replay` computes its workers' updates through
-:class:`asqn.owners.WorkerOwners`, which may split them across processes
-with the results of one process, bit for bit.
+update.  A :func:`replay` computes its workers' updates, each a
+``(2, d)`` array (d_theta, d_u), through :class:`asqn.owners.WorkerOwners`,
+which may split them across processes with the results of one process,
+bit for bit.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from asqn import (
     ParameterState,
     SamplerConfig,
     SimConfig,
-    UpdateVector,
     WorkerState,
     combined_gradient,
     compute_update,
@@ -269,7 +268,7 @@ def test_08_noise_variance_calibration():
         worker = WorkerState(cfg, dim)
         state = ParameterState.start(dim)
         draws = np.concatenate([
-            compute_update(cfg, worker, state, model, rng)[0].d_u
+            compute_update(cfg, worker, state, model, rng)[0][1]
             for _ in range(100)
         ])
         target = 2.0 * h * g / beta
@@ -305,7 +304,7 @@ def test_09_staleness_accounting_and_torn_snapshots():
     read_counts = [0, 0]
 
     def writer():
-        upd = UpdateVector(np.ones(dim), np.ones(dim))
+        upd = np.array((np.ones(dim), np.ones(dim)))
         for _ in range(n_writes):
             master.apply(upd, n_read=0)
 

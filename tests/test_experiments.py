@@ -424,6 +424,44 @@ class TestValidateConfig:
         del doc["sampler"]["step"]
         assert validate_config(doc)["baselines"]["a-sgd"]["step"] == 1e-3
 
+    @pytest.mark.parametrize("algo, key, value", [
+        ("a-sgd", "memory_size", 9), ("a-sgd", "inv_temperature", 1.0), ("a-sgd", "rho", 2.0),
+        ("a-sgd", "epsilon", 0.1), ("a-sgd", "friction", 0.9),
+        ("sgld", "memory_size", 9), ("sgld", "rho", 2.0), ("sgld", "epsilon", 0.1),
+        ("sgld", "friction", 0.9),
+        ("mb-lbfgs-simplified", "friction", 0.9),
+        ("mb-lbfgs-simplified", "inv_temperature", 1.0),
+    ])
+    def test_baseline_key_its_algorithm_never_reads_is_rejected(self, algo, key, value):
+        # each used to validate and change nothing
+        doc = tiny_config()
+        doc["baselines"][algo][key] = value
+        with pytest.raises(ConfigError) as info:
+            validate_config(doc)
+        assert str(info.value) == f"unknown key(s) ['{key}'] at baselines.{algo}"
+
+    @pytest.mark.parametrize("algo, keys", [
+        ("a-sgd", ("step", "n_s", "n_o")),
+        ("sgld", ("step", "n_s", "n_o", "inv_temperature")),
+        ("mb-lbfgs-simplified", ("step", "n_s", "n_o", "memory_size", "epsilon", "rho")),
+    ])
+    def test_baseline_keys_its_algorithm_reads_are_accepted(self, algo, keys):
+        values = {"step": 1e-3, "n_s": 3, "n_o": 1, "inv_temperature": 50.0,
+                  "memory_size": 4, "epsilon": 0.1, "rho": 0.5}
+        doc = tiny_config(baselines={algo: {key: values[key] for key in keys}})
+        assert validate_config(doc)["baselines"][algo] == {key: values[key] for key in keys}
+
+    def test_presets_and_the_benchmark_sweep_set_only_keys_their_baselines_read(
+            self, monkeypatch):
+        monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1]
+                                        / "perfbench"))
+        import workloads
+
+        for doc in ({"preset": "linear-gaussian-paper"}, {"preset": "ml-1m-paper"},
+                    workloads.LG_SWEEP["doc"]):
+            assert set(validate_config(doc)["baselines"]) == {
+                "a-sgd", "mb-lbfgs-simplified", "sgld"}
+
     def test_baselines_run_without_friction(self, tmp_path, on_one_cpu):
         # AS-L-BFGS alone reads friction, so the baselines' outputs do not
         # depend on it and a config of baselines may leave it out
@@ -598,6 +636,17 @@ class TestSynthMatrixFactorization:
         values = np.einsum("ik,ki->i", f[rows], g[:, cols]) + 0.1 * rng.standard_normal(n_obs)
         assert model.values.tobytes() == values.tobytes()
         assert np.array_equal(model.rows, rows) and np.array_equal(model.cols, cols)
+
+    @pytest.mark.parametrize("fraction", [0.0, -1.0, 1.5, math.nan])
+    def test_fraction_outside_the_unit_interval_is_a_config_error(self, fraction):
+        # 0 and -1 used to build a problem of one rating, and 1.5 to raise
+        # numpy's ValueError
+        with pytest.raises(ConfigError, match=r"^observed_fraction must lie in \(0, 1\], got "):
+            synth_matrix_factorization(0, 4, 5, 2, observed_fraction=fraction)
+
+    def test_fraction_in_the_unit_interval_observes_at_least_one_cell(self):
+        assert synth_matrix_factorization(0, 4, 5, 2, observed_fraction=1.0).n_records == 20
+        assert synth_matrix_factorization(0, 4, 5, 2, observed_fraction=1e-9).n_records == 1
 
 
 class TestLoadMovielens:
@@ -1020,6 +1069,20 @@ class TestCli:
                f"print(json.dumps([code, blas(), len(os.listdir('/proc/self/task'))]))")
         assert run_python(run) == [0, ["1", "1", "1"], 1]
         assert run_python(run, OPENBLAS_NUM_THREADS="2")[:2] == [0, ["2", "1", "1"]]
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.5])
+    def test_observed_fraction_outside_the_unit_interval_exit_one(self, tmp_path, capsys,
+                                                                   fraction):
+        # 1.5 used to end in numpy's ValueError traceback
+        doc = tiny_config(problem={"type": "matrix-factorization", "n_rows": 4, "n_cols": 5,
+                                   "rank": 2, "observed_fraction": fraction})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert cli_main(["--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: observed_fraction must lie in (0, 1], got {fraction!r}\n")
+        assert not out.exists()
 
     def test_config_error_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

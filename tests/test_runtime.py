@@ -17,7 +17,6 @@ from asqn import (
     LinearGaussianModel,
     ParameterState,
     SamplerConfig,
-    UpdateVector,
     WorkerState,
     asgd_step,
     compute_update,
@@ -81,7 +80,7 @@ class TestSharedMasterState:
     def test_snapshot_reflects_serialized_applies(self):
         master = SharedMasterState(np.zeros(2))
         for k in range(5):
-            master.apply(UpdateVector(np.ones(2), -np.ones(2)), n_read=k)
+            master.apply(np.array((np.ones(2), -np.ones(2))), n_read=k)
         theta, u, n = master.snapshot()
         np.testing.assert_array_equal(theta, [5.0, 5.0])
         np.testing.assert_array_equal(u, [-5.0, -5.0])
@@ -89,7 +88,7 @@ class TestSharedMasterState:
 
     def test_staleness_recorded_per_apply(self):
         master = SharedMasterState(np.zeros(1))
-        upd = UpdateVector(np.zeros(1), np.zeros(1))
+        upd = np.array((np.zeros(1), np.zeros(1)))
         assert master.apply(upd, n_read=0)[:2] == (1, 0)
         assert master.apply(upd, n_read=0)[:2] == (2, 1)
 
@@ -97,7 +96,7 @@ class TestSharedMasterState:
         # the apply that reaches the limit sets stop; later ones leave the
         # state untouched
         master = SharedMasterState(np.zeros(2), max_updates=2)
-        upd = UpdateVector(np.ones(2), np.ones(2))
+        upd = np.array((np.ones(2), np.ones(2)))
         assert master.apply(upd, n_read=0)[:2] == (1, 0)
         assert not master.stop.is_set()
         assert master.apply(upd, n_read=0)[:2] == (2, 1)
@@ -121,7 +120,7 @@ class TestSharedMasterState:
         torn = []
 
         def writer():
-            upd = UpdateVector(np.ones(dim), np.ones(dim))
+            upd = np.array((np.ones(dim), np.ones(dim)))
             for _ in range(n_writes):
                 master.apply(upd, n_read=0)
 
@@ -161,7 +160,7 @@ class TestSharedMasterState:
         dim = 256
         master = SharedMasterState(np.zeros(dim))
         min_writes = 50000
-        upd = UpdateVector(np.ones(dim), np.ones(dim))
+        upd = np.array((np.ones(dim), np.ones(dim)))
         done = FORK.Event()
 
         def writer():
@@ -233,16 +232,16 @@ class TestSharedMasterState:
         # lands, so it stays the run's last
         master = SharedMasterState(np.zeros(2))
         with pytest.raises(DivergenceError) as info:
-            master.apply(UpdateVector(np.full(2, np.inf), np.zeros(2)), n_read=0)
+            master.apply(np.array((np.full(2, np.inf), np.zeros(2))), n_read=0)
         assert info.value.iteration == 1
         assert master.stop.is_set()
-        assert master.apply(UpdateVector(np.ones(2), np.ones(2)), n_read=1) is None
+        assert master.apply(np.array((np.ones(2), np.ones(2))), n_read=1) is None
         assert (master.n, master.version) == (1, 2)
 
     def test_apply_refused_once_stop_is_set_from_outside(self):
         # the stop word alone refuses an apply, whoever set it
         master = SharedMasterState(np.zeros(2))
-        upd = UpdateVector(np.ones(2), -np.ones(2))
+        upd = np.array((np.ones(2), -np.ones(2)))
         assert master.apply(upd, n_read=0)[:2] == (1, 0)
         master.stop.set()
         assert master.apply(upd, n_read=1) is None
@@ -521,7 +520,7 @@ class TestReplay:
         real_apply = master_apply
 
         def half_momentum(state, upd, out=None):
-            return real_apply(state, UpdateVector(upd.d_theta, 0.5 * upd.d_u), out=out)
+            return real_apply(state, np.array((upd[0], 0.5 * upd[1])), out=out)
 
         monkeypatch.setattr(simulator, "master_apply", half_momentum)
         monkeypatch.setattr(runtime, "master_apply", half_momentum)

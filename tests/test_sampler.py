@@ -13,7 +13,6 @@ from asqn import (
     MbLbfgsMaster,
     ParameterState,
     SamplerConfig,
-    UpdateVector,
     WorkerState,
     asgd_step,
     combined_gradient,
@@ -84,8 +83,8 @@ class TestComputeUpdate:
         worker = WorkerState(cfg, 2)
         snap = ParameterState.start(2)
         upd, _ = compute_update(cfg, worker, snap, model, np.random.default_rng(0))
-        np.testing.assert_array_equal(upd.d_theta, 0.0)
-        np.testing.assert_array_equal(upd.d_u, 0.0)
+        np.testing.assert_array_equal(upd[0], 0.0)
+        np.testing.assert_array_equal(upd[1], 0.0)
 
     def test_empty_memory_momentum_sgd_increments(self):
         cfg = SamplerConfig(step=0.01, friction=0.1, n_s=3, n_o=2)
@@ -99,8 +98,8 @@ class TestComputeUpdate:
         # replay the subsample draw to know which gradient was used
         row = draw_subsample(np.random.default_rng(1), model.n_records, 3, 2)
         g = combined_gradient(model, theta, row[:3], row[3:])
-        np.testing.assert_allclose(upd.d_u, -cfg.step * g - cfg.friction * u, atol=1e-14)
-        np.testing.assert_allclose(upd.d_theta, u, atol=1e-14)
+        np.testing.assert_allclose(upd[1], -cfg.step * g - cfg.friction * u, atol=1e-14)
+        np.testing.assert_allclose(upd[0], u, atol=1e-14)
 
     def test_does_not_mutate_memory(self):
         cfg = SamplerConfig(step=0.01, friction=0.1, n_s=2, n_o=1)
@@ -122,7 +121,7 @@ class TestComputeUpdate:
             snap = ParameterState.start(dim)
             rng = np.random.default_rng(42)
             draws = np.concatenate(
-                [compute_update(cfg, worker, snap, model, rng)[0].d_u
+                [compute_update(cfg, worker, snap, model, rng)[0][1]
                  for _ in range(100)]
             )
             target = 2 * step * friction / beta
@@ -139,7 +138,7 @@ class TestComputeUpdate:
             worker = WorkerState(cfg, dim)
             rng = np.random.default_rng(7)
             draws = np.concatenate(
-                [compute_update(cfg, worker, snap, model, rng)[0].d_u
+                [compute_update(cfg, worker, snap, model, rng)[0][1]
                  for _ in range(100)]
             )
             variances.append(draws.var())
@@ -255,7 +254,7 @@ class TestPostSendMemoryUpdate:
 class TestMasterApply:
     def test_zero_update_increments_n_only(self):
         state = ParameterState(np.array([1.0]), np.array([2.0]), 5)
-        new = master_apply(state, UpdateVector(np.zeros(1), np.zeros(1)))
+        new = master_apply(state, np.array((np.zeros(1), np.zeros(1))))
         assert new.iteration == 6
         np.testing.assert_array_equal(new.theta, state.theta)
         np.testing.assert_array_equal(new.u, state.u)
@@ -263,7 +262,7 @@ class TestMasterApply:
     def test_componentwise_addition(self):
         state = ParameterState(np.array([1.0, 1.0]), np.array([0.0, 0.0]), 0)
         new = master_apply(
-            state, UpdateVector(np.array([1.0, -1.0]), np.array([2.0, 2.0]))
+            state, np.array([[1.0, -1.0], [2.0, 2.0]])
         )
         np.testing.assert_array_equal(new.theta, [2.0, 0.0])
         np.testing.assert_array_equal(new.u, [2.0, 2.0])
@@ -271,23 +270,23 @@ class TestMasterApply:
     def test_sequence_equals_summed_update(self):
         rng = np.random.default_rng(5)
         updates = [
-            UpdateVector(rng.standard_normal(3), rng.standard_normal(3))
+            np.array((rng.standard_normal(3), rng.standard_normal(3)))
             for _ in range(10)
         ]
         state = ParameterState.start(3)
         for upd in updates:
             state = master_apply(state, upd)
         np.testing.assert_allclose(
-            state.theta, sum(u.d_theta for u in updates), atol=1e-12
+            state.theta, sum(u[0] for u in updates), atol=1e-12
         )
-        np.testing.assert_allclose(state.u, sum(u.d_u for u in updates), atol=1e-12)
+        np.testing.assert_allclose(state.u, sum(u[1] for u in updates), atol=1e-12)
         assert state.iteration == 10
 
     def test_input_state_left_unchanged(self):
         # the simulator hands post-apply states to workers without copying
         state = ParameterState(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 7)
         theta, u = state.theta, state.u
-        new = master_apply(state, UpdateVector(np.array([0.5, 0.5]), np.array([1.0, 1.0])))
+        new = master_apply(state, np.array([[0.5, 0.5], [1.0, 1.0]]))
         assert state.theta is theta and state.u is u and state.iteration == 7
         np.testing.assert_array_equal(theta, [1.0, 2.0])
         np.testing.assert_array_equal(u, [3.0, 4.0])
@@ -297,7 +296,7 @@ class TestMasterApply:
     def test_nonfinite_result_raises(self):
         state = ParameterState.start(1)
         with pytest.raises(DivergenceError):
-            master_apply(state, UpdateVector(np.array([np.nan]), np.zeros(1)))
+            master_apply(state, np.array([[np.nan], [0.0]]))
 
 
 class TestSgld:
@@ -356,9 +355,9 @@ class TestAsgd:
         theta = np.ones(model.dim)
         upd = asgd_step(theta, 0.05, model, np.arange(model.n_records))
         np.testing.assert_allclose(
-            upd.d_theta, -0.05 * full_gradient(model, theta), atol=1e-12
+            upd[0], -0.05 * full_gradient(model, theta), atol=1e-12
         )
-        np.testing.assert_array_equal(upd.d_u, 0.0)
+        np.testing.assert_array_equal(upd[1], 0.0)
 
     def test_quadratic_contraction(self):
         # 1-d instance: U = theta^2/2 + (theta - 2)^2/2, L = 2, theta* = 1
@@ -366,14 +365,14 @@ class TestAsgd:
         h = 0.3  # < 2/L, contraction factor |1 - h L| = 0.4
         theta = np.array([5.0])
         for _ in range(5):
-            new = theta + asgd_step(theta, h, model, [0]).d_theta
+            new = theta + asgd_step(theta, h, model, [0])[0]
             assert abs(new[0] - 1.0) < abs(theta[0] - 1.0)
             theta = new
 
     def test_zero_gradient_zero_update(self):
         model = zero_gradient_model(2)
         upd = asgd_step(np.zeros(2), 0.1, model, [0])
-        np.testing.assert_array_equal(upd.d_theta, 0.0)
+        np.testing.assert_array_equal(upd[0], 0.0)
 
 
 class TestMbLbfgs:
@@ -580,9 +579,9 @@ class TestBatchedUpdates:
             for w, snap, upd in zip(who, snaps, got):
                 want, ctx = compute_update(cfg, serial[w], snap, model, rngs_s[w])
                 post_send_memory_update(serial[w], ctx, model)
-                assert np.array_equal(upd.d_theta, want.d_theta)
-                assert np.array_equal(upd.d_u, want.d_u)
-                assert np.array_equal(np.signbit(upd.d_theta), np.signbit(want.d_theta))
+                assert np.array_equal(upd[0], want[0])
+                assert np.array_equal(upd[1], want[1])
+                assert np.array_equal(np.signbit(upd[0]), np.signbit(want[0]))
         for a, b, ra, rb in zip(batched, serial, rngs_b, rngs_s):
             assert same_worker(a, b)
             assert ra.bit_generator.state == rb.bit_generator.state
@@ -615,9 +614,9 @@ class TestBatchedUpdates:
             for w, snap, upd in zip(who, snaps, got):
                 want, ctx = compute_update(cfg, serial[w], snap, model, rngs_s[w])
                 post_send_memory_update(serial[w], ctx, model)
-                assert np.array_equal(upd.d_theta, want.d_theta)
-                assert np.array_equal(upd.d_u, want.d_u)
-                assert np.array_equal(np.signbit(upd.d_u), np.signbit(want.d_u))
+                assert np.array_equal(upd[0], want[0])
+                assert np.array_equal(upd[1], want[1])
+                assert np.array_equal(np.signbit(upd[1]), np.signbit(want[1]))
         assert mixed == 1
         for a, b, ra, rb in zip(batched, serial, rngs_b, rngs_s):
             assert same_worker(a, b)
@@ -674,7 +673,7 @@ class TestBatchedUpdates:
                             if not math.isfinite(ys) else "y.s < eps |s|^2"
                             if ys < cfg.epsilon * ss else "admitted"] += 1
                 post_send_memory_update(worker, ctx, model)
-                assert same_bits(upd.d_theta, want.d_theta) and same_bits(upd.d_u, want.d_u)
+                assert same_bits(upd[0], want[0]) and same_bits(upd[1], want[1])
             for w in who:
                 assert same_worker(batched[w], serial[w])
         assert min(reasons.values()) >= 3, reasons
@@ -727,8 +726,8 @@ class TestBatchedUpdates:
             for snap, upd, r in zip(snaps, got, rngs_s[:k]):
                 row = draw_subsample(r, model.n_records, cfg.n_s, cfg.n_o)
                 want = asgd_step(snap.theta, cfg.step, model, row)
-                assert np.array_equal(upd.d_theta, want.d_theta)
-                assert np.array_equal(upd.d_u, want.d_u)
+                assert np.array_equal(upd[0], want[0])
+                assert np.array_equal(upd[1], want[1])
         assert all(a.bit_generator.state == b.bit_generator.state
                    for a, b in zip(rngs_b, rngs_s))
 
@@ -776,11 +775,11 @@ class TestSgldUpdates:
             got = updates_from_rngs("sgld", cfg, None, snaps, model, [rngs_b[w] for w in who])
             for w, snap, upd in zip(who, snaps, got):
                 (one,) = updates_from_rngs("sgld", cfg, None, [snap], model, [rngs_s[w]])
-                assert np.array_equal(upd.d_theta, one.d_theta)
-                assert np.array_equal(upd.d_u, one.d_u) and not upd.d_u.any()
+                assert np.array_equal(upd[0], one[0])
+                assert np.array_equal(upd[1], one[1]) and not upd[1].any()
                 row = draw_subsample(rngs_r[w], model.n_records, cfg.n_s, cfg.n_o)
                 want = sgld_step(snap.theta, cfg.step, beta, model, row, rngs_r[w])
-                np.testing.assert_allclose(snap.theta + upd.d_theta, want,
+                np.testing.assert_allclose(snap.theta + upd[0], want,
                                            rtol=1e-12, atol=1e-12)
         for a, b, r in zip(rngs_b, rngs_s, rngs_r):
             assert a.bit_generator.state == b.bit_generator.state == r.bit_generator.state
@@ -797,6 +796,40 @@ class TestSgldUpdates:
                               [np.random.default_rng(w) for w in range(k)])
         assert "non-finite gradient" in str(info.value)
         assert "a-SGD" not in str(info.value)
+
+
+class TestUpdateLayout:
+    """Every WORKER_UPDATES entry yields its updates as ``(2, d)`` float64
+    arrays (d_theta, d_u), which master_apply adds to (theta, u) row by
+    row."""
+
+    @pytest.mark.parametrize("algo, beta, k", [
+        ("as-lbfgs", 50.0, 4), ("as-lbfgs", 50.0, 1), ("a-sgd", math.inf, 3), ("sgld", 50.0, 3),
+    ], ids=["as-lbfgs-stacked", "as-lbfgs-one-worker", "a-sgd", "sgld-with-noise"])
+    def test_updates_are_blocks_that_master_apply_adds(self, algo, beta, k):
+        model = counting_lg()
+        cfg = SamplerConfig(step=0.02, friction=0.1, inv_temperature=beta, n_s=5, n_o=3,
+                            epsilon=0.1)
+        workers = [WorkerState(cfg, model.dim) for _ in range(k)]
+        rngs = [np.random.default_rng(w) for w in range(k)]
+        rng = np.random.default_rng(11)
+        # from the second call on, every AS-L-BFGS worker has a pair due
+        for step in range(3):
+            snaps = [ParameterState(rng.standard_normal(model.dim),
+                                    rng.standard_normal(model.dim), step) for _ in range(k)]
+            for snap in snaps:  # signed zeros, which an add of +0.0 turns positive
+                snap.theta[0] = snap.u[0] = -0.0
+            got = updates_from_rngs(algo, cfg, workers, snaps, model, rngs)
+            assert len(got) == k
+            for snap, upd in zip(snaps, got):
+                assert type(upd) is np.ndarray
+                assert upd.shape == (2, model.dim) and upd.dtype == np.float64
+                new = master_apply(snap, upd)
+                assert same_bits(new.theta, snap.theta + upd[0])
+                assert same_bits(new.u, snap.u + upd[1])
+                assert new.iteration == step + 1
+        if algo == "as-lbfgs":
+            assert all(len(worker.memory) for worker in workers)  # pairs were admitted
 
 
 def reference_update(cfg, worker, snapshot, model, rng):
@@ -816,7 +849,7 @@ def reference_update(cfg, worker, snapshot, model, rng):
     d_u = -cfg.step * h[0] - cfg.friction * u
     if noise is not None:
         d_u += cfg.noise_scale() * noise
-    return UpdateVector(d_theta=h[1], d_u=d_u), UpdateContext(
+    return np.array((h[1], d_u)), UpdateContext(
         snapshot_theta=theta, indices=row, overlap_gradient=overlap_grad)
 
 
@@ -880,8 +913,8 @@ class TestSingleWorkerReference:
                                          [rngs[2]])
             states[2] = master_apply(states[2], batch)
             for got in (one, batch):
-                assert same_bits(got.d_theta, want.d_theta)
-                assert same_bits(got.d_u, want.d_u)
+                assert same_bits(got[0], want[0])
+                assert same_bits(got[1], want[1])
         for state in states[1:]:
             assert same_bits(state.theta, states[0].theta) and same_bits(state.u, states[0].u)
         for worker, rng in zip(workers[1:], rngs[1:]):
