@@ -13,6 +13,7 @@ Run:  python3 demos/straggler_sweep.py
 """
 
 import os
+from dataclasses import replace
 
 # One BLAS thread unless the caller chose otherwise, set before numpy loads:
 # a long replay splits its batches across helper processes only in a
@@ -23,7 +24,6 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from asqn import (
-    MbLbfgsMaster,
     SamplerConfig,
     SimConfig,
     run_async,
@@ -56,8 +56,7 @@ for sigma in (0.0, 50.0, 100.0, 150.0, 200.0):
         sim_mb = SimConfig(workers=10, mu_master=30.0, mu_worker=100.0,
                            sigma_worker=sigma, comm_time=10.0, timeout=300.0,
                            max_updates=100, sample_every=5, seed=rep)
-        master = MbLbfgsMaster(model.dim, step=5e-2, memory_size=3)
-        res_mb = run_sync_mb(sim_mb, master, sampler, model)
+        res_mb = run_sync_mb(sim_mb, replace(sampler, step=5e-2, memory_size=3), model)
         sync_times.append(time_to_epsilon(res_mb.trace, u_star, 1e-2))
     print(f"{sigma:8.0f} {np.mean(async_times):10.0f} "
           f"{np.mean(sync_times):12.0f}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, WorkerError, check_count
 from .model import LinearGaussianModel, MatrixFactorizationModel, potential
-from .sampler import MbLbfgsMaster, SamplerConfig
+from .sampler import SamplerConfig
 from .simulator import (
     SimConfig,
     SimResult,
@@ -232,7 +232,7 @@ def validate_config(doc: dict) -> ExperimentConfig:
     preset = doc.pop("preset", None)
     if preset is not None and preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; known: {sorted(PRESETS)}")
-    own_problem = doc.get("problem", {})
+    own_problem, own_sampler = doc.get("problem", {}), doc.get("sampler", {})
     doc = _deep_merge(_deep_merge(_DEFAULTS, PRESETS.get(preset, {})), doc)
     mode = doc.get("mode")
     if mode not in _SWEEPS:
@@ -250,6 +250,11 @@ def validate_config(doc: dict) -> ExperimentConfig:
         # a baseline's own section may set the step its algorithm runs with
         if "step" not in {**doc["sampler"], **doc["baselines"].get(a, {})}:
             raise ConfigError(f"missing sampler.step (needed by {a})")
+    # AS-L-BFGS reads every sampler key and a baseline its own set; a
+    # preset's keys go unchecked, so a preset runs with any algorithm list
+    read = set().union(*(_BASELINES.get(a, _SAMPLER) for a in doc["algorithms"]))
+    for key in sorted(set(own_sampler) - read):
+        raise ConfigError(f"sampler.{key} is read by none of the listed algorithms")
     # AS-L-BFGS has no default friction
     if "as-lbfgs" in doc["algorithms"] and "friction" not in doc["sampler"]:
         raise ConfigError("missing sampler.friction (needed by as-lbfgs)")
@@ -488,9 +493,7 @@ def _resolve_point(cfg, model, theta0, algo, seed, value):
     key = (algo, astuple(sim), astuple(samp))
     if algo == "mb-lbfgs-simplified":
         check_round_timeout(sim)
-        master = MbLbfgsMaster(model.dim, step=samp.step, memory_size=samp.memory_size,
-                               epsilon=samp.epsilon, rho=samp.rho)
-        return key, lambda: run_sync_mb(sim, master, samp, model, theta0=theta0)
+        return key, lambda: run_sync_mb(sim, samp, model, theta0=theta0)
     return key, lambda: run_async(sim, samp, model, algo=algo, theta0=theta0)
 
 

@@ -88,7 +88,9 @@ class UpdateContext:
 
 
 class WorkerState:
-    """Worker-local L-BFGS memory and previous-iteration bookkeeping."""
+    """An L-BFGS memory built from ``cfg`` and the previous-iteration
+    bookkeeping its curvature pairs are formed from: an asynchronous
+    worker's, and the synchronous master's (:class:`MbLbfgsMaster`)."""
 
     def __init__(self, cfg: SamplerConfig, dim: int):
         self.cfg = cfg
@@ -155,7 +157,8 @@ def _wants_pair(worker: WorkerState) -> bool:
 def _admit(worker, theta, overlap, overlap_grad, g_prime) -> bool:
     """The bookkeeping of post_send_memory_update, given the gradient on
     the previous overlap set at the snapshot's ``theta`` (None when no
-    pair is due)."""
+    pair is due): the one rule that forms a single pair and admits it,
+    for a worker and for the mb master's round alike."""
     admitted = False
     if g_prime is not None:
         s = theta - worker.prev_theta
@@ -381,23 +384,15 @@ def sgd_updates(cfg, workers, snapshots, model, draws):
 WORKER_UPDATES = {"as-lbfgs": lbfgs_updates, "a-sgd": sgd_updates, "sgld": sgd_updates}
 
 
-class MbLbfgsMaster:
+class MbLbfgsMaster(WorkerState):
     """Simplified synchronous multi-batch L-BFGS master (mb-lbfgs-simplified).
 
-    Keeps a central memory; per round it averages the workers' combined
-    gradients, steps theta, and admits a pair built from consecutive
-    rounds' overlap gradients evaluated on the same index set.
+    A :class:`WorkerState` holding the central memory; per round it
+    averages the workers' combined gradients, steps theta by ``cfg.step``
+    and, under ``cfg.use_memory``, forms and admits a pair with
+    :func:`_admit`, as a worker does, from consecutive rounds' overlap
+    gradients evaluated on the same index set.
     """
-
-    def __init__(self, dim, step, memory_size=3, epsilon=1e-8, rho=0.0, use_memory=True):
-        if not step > 0:
-            raise ConfigError(f"step must be positive, got {step}")
-        self.step = float(step)
-        self.use_memory = use_memory
-        self.memory = LbfgsMemory(dim, memory_size, epsilon=epsilon, rho=rho)
-        self.prev_theta = None
-        self.prev_overlap = None
-        self.prev_overlap_grad = None
 
     def round(self, theta, gradients, overlap_indices, model):
         """One synchronous round.
@@ -412,19 +407,13 @@ class MbLbfgsMaster:
             return theta
         gradients = np.asarray(gradients)
         g_bar = gradients.sum(axis=0) / len(gradients)  # np.mean's bits
-        if self.use_memory:
-            # the previous and the new overlap gradient at theta, in one pass
+        if self.cfg.use_memory:
             overlap = np.asarray(overlap_indices, dtype=np.intp)
-            prior = model.prior_gradient(theta)
-            *lik_prev, lik = model.likelihood_grad_sums(
-                theta, [overlap] if self.prev_theta is None else [self.prev_overlap, overlap])
-            if lik_prev:
-                g_prime = prior + (model.n_records / len(self.prev_overlap)) * lik_prev[0]
-                self.memory.try_add(theta - self.prev_theta, g_prime - self.prev_overlap_grad)
-            self.prev_theta = theta.copy()
-            self.prev_overlap = overlap
-            self.prev_overlap_grad = prior + (model.n_records / len(overlap)) * lik
-        new = theta - self.step * self.memory.apply(g_bar)
+            g_o = drawn_gradient(model, theta, overlap)
+            g_prime = (drawn_gradient(model, theta, self.prev_overlap) if _wants_pair(self)
+                       else None)
+            _admit(self, theta.copy(), overlap, g_o, g_prime)
+        new = theta - self.cfg.step * self.memory.apply(g_bar)
         if not np.isfinite(new).all():
             raise DivergenceError("non-finite iterate in mb-L-BFGS round")
         return new

@@ -442,9 +442,12 @@ def _sync_rounds(sim_cfg: SimConfig, sampler_cfg, model):
             yield wait, indices[:, j] if k == sim_cfg.workers else indices[met[:, j], j]
 
 
-def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model,
-                theta0=None) -> SimResult:
+def run_sync_mb(sim_cfg: SimConfig, sampler_cfg, model, theta0=None) -> SimResult:
     """Synchronous multi-batch rounds.
+
+    ``sampler_cfg`` configures the run as it does :func:`run_async`'s: the
+    workers draw ``n_s`` + ``n_o`` rows, and a master built for this call
+    alone reads ``step``, ``memory_size``, ``epsilon``, ``rho`` and ``use_memory``.
 
     Per round the master broadcasts theta (tau), each worker draws a
     compute time and a subsample, and only gradients whose compute time is
@@ -463,6 +466,7 @@ def run_sync_mb(sim_cfg: SimConfig, mb_master: MbLbfgsMaster, sampler_cfg, model
     after ``max_time`` is not applied, and the run is truncated there.
     """
     check_round_timeout(sim_cfg)
+    mb_master = MbLbfgsMaster(sampler_cfg, model.dim)
     n_s = sampler_cfg.n_s
     rounds = _sync_rounds(sim_cfg, sampler_cfg, model)
 

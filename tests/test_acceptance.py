@@ -10,6 +10,7 @@ import math
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ import pytest
 from asqn import (
     LinearGaussianModel,
     LbfgsMemory,
-    MbLbfgsMaster,
     ParameterState,
     SamplerConfig,
     SimConfig,
@@ -180,8 +180,7 @@ def test_05_straggler_sweep_ordering():
                                sigma_worker=sigma, comm_time=10.0,
                                timeout=300.0, max_updates=100, sample_every=5,
                                seed=rep)
-            master = MbLbfgsMaster(model.dim, step=5e-2, memory_size=3)
-            res_mb = run_sync_mb(sim_mb, master, cfg, model)
+            res_mb = run_sync_mb(sim_mb, replace(cfg, step=5e-2, memory_size=3), model)
             mb_t.append(time_to_epsilon(res_mb.trace, u_star, 1e-2))
         assert all(t is not None for t in as_t + mb_t)
         as_means.append(float(np.mean(as_t)))

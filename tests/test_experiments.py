@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from asqn import (
     full_gradient,
     owners,
     potential,
+    run_sync_mb,
 )
 from asqn.cli import main as cli_main
 from asqn.experiments import (
@@ -66,6 +68,8 @@ def tiny_config(**overrides):
     }
     for key, value in overrides.items():
         doc[key] = value
+    if "as-lbfgs" not in doc["algorithms"]:  # the baselines read no friction
+        del doc["sampler"]["friction"]
     return doc
 
 
@@ -440,6 +444,27 @@ class TestValidateConfig:
             validate_config(doc)
         assert str(info.value) == f"unknown key(s) ['{key}'] at baselines.{algo}"
 
+    @pytest.mark.parametrize("algo, key, value", [
+        ("a-sgd", "memory_size", 9), ("a-sgd", "rho", 2.0), ("a-sgd", "inv_temperature", 1.0),
+        ("a-sgd", "epsilon", 0.5), ("a-sgd", "friction", 0.9),
+        ("sgld", "friction", 0.9), ("sgld", "memory_size", 9),
+        ("mb-lbfgs-simplified", "friction", 0.9),
+        ("mb-lbfgs-simplified", "inv_temperature", 1.0),
+    ])
+    def test_sampler_key_no_listed_algorithm_reads_is_rejected(self, algo, key, value):
+        # each used to validate and change nothing
+        doc = tiny_config(algorithms=[algo])
+        doc["sampler"][key] = value
+        with pytest.raises(ConfigError) as info:
+            validate_config(doc)
+        assert str(info.value) == f"sampler.{key} is read by none of the listed algorithms"
+
+    def test_preset_sampler_keys_go_unchecked(self):
+        # only the config's own keys are checked, so a preset's sampler
+        # section validates with any algorithm list
+        cfg = validate_config({"preset": "linear-gaussian-paper", "algorithms": ["a-sgd"]})
+        assert cfg["sampler"]["memory_size"] == 3
+
     @pytest.mark.parametrize("algo, keys", [
         ("a-sgd", ("step", "n_s", "n_o")),
         ("sgld", ("step", "n_s", "n_o", "inv_temperature")),
@@ -463,17 +488,16 @@ class TestValidateConfig:
                 "a-sgd", "mb-lbfgs-simplified", "sgld"}
 
     def test_baselines_run_without_friction(self, tmp_path, on_one_cpu):
-        # AS-L-BFGS alone reads friction, so the baselines' outputs do not
-        # depend on it and a config of baselines may leave it out
+        # AS-L-BFGS alone reads friction, so a config of baselines leaves it
+        # out, and one that sets it is rejected
         doc = tiny_config(algorithms=["a-sgd", "mb-lbfgs-simplified", "sgld"])
-        run_experiment(validate_config(doc), out_dir=str(tmp_path / "with"))
-        del doc["sampler"]["friction"]
-        run_experiment(validate_config(doc), out_dir=str(tmp_path / "without"))
-        names = sorted(os.listdir(tmp_path / "with"))
-        assert len(names) == 4 and names == sorted(os.listdir(tmp_path / "without"))
-        for name in names:
-            assert (tmp_path / "with" / name).read_bytes() == (
-                tmp_path / "without" / name).read_bytes()
+        assert "friction" not in doc["sampler"]
+        run_experiment(validate_config(doc), out_dir=str(tmp_path))
+        assert len(os.listdir(tmp_path)) == 4
+        doc["sampler"]["friction"] = 0.1
+        with pytest.raises(ConfigError) as info:
+            validate_config(doc)
+        assert str(info.value) == "sampler.friction is read by none of the listed algorithms"
 
     def test_negative_seed_option_exit_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -878,6 +902,28 @@ class TestRunExperiment:
             for sigma in ("0", "50"):
                 assert (tmp_path / f"sgld_sigma-{sigma}_rep-{k}.csv").read_bytes() == \
                     direct.read_bytes()
+
+    def test_mb_runs_its_baseline_section_merged_over_the_sampler(self, tmp_path, on_one_cpu):
+        # the baseline section's step, memory size, epsilon and rho, not the
+        # sampler section's, configure the whole synchronous run
+        doc = tiny_config(algorithms=["mb-lbfgs-simplified"])
+        doc["sampler"].update(memory_size=5, epsilon=1e-6, rho=0.2)
+        doc["baselines"]["mb-lbfgs-simplified"] = {"step": 2e-2, "memory_size": 2,
+                                                   "epsilon": 1e-4, "rho": 0.5}
+        cfg = validate_config(doc)
+        run_experiment(cfg, out_dir=str(tmp_path))
+        model = experiments.build_problem(cfg)[0]
+        sim = SimConfig(workers=2, mu_worker=5.0, timeout=10.0, max_updates=40,
+                        sample_every=5)
+        samp = SamplerConfig(step=2e-2, friction=0.5, memory_size=2, n_s=3, n_o=2,
+                             epsilon=1e-4, rho=0.5)
+        direct = tmp_path / "direct.csv"
+        experiments.write_trace_csv(run_sync_mb(sim, samp, model).trace, direct)
+        assert (tmp_path / "mb-lbfgs-simplified_sigma-0_rep-0.csv").read_bytes() == \
+            direct.read_bytes()
+        # the memory settings move the trace, so the sampler section's would show
+        other = replace(samp, memory_size=5, epsilon=1e-6, rho=0.2)
+        assert run_sync_mb(sim, other, model).trace != run_sync_mb(sim, samp, model).trace
 
     def test_sweep_processes_count_distinct_runs(self, tmp_path, engine_calls):
         # one distinct run forks no sweep process, however many CPUs

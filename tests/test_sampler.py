@@ -375,15 +375,20 @@ class TestAsgd:
         np.testing.assert_array_equal(upd[0], 0.0)
 
 
+def mb_cfg(step, **kw):
+    """A config for the mb master, which reads no friction."""
+    return SamplerConfig(step=step, friction=0.5, **kw)
+
+
 class TestMbLbfgs:
     @pytest.mark.parametrize("step", [0.0, math.nan])
     def test_bad_step(self, step):
         with pytest.raises(ConfigError, match="step must be positive"):
-            MbLbfgsMaster(3, step=step)
+            MbLbfgsMaster(mb_cfg(step), 3)
 
     def test_single_worker_full_batch_is_gd_step(self):
         model = quadratic_lg()
-        master = MbLbfgsMaster(model.dim, step=0.05, use_memory=False)
+        master = MbLbfgsMaster(mb_cfg(0.05, use_memory=False), model.dim)
         theta = np.ones(model.dim)
         g = stochastic_gradient(model, theta, np.arange(model.n_records))
         new = master.round(theta, [g], np.arange(model.n_records), model)
@@ -393,8 +398,8 @@ class TestMbLbfgs:
         model = quadratic_lg()
         theta = np.ones(model.dim)
         g = full_gradient(model, theta)
-        m1 = MbLbfgsMaster(model.dim, step=0.05, use_memory=False)
-        m4 = MbLbfgsMaster(model.dim, step=0.05, use_memory=False)
+        m1 = MbLbfgsMaster(mb_cfg(0.05, use_memory=False), model.dim)
+        m4 = MbLbfgsMaster(mb_cfg(0.05, use_memory=False), model.dim)
         idx = np.arange(model.n_records)
         np.testing.assert_allclose(
             m1.round(theta.copy(), [g], idx, model),
@@ -404,7 +409,7 @@ class TestMbLbfgs:
 
     def test_empty_round_skipped(self):
         model = quadratic_lg()
-        master = MbLbfgsMaster(model.dim, step=0.05)
+        master = MbLbfgsMaster(mb_cfg(0.05), model.dim)
         theta = np.ones(model.dim)
         np.testing.assert_array_equal(master.round(theta, [], [], model), theta)
 
@@ -412,7 +417,7 @@ class TestMbLbfgs:
         # U = theta^2/2 + (theta-2)^2/2, optimum theta* = 1; step scaled to
         # the instance's curvature (L = 2).
         model = LinearGaussianModel(np.array([[1.0]]), np.array([2.0]), 1.0)
-        master = MbLbfgsMaster(1, step=0.1)
+        master = MbLbfgsMaster(mb_cfg(0.1), 1)
         theta = np.array([5.0])
         idx = np.array([0])
         for _ in range(200):
@@ -429,14 +434,14 @@ class ReferenceMbLbfgsMaster(MbLbfgsMaster):
         if len(gradients) == 0:
             return theta
         g_bar = np.mean(gradients, axis=0)
-        if self.use_memory and self.prev_theta is not None:
+        if self.cfg.use_memory and self.prev_theta is not None:
             g_prime = stochastic_gradient(model, theta, self.prev_overlap)
             self.memory.try_add(theta - self.prev_theta, g_prime - self.prev_overlap_grad)
-        if self.use_memory:
+        if self.cfg.use_memory:
             self.prev_theta = theta.copy()
             self.prev_overlap = np.asarray(overlap_indices, dtype=np.intp)
             self.prev_overlap_grad = stochastic_gradient(model, theta, self.prev_overlap)
-        new = theta - self.step * self.memory.apply(g_bar)
+        new = theta - self.cfg.step * self.memory.apply(g_bar)
         if not np.isfinite(new).all():
             raise DivergenceError("non-finite iterate in mb-L-BFGS round")
         return new
@@ -453,9 +458,9 @@ class TestMbLbfgsRound:
         # gradient calls and np.mean, with 1 to 4 workers per round
         model = make_model()
         rng = np.random.default_rng(4)
-        got = MbLbfgsMaster(model.dim, step=2e-3, epsilon=0.1, use_memory=use_memory)
-        want = ReferenceMbLbfgsMaster(model.dim, step=2e-3, epsilon=0.1,
-                                      use_memory=use_memory)
+        cfg = mb_cfg(2e-3, epsilon=0.1, use_memory=use_memory)
+        got = MbLbfgsMaster(cfg, model.dim)
+        want = ReferenceMbLbfgsMaster(cfg, model.dim)
         theta = 0.1 * rng.standard_normal(model.dim)
         for n in range(60):
             k = 1 + n % 4

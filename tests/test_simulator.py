@@ -56,6 +56,12 @@ def small_problem(seed=0):
     return model, cfg
 
 
+def mb_cfg(cfg, step):
+    """``cfg`` for an mb-L-BFGS run at ``step`` with the default memory:
+    M = 3, epsilon 1e-8, rho 0, and the memory on."""
+    return replace(cfg, step=step, memory_size=3, epsilon=1e-8, rho=0.0, use_memory=True)
+
+
 def sample_compute_time(rng, mu, sigma):
     """The former one-draw compute-time sampler, the reference the engines'
     blocked compute times are checked against: a log-normal draw with mean
@@ -1080,12 +1086,22 @@ class TestSerialSgld:
 
 
 class TestRunSyncMb:
+    @pytest.mark.parametrize("name", ["lg", "mf"])
+    def test_a_function_of_its_arguments(self, name):
+        # each call builds its master, so a second call starts from an
+        # empty memory, as the first did
+        model, cfg, theta0 = problem(name)
+        sim = SimConfig(workers=3, mu_worker=5.0, sigma_worker=2.0, comm_time=1.0,
+                        timeout=7.0, max_updates=30, sample_every=4, seed=2)
+        cfg = replace(cfg, step=1e-2 if name == "lg" else 1e-4)
+        first = run_sync_mb(sim, cfg, model, theta0)
+        assert same_result(first, run_sync_mb(sim, cfg, model, theta0))
+
     def test_all_workers_included_when_fast(self):
         model, cfg = small_problem()
         sim = SimConfig(workers=5, mu_worker=5.0, sigma_worker=0.0,
                         timeout=10.0, max_updates=20)
-        master = MbLbfgsMaster(model.dim, step=1e-3)
-        res = run_sync_mb(sim, master, cfg, model)
+        res = run_sync_mb(sim, mb_cfg(cfg, 1e-3), model)
         assert res.included_log == [5] * 20
 
     def test_included_count_decreasing_in_sigma(self):
@@ -1096,8 +1112,7 @@ class TestRunSyncMb:
         for sigma in (0.0, 100.0, 200.0):
             sim = SimConfig(workers=10, mu_worker=100.0, sigma_worker=sigma,
                             timeout=300.0, max_updates=100, seed=5)
-            master = MbLbfgsMaster(model.dim, step=1e-3)
-            res = run_sync_mb(sim, master, cfg, model)
+            res = run_sync_mb(sim, mb_cfg(cfg, 1e-3), model)
             counts.append(sum(res.included_log))
         assert counts[0] > counts[1] > counts[2]
         assert counts[0] == 1000
@@ -1108,8 +1123,7 @@ class TestRunSyncMb:
         sim = SimConfig(workers=4, mu_master=30.0, mu_worker=50.0,
                         sigma_worker=40.0, comm_time=10.0, timeout=60.0,
                         max_updates=1, seed=9, wait_for_stragglers=False)
-        master = MbLbfgsMaster(model.dim, step=1e-3)
-        res = run_sync_mb(sim, master, cfg, model)
+        res = run_sync_mb(sim, mb_cfg(cfg, 1e-3), model)
         times = [
             sample_compute_time(np.random.default_rng((9, w, 1)), 50.0, 40.0)
             for w in range(4)
@@ -1123,8 +1137,7 @@ class TestRunSyncMb:
         sim = SimConfig(workers=4, mu_master=30.0, mu_worker=50.0,
                         sigma_worker=40.0, comm_time=10.0, timeout=60.0,
                         max_updates=1, seed=9)
-        master = MbLbfgsMaster(model.dim, step=1e-3)
-        res = run_sync_mb(sim, master, cfg, model)
+        res = run_sync_mb(sim, mb_cfg(cfg, 1e-3), model)
         times = [
             sample_compute_time(np.random.default_rng((9, w, 1)), 50.0, 40.0)
             for w in range(4)
@@ -1133,9 +1146,8 @@ class TestRunSyncMb:
 
     def test_requires_finite_timeout(self):
         model, cfg = small_problem()
-        master = MbLbfgsMaster(model.dim, step=1e-3)
         with pytest.raises(ConfigError):
-            run_sync_mb(SimConfig(max_updates=1), master, cfg, model)
+            run_sync_mb(SimConfig(max_updates=1), mb_cfg(cfg, 1e-3), model)
 
     @pytest.mark.parametrize("sigma, timeout", [(0.0, 5.0), (1.0, 0.0), (1e-3, 5.0),
                                                 (1.0, 5.0)])
@@ -1145,7 +1157,6 @@ class TestRunSyncMb:
         # so almost no round would aggregate; run in a forked child so a
         # hang fails here in seconds
         model, cfg = small_problem()
-        master = MbLbfgsMaster(model.dim, step=1e-3)
         sim = SimConfig(workers=2, mu_worker=10.0, sigma_worker=sigma, timeout=timeout,
                         max_updates=10)
         fork = multiprocessing.get_context("fork")
@@ -1153,7 +1164,7 @@ class TestRunSyncMb:
 
         def target():
             try:
-                run_sync_mb(sim, master, cfg, model)
+                run_sync_mb(sim, mb_cfg(cfg, 1e-3), model)
                 send_end.send("returned")
             except ConfigError as exc:
                 send_end.send(f"ConfigError: {exc}")
@@ -1176,13 +1187,12 @@ class TestRunSyncMb:
         model, cfg = small_problem()
         timing = dict(workers=3, mu_master=3.0, mu_worker=50.0, sigma_worker=60.0,
                       comm_time=2.0, timeout=45.0, seed=4, wait_for_stragglers=wait)
-        full = run_sync_mb(SimConfig(max_updates=40, **timing),
-                           MbLbfgsMaster(model.dim, step=1e-3), cfg, model)
+        full = run_sync_mb(SimConfig(max_updates=40, **timing), mb_cfg(cfg, 1e-3), model)
         assert not full.truncated
         for rec in full.trace[1:-1]:
             max_time = rec.time + 1.0  # between two applied rounds
             res = run_sync_mb(SimConfig(max_updates=40, max_time=max_time, **timing),
-                              MbLbfgsMaster(model.dim, step=1e-3), cfg, model)
+                              mb_cfg(cfg, 1e-3), model)
             assert res.truncated
             assert res.final_time <= max_time
             assert res.trace[-1] == rec
@@ -1193,8 +1203,7 @@ class TestRunSyncMb:
     def test_staleness_always_zero(self):
         model, cfg = small_problem()
         sim = SimConfig(workers=3, mu_worker=5.0, timeout=10.0, max_updates=10)
-        master = MbLbfgsMaster(model.dim, step=1e-3)
-        res = run_sync_mb(sim, master, cfg, model)
+        res = run_sync_mb(sim, mb_cfg(cfg, 1e-3), model)
         assert all(l == 0 for _, l in res.staleness_log)
 
     @pytest.mark.parametrize("wait", [True, False])
@@ -1212,9 +1221,8 @@ class TestRunSyncMb:
         sim = SimConfig(workers=3, mu_master=3.0, mu_worker=50.0, sigma_worker=40.0,
                         comm_time=2.0, timeout=45.0, max_updates=60, sample_every=7,
                         seed=4, wait_for_stragglers=wait)
-        got = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=step), cfg, model, theta0)
-        want = per_worker_run_sync_mb(sim, MbLbfgsMaster(model.dim, step=step), cfg, model,
-                                      theta0)
+        got = run_sync_mb(sim, mb_cfg(cfg, step), model, theta0)
+        want = per_worker_run_sync_mb(sim, mb_cfg(cfg, step), model, theta0)
         assert {0, 1, 2, 3} <= set(got.included_log)
         assert got.included_log == want.included_log
         assert got.trace == want.trace
@@ -1222,9 +1230,10 @@ class TestRunSyncMb:
         assert np.array_equal(got.final_state.theta, want.final_state.theta)
 
 
-def per_worker_run_sync_mb(sim_cfg, mb_master, sampler_cfg, model, theta0=None):
+def per_worker_run_sync_mb(sim_cfg, sampler_cfg, model, theta0=None):
     """The former synchronous round: one combined_gradient call per worker
     that met the timeout, then the mb-L-BFGS round on the list of them."""
+    mb_master = MbLbfgsMaster(sampler_cfg, model.dim)
     theta = np.zeros(model.dim) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     include_rmse = isinstance(model, MatrixFactorizationModel)
     time_rngs = [np.random.default_rng((sim_cfg.seed, w, 1)) for w in range(sim_cfg.workers)]
@@ -1336,10 +1345,9 @@ class TestBlockDraws:
         sim = SimConfig(workers=3, mu_master=3.0, comm_time=2.0, max_updates=200,
                         sample_every=7, seed=4, wait_for_stragglers=wait, **timing)
         step = 1e-2 if name == "lg" else 1e-4
-        want = per_worker_run_sync_mb(sim, MbLbfgsMaster(model.dim, step=step), cfg, model,
-                                      theta0)
+        want = per_worker_run_sync_mb(sim, mb_cfg(cfg, step), model, theta0)
         sizes = self._spy_sizes(monkeypatch)
-        got = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=step), cfg, model, theta0)
+        got = run_sync_mb(sim, mb_cfg(cfg, step), model, theta0)
         rows = simulator.block_rows(cfg.n_s + cfg.n_o)
         assert len(got.included_log) > 3 * rows  # the run crosses at least 3 blocks
         if timing["sigma_worker"] and timing["mu_worker"]:
@@ -1359,10 +1367,10 @@ class TestBlockDraws:
         timing = dict(workers=3, mu_master=3.0, mu_worker=50.0, sigma_worker=40.0,
                       comm_time=2.0, timeout=45.0, seed=4, wait_for_stragglers=wait)
         want = per_worker_run_sync_mb(SimConfig(max_updates=150, **timing),
-                                      MbLbfgsMaster(model.dim, step=1e-2), cfg, model, theta0)
+                                      mb_cfg(cfg, 1e-2), model, theta0)
         # the next round, applied or not, takes at least 2 * comm_time > 1
         sim = SimConfig(max_updates=0, max_time=want.final_time + 1.0, **timing)
-        got = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-2), cfg, model, theta0)
+        got = run_sync_mb(sim, mb_cfg(cfg, 1e-2), model, theta0)
         rows = simulator.block_rows(cfg.n_s + cfg.n_o)
         assert got.truncated and got.iterations == 150
         assert len(got.included_log) > 2 * rows and len(got.included_log) % rows
@@ -1376,9 +1384,9 @@ class TestBlockDraws:
         cfg = SamplerConfig(step=1e-4, friction=0.1, n_s=7500, n_o=2500)
         sim = SimConfig(workers=2, mu_worker=5.0, sigma_worker=2.0, timeout=6.0,
                         max_updates=15, seed=1)
-        want = per_worker_run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-4), cfg, model)
+        want = per_worker_run_sync_mb(sim, mb_cfg(cfg, 1e-4), model)
         sizes = self._spy_sizes(monkeypatch)
-        got = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-4), cfg, model)
+        got = run_sync_mb(sim, mb_cfg(cfg, 1e-4), model)
         drawn = [size for kind, size, _ in sizes if kind == "integers"]
         assert drawn and set(drawn) == {(6, 10**4)}
         assert len(got.included_log) > 2 * 6
@@ -1425,12 +1433,10 @@ class TestTimeOnlyHorizon:
         model, cfg = small_problem()
         timing = dict(workers=3, mu_master=3.0, mu_worker=5.0, sigma_worker=2.0,
                       comm_time=1.0, timeout=6.0, max_time=200.0, sample_every=5)
-        res = run_sync_mb(SimConfig(max_updates=0, **timing),
-                          MbLbfgsMaster(model.dim, step=1e-3), cfg, model)
+        res = run_sync_mb(SimConfig(max_updates=0, **timing), mb_cfg(cfg, 1e-3), model)
         assert res.truncated and res.iterations > 10
         assert self.same_run(res, run_sync_mb(SimConfig(max_updates=10**6, **timing),
-                                              MbLbfgsMaster(model.dim, step=1e-3),
-                                              cfg, model))
+                                              mb_cfg(cfg, 1e-3), model))
 
     def test_run_sgld_serial(self):
         model, cfg = small_problem()
@@ -1585,7 +1591,7 @@ class TestSharedResult:
         if engine == "async":
             res = run_async(sim, cfg, model, theta0=theta0)
         else:
-            res = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-3), cfg, model, theta0)
+            res = run_sync_mb(sim, mb_cfg(cfg, 1e-3), model, theta0)
         want = potential(model, res.final_state.theta)
         assert np.float64(res.final_potential).tobytes() == np.float64(want).tobytes()
         assert [r.iteration for r in res.trace] == [0, 5, 10, 15, 20, 23]
@@ -1610,7 +1616,7 @@ class TestSharedResult:
         if engine == "async":
             res = run_async(sim, cfg, model, theta0=theta0)
         else:
-            res = run_sync_mb(sim, MbLbfgsMaster(model.dim, step=1e-3), cfg, model, theta0)
+            res = run_sync_mb(sim, mb_cfg(cfg, 1e-3), model, theta0)
         assert res.final_potential == res.trace[-1].potential
         assert sum(full_passes) == len(res.trace) == 6
 
